@@ -10,17 +10,14 @@ Subcommands::
 
 Exit codes: 0 success, 2 usage or domain precondition, 3 resource cap
 exceeded, 4 verification failure.  Results go to stdout or ``--out``;
-standard error carries diagnostics only.  Given the same config and seed,
+standard error carries diagnostics only.  Given the same arguments and seed,
 every command rewrites byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,59 +51,10 @@ from .counterexample import (
 from . import serialize
 from fractions import Fraction
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 ORACLE_TOLERANCE = 1e-9
 ZERO_CHECK_TOLERANCE = 1e-10
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on, in serializable form."""
-
-    command: str
-    group: str | None = None
-    resolution: int | None = None
-    seed: int = 0
-    out: str | None = None
-    format: str = "json"
-    threads: int | None = None
-    params: dict = field(default_factory=dict)
-
-    def to_doc(self) -> dict:
-        return {
-            "command": self.command,
-            "group": self.group,
-            "resolution": self.resolution,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-            "threads": self.threads,
-            "params": dict(sorted(self.params.items())),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "RunConfig":
-        return cls(
-            command=doc["command"],
-            group=doc.get("group"),
-            resolution=doc.get("resolution"),
-            seed=doc.get("seed", 0),
-            out=doc.get("out"),
-            format=doc.get("format", "json"),
-            threads=doc.get("threads"),
-            params=dict(doc.get("params", {})),
-        )
-
-
-def _apply_threads(threads: int | None) -> None:
-    # results never depend on this; it only sizes the BLAS worker pools
-    if threads is None:
-        return
-    if threads < 1:
-        raise DomainError(f"--threads must be >= 1, got {threads}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
 
 
 def _emit_output(text: str, out: str | None) -> None:
@@ -124,10 +72,10 @@ def _write_function(obj, out: str | None, fmt: str) -> None:
         _emit_output(serialize.dumps_canonical(serialize.function_to_doc(obj)), out)
 
 
-def _load_group(config: RunConfig):
-    if config.group is None:
+def _load_group(args: argparse.Namespace):
+    if args.group is None:
         return None
-    return serialize.decode_group(config.group, config.resolution)
+    return serialize.decode_group(args.group, args.resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -135,20 +83,19 @@ def _load_group(config: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def cmd_transform(config: RunConfig) -> int:
-    group = _load_group(config)
-    p = config.params
-    if p.get("input") is not None:
-        data = serialize.load_function_file(p["input"])
+def cmd_transform(args: argparse.Namespace) -> int:
+    group = _load_group(args)
+    if args.input is not None:
+        data = serialize.load_function_file(args.input)
         if group is not None and data.group.digits != group.digits:
             raise DomainError(
-                f"--group {config.group!r} disagrees with the input file's group "
+                f"--group {args.group!r} disagrees with the input file's group "
                 f"{list(data.group.digits)}"
             )
-    elif p.get("random"):
+    elif args.random:
         if group is None:
             raise DomainError("--random needs --group")
-        data = random_cylinder_function(group, seed=config.seed)
+        data = random_cylinder_function(group, seed=args.seed)
     else:
         raise DomainError("nothing to transform: pass --input FILE or --random")
 
@@ -158,10 +105,10 @@ def cmd_transform(config: RunConfig) -> int:
         result = forward_transform(data)
 
     checked = False
-    if p.get("check_oracle"):
+    if args.check_oracle:
         if isinstance(data, Spectrum):
             raise DomainError("--check-oracle applies to value-side input only")
-        cap = p.get("oracle_cap") or NAIVE_ORACLE_CAP
+        cap = args.oracle_cap or NAIVE_ORACLE_CAP
         oracle = naive_transform_oracle(data, cap=cap)
         err = sup_rel_error(result.coeffs, oracle.coeffs)
         line = f"max relative error vs naive oracle = {serialize.float_str(err)} (tolerance {ORACLE_TOLERANCE})"
@@ -170,8 +117,8 @@ def cmd_transform(config: RunConfig) -> int:
         print(line + ": ok")
         checked = True
 
-    if config.out is not None or not checked:
-        _write_function(result, config.out, config.format)
+    if args.out is not None or not checked:
+        _write_function(result, args.out, args.format)
     return 0
 
 
@@ -180,12 +127,9 @@ def cmd_transform(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_kernel(config: RunConfig) -> int:
-    group = _load_group(config)
-    if group is None:
-        raise DomainError("kernel needs --group")
-    p = config.params
-    kind, n = p["kind"], p["n"]
+def cmd_kernel(args: argparse.Namespace) -> int:
+    group = _load_group(args)
+    kind, n = args.kind, args.n
     if kind == "dirichlet":
         kernel = dirichlet_kernel(n, group)
         expected = Fraction(n)
@@ -198,10 +142,10 @@ def cmd_kernel(config: RunConfig) -> int:
     line = f"{label} = {serialize.float_str(value)} (expected {expected})"
     ok = abs(value - float(expected)) <= ZERO_CHECK_TOLERANCE * max(1.0, float(expected))
     print(line + (": ok" if ok else ": MISMATCH"))
-    if p.get("check_zero") and not ok:
+    if args.check_zero and not ok:
         raise VerificationError(line)
-    if config.out is not None:
-        _write_function(kernel, config.out, config.format)
+    if args.out is not None:
+        _write_function(kernel, args.out, args.format)
     return 0
 
 
@@ -210,13 +154,10 @@ def cmd_kernel(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_lemma2(config: RunConfig) -> int:
-    if config.group is None:
-        raise DomainError("lemma2 needs --group")
-    pattern, own_res = parse_group_text(config.group)
-    p = config.params
-    report = lemma2_verify(pattern, p["A"], cap=p.get("cap") or (1 << 20))
-    _emit_output(serialize.dumps_canonical(serialize.kernel_report_to_doc(report)), config.out)
+def cmd_lemma2(args: argparse.Namespace) -> int:
+    pattern, _ = parse_group_text(args.group)
+    report = lemma2_verify(pattern, args.A, cap=args.cap or (1 << 20))
+    _emit_output(serialize.dumps_canonical(serialize.kernel_report_to_doc(report)), args.out)
     if not report.passed:
         print(
             f"kernel floor fails: global min ratio {report.global_min_ratio} < 0.25",
@@ -231,27 +172,19 @@ def cmd_lemma2(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_counterexample(config: RunConfig) -> int:
-    if config.group is None:
-        raise DomainError("counterexample needs --group")
-    pattern, own_res = parse_group_text(config.group)
-    p = config.params
-    cap = p.get("materialize_cap")
-    spec = plan_counterexample(
-        pattern, p["kmax"], alpha0=p.get("alpha0", 6), resolution=config.resolution
-    )
+def cmd_counterexample(args: argparse.Namespace) -> int:
+    pattern, _ = parse_group_text(args.group)
+    spec = plan_counterexample(pattern, args.kmax, alpha0=args.alpha0)
     report = divergence_report(
-        spec,
-        region_detail_cap=p.get("region_detail_cap", 4096),
-        cap=cap,
+        spec, region_detail_cap=args.region_detail_cap, cap=args.materialize_cap
     )
-    plot_target = p.get("emit_plot_data")
-    if p.get("json"):
-        _emit_output(serialize.dumps_canonical(serialize.divergence_to_doc(report)), config.out)
+    plot_target = args.emit_plot_data
+    if args.json:
+        _emit_output(serialize.dumps_canonical(serialize.divergence_to_doc(report)), args.out)
     elif plot_target == "-":
-        _emit_output(serialize.plot_csv(report), config.out)
+        _emit_output(serialize.plot_csv(report), args.out)
     else:
-        _emit_output(serialize.summary_csv(report), config.out)
+        _emit_output(serialize.summary_csv(report), args.out)
     if plot_target and plot_target != "-":
         with open(plot_target, "w", encoding="utf-8") as fh:
             fh.write(serialize.plot_csv(report))
@@ -338,7 +271,7 @@ def _selftest_checks():
     ]
 
 
-def cmd_selftest(config: RunConfig) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     failures = 0
     for name, check in _selftest_checks():
         try:
@@ -364,12 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="vilenkin",
         description="Fourier analysis on bounded Vilenkin groups "
         "and an exactly verified Cesaro divergence counterexample.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for array backends (results are independent of this)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -403,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--group", required=True, help="base pattern, e.g. const:2")
     ce.add_argument("--alpha0", type=int, default=6)
     ce.add_argument("--kmax", type=int, required=True)
-    ce.add_argument("--resolution", type=int, help="grid depth for desk-scale checks")
     ce.add_argument("--json", action="store_true", help="emit the full JSON report instead of CSV")
     ce.add_argument(
         "--emit-plot-data",
@@ -421,40 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAM_KEYS = {
-    "transform": ("input", "random", "check_oracle", "oracle_cap"),
-    "kernel": ("kind", "n", "check_zero"),
-    "lemma2": ("A", "cap"),
-    "counterexample": (
-        "alpha0",
-        "kmax",
-        "json",
-        "emit_plot_data",
-        "materialize_cap",
-        "region_detail_cap",
-    ),
-    "selftest": (),
-}
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {}
-    for key in _PARAM_KEYS[args.command]:
-        value = getattr(args, key)
-        if value is not None and value is not False:
-            params[key] = value
-    return RunConfig(
-        command=args.command,
-        group=getattr(args, "group", None),
-        resolution=getattr(args, "resolution", None),
-        seed=getattr(args, "seed", 0),
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", "json"),
-        threads=args.threads,
-        params=params,
-    )
-
-
 _DISPATCH = {
     "transform": cmd_transform,
     "kernel": cmd_kernel,
@@ -464,15 +356,10 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
-    _apply_threads(config.threads)
-    return _DISPATCH[config.command](config)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return run(config_from_args(args))
+        return _DISPATCH[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

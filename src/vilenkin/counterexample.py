@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceededError, DomainError, VerificationError
-from .group import Cylinder, GroupPattern, GroupSpec, materialize_group
+from .group import Cylinder, GroupPattern, GroupSpec, materialize_group, q_number
 from .kernels import (
     dirichlet_kernel,
     fejer_kernel,
@@ -418,6 +418,18 @@ def atom_function(
     return CylinderFunction(group, vals), interval
 
 
+def _atom_history(
+    spec: CounterexampleSpec, count: int, group: GroupSpec, cap: int | None
+) -> np.ndarray:
+    """``sum_{eta < count} a_eta / alpha_eta`` on ``group``, from the atom
+    closed forms."""
+    vals = np.zeros(group.size, dtype=np.complex128)
+    for eta in range(count):
+        atom, _ = atom_function(spec, eta, resolution=group.resolution, cap=cap)
+        vals += atom.values / spec.alphas[eta]
+    return vals
+
+
 def materialize_f(
     spec: CounterexampleSpec,
     A: int,
@@ -440,13 +452,8 @@ def materialize_f(
         raise DomainError(
             f"insufficient resolution: level {A} on a depth-{group.resolution} grid"
         )
-    vals = np.zeros(group.size, dtype=np.complex128)
-    for k, alpha in enumerate(spec.alphas):
-        if 2 * alpha >= A:
-            break
-        atom, _ = atom_function(spec, k, resolution=group.resolution, cap=cap)
-        vals += atom.values / alpha
-    f = CylinderFunction(group, vals)
+    count = sum(1 for alpha in spec.alphas if 2 * alpha < A)
+    f = CylinderFunction(group, _atom_history(spec, count, group, cap))
     return f, forward_transform(f)
 
 
@@ -507,10 +514,7 @@ def closed_form_partial_sum(
             f"[{pattern.scale(2 * last)}, {pattern.q_number(last)})"
         )
 
-    vals = np.zeros(group.size, dtype=np.complex128)
-    for eta in range(history_count):
-        atom, _ = atom_function(spec, eta, resolution=group.resolution, cap=cap)
-        vals += atom.values / spec.alphas[eta]
+    vals = _atom_history(spec, history_count, group, cap)
     if tail is not None:
         k, alpha, lo, inner = tail
         if inner:
@@ -575,10 +579,7 @@ def sigma_decomposition(
     low_vals = summed_partial_sums(spectrum, 0, block_lo) / q
     low = CylinderFunction(group, low_vals)
 
-    hist_vals = np.zeros(group.size, dtype=np.complex128)
-    for eta in range(k):
-        atom, _ = atom_function(spec, eta, resolution=group.resolution, cap=cap)
-        hist_vals += atom.values / spec.alphas[eta]
+    hist_vals = _atom_history(spec, k, group, cap)
     carried = CylinderFunction(group, hist_vals * ((q - block_lo) / q))
 
     coeff = float(Fraction(block_lo, pattern.bound * alpha))
@@ -660,7 +661,7 @@ def lemma2_verify(g, level: int, cap: int = 1 << 20) -> KernelBoundReport:
         raise CapExceededError(
             f"region check needs {group.size} grid points, cap is {cap}"
         )
-    q_inner = sum(group.scales[2 * j] for j in range(level))
+    q_inner = q_number(level - 1, group)
     kernel = np.abs(fejer_kernel(q_inner, group).values) * q_inner
     regions = []
     global_min = math.inf
@@ -967,7 +968,7 @@ class DivergenceReport:
 
 
 def _materialized_checks(
-    spec: CounterexampleSpec, ledger: BoundLedger, cap: int
+    spec: CounterexampleSpec, ledger: BoundLedger
 ) -> tuple[int, float, bool, bool | None]:
     """Grid-side audit of one block: direct integral, per-region floors,
     and domination of the exact region sum."""
@@ -1067,7 +1068,7 @@ def divergence_report(
         ledgers.append(ledger)
         res = direct = pw = dom = None
         if spec.pattern.scale(2 * ledger.alpha + 1) <= cap:
-            res, direct, pw, dom = _materialized_checks(spec, ledger, cap)
+            res, direct, pw, dom = _materialized_checks(spec, ledger)
         rows.append(
             DivergenceRow(
                 k=k,

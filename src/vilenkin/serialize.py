@@ -1,13 +1,20 @@
 """Deterministic JSON/CSV encoding for grids, spectra, and reports.
 
-Numbers are rendered with fixed 17-significant-digit formatting and exact
-integers as decimal strings, so rerunning a command byte-reproduces its
-output.  Exact integers in the ledgers can run to hundreds of thousands of
-digits; they are always serialized as strings, never through floats.
+Numbers are rendered with fixed 17-significant-digit formatting, so
+rerunning a command byte-reproduces its output.  Object keys are never
+sorted: a report is written by one dataclass walker, :func:`report_to_doc`,
+with fields in declaration order followed by the class's verdict properties
+(``all_ok``, ``ok``, ``passed``, ``is_atom``).  The exact integers named in
+:data:`EXACT_INT_FIELDS` (``alpha``, ``m_alpha``, ``q_index``, ``q_inner``,
+``region_pair_count``, ``product``, ``kernel_order``) and the numerators and
+denominators of rationals are decimal strings; every other integer is a
+JSON number.  Exact integers in the ledgers can run to hundreds of
+thousands of digits; they never pass through floats.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -16,18 +23,12 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError
-from .group import GroupPattern, GroupSpec, build_group_spec, parse_group_text
-from .kernels import AtomReport
+from .group import Cylinder, GroupPattern, GroupSpec, build_group_spec, parse_group_text
 from .transform import CylinderFunction, Spectrum
-from .counterexample import (
-    BoundLedger,
-    DivergenceReport,
-    KernelBoundReport,
-    LevelCertificate,
-    RegionBound,
-)
+from .counterexample import DivergenceReport, KernelBoundReport
 
 __all__ = [
+    "EXACT_INT_FIELDS",
     "int_str",
     "float_str",
     "dumps_canonical",
@@ -37,10 +38,8 @@ __all__ = [
     "doc_to_function",
     "function_to_csv",
     "load_function_file",
-    "atom_report_to_doc",
-    "certificate_to_doc",
+    "report_to_doc",
     "kernel_report_to_doc",
-    "ledger_to_doc",
     "divergence_to_doc",
     "summary_csv",
     "plot_csv",
@@ -150,6 +149,8 @@ def decode_group(raw, resolution: int | None = None) -> GroupSpec:
             raise DomainError(f"bad group object: {raw!r}") from exc
         res = raw.get("resolution", resolution)
         res = len(digits) if res is None else int(res)
+        if res < 1:
+            raise DomainError(f"resolution must be >= 1, got {res}")
         if res < len(digits):
             digits = digits[:res]
         if res > len(digits):
@@ -222,140 +223,50 @@ def load_function_file(path: str):
 # ---------------------------------------------------------------------------
 
 
-def atom_report_to_doc(report: AtomReport) -> dict:
-    return {
-        "interval": {
-            "prefix": list(report.interval.prefix),
-            "measure": report.interval.measure,
-        },
-        "p": report.p,
-        "mean_abs": report.mean_abs,
-        "sup_norm": report.sup_norm,
-        "sup_allowed": report.sup_allowed,
-        "outside_sup": report.outside_sup,
-        "mean_ok": report.mean_ok,
-        "support_ok": report.support_ok,
-        "size_ok": report.size_ok,
-        "is_atom": report.is_atom,
-    }
+# Fields holding exact integers that outgrow a float (or any JSON reader's
+# number type); every other int stays a JSON number.
+EXACT_INT_FIELDS = frozenset(
+    {"alpha", "m_alpha", "q_index", "q_inner", "region_pair_count", "product", "kernel_order"}
+)
 
 
-def certificate_to_doc(cert: LevelCertificate) -> dict:
-    return {
-        "k": cert.k,
-        "alpha": int_str(cert.alpha),
-        "vacuous": cert.vacuous,
-        "doubling_ok": cert.doubling_ok,
-        "history_growth_lhs": cert.history_growth_lhs,
-        "history_growth_rhs": cert.history_growth_rhs,
-        "history_growth_ok": cert.history_growth_ok,
-        "history_gap_lhs": cert.history_gap_lhs,
-        "history_gap_rhs": cert.history_gap_rhs,
-        "history_gap_ok": cert.history_gap_ok,
-        "all_ok": cert.all_ok,
-    }
+def report_to_doc(obj: Any) -> Any:
+    """A report dataclass as a JSON-ready document.
+
+    Fields come in declaration order, then the class's properties (the
+    verdicts ``all_ok``, ``ok``, ``passed``, ``is_atom``).  Fields named in
+    :data:`EXACT_INT_FIELDS` become decimal strings; ``Fraction`` values are
+    left for :func:`dumps_canonical`.  Groups, patterns and cylinders are
+    written in their short forms.
+    """
+    if isinstance(obj, GroupSpec):
+        return encode_group(obj)
+    if isinstance(obj, GroupPattern):
+        return list(obj.base)
+    if isinstance(obj, Cylinder):
+        return {"prefix": list(obj.prefix), "measure": obj.measure}
+    if dataclasses.is_dataclass(obj):
+        doc = {}
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            doc[f.name] = int_str(value) if f.name in EXACT_INT_FIELDS else report_to_doc(value)
+        for name, attr in vars(type(obj)).items():
+            if isinstance(attr, property):
+                doc[name] = report_to_doc(getattr(obj, name))
+        return doc
+    if isinstance(obj, (list, tuple)):
+        return [report_to_doc(v) for v in obj]
+    return obj
 
 
 def kernel_report_to_doc(report: KernelBoundReport) -> dict:
-    return {
-        "group": encode_group(report.group),
-        "level": report.level,
-        "kernel_order": int_str(report.kernel_order),
-        "threshold": report.threshold,
-        "global_min_ratio": report.global_min_ratio,
-        "passed": report.passed,
-        "regions": [
-            {
-                "eta": r.eta,
-                "s": r.s,
-                "point_count": r.point_count,
-                "measure": r.measure,
-                "min_ratio": r.min_ratio,
-            }
-            for r in report.regions
-        ],
-    }
-
-
-def _region_to_doc(region: RegionBound) -> dict:
-    return {
-        "eta": region.eta,
-        "s": region.s,
-        "product": int_str(region.product),
-        "separation_ok": region.separation_ok,
-        "measure": region.measure,
-        "sqrt_term": region.sqrt_term,
-    }
-
-
-def ledger_to_doc(ledger: BoundLedger) -> dict:
-    return {
-        "k": ledger.k,
-        "alpha": int_str(ledger.alpha),
-        "bound": ledger.bound,
-        "m_alpha": int_str(ledger.m_alpha),
-        "q_index": int_str(ledger.q_index),
-        "q_inner": int_str(ledger.q_inner),
-        "q_doubling_ok": ledger.q_doubling_ok,
-        "low_part_bound": ledger.low_part_bound,
-        "carried_history_bound": ledger.carried_history_bound,
-        "threshold": ledger.threshold,
-        "history_ok": ledger.history_ok,
-        "eta_lo": ledger.eta_lo,
-        "eta_hi": ledger.eta_hi,
-        "region_pair_count": int_str(ledger.region_pair_count),
-        "corner": _region_to_doc(ledger.corner),
-        "monotone_certified": ledger.monotone_certified,
-        "regions": (
-            None
-            if ledger.regions is None
-            else [_region_to_doc(r) for r in ledger.regions]
-        ),
-        "separation_all_ok": ledger.separation_all_ok,
-        "lb_squared": ledger.lb_squared,
-        "region_sum_squared": ledger.region_sum_squared,
-        "c_certified": ledger.c_certified,
-        "all_ok": ledger.all_ok,
-    }
+    doc = report_to_doc(report)
+    doc["regions"] = doc.pop("regions")  # after the verdict
+    return doc
 
 
 def divergence_to_doc(report: DivergenceReport) -> dict:
-    return {
-        "pattern": list(report.pattern.base),
-        "alpha0": report.alpha0,
-        "k_range": list(report.k_range),
-        "ledgers": [ledger_to_doc(led) for led in report.ledgers],
-        "rows": [
-            {
-                "k": row.k,
-                "alpha": int_str(row.alpha),
-                "q_index": int_str(row.q_index),
-                "lb_squared": row.lb_squared,
-                "region_pair_count": int_str(row.region_pair_count),
-                "region_sum_squared": row.region_sum_squared,
-                "materialized_resolution": row.materialized_resolution,
-                "direct_integral": row.direct_integral,
-                "pointwise_ok": row.pointwise_ok,
-                "integral_dominates_ok": row.integral_dominates_ok,
-            }
-            for row in report.rows
-        ],
-        "lb_strictly_increasing": report.lb_strictly_increasing,
-        "rate_certified_from": report.rate_certified_from,
-        "series": {
-            "weight_sqrt_sum": report.series.weight_sqrt_sum,
-            "geometric_majorant": report.series.geometric_majorant,
-            "doubling_ok": report.series.doubling_ok,
-            "hardy_upper": report.series.hardy_upper,
-            "atoms_validated": report.series.atoms_validated,
-            "atoms_ok": report.series.atoms_ok,
-            "atom_maximal_ok": report.series.atom_maximal_ok,
-            "hardy_estimate_on_grid": report.series.hardy_estimate_on_grid,
-            "grid_estimate_ok": report.series.grid_estimate_ok,
-            "ok": report.series.ok,
-        },
-        "passed": report.passed,
-    }
+    return report_to_doc(report)
 
 
 def summary_csv(report: DivergenceReport) -> str:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from vilenkin.cli import RunConfig, config_from_args, main, _build_parser
+from vilenkin.cli import main
 from vilenkin.group import build_group_spec
 from vilenkin.serialize import doc_to_function, dumps_canonical, function_to_doc
 from vilenkin.transform import CylinderFunction, Spectrum, sup_abs
@@ -60,6 +60,15 @@ def test_transform_malformed_input_exits_2(tmp_path, capsys):
 
 def test_transform_group_mismatch_exits_2(ones_file, capsys):
     assert run_cli("transform", "--group", "const:3^4", "--input", ones_file) == 2
+
+
+def test_transform_input_resolution_below_one_exits_2(tmp_path, capsys):
+    bad = tmp_path / "cut.json"
+    doc = {"group": {"digits": [2, 3, 4], "resolution": -1}, "kind": "values",
+           "re": [0.0] * 6, "im": [0.0] * 6}
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("transform", "--input", str(bad)) == 2
+    assert "resolution must be >= 1" in capsys.readouterr().err
 
 
 def test_transform_random_needs_group(capsys):
@@ -165,24 +174,6 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("ok - ") >= 8
     assert "fail" not in out
-
-
-def test_threads_flag_accepted(capsys):
-    assert run_cli("--threads", "2", "selftest") == 0
-    assert run_cli("--threads", "0", "selftest") == 2
-
-
-def test_run_config_round_trips_through_serialization():
-    parser = _build_parser()
-    args = parser.parse_args(
-        ["counterexample", "--group", "const:2", "--alpha0", "6", "--kmax", "8", "--emit-plot-data", "p.csv"]
-    )
-    cfg = config_from_args(args)
-    back = RunConfig.from_doc(json.loads(dumps_canonical(cfg.to_doc())))
-    assert back == cfg
-    args = parser.parse_args(["transform", "--group", "2,3", "--random", "--seed", "5"])
-    cfg = config_from_args(args)
-    assert RunConfig.from_doc(json.loads(dumps_canonical(cfg.to_doc()))) == cfg
 
 
 def test_console_entry_point_subprocess():

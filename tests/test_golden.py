@@ -1,0 +1,71 @@
+"""Golden CLI outputs: each command must reproduce its recorded output byte
+for byte.
+
+The files under ``tests/golden/`` were written by the CLI before the
+report serializers became one dataclass walker and before the argument
+namespace went straight to the command functions.  ``<name>.stdout`` is
+standard output and ``<name>.file`` the ``--out`` file; an artifact over
+~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from vilenkin.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (argv, writes --out file)
+CASES = {
+    "counterexample_const2_k6": (["counterexample", "--group", "const:2", "--kmax", "6"], False),
+    "counterexample_const2_k6_plot": (
+        ["counterexample", "--group", "const:2", "--kmax", "6", "--emit-plot-data"],
+        False,
+    ),
+    "counterexample_const2_k6_json": (
+        ["counterexample", "--group", "const:2", "--kmax", "6", "--json"],
+        False,
+    ),
+    "counterexample_223_k2": (["counterexample", "--group", "2,2,3", "--kmax", "2"], False),
+    "lemma2_23_A4": (["lemma2", "--group", "2,3", "--A", "4"], False),
+    "lemma2_const2_A5": (["lemma2", "--group", "const:2", "--A", "5"], False),
+    "lemma2_const4_A5": (["lemma2", "--group", "const:4", "--A", "5"], False),
+    "transform_232_json": (["transform", "--group", "2,3,2", "--random", "--seed", "7"], False),
+    "transform_232_csv": (
+        ["transform", "--group", "2,3,2", "--random", "--seed", "7", "--format", "csv"],
+        False,
+    ),
+    "kernel_fejer21": (
+        ["kernel", "--kind", "fejer", "--n", "21", "--group", "const:2", "--resolution", "10"],
+        True,
+    ),
+    "kernel_dirichlet6": (
+        ["kernel", "--kind", "dirichlet", "--n", "6", "--group", "2,3,2", "--resolution", "3"],
+        True,
+    ),
+    "selftest": (["selftest"], False),
+}
+
+
+def assert_golden(name: str, part: str, data: bytes) -> None:
+    plain = GOLDEN / f"{name}.{part}"
+    if plain.exists():
+        assert data == plain.read_bytes(), f"{plain.name} differs"
+    else:
+        digest = (GOLDEN / f"{name}.{part}.sha256").read_text(encoding="ascii").strip()
+        assert hashlib.sha256(data).hexdigest() == digest, f"{name}.{part} digest differs"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path, capsys):
+    argv, writes_file = CASES[name]
+    out = tmp_path / "out"
+    if writes_file:
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert_golden(name, "stdout", captured.out.encode("utf-8"))
+    if writes_file:
+        assert_golden(name, "file", out.read_bytes())

@@ -1,4 +1,5 @@
 """Unit tests: canonical JSON/CSV encoding and decoding."""
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from vilenkin.errors import DomainError
 from vilenkin.group import GroupPattern, build_group_spec
 from vilenkin.kernels import validate_p_atom
 from vilenkin.serialize import (
-    atom_report_to_doc,
+    EXACT_INT_FIELDS,
     decode_group,
     divergence_to_doc,
     doc_to_function,
@@ -26,9 +27,9 @@ from vilenkin.serialize import (
     function_to_doc,
     int_str,
     kernel_report_to_doc,
-    ledger_to_doc,
     load_function_file,
     plot_csv,
+    report_to_doc,
     summary_csv,
 )
 from vilenkin.transform import (
@@ -100,6 +101,9 @@ def test_group_decode_errors():
         decode_group({"resolution": 3})
     with pytest.raises(DomainError):
         decode_group(42)
+    for res in (0, -1):  # never a silent cut of the digit list
+        with pytest.raises(DomainError):
+            decode_group({"digits": [2, 3, 4], "resolution": res})
 
 
 @pytest.mark.parametrize("kind", ["values", "coeffs"])
@@ -164,17 +168,34 @@ def test_atom_report_doc_has_three_verdicts():
     from vilenkin.group import Cylinder
 
     report = validate_p_atom(CylinderFunction(g, vals), Cylinder(g, (0, 0)), Fraction(1, 2))
-    doc = json.loads(dumps_canonical(atom_report_to_doc(report)))
+    doc = json.loads(dumps_canonical(report_to_doc(report)))
     assert set(doc) >= {"mean_ok", "support_ok", "size_ok", "is_atom", "sup_norm"}
+    assert doc["interval"] == {"prefix": [0, 0], "measure": {"num": "1", "den": "4"}}
     assert doc["is_atom"] == (doc["mean_ok"] and doc["support_ok"] and doc["size_ok"])
 
 
 PAT2 = GroupPattern((2,))
 
 
+def test_report_doc_key_order_and_exact_ints():
+    ledger = bound_chain_evaluate(plan_counterexample(PAT2, 2), 1)
+    doc = report_to_doc(ledger)
+    # declaration order, then the verdict property
+    assert list(doc) == [f.name for f in dataclasses.fields(ledger)] + ["all_ok"]
+    for name, value in doc.items():
+        if name in EXACT_INT_FIELDS:
+            assert value == str(getattr(ledger, name))
+    assert doc["k"] == 1 and doc["bound"] == 2 and isinstance(doc["eta_lo"], int)
+    assert doc["corner"]["product"] == str(ledger.corner.product)
+    assert doc["regions"][0]["product"] == str(ledger.regions[0].product)
+
+
 def test_kernel_report_doc():
     report = lemma2_verify(PAT2, 3)
     doc = json.loads(dumps_canonical(kernel_report_to_doc(report)))
+    assert list(doc) == [
+        "group", "level", "kernel_order", "threshold", "global_min_ratio", "passed", "regions",
+    ]
     assert doc["level"] == 3
     assert doc["passed"] is True
     assert int(doc["kernel_order"]) == 21
@@ -185,7 +206,7 @@ def test_kernel_report_doc():
 def test_ledger_doc_verdicts_reproducible_after_parse():
     spec = plan_counterexample(PAT2, 8)
     for k in (1, 7):
-        doc = json.loads(dumps_canonical(ledger_to_doc(bound_chain_evaluate(spec, k))))
+        doc = json.loads(dumps_canonical(report_to_doc(bound_chain_evaluate(spec, k))))
         q = int(doc["q_index"])
         q_inner = int(doc["q_inner"])
         m2a = q - q_inner
