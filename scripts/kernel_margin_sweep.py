@@ -14,7 +14,7 @@ on a given group before trusting it in a hand computation.
 import argparse
 import sys
 
-from vilenkin.counterexample import lemma2_verify
+from vilenkin.counterexample import LEMMA2_CAP, lemma2_verify
 from vilenkin.errors import CapExceededError
 from vilenkin.group import parse_group_text
 
@@ -39,7 +39,7 @@ def main(argv=None):
     ap.add_argument("--groups", default="const:2,const:3,const:4",
                     help="comma list of patterns (mixed ones use ; e.g. '2;3')")
     ap.add_argument("--levels", default="3:6", help="level range lo:hi inclusive")
-    ap.add_argument("--cap", type=int, default=1 << 20, help="grid point cap")
+    ap.add_argument("--cap", type=int, default=LEMMA2_CAP, help="grid point cap")
     ap.add_argument("--out", help="write CSV here instead of stdout")
     args = ap.parse_args(argv)
 

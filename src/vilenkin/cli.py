@@ -42,6 +42,7 @@ from .kernels import (
     zero_cylinder_indicator,
 )
 from .counterexample import (
+    LEMMA2_CAP,
     MATERIALIZE_CAP_ENV,
     atom_function,
     lemma2_verify,
@@ -55,6 +56,7 @@ __all__ = ["main"]
 
 ORACLE_TOLERANCE = 1e-9
 ZERO_CHECK_TOLERANCE = 1e-10
+RESOLUTION_HELP = "digit count when the group text has none; must match the text's own (a digit list's length, or ^N)"
 
 
 def _emit_output(text: str, out: str | None) -> None:
@@ -108,8 +110,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     if args.check_oracle:
         if isinstance(data, Spectrum):
             raise DomainError("--check-oracle applies to value-side input only")
-        cap = args.oracle_cap or NAIVE_ORACLE_CAP
-        oracle = naive_transform_oracle(data, cap=cap)
+        oracle = naive_transform_oracle(data, cap=args.oracle_cap)
         err = sup_rel_error(result.coeffs, oracle.coeffs)
         line = f"max relative error vs naive oracle = {serialize.float_str(err)} (tolerance {ORACLE_TOLERANCE})"
         if err > ORACLE_TOLERANCE:
@@ -156,7 +157,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 def cmd_lemma2(args: argparse.Namespace) -> int:
     pattern, _ = parse_group_text(args.group)
-    report = lemma2_verify(pattern, args.A, cap=args.cap or (1 << 20))
+    report = lemma2_verify(pattern, args.A, cap=args.cap)
     _emit_output(serialize.dumps_canonical(serialize.kernel_report_to_doc(report)), args.out)
     if not report.passed:
         print(
@@ -302,12 +303,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("transform", help="forward/inverse transform of a function file")
     tr.add_argument("--group", help='group, e.g. const:2^8 or "2,3,2,4"')
-    tr.add_argument("--resolution", type=int, help="digit count when the group text has none")
+    tr.add_argument("--resolution", type=int, help=RESOLUTION_HELP)
     tr.add_argument("--input", help="function/spectrum JSON file")
     tr.add_argument("--random", action="store_true", help="transform seeded random values")
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--check-oracle", action="store_true", help="compare against the naive-sum oracle")
-    tr.add_argument("--oracle-cap", type=int, default=None, help=f"oracle size cap (default {NAIVE_ORACLE_CAP})")
+    tr.add_argument("--oracle-cap", type=int, default=NAIVE_ORACLE_CAP, help="oracle size cap (default %(default)s)")
     tr.add_argument("--out", help="output path (default: stdout)")
     tr.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -315,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ke.add_argument("--kind", choices=("dirichlet", "fejer"), required=True)
     ke.add_argument("--n", type=int, required=True)
     ke.add_argument("--group", required=True)
-    ke.add_argument("--resolution", type=int)
+    ke.add_argument("--resolution", type=int, help=RESOLUTION_HELP)
     ke.add_argument("--check-zero", action="store_true", help="fail unless the value at zero matches the closed form")
     ke.add_argument("--out", help="write kernel values here")
     ke.add_argument("--format", choices=("json", "csv"), default="json")
@@ -323,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     le = sub.add_parser("lemma2", help="brute-force kernel floor over digit-pattern regions")
     le.add_argument("--group", required=True, help="base pattern, e.g. const:2 or 2,3")
     le.add_argument("--A", type=int, required=True, help="region level (needs A > 2)")
-    le.add_argument("--cap", type=int, default=None, help="grid point cap (default 2^20)")
+    le.add_argument("--cap", type=int, default=LEMMA2_CAP, help="grid point cap (default %(default)s)")
     le.add_argument("--out")
 
     ce = sub.add_parser("counterexample", help="build and audit the divergence example")

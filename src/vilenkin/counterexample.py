@@ -80,6 +80,7 @@ __all__ = [
     "MIN_ALPHA0",
     "DEFAULT_MATERIALIZE_CAP",
     "MATERIALIZE_CAP_ENV",
+    "LEMMA2_CAP",
     "default_materialize_cap",
     "rational_sqrt_lower",
     "rational_sqrt_upper",
@@ -100,6 +101,7 @@ __all__ = [
 MIN_ALPHA0 = 6
 DEFAULT_MATERIALIZE_CAP = 1 << 24
 MATERIALIZE_CAP_ENV = "VILENKIN_MATERIALIZE_CAP"
+LEMMA2_CAP = 1 << 20
 
 
 def default_materialize_cap() -> int:
@@ -595,30 +597,19 @@ def sigma_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def _region_mask(group: GroupSpec, eta: int, s: int) -> np.ndarray:
-    """Points with digits ``< 2 eta`` zero, digit ``2 eta`` nonzero, digits
-    strictly between ``2 eta`` and ``2 s`` zero, digit ``2 s`` nonzero;
-    everything above ``2 s`` free."""
-    idx = np.arange(group.size, dtype=np.int64)
-    sc = group.scales
-    mask = (idx % sc[2 * eta]) == 0
-    mask &= (idx // sc[2 * eta]) % group.digits[2 * eta] != 0
-    span = sc[2 * s] // sc[2 * eta + 1]
-    mask &= (idx // sc[2 * eta + 1]) % span == 0
-    mask &= (idx // sc[2 * s]) % group.digits[2 * s] != 0
-    return mask
+def _region(values: np.ndarray, group: GroupSpec, eta: int, s: int) -> np.ndarray:
+    """The values on the points with digits ``< 2 eta`` zero, digit ``2 eta``
+    nonzero, digits strictly between ``2 eta`` and ``2 s`` zero, digit
+    ``2 s`` nonzero and everything above ``2 s`` free: a view, in grid order."""
+    sc, m = group.scales, group.digits
+    return values.reshape(
+        group.size // sc[2 * s + 1], m[2 * s], sc[2 * s] // sc[2 * eta + 1], m[2 * eta], sc[2 * eta]
+    )[:, 1:, 0, 1:, 0]
 
 
-def _region_measure(pattern_or_group, eta: int, s: int) -> Fraction:
-    if isinstance(pattern_or_group, GroupPattern):
-        m_eta = pattern_or_group.digit(2 * eta)
-        m_s = pattern_or_group.digit(2 * s)
-        scale = pattern_or_group.scale(2 * s + 1)
-    else:
-        m_eta = pattern_or_group.digits[2 * eta]
-        m_s = pattern_or_group.digits[2 * s]
-        scale = pattern_or_group.scales[2 * s + 1]
-    return Fraction((m_eta - 1) * (m_s - 1), scale)
+def _region_measure(pattern: GroupPattern, eta: int, s: int) -> Fraction:
+    m_eta, m_s = pattern.digit(2 * eta), pattern.digit(2 * s)
+    return Fraction((m_eta - 1) * (m_s - 1), pattern.scale(2 * s + 1))
 
 
 @dataclass(frozen=True)
@@ -644,13 +635,15 @@ class KernelBoundReport:
         return self.global_min_ratio >= self.threshold * (1 - 1e-12)
 
 
-def lemma2_verify(g, level: int, cap: int = 1 << 20) -> KernelBoundReport:
+def lemma2_verify(g, level: int, cap: int = LEMMA2_CAP) -> KernelBoundReport:
     """Brute-force the kernel floor ``q' |K_{q'}| >= M_{2 eta} M_{2 s} / 4``.
 
     ``q' = q_number(level - 1)`` and the regions range over
     ``0 <= eta <= level - 3``, ``eta + 2 <= s <= level - 1``.  Every point
     of every region on the depth-``2 level`` grid is checked; the report
-    carries per-region minima of the ratio and the global minimum.
+    carries per-region minima of the ratio and the global minimum.  Region
+    point counts and measures come from the grid itself (the tests check
+    them against the closed form ``(m_{2 eta} - 1)(m_{2 s} - 1) / M_{2 s + 1}``).
     Refused when the grid would exceed ``cap`` points.
     """
     level = int(level)
@@ -664,20 +657,17 @@ def lemma2_verify(g, level: int, cap: int = 1 << 20) -> KernelBoundReport:
     q_inner = q_number(level - 1, group)
     kernel = np.abs(fejer_kernel(q_inner, group).values) * q_inner
     regions = []
-    global_min = math.inf
     for eta in range(0, level - 2):
         for s in range(eta + 2, level):
-            mask = _region_mask(group, eta, s)
+            view = _region(kernel, group, eta, s)
             prod = group.scales[2 * eta] * group.scales[2 * s]
-            ratio = float(kernel[mask].min()) / prod
-            global_min = min(global_min, ratio)
             regions.append(
                 RegionKernelMinimum(
                     eta=eta,
                     s=s,
-                    point_count=int(mask.sum()),
-                    measure=_region_measure(group, eta, s),
-                    min_ratio=ratio,
+                    point_count=view.size,
+                    measure=Fraction(view.size, group.size),
+                    min_ratio=float(view.min()) / prod,
                 )
             )
     return KernelBoundReport(
@@ -686,7 +676,7 @@ def lemma2_verify(g, level: int, cap: int = 1 << 20) -> KernelBoundReport:
         kernel_order=q_inner,
         threshold=0.25,
         regions=tuple(regions),
-        global_min_ratio=global_min,
+        global_min_ratio=min(r.min_ratio for r in regions),
     )
 
 
@@ -913,17 +903,7 @@ class DivergenceReport:
 
     @property
     def passed(self) -> bool:
-        if not all(led.all_ok for led in self.ledgers):
-            return False
-        if not (self.lb_strictly_increasing and self.series.ok):
-            return False
-        if len(self.k_range) > 1 and self.rate_certified_from is None:
-            return False
-        for row in self.rows:
-            for flag in (row.pointwise_ok, row.integral_dominates_ok):
-                if flag is False:
-                    return False
-        return True
+        return self.first_failure() is None
 
     def first_failure(self) -> str | None:
         """Human-readable description of the first failing verdict, if any."""
@@ -952,6 +932,7 @@ class DivergenceReport:
                         f"LB not increasing: LB_{b.k}^2 = {b.lb_squared} <= "
                         f"LB_{a.k}^2 = {a.lb_squared}"
                     )
+            return "LB not strictly increasing"
         if not self.series.ok:
             return "H_{1/2} membership side failed (see series report)"
         for row in self.rows:
@@ -981,11 +962,10 @@ def _materialized_checks(
     bound = spec.pattern.bound
     for eta in range(ledger.eta_lo, ledger.eta_hi + 1):
         for s in range(eta + 2, alpha):
-            mask = _region_mask(group, eta, s)
             floor = float(
                 Fraction(group.scales[2 * eta] * group.scales[2 * s], 8 * bound**2 * alpha)
             )
-            if float(np.abs(sigma[mask]).min()) < floor * (1 - 1e-9):
+            if float(np.abs(_region(sigma, group, eta, s)).min()) < floor * (1 - 1e-9):
                 pointwise_ok = False
     dominates = None
     if ledger.region_sum_squared is not None:

@@ -177,8 +177,8 @@ def maximal_function(f: CylinderFunction) -> CylinderFunction:
     level_vals = f.values
     for level in range(g.resolution - 1, -1, -1):
         level_vals = level_vals.reshape(g.digits[level], -1).mean(axis=0)
-        reps = g.size // g.scales[level]
-        best = np.maximum(best, np.tile(np.abs(level_vals), reps))
+        rows = best.reshape(-1, g.scales[level])
+        np.maximum(rows, np.abs(level_vals), out=rows)
     return CylinderFunction(g, best.astype(np.complex128))
 
 
@@ -214,8 +214,8 @@ def hardy_quasinorm_estimate(levels, p) -> float:
             )
     best = np.zeros(g.size)
     for lev in levels:
-        reps = g.size // lev.group.size
-        best = np.maximum(best, np.tile(np.abs(lev.values), reps))
+        rows = best.reshape(-1, lev.group.size)
+        np.maximum(rows, np.abs(lev.values), out=rows)
     return lp_quasinorm(CylinderFunction(g, best.astype(np.complex128)), p)
 
 
@@ -253,12 +253,10 @@ def validate_p_atom(a: CylinderFunction, interval: Cylinder, p) -> AtomReport:
         raise DomainError("atom and interval must live on the same group")
     d = interval.depth
     md = g.scales[d]
-    inside_mask = np.zeros(g.size, dtype=bool)
-    inside_mask[(np.arange(g.size) % md) == interval.base_index] = True
     sup_norm = sup_abs(a.values)
     slack = 1e-12 * max(1.0, sup_norm)
-    mean_abs = abs(a.values[inside_mask].sum()) / g.size
-    outside = a.values[~inside_mask]
+    mean_abs = abs(a.values[interval.base_index :: md].sum()) / g.size
+    outside = np.delete(a.values.reshape(-1, md), interval.base_index, axis=1)
     outside_sup = sup_abs(outside) if outside.size else 0.0
     inv_p = 1 / p
     if inv_p.denominator == 1:

@@ -131,11 +131,16 @@ def decode_group(raw, resolution: int | None = None) -> GroupSpec:
 
     A digit list shorter than the resolution repeats cyclically.  The
     ``resolution`` argument fills in when the value itself carries none.
+    Group text that carries one (a digit list's length, or ``^N``) must
+    agree with an explicit ``resolution``; a mismatch raises
+    :class:`DomainError`.
     """
     if isinstance(raw, GroupSpec):
         return raw
     if isinstance(raw, str):
         pattern, own_res = parse_group_text(raw)
+        if resolution is not None and own_res not in (None, resolution):
+            raise DomainError(f"group {raw!r} has resolution {own_res}, not {resolution}")
         res = own_res if own_res is not None else resolution
         if res is None:
             raise DomainError(

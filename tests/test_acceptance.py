@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vilenkin.counterexample import (
-    _region_mask,
+    _region,
     atom_function,
     bound_chain_evaluate,
     build_alpha_sequence,
@@ -182,9 +182,8 @@ def test_criterion_7_pointwise_lower_bound(report):
     led = bound_chain_evaluate(spec, 0)
     g = spec.pattern.group(13)
     sigma = fejer_mean_direct(oracle_spectrum(spec, g), led.q_index).values.values
-    mask = _region_mask(g, 3, 5)
     floor = g.scales[6] * g.scales[10] / (8 * 2**2 * 6)
-    pointwise_ok = bool(np.min(np.abs(sigma[mask])) >= floor * (1 - 1e-9))
+    pointwise_ok = bool(np.min(np.abs(_region(sigma, g, 3, 5))) >= floor * (1 - 1e-9))
     direct = float(np.mean(np.sqrt(np.abs(sigma))))
     lb0 = 1 / (128 * 6**0.5)
     assembled_sq = led.region_sum_squared

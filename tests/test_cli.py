@@ -126,6 +126,21 @@ def test_lemma2_report_and_exit_codes(tmp_path, capsys):
     assert run_cli("lemma2", "--group", "const:2", "--A", "6", "--cap", "100") == 3
 
 
+def test_zero_caps_are_refused(capsys):
+    assert run_cli("lemma2", "--group", "const:2", "--A", "4", "--cap", "0") == 3
+    assert "cap is 0" in capsys.readouterr().err
+    assert run_cli("transform", "--group", "2,3,2", "--random", "--check-oracle", "--oracle-cap", "0") == 3
+    assert "M_N <= 0" in capsys.readouterr().err
+
+
+def test_kernel_resolution_mismatch_exits_2(capsys):
+    assert run_cli("kernel", "--kind", "fejer", "--n", "7", "--group", "2,3", "--resolution", "4") == 2
+    err = capsys.readouterr().err
+    assert "'2,3' has resolution 2, not 4" in err
+    assert run_cli("kernel", "--kind", "fejer", "--n", "7", "--group", "const:2^3", "--resolution", "4") == 2
+    assert run_cli("kernel", "--kind", "fejer", "--n", "7", "--group", "2,3,2", "--resolution", "3") == 0
+
+
 def test_counterexample_eight_rows(capsys):
     assert run_cli("counterexample", "--group", "const:2", "--alpha0", "6", "--kmax", "8") == 0
     lines = capsys.readouterr().out.strip().split("\n")

@@ -1,4 +1,6 @@
 """Unit tests: level sequences, atoms, decomposition, exact ledgers."""
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from vilenkin.counterexample import (
     CounterexampleSpec,
     MIN_ALPHA0,
-    _region_mask,
+    _region,
+    _region_measure,
     atom_function,
     bound_chain_evaluate,
     build_alpha_sequence,
@@ -26,7 +29,7 @@ from vilenkin.counterexample import (
     sigma_decomposition,
 )
 from vilenkin.errors import CapExceededError, DomainError, VerificationError
-from vilenkin.group import GroupPattern, q_number
+from vilenkin.group import GroupPattern, build_group_spec, digit_decompose, q_number
 from vilenkin.kernels import fejer_mean_direct, partial_sum, validate_p_atom
 from vilenkin.transform import sup_abs
 
@@ -284,6 +287,8 @@ def test_kernel_floor_brute_force(pattern, level):
     for region in report.regions:
         assert region.point_count > 0
         assert region.min_ratio >= 0.25
+        assert region.measure == _region_measure(pattern, region.eta, region.s)
+        assert region.point_count == region.measure * report.group.size
 
 
 def test_kernel_floor_region_family_shape():
@@ -299,16 +304,28 @@ def test_kernel_floor_preconditions():
         lemma2_verify(PAT2, 6, cap=100)
 
 
-def test_region_mask_measure_matches_closed_form():
-    spec = plan_counterexample(PAT2, 1)
-    g = spec.pattern.group(13)
-    for eta, s in ((3, 5), (0, 2), (1, 4)):
-        mask = _region_mask(g, eta, s)
-        measure = Fraction(int(mask.sum()), g.size)
-        want = Fraction(
-            (g.digits[2 * eta] - 1) * (g.digits[2 * s] - 1), g.scales[2 * s + 1]
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 5), min_size=5, max_size=12), st.data())
+def test_region_view_matches_digit_pattern(digits, data):
+    # the longest prefix with at most 4096 points (five digits always fit)
+    while math.prod(digits) > 4096:
+        digits = digits[:-1]
+    g = build_group_spec(digits)
+    s = data.draw(st.integers(2, (g.resolution - 1) // 2), label="s")
+    eta = data.draw(st.integers(0, s - 2), label="eta")
+
+    def in_region(d):
+        return (
+            not any(d[: 2 * eta])
+            and d[2 * eta] != 0
+            and not any(d[2 * eta + 1 : 2 * s])
+            and d[2 * s] != 0
         )
-        assert measure == want
+
+    want = [x for x in range(g.size) if in_region(digit_decompose(x, g).digits)]
+    view = _region(np.arange(g.size), g, eta, s)
+    assert view.ravel().tolist() == want
+    assert Fraction(view.size, g.size) == _region_measure(GroupPattern(g.digits), eta, s)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +452,34 @@ def test_divergence_report_k_range():
     assert [led.k for led in report.ledgers] == [0, 2, 4]
     with pytest.raises(DomainError):
         divergence_report(spec, k_range=[9])
+
+
+@pytest.fixture(scope="module")
+def passing_report():
+    report = divergence_report(plan_counterexample(PAT2, 2))
+    assert report.passed and report.rows[0].pointwise_ok
+    return report
+
+
+def _replace_first(items, **changes):
+    return (dataclasses.replace(items[0], **changes),) + tuple(items[1:])
+
+
+@pytest.mark.parametrize(
+    "break_report",
+    [
+        lambda r: dataclasses.replace(r, ledgers=_replace_first(r.ledgers, history_ok=False)),
+        lambda r: dataclasses.replace(r, lb_strictly_increasing=False),
+        lambda r: dataclasses.replace(r, series=dataclasses.replace(r.series, doubling_ok=False)),
+        lambda r: dataclasses.replace(r, rows=_replace_first(r.rows, pointwise_ok=False)),
+        lambda r: dataclasses.replace(r, rate_certified_from=None),
+    ],
+    ids=["ledger-verdict", "lb-order", "series", "row-flag", "rate-certificate"],
+)
+def test_divergence_report_each_failure_fails(passing_report, break_report):
+    broken = break_report(passing_report)
+    assert broken.passed is False
+    assert broken.first_failure() is not None
 
 
 def test_divergence_report_on_mixed_pattern():

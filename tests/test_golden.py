@@ -3,7 +3,9 @@ for byte.
 
 The files under ``tests/golden/`` were written by the CLI before the
 report serializers became one dataclass walker and before the argument
-namespace went straight to the command functions.  ``<name>.stdout`` is
+namespace went straight to the command functions; the ``lemma2`` cases at
+``A 10``, ``3,2`` and ``2,3,5`` were written before the digit-pattern
+regions became reshaped views of the grid.  ``<name>.stdout`` is
 standard output and ``<name>.file`` the ``--out`` file; an artifact over
 ~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
 """
@@ -31,6 +33,9 @@ CASES = {
     "lemma2_23_A4": (["lemma2", "--group", "2,3", "--A", "4"], False),
     "lemma2_const2_A5": (["lemma2", "--group", "const:2", "--A", "5"], False),
     "lemma2_const4_A5": (["lemma2", "--group", "const:4", "--A", "5"], False),
+    "lemma2_const2_A10": (["lemma2", "--group", "const:2", "--A", "10"], False),
+    "lemma2_32_A5": (["lemma2", "--group", "3,2", "--A", "5"], False),
+    "lemma2_235_A4": (["lemma2", "--group", "2,3,5", "--A", "4"], False),
     "transform_232_json": (["transform", "--group", "2,3,2", "--random", "--seed", "7"], False),
     "transform_232_csv": (
         ["transform", "--group", "2,3,2", "--random", "--seed", "7", "--format", "csv"],

@@ -248,6 +248,32 @@ def test_validate_p_atom_flags_each_violation():
     assert r.mean_ok
 
 
+def test_validate_p_atom_on_cylinder_off_zero():
+    g = build_group_spec([2, 3, 2, 4])
+    interval = Cylinder(g, (1, 2))  # base index 1 + 2 * 2 = 5, period M_2 = 6
+    inside = np.arange(interval.base_index, g.size, g.scales[2])
+    vals = np.zeros(g.size, dtype=np.complex128)
+    vals[inside[::2]] = 6.0
+    vals[inside[1::2]] = -6.0
+    a = CylinderFunction(g, vals)
+    report = validate_p_atom(a, interval, Fraction(1, 2))
+    assert report.is_atom
+    assert report.sup_allowed == pytest.approx(36.0)  # (1/6)^(-2)
+    # the same function is not supported on the zero cylinder of that depth
+    assert not validate_p_atom(a, Cylinder(g, (0, 0)), Fraction(1, 2)).support_ok
+
+    leaked = a.copy()
+    leaked.values = vals.copy()
+    leaked.values[interval.base_index - 1] = 1.0
+    assert not validate_p_atom(leaked, interval, Fraction(1, 2)).support_ok
+
+    biased = a.copy()
+    biased.values = vals.copy()
+    biased.values[inside[0]] = 7.0
+    r = validate_p_atom(biased, interval, Fraction(1, 2))
+    assert not r.mean_ok and r.support_ok
+
+
 def test_validate_p_atom_rejects_bad_exponent():
     g = build_group_spec([2] * 3)
     a, interval = _atom_on(g, 1)
