@@ -19,8 +19,8 @@ import sys
 from vilenkin.counterexample import divergence_report, plan_counterexample
 from vilenkin.group import parse_group_text
 from vilenkin.serialize import (
+    canonical_parts,
     divergence_to_doc,
-    dumps_canonical,
     int_str,
     plot_csv,
     summary_csv,
@@ -64,7 +64,8 @@ def main(argv=None):
         with open(base + "_plot.csv", "w") as fh:
             fh.write(plot_csv(report))
         with open(base + ".json", "w") as fh:
-            fh.write(dumps_canonical(divergence_to_doc(report)) + "\n")
+            fh.writelines(canonical_parts(divergence_to_doc(report)))
+            fh.write("\n")
         print(f"wrote {base}_summary.csv, {base}_plot.csv, {base}.json")
 
     return 0 if report.passed else 1

@@ -59,19 +59,23 @@ ZERO_CHECK_TOLERANCE = 1e-10
 RESOLUTION_HELP = "digit count when the group text has none; must match the text's own (a digit list's length, or ^N)"
 
 
-def _emit_output(text: str, out: str | None) -> None:
+def _emit_output(parts: list[str], out: str | None) -> None:
+    """Write ``parts`` in order, without joining them, to the file ``out``
+    or to stdout; stdout output always ends in a newline."""
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.writelines(parts)
+        if not (parts and parts[-1].endswith("\n")):
+            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _write_function(obj, out: str | None, fmt: str) -> None:
     if fmt == "csv":
-        _emit_output(serialize.function_to_csv(obj), out)
+        _emit_output([serialize.function_to_csv(obj)], out)
     else:
-        _emit_output(serialize.dumps_canonical(serialize.function_to_doc(obj)), out)
+        _emit_output(serialize.canonical_parts(serialize.function_to_doc(obj)), out)
 
 
 def _load_group(args: argparse.Namespace):
@@ -93,6 +97,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
             raise DomainError(
                 f"--group {args.group!r} disagrees with the input file's group "
                 f"{list(data.group.digits)}"
+            )
+        if args.resolution not in (None, data.group.resolution):
+            raise DomainError(
+                f"group {list(data.group.digits)} of {args.input!r} has resolution "
+                f"{data.group.resolution}, not {args.resolution}"
             )
     elif args.random:
         if group is None:
@@ -158,7 +167,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 def cmd_lemma2(args: argparse.Namespace) -> int:
     pattern, _ = parse_group_text(args.group)
     report = lemma2_verify(pattern, args.A, cap=args.cap)
-    _emit_output(serialize.dumps_canonical(serialize.kernel_report_to_doc(report)), args.out)
+    _emit_output(serialize.canonical_parts(serialize.kernel_report_to_doc(report)), args.out)
     if not report.passed:
         print(
             f"kernel floor fails: global min ratio {report.global_min_ratio} < 0.25",
@@ -181,11 +190,11 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     )
     plot_target = args.emit_plot_data
     if args.json:
-        _emit_output(serialize.dumps_canonical(serialize.divergence_to_doc(report)), args.out)
+        _emit_output(serialize.canonical_parts(serialize.divergence_to_doc(report)), args.out)
     elif plot_target == "-":
-        _emit_output(serialize.plot_csv(report), args.out)
+        _emit_output([serialize.plot_csv(report)], args.out)
     else:
-        _emit_output(serialize.summary_csv(report), args.out)
+        _emit_output([serialize.summary_csv(report)], args.out)
     if plot_target and plot_target != "-":
         with open(plot_target, "w", encoding="utf-8") as fh:
             fh.write(serialize.plot_csv(report))
@@ -303,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("transform", help="forward/inverse transform of a function file")
     tr.add_argument("--group", help='group, e.g. const:2^8 or "2,3,2,4"')
-    tr.add_argument("--resolution", type=int, help=RESOLUTION_HELP)
+    tr.add_argument("--resolution", type=int, help=RESOLUTION_HELP + "; with --input, the file's too")
     tr.add_argument("--input", help="function/spectrum JSON file")
     tr.add_argument("--random", action="store_true", help="transform seeded random values")
     tr.add_argument("--seed", type=int, default=0)

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceededError, DomainError, VerificationError
+from .errors import CapExceededError, DomainError, VerificationError, brief
 from .group import Cylinder, GroupPattern, GroupSpec, materialize_group, q_number
 from .kernels import (
     dirichlet_kernel,
@@ -484,10 +484,10 @@ def closed_form_partial_sum(
     """
     j = int(j)
     if j < 0:
-        raise DomainError(f"partial-sum order must be >= 0, got {j}")
+        raise DomainError(f"partial-sum order must be >= 0, got {brief(j)}")
     group = _check_grid(spec, resolution, cap)
     if j > group.size:
-        raise DomainError(f"order {j} exceeds the grid size {group.size}")
+        raise DomainError(f"order {brief(j)} exceeds the grid size {group.size}")
     pattern = spec.pattern
     history_count = None
     tail = None
@@ -497,9 +497,9 @@ def closed_form_partial_sum(
         if j <= lo:
             if j < prev_hi:
                 raise DomainError(
-                    f"order {j} is inside block {k - 1} beyond its sparse order: "
-                    f"admissible there is [{pattern.scale(2 * spec.alphas[k - 1])}, "
-                    f"{pattern.q_number(spec.alphas[k - 1])})"
+                    f"order {brief(j)} is inside block {k - 1} beyond its sparse order: "
+                    f"admissible there is [{brief(pattern.scale(2 * spec.alphas[k - 1]))}, "
+                    f"{brief(pattern.q_number(spec.alphas[k - 1]))})"
                 )
             history_count = k
             break
@@ -512,8 +512,8 @@ def closed_form_partial_sum(
     else:
         last = spec.alphas[-1]
         raise DomainError(
-            f"order {j} is beyond the last admissible regime "
-            f"[{pattern.scale(2 * last)}, {pattern.q_number(last)})"
+            f"order {brief(j)} is beyond the last admissible regime "
+            f"[{brief(pattern.scale(2 * last))}, {brief(pattern.q_number(last))})"
         )
 
     vals = _atom_history(spec, history_count, group, cap)
@@ -574,7 +574,7 @@ def sigma_decomposition(
     block_lo = pattern.scale(2 * alpha)
     if q > group.size:
         raise DomainError(
-            f"sparse order {q} exceeds the grid size {group.size}; raise the resolution"
+            f"sparse order {brief(q)} exceeds the grid size {group.size}; raise the resolution"
         )
 
     spectrum = oracle_spectrum(spec, group)
@@ -910,27 +910,27 @@ class DivergenceReport:
         for led in self.ledgers:
             if not led.q_doubling_ok:
                 return (
-                    f"k={led.k}: q = {led.q_index} > 2 M_2a = "
-                    f"{2 * (led.q_index - led.q_inner)}"
+                    f"k={led.k}: q = {brief(led.q_index)} > 2 M_2a = "
+                    f"{brief(2 * (led.q_index - led.q_inner))}"
                 )
             if not led.history_ok:
                 return (
-                    f"k={led.k}: history pieces {led.low_part_bound} exceed "
-                    f"threshold {led.threshold}"
+                    f"k={led.k}: history pieces {brief(led.low_part_bound)} exceed "
+                    f"threshold {brief(led.threshold)}"
                 )
             if not led.separation_all_ok:
                 return (
                     f"k={led.k}: region separation fails at corner "
                     f"(eta, s) = ({led.corner.eta}, {led.corner.s}): "
-                    f"(M-1) * {led.corner.product} < M * {led.m_alpha}"
+                    f"(M-1) * {brief(led.corner.product)} < M * {brief(led.m_alpha)}"
                 )
         if not self.lb_strictly_increasing:
             pairs = list(zip(self.ledgers, self.ledgers[1:]))
             for a, b in pairs:
                 if b.lb_squared <= a.lb_squared:
                     return (
-                        f"LB not increasing: LB_{b.k}^2 = {b.lb_squared} <= "
-                        f"LB_{a.k}^2 = {a.lb_squared}"
+                        f"LB not increasing: LB_{b.k}^2 = {brief(b.lb_squared)} <= "
+                        f"LB_{a.k}^2 = {brief(a.lb_squared)}"
                     )
             return "LB not strictly increasing"
         if not self.series.ok:

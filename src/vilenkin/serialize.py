@@ -10,19 +10,29 @@ with fields in declaration order followed by the class's verdict properties
 denominators of rationals are decimal strings; every other integer is a
 JSON number.  Exact integers in the ledgers can run to hundreds of
 thousands of digits; they never pass through floats.
+
+Decimal text is exact and subquadratic: :func:`int_str` converts a large
+integer by divide and conquer on :mod:`decimal` numbers instead of the
+quadratic ``str(int)``.  The library never changes the interpreter's
+integer digit limit, so a reader on Python >= 3.11 that turns the longest
+decimal strings back into ``int`` must raise that limit itself.  Every
+verdict stays re-derivable from the stored numbers.
+
+:func:`canonical_parts` is the one emitter: the CLI streams its parts to
+the destination, and :func:`dumps_canonical` joins them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import json
-import sys
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import SAFE_STR_BITS, DomainError
 from .group import Cylinder, GroupPattern, GroupSpec, build_group_spec, parse_group_text
 from .transform import CylinderFunction, Spectrum
 from .counterexample import DivergenceReport, KernelBoundReport
@@ -31,6 +41,7 @@ __all__ = [
     "EXACT_INT_FIELDS",
     "int_str",
     "float_str",
+    "canonical_parts",
     "dumps_canonical",
     "encode_group",
     "decode_group",
@@ -47,17 +58,52 @@ __all__ = [
 
 
 def int_str(n: int) -> str:
-    """Decimal string of an exact integer, raising the interpreter's
-    conversion limit when the value genuinely needs it."""
+    """Exact decimal string of an integer, in subquadratic time.  Works
+    under any interpreter digit limit, and never reads or changes it."""
     n = int(n)
-    try:
+    if n.bit_length() <= SAFE_STR_BITS:
         return str(n)
-    except ValueError:
-        bump = getattr(sys, "set_int_max_str_digits", None)
-        if bump is None:
-            raise
-        bump(max(sys.get_int_max_str_digits(), n.bit_length() // 3 + 16))
-        return str(n)
+    return str(_int_to_decimal(n))
+
+
+_LEAF_BITS = 128  # below this, Decimal(int) converts directly
+
+
+def _int_to_decimal(n: int) -> decimal.Decimal:
+    """``n`` as an exact ``Decimal``: split by powers of two, recombine in
+    :mod:`decimal`, whose big multiplications are subquadratic.  Any
+    rounding traps, so a wrong digit can never be printed."""
+    D = decimal.Decimal
+    two = D(2)
+    powers: dict[int, decimal.Decimal] = {}  # w -> 2**w, for this call only
+
+    def pow2(w: int) -> decimal.Decimal:
+        result = powers.get(w)
+        if result is None:
+            if w <= _LEAF_BITS:
+                result = two**w
+            elif w - 1 in powers:
+                result = powers[w - 1] * 2
+            else:
+                # the smaller half first, so the larger one is a doubling
+                result = pow2(w >> 1) * pow2(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def inner(m: int, w: int) -> decimal.Decimal:
+        if w <= _LEAF_BITS:
+            return D(m)
+        half = w >> 1
+        hi = m >> half
+        return inner(m - (hi << half), half) + inner(hi, w - half) * pow2(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = 1
+        result = inner(abs(n), n.bit_length())
+        return -result if n < 0 else result
 
 
 def float_str(x: float) -> str:
@@ -75,13 +121,12 @@ def _emit(obj: Any, out: list[str]) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        if obj.isdecimal():  # digits need no escaping: skip json.dumps's copy
+            out += ('"', obj, '"')
+        else:
+            out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, Fraction):
-        out.append('{"num":')
-        _emit(int_str(obj.numerator), out)
-        out.append(',"den":')
-        _emit(int_str(obj.denominator), out)
-        out.append("}")
+        out += ('{"num":"', int_str(obj.numerator), '","den":"', int_str(obj.denominator), '"}')
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
@@ -110,10 +155,16 @@ def _emit(obj: Any, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_canonical(obj: Any) -> str:
+def canonical_parts(obj: Any) -> list[str]:
+    """The canonical JSON text of ``obj`` as a list of parts, to be written
+    in order (``writelines``) without joining them first."""
     out: list[str] = []
     _emit(obj, out)
-    return "".join(out)
+    return out
+
+
+def dumps_canonical(obj: Any) -> str:
+    return "".join(canonical_parts(obj))
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,12 @@ def test_transform_input_resolution_below_one_exits_2(tmp_path, capsys):
     assert "resolution must be >= 1" in capsys.readouterr().err
 
 
+def test_transform_input_resolution_mismatch_exits_2(ones_file, capsys):
+    assert run_cli("transform", "--input", ones_file, "--resolution", "99") == 2
+    assert "has resolution 8, not 99" in capsys.readouterr().err
+    assert run_cli("transform", "--input", ones_file, "--resolution", "8") == 0
+
+
 def test_transform_random_needs_group(capsys):
     assert run_cli("transform", "--random") == 2
 

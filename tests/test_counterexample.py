@@ -1,6 +1,7 @@
 """Unit tests: level sequences, atoms, decomposition, exact ledgers."""
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from vilenkin.counterexample import (
     sequence_from_levels,
     sigma_decomposition,
 )
-from vilenkin.errors import CapExceededError, DomainError, VerificationError
+from vilenkin.errors import SAFE_STR_BITS, CapExceededError, DomainError, VerificationError, brief
 from vilenkin.group import GroupPattern, build_group_spec, digit_decompose, q_number
 from vilenkin.kernels import fejer_mean_direct, partial_sum, validate_p_atom
 from vilenkin.transform import sup_abs
@@ -480,6 +481,29 @@ def test_divergence_report_each_failure_fails(passing_report, break_report):
     broken = break_report(passing_report)
     assert broken.passed is False
     assert broken.first_failure() is not None
+
+
+def test_brief_shortens_only_long_numbers():
+    assert brief(-5) == "-5"
+    assert brief(Fraction(3)) == "3"
+    assert brief(Fraction(-1, 3)) == "-1/3"
+    edge = 2**SAFE_STR_BITS - 1
+    assert brief(edge) == str(edge)
+    assert brief(edge + 1) == f"<int of {SAFE_STR_BITS + 1} bits>"
+    assert brief(Fraction(-(2**5000), 3)) == "<int of 5001 bits>/3"
+
+
+@pytest.mark.parametrize("flag", ["q_doubling_ok", "history_ok", "separation_all_ok"])
+def test_first_failure_message_on_huge_ledger_stays_short(flag):
+    # q_index has ~295k bits at k = 7: str() of it raises at the default limit
+    report = divergence_report(plan_counterexample(PAT2, 8), k_range=[7])
+    ledger = report.ledgers[0]
+    assert ledger.q_index.bit_length() > 250_000
+    broken = dataclasses.replace(report, ledgers=_replace_first(report.ledgers, **{flag: False}))
+    message = broken.first_failure()
+    assert message.startswith("k=7: ")
+    assert "bits>" in message
+    assert len(message) < sys.int_info.default_max_str_digits
 
 
 def test_divergence_report_on_mixed_pattern():

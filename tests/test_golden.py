@@ -5,11 +5,17 @@ The files under ``tests/golden/`` were written by the CLI before the
 report serializers became one dataclass walker and before the argument
 namespace went straight to the command functions; the ``lemma2`` cases at
 ``A 10``, ``3,2`` and ``2,3,5`` were written before the digit-pattern
-regions became reshaped views of the grid.  ``<name>.stdout`` is
+regions became reshaped views of the grid; the ``counterexample`` cases
+at ``--kmax 8 --json`` and ``--kmax 6 --json --out`` were written before
+decimal text of big integers became subquadratic and the JSON was
+streamed to its destination.  ``<name>.stdout`` is
 standard output and ``<name>.file`` the ``--out`` file; an artifact over
 ~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
 """
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +23,7 @@ import pytest
 from vilenkin.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # name -> (argv, writes --out file)
 CASES = {
@@ -28,6 +35,15 @@ CASES = {
     "counterexample_const2_k6_json": (
         ["counterexample", "--group", "const:2", "--kmax", "6", "--json"],
         False,
+    ),
+    # integers up to ~295k bits: the divide-and-conquer decimal path
+    "counterexample_const2_k8_json": (
+        ["counterexample", "--group", "const:2", "--kmax", "8", "--json"],
+        False,
+    ),
+    "counterexample_const2_k6_json_out": (
+        ["counterexample", "--group", "const:2", "--kmax", "6", "--json"],
+        True,
     ),
     "counterexample_223_k2": (["counterexample", "--group", "2,2,3", "--kmax", "2"], False),
     "lemma2_23_A4": (["lemma2", "--group", "2,3", "--A", "4"], False),
@@ -74,3 +90,19 @@ def test_golden_output(name, tmp_path, capsys):
     assert_golden(name, "stdout", captured.out.encode("utf-8"))
     if writes_file:
         assert_golden(name, "file", out.read_bytes())
+
+
+def test_cli_needs_no_raised_digit_limit():
+    # a fresh interpreter at the smallest digit limit Python allows: an
+    # in-process test could pass on a limit some earlier test had raised
+    name = "counterexample_const2_k8_json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "vilenkin.cli", *CASES[name][0]],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert_golden(name, "stdout", proc.stdout)

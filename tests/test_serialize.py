@@ -1,10 +1,13 @@
 """Unit tests: canonical JSON/CSV encoding and decoding."""
 import dataclasses
 import json
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vilenkin.counterexample import (
     bound_chain_evaluate,
@@ -12,7 +15,7 @@ from vilenkin.counterexample import (
     lemma2_verify,
     plan_counterexample,
 )
-from vilenkin.errors import DomainError
+from vilenkin.errors import SAFE_STR_BITS, DomainError
 from vilenkin.group import GroupPattern, build_group_spec
 from vilenkin.kernels import validate_p_atom
 from vilenkin.serialize import (
@@ -55,6 +58,12 @@ def test_canonical_scalars():
     assert dumps_canonical(np.bool_(True)) == "true"
 
 
+def test_decimal_strings_quote_like_json():
+    # digit strings skip json.dumps; the text must not change
+    for text in ["0", "123", "-45", "-", "", "1-2", "12a", "\u0663\u0664", "a\"b", "a\\b", "1\n"]:
+        assert dumps_canonical(text) == json.dumps(text, ensure_ascii=False)
+
+
 def test_canonical_rejects_bad_values():
     with pytest.raises(DomainError):
         dumps_canonical(float("nan"))
@@ -66,12 +75,41 @@ def test_canonical_rejects_bad_values():
         dumps_canonical(1j)
 
 
-def test_int_str_handles_huge_integers():
+def test_int_str_handles_huge_integers(big_int_text):
     n = 10**5000
     s = int_str(n)
     assert len(s) == 5001
     assert int(s) == n
     assert int_str(-(7**3000)) == "-" + int_str(7**3000)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bits=st.integers(0, 300_000), seed=st.integers(0, 2**32 - 1), negative=st.booleans())
+def test_int_str_matches_reference_decimal(big_int_text, bits, seed, negative):
+    n = random.Random(seed).getrandbits(bits)
+    n = -n if negative else n
+    assert int_str(n) == str(n)
+
+
+def test_int_str_edge_cases_around_the_fast_path():
+    values = [0, 1, -1]
+    for k in range(598, 608):  # 10^k: 2000 bits is about 602 digits
+        values += [10**k, 10**k - 1, -(10**k)]
+    for k in range(SAFE_STR_BITS - 4, SAFE_STR_BITS + 5):
+        values += [2**k + 1, 2**k - 1, -(2**k + 1)]
+    for n in values:
+        assert int_str(n) == str(n), n.bit_length()
+
+
+def test_int_str_leaves_the_digit_limit_alone(big_int_text):
+    huge = -(7**20_000)  # 56k bits, 16,902 digits
+    want = str(huge)
+    edge = 2**SAFE_STR_BITS - 1
+    for limit in (640, 4300):  # the smallest allowed limit and the default
+        sys.set_int_max_str_digits(limit)
+        assert int_str(huge) == want
+        assert int_str(edge) == str(edge)
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_float_str_fixed_precision():
@@ -203,7 +241,7 @@ def test_kernel_report_doc():
     assert len(doc["regions"]) == 1
 
 
-def test_ledger_doc_verdicts_reproducible_after_parse():
+def test_ledger_doc_verdicts_reproducible_after_parse(big_int_text):
     spec = plan_counterexample(PAT2, 8)
     for k in (1, 7):
         doc = json.loads(dumps_canonical(report_to_doc(bound_chain_evaluate(spec, k))))
