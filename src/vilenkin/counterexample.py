@@ -38,6 +38,7 @@ only for desk-scale cross-checks of the algebraic identities.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -133,12 +134,26 @@ def rational_sqrt_upper(x: Fraction, bits: int = 40) -> Fraction:
     return Fraction(math.isqrt((x.numerator * s * s) // x.denominator) + 1, s)
 
 
+def _brief_repr(self) -> str:
+    """``repr`` of a certificate or ledger dataclass with every ``int`` and
+    ``Fraction`` field through :func:`brief`, so that one holding integers
+    past the interpreter's digit limit still prints."""
+    parts = []
+    for f in dataclasses.fields(self):
+        if not f.repr:
+            continue
+        value = getattr(self, f.name)
+        exact = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+        parts.append(f"{f.name}={brief(value) if exact else repr(value)}")
+    return f"{type(self).__name__}({', '.join(parts)})"
+
+
 # ---------------------------------------------------------------------------
 # Level sequences and their exact growth certificates
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class LevelCertificate:
     """Exact verdicts for the growth conditions at one level.
 
@@ -152,6 +167,8 @@ class LevelCertificate:
 
     The last two are vacuous at ``k = 0`` and reported as passed.
     """
+
+    __repr__ = _brief_repr
 
     k: int
     alpha: int
@@ -685,7 +702,7 @@ def lemma2_verify(g, level: int, cap: int = LEMMA2_CAP) -> KernelBoundReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RegionBound:
     """One region's exact contribution to the lower bound at block ``k``.
 
@@ -697,6 +714,8 @@ class RegionBound:
     rounded down in rational arithmetic (zero unless detailed).
     """
 
+    __repr__ = _brief_repr
+
     eta: int
     s: int
     product: int  # M_{2 eta} * M_{2 s}
@@ -705,12 +724,14 @@ class RegionBound:
     sqrt_term: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class BoundLedger:
     """Everything needed to audit the lower bound for one block, exactly.
 
     Every verdict is reproducible from the stored exact values alone.
     """
+
+    __repr__ = _brief_repr
 
     k: int
     alpha: int
@@ -843,8 +864,10 @@ def bound_chain_evaluate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class DivergenceRow:
+    __repr__ = _brief_repr
+
     k: int
     alpha: int
     q_index: int
@@ -890,8 +913,10 @@ class SeriesReport:
         return all(checks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class DivergenceReport:
+    __repr__ = _brief_repr
+
     pattern: GroupPattern
     alpha0: int
     k_range: tuple[int, ...]

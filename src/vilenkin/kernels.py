@@ -117,6 +117,13 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     current partial sum with one rank-one term and advances the character
     row along the carry chain, so the whole sweep is a small constant
     number of vector operations per index.
+
+    Work that cannot change a bit is skipped: a zero coefficient adds no
+    rank-one term, and while the running partial sum is still identically
+    zero it is not added to the total.  Until the first rank-one term the
+    character row is a prefix row (see :class:`CharacterBasis`), tiled to
+    the full grid before it is first used.  The result is bit for bit the
+    full-grid sweep that does every multiply and add.
     """
     g = s.group
     if not 0 <= start <= stop <= g.size:
@@ -124,18 +131,26 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     total = np.zeros(g.size, dtype=np.complex128)
     if start == stop:
         return total
-    cur = partial_sum(s, start).values
+    cur = partial_sum(s, start).values if start else np.zeros(g.size, dtype=np.complex128)
+    nonzero = bool(cur.any())
     basis = character_basis(g)
-    psi = basis.row(start)
     counter = list(digit_decompose(start, g).digits)
+    top = max((k for k, d in enumerate(counter) if d), default=0)
+    psi = basis.row(start)[: g.scales[top + 1]].copy()
     tmp = np.empty(g.size, dtype=np.complex128)
     for j in range(start, stop):
-        total += cur
+        if nonzero:
+            total += cur
         if j + 1 == stop:
             break
-        np.multiply(psi, s.coeffs[j], out=tmp)
-        cur += tmp
-        basis.advance(psi, counter)
+        c = s.coeffs[j]
+        if c:
+            if psi.size < g.size:
+                psi = np.tile(psi, g.size // psi.size)
+            np.multiply(psi, c, out=tmp)
+            cur += tmp
+            nonzero = True
+        psi = basis.advance(psi, counter)
     return total
 
 

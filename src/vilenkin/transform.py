@@ -182,8 +182,14 @@ class CharacterBasis:
     multiplies an existing row into ``psi_{n+1}`` by walking the carry
     chain of the frequency counter, touching one coordinate-step vector
     per carried digit.  This is what makes summing thousands of
-    consecutive partial sums affordable: the amortized cost per step is
-    below two vector multiplies.
+    consecutive partial sums affordable: a step costs one multiply of the
+    row plus one per carry, fewer than two multiplies amortized.
+
+    A row may also be a *prefix row*: its first ``M_{J+1}`` points, where
+    ``J`` is the highest axis on which its counter has ever had a nonzero
+    digit.  The row depends on no digit above ``J``, so ``np.tile`` of the
+    prefix is the full row, bit for bit; :meth:`advance` steps a prefix
+    row at that cost and tiles it up when a carry first reaches a new axis.
     """
 
     def __init__(self, group: GroupSpec):
@@ -215,23 +221,36 @@ class CharacterBasis:
                 phase += (nk / self.group.digits[k]) * self.digit_grid[k]
         return np.exp(2j * np.pi * phase)
 
-    def advance(self, psi: np.ndarray, counter: list[int]) -> None:
-        """In place, turn ``psi_n`` into ``psi_{n+1}``; ``counter`` holds n's digits.
+    def advance(self, psi: np.ndarray, counter: list[int]) -> np.ndarray:
+        """Turn ``psi_n`` into ``psi_{n+1}`` and return it; ``counter`` holds n's digits.
+
+        A full row, or a prefix row long enough for the carry, changes in
+        place and is returned.  When a carry reaches an axis ``j`` beyond a
+        prefix row, the row is first tiled to ``M_{j+1}`` points and that
+        new array is returned, so callers write
+        ``psi = basis.advance(psi, counter)``.  Each point gets the same
+        multiplies in the same order as on the full grid, so a prefix row
+        stays exactly the full row's prefix.
 
         A digit that wraps from ``m - 1`` to ``0`` still contributes one
         multiply by the unit step, because the digit change is ``1 - m``
-        and the step vector has order ``m`` pointwise.
+        and the step vector has order ``m`` pointwise.  In floating point
+        that product is only close to 1, which is why a prefix row keeps
+        every axis it has carried into.
         """
+        scales = self.group.scales
         j = 0
         while True:
-            psi *= self.unit_step(j)
+            if psi.size < scales[j + 1]:
+                psi = np.tile(psi, scales[j + 1] // psi.size)
+            psi *= self.unit_step(j)[: psi.size]
             counter[j] += 1
             if counter[j] < self.group.digits[j]:
-                return
+                return psi
             counter[j] = 0
             j += 1
             if j == self.group.resolution:
-                return  # counter wrapped all the way around
+                return psi  # counter wrapped all the way around
 
 
 @lru_cache(maxsize=8)

@@ -15,3 +15,15 @@ def big_int_text():
         yield
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Run one test at the interpreter's default integer digit limit,
+    whatever limit the process was started with, and restore it afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from vilenkin.counterexample import (
     CounterexampleSpec,
     MIN_ALPHA0,
+    RegionBound,
     _region,
     _region_measure,
     atom_function,
@@ -504,6 +505,31 @@ def test_first_failure_message_on_huge_ledger_stays_short(flag):
     assert message.startswith("k=7: ")
     assert "bits>" in message
     assert len(message) < sys.int_info.default_max_str_digits
+
+
+def test_report_reprs_survive_the_digit_limit(default_digit_limit):
+    with pytest.raises(ValueError):
+        repr(10**5000)
+    region = RegionBound(
+        eta=0, s=2, product=10**5000, separation_ok=True,
+        measure=Fraction(1, 3), sqrt_term=Fraction(10**5000, 7),
+    )
+    text = repr(region)
+    assert text.startswith("RegionBound(eta=0, s=2, product=<int of 16610 bits>, ")
+    assert "separation_ok=True, measure=1/3, sqrt_term=<int of 16610 bits>/7)" in text
+    spec = plan_counterexample(PAT2, 8)
+    report = divergence_report(spec, k_range=[7])
+    assert report.ledgers[0].q_index.bit_length() > 250_000
+    heads = ("BoundLedger(k=7, ", "DivergenceRow(k=7, ", "DivergenceReport(pattern=")
+    for obj, head in zip((report.ledgers[0], report.rows[0], report), heads):
+        text = repr(obj)
+        assert text.startswith(head)
+        assert "q_index=<int of " in text
+        assert len(text) < sys.int_info.default_max_str_digits
+    # the level certificates behind the ledgers hold integers as large
+    text = repr(spec)
+    assert "LevelCertificate(k=7, " in text and "bits>/147453" in text
+    assert len(text) < sys.int_info.default_max_str_digits
 
 
 def test_divergence_report_on_mixed_pattern():

@@ -8,7 +8,9 @@ namespace went straight to the command functions; the ``lemma2`` cases at
 regions became reshaped views of the grid; the ``counterexample`` cases
 at ``--kmax 8 --json`` and ``--kmax 6 --json --out`` were written before
 decimal text of big integers became subquadratic and the JSON was
-streamed to its destination.  ``<name>.stdout`` is
+streamed to its destination; the ``counterexample`` case on ``2,3,2`` was
+written before the partial-sum sweep skipped zero coefficients and stepped
+the character row on a grid prefix.  ``<name>.stdout`` is
 standard output and ``<name>.file`` the ``--out`` file; an artifact over
 ~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
 """
@@ -46,6 +48,8 @@ CASES = {
         True,
     ),
     "counterexample_223_k2": (["counterexample", "--group", "2,2,3", "--kmax", "2"], False),
+    # q = 25,231 after a zero run of 20,736 coefficients, on another digit order
+    "counterexample_232_k2": (["counterexample", "--group", "2,3,2", "--kmax", "2"], False),
     "lemma2_23_A4": (["lemma2", "--group", "2,3", "--A", "4"], False),
     "lemma2_const2_A5": (["lemma2", "--group", "const:2", "--A", "5"], False),
     "lemma2_const4_A5": (["lemma2", "--group", "const:4", "--A", "5"], False),

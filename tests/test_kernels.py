@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vilenkin.errors import DomainError
-from vilenkin.group import Cylinder, build_group_spec
+from vilenkin.group import Cylinder, build_group_spec, digit_decompose
 from vilenkin.kernels import (
     dirichlet_kernel,
     fejer_kernel,
@@ -22,6 +22,7 @@ from vilenkin.kernels import (
 )
 from vilenkin.transform import (
     CylinderFunction,
+    Spectrum,
     character_basis,
     coarsen,
     forward_transform,
@@ -30,6 +31,70 @@ from vilenkin.transform import (
 )
 
 digit_lists = st.lists(st.integers(2, 5), min_size=2, max_size=5)
+
+
+@st.composite
+def sweep_groups(draw):
+    """Bases 2-5 on at most 4096 points: the longest prefix of a drawn
+    base list that fits."""
+    digits = draw(st.lists(st.integers(2, 5), min_size=1, max_size=12))
+    size, kept = 1, []
+    for m in digits:
+        if size * m > 4096:
+            break
+        size *= m
+        kept.append(m)
+    return build_group_spec(kept)
+
+
+@st.composite
+def sweep_spectra(draw):
+    """Spectra with zero runs: dense with ~60% zeros, one constant block,
+    or several constant blocks."""
+    g = draw(sweep_groups())
+    kind = draw(st.sampled_from(["dense", "block", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = np.zeros(g.size, dtype=np.complex128)
+    if kind == "dense":
+        coeffs = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+        coeffs[rng.random(g.size) < 0.6] = 0
+    else:
+        for _ in range(1 if kind == "block" else draw(st.integers(2, 4))):
+            lo = draw(st.integers(0, g.size - 1))
+            hi = draw(st.integers(lo + 1, g.size))
+            coeffs[lo:hi] = complex(rng.standard_normal(), rng.standard_normal())
+    return Spectrum(g, coeffs)
+
+
+def full_grid_sweep(s, start, stop):
+    """The sweep without any skipping: every rank-one term and every add,
+    with the character row stepped on the full grid."""
+    g = s.group
+    total = np.zeros(g.size, dtype=np.complex128)
+    if start == stop:
+        return total
+    cur = partial_sum(s, start).values
+    basis = character_basis(g)
+    psi = basis.row(start)
+    counter = list(digit_decompose(start, g).digits)
+    tmp = np.empty(g.size, dtype=np.complex128)
+    for j in range(start, stop):
+        total += cur
+        if j + 1 == stop:
+            break
+        np.multiply(psi, s.coeffs[j], out=tmp)
+        cur += tmp
+        axis = 0
+        while True:
+            psi *= basis.unit_step(axis)
+            counter[axis] += 1
+            if counter[axis] < g.digits[axis]:
+                break
+            counter[axis] = 0
+            axis += 1
+            if axis == g.resolution:
+                break
+    return total
 
 
 def test_dirichlet_smallest_orders():
@@ -115,6 +180,49 @@ def test_summed_partial_sums_matches_literal_stack(digits, data):
     for j in range(start, stop):
         slow += partial_sum(s, j).values
     assert sup_abs(fast - slow) <= 1e-9 * max(1.0, sup_abs(slow))
+
+
+@pytest.mark.parametrize("from_zero", [True, False])
+@given(sweep_spectra(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_summed_partial_sums_is_the_full_grid_sweep_bit_for_bit(from_zero, s, data):
+    start = 0 if from_zero else data.draw(st.integers(0, s.group.size))
+    stop = data.draw(st.integers(start, s.group.size))
+    fast = summed_partial_sums(s, start, stop)
+    slow = full_grid_sweep(s, start, stop)
+    assert np.array_equal(fast, slow)
+    assert fast.tobytes() == slow.tobytes()  # signed zeros too
+
+
+@given(sweep_groups(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_prefix_row_advance_tiles_to_the_full_row_advance(g, data):
+    start = data.draw(st.integers(0, g.size - 1))
+    steps = data.draw(st.integers(0, g.size - 1 - start))
+    basis = character_basis(g)
+    counter = list(digit_decompose(start, g).digits)
+    top = max((k for k, d in enumerate(counter) if d), default=0)
+    full = basis.row(start)
+    prefix = full[: g.scales[top + 1]].copy()
+    full_counter = list(counter)
+    for _ in range(steps):
+        prefix = basis.advance(prefix, counter)
+        stepped = basis.advance(full, full_counter)
+        assert stepped is full  # a full row changes in place
+        assert prefix.size >= 2
+        assert prefix.tobytes() == full[: prefix.size].tobytes()
+    assert counter == full_counter
+    tiled = np.tile(prefix, g.size // prefix.size)
+    assert tiled.tobytes() == full.tobytes()
+
+
+@given(sweep_spectra(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_fejer_mean_routes_agree_on_spectra_with_zero_runs(s, data):
+    n = data.draw(st.integers(1, s.group.size))
+    direct = fejer_mean_direct(s, n).values.values
+    mult = fejer_mean_multiplier(s, n).values.values
+    assert sup_abs(direct - mult) <= 1e-10 * max(1.0, sup_abs(mult))
 
 
 @given(digit_lists, st.data())
