@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .errors import CapExceededError, DomainError, VerificationError
-from .group import build_group_spec, digit_compose, digit_decompose, parse_group_text, q_number
+from .group import GroupPattern, build_group_spec, digit_compose, digit_decompose, parse_group_text
 from .transform import (
     NAIVE_ORACLE_CAP,
     Spectrum,
@@ -82,6 +82,16 @@ def _load_group(args: argparse.Namespace):
     if args.group is None:
         return None
     return serialize.decode_group(args.group, args.resolution)
+
+
+def _load_pattern(text: str) -> GroupPattern:
+    """The base pattern of a command that picks its own depth; ``^N`` is refused."""
+    if "^" in text:
+        raise DomainError(
+            f"group {text!r} fixes a depth, but this command picks its own; "
+            "pass a base pattern such as const:2 or 2,3"
+        )
+    return parse_group_text(text)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +175,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma2(args: argparse.Namespace) -> int:
-    pattern, _ = parse_group_text(args.group)
-    report = lemma2_verify(pattern, args.A, cap=args.cap)
+    report = lemma2_verify(_load_pattern(args.group), args.A, cap=args.cap)
     _emit_output(serialize.canonical_parts(serialize.kernel_report_to_doc(report)), args.out)
     if not report.passed:
         print(
@@ -183,8 +192,7 @@ def cmd_lemma2(args: argparse.Namespace) -> int:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    pattern, _ = parse_group_text(args.group)
-    spec = plan_counterexample(pattern, args.kmax, alpha0=args.alpha0)
+    spec = plan_counterexample(_load_pattern(args.group), args.kmax, alpha0=args.alpha0)
     report = divergence_report(
         spec, region_detail_cap=args.region_detail_cap, cap=args.materialize_cap
     )
@@ -212,12 +220,10 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 def _selftest_checks():
     def digits_round_trip():
         g = build_group_spec([2, 3, 2, 4, 5])
-        assert all(digit_compose(digit_decompose(n, g).digits, g) == n for n in range(g.size))
+        assert all(digit_compose(digit_decompose(n, g), g) == n for n in range(g.size))
 
     def q_recursion():
         for base in ((2,), (3,), (2, 3)):
-            from .group import GroupPattern
-
             pat = GroupPattern(base)
             for a in range(1, 8):
                 assert pat.q_number(a) == pat.scale(2 * a) + pat.q_number(a - 1)
@@ -255,11 +261,11 @@ def _selftest_checks():
         assert abs(k.values[0].real - 10.0) < 1e-10
 
     def kernel_floor():
-        report = lemma2_verify(parse_group_text("const:2")[0], 3)
+        report = lemma2_verify(GroupPattern((2,)), 3)
         assert report.passed
 
     def counterexample_ledgers():
-        spec = plan_counterexample(parse_group_text("const:2")[0], 2)
+        spec = plan_counterexample(GroupPattern((2,)), 2)
         report = divergence_report(spec)
         assert report.passed
         atom, interval = atom_function(spec, 0)
@@ -267,7 +273,7 @@ def _selftest_checks():
         assert atom_report.is_atom
         star = maximal_function(atom)
         assert float(np.mean(np.sqrt(np.abs(star.values)))) <= 1 + 1e-9
-        assert q_number(6, spec.pattern.group(13)) == 5461
+        assert spec.pattern.q_number(6) == 5461
 
     return [
         ("digit round trip", digits_round_trip),
@@ -331,13 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ke.add_argument("--format", choices=("json", "csv"), default="json")
 
     le = sub.add_parser("lemma2", help="brute-force kernel floor over digit-pattern regions")
-    le.add_argument("--group", required=True, help="base pattern, e.g. const:2 or 2,3")
+    le.add_argument("--group", required=True, help="base pattern, e.g. const:2 or 2,3 (no ^N: the depth follows from --A)")
     le.add_argument("--A", type=int, required=True, help="region level (needs A > 2)")
     le.add_argument("--cap", type=int, default=LEMMA2_CAP, help="grid point cap (default %(default)s)")
     le.add_argument("--out")
 
     ce = sub.add_parser("counterexample", help="build and audit the divergence example")
-    ce.add_argument("--group", required=True, help="base pattern, e.g. const:2")
+    ce.add_argument("--group", required=True, help="base pattern, e.g. const:2 (no ^N: the depth follows from --kmax)")
     ce.add_argument("--alpha0", type=int, default=6)
     ce.add_argument("--kmax", type=int, required=True)
     ce.add_argument("--json", action="store_true", help="emit the full JSON report instead of CSV")
@@ -349,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="emit (k, sqrt(alpha_k), LB_k^2) CSV to PATH (bare flag: stdout)",
     )
-    ce.add_argument("--materialize-cap", type=int, default=None, help=f"grid cap (or set {MATERIALIZE_CAP_ENV})")
+    ce.add_argument("--materialize-cap", type=int, default=None, help=f"grid cap, at least 2 (or set {MATERIALIZE_CAP_ENV})")
     ce.add_argument("--region-detail-cap", type=int, default=4096)
     ce.add_argument("--out", help="write the primary table here instead of stdout")
 

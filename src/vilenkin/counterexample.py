@@ -47,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceededError, DomainError, VerificationError, brief
-from .group import Cylinder, GroupPattern, GroupSpec, materialize_group, q_number
+from .group import Cylinder, GroupPattern, GroupSpec
 from .kernels import (
     dirichlet_kernel,
     fejer_kernel,
@@ -113,24 +113,29 @@ def default_materialize_cap() -> int:
         cap = int(raw)
     except ValueError as exc:
         raise DomainError(f"{MATERIALIZE_CAP_ENV} must be an integer, got {raw!r}") from exc
+    return _at_least_two(cap, MATERIALIZE_CAP_ENV)
+
+
+def _at_least_two(cap: int, source: str) -> int:
+    """``cap`` itself; a materialization cap below 2 would silently skip every grid."""
     if cap < 2:
-        raise DomainError(f"{MATERIALIZE_CAP_ENV} must be >= 2, got {cap}")
+        raise DomainError(f"{source} must be >= 2, got {cap}")
     return cap
 
 
-def rational_sqrt_lower(x: Fraction, bits: int = 40) -> Fraction:
-    """A rational lower bound for ``sqrt(x)``, tight to ``2**-bits``."""
+def rational_sqrt_lower(x: Fraction) -> Fraction:
+    """A rational lower bound for ``sqrt(x)``, tight to ``2**-40``."""
     if x < 0:
         raise DomainError("negative argument")
-    s = 1 << bits
+    s = 1 << 40
     return Fraction(math.isqrt((x.numerator * s * s) // x.denominator), s)
 
 
-def rational_sqrt_upper(x: Fraction, bits: int = 40) -> Fraction:
-    """A rational upper bound for ``sqrt(x)``."""
+def rational_sqrt_upper(x: Fraction) -> Fraction:
+    """A rational upper bound for ``sqrt(x)``, tight to ``2**-40``."""
     if x < 0:
         raise DomainError("negative argument")
-    s = 1 << bits
+    s = 1 << 40
     return Fraction(math.isqrt((x.numerator * s * s) // x.denominator) + 1, s)
 
 
@@ -401,14 +406,14 @@ def oracle_spectrum(spec: CounterexampleSpec, group: GroupSpec) -> Spectrum:
 
 def _check_grid(spec: CounterexampleSpec, resolution: int | None, cap: int | None) -> GroupSpec:
     res = spec.resolution if resolution is None else int(resolution)
-    group = materialize_group(spec.pattern, res)
     cap = default_materialize_cap() if cap is None else cap
-    if group.size > cap:
+    size = spec.pattern.scale(res)
+    if size > cap:
         raise CapExceededError(
-            f"materialization needs {group.size} grid points, cap is {cap} "
+            f"materialization needs {brief(size)} grid points, cap is {cap} "
             f"(override via {MATERIALIZE_CAP_ENV})"
         )
-    return group
+    return spec.pattern.group(res)
 
 
 def atom_function(
@@ -652,7 +657,7 @@ class KernelBoundReport:
         return self.global_min_ratio >= self.threshold * (1 - 1e-12)
 
 
-def lemma2_verify(g, level: int, cap: int = LEMMA2_CAP) -> KernelBoundReport:
+def lemma2_verify(pattern: GroupPattern, level: int, cap: int = LEMMA2_CAP) -> KernelBoundReport:
     """Brute-force the kernel floor ``q' |K_{q'}| >= M_{2 eta} M_{2 s} / 4``.
 
     ``q' = q_number(level - 1)`` and the regions range over
@@ -666,12 +671,11 @@ def lemma2_verify(g, level: int, cap: int = LEMMA2_CAP) -> KernelBoundReport:
     level = int(level)
     if level < 3:
         raise DomainError(f"need level >= 3 for a nonempty region family, got {level}")
-    group = materialize_group(g, 2 * level)
-    if group.size > cap:
-        raise CapExceededError(
-            f"region check needs {group.size} grid points, cap is {cap}"
-        )
-    q_inner = q_number(level - 1, group)
+    size = pattern.scale(2 * level)
+    if size > cap:
+        raise CapExceededError(f"region check needs {brief(size)} grid points, cap is {cap}")
+    group = pattern.group(2 * level)
+    q_inner = pattern.q_number(level - 1)
     kernel = np.abs(fejer_kernel(q_inner, group).values) * q_inner
     regions = []
     for eta in range(0, level - 2):
@@ -1060,7 +1064,7 @@ def divergence_report(
     floors and the exact region sum.
     """
     spec.sequence.require_certified("divergence_report")
-    cap = default_materialize_cap() if cap is None else cap
+    cap = default_materialize_cap() if cap is None else _at_least_two(cap, "materialization cap")
     if k_range is None:
         k_range = range(spec.k_max)
     ks = tuple(int(k) for k in k_range)

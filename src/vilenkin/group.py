@@ -4,9 +4,10 @@ A group truncation is described by its digit bases ``m_0, ..., m_{N-1}``
 (every entry at least 2).  Scale factors follow the mixed-radix recursion
 ``M_0 = 1``, ``M_{k+1} = m_k * M_k``, and every integer ``0 <= n < M_N``
 has a unique expansion ``n = sum_j n_j * M_j`` with ``0 <= n_j < m_j``.
-Points of the group are digit tuples of the same shape; the depth-``n``
-cylinder through a point fixes its first ``n`` coordinates and carries
-Haar measure ``1 / M_n``.
+A point or a frequency is its digit tuple ``(n_0, ..., n_{N-1})``, so
+:func:`digit_decompose` and :func:`digit_compose` move between points
+and their indices; the depth-``n`` cylinder through a point fixes its
+first ``n`` coordinates and carries Haar measure ``1 / M_n``.
 
 Everything in this module is exact: bases, scale factors and digit values
 are Python integers, measures are :class:`fractions.Fraction`.  Floating
@@ -25,17 +26,11 @@ from .errors import DomainError
 __all__ = [
     "GroupSpec",
     "GroupPattern",
-    "IndexDigits",
-    "Point",
     "Cylinder",
     "build_group_spec",
     "digit_decompose",
     "digit_compose",
-    "point_from_index",
-    "point_to_index",
     "cylinder_of",
-    "q_number",
-    "materialize_group",
     "parse_group_text",
     "all_cylinders",
 ]
@@ -52,26 +47,17 @@ class GroupSpec:
     """
 
     digits: tuple[int, ...]
-    scales: tuple[int, ...] = field(repr=False, default=())
-    bound: int = 0
+    scales: tuple[int, ...] = field(init=False, repr=False)
+    bound: int = field(init=False)
 
     def __post_init__(self):
         if any(m < 2 for m in self.digits):
             raise DomainError(f"digit bases must all be >= 2, got {self.digits}")
-        if not self.scales:
-            scales = [1]
-            for m in self.digits:
-                scales.append(scales[-1] * m)
-            object.__setattr__(self, "scales", tuple(scales))
-            object.__setattr__(self, "bound", max(self.digits, default=1))
-        else:
-            # Trust but verify precomputed fields (cheap, and keeps
-            # deserialized specs honest).
-            if len(self.scales) != len(self.digits) + 1 or self.scales[0] != 1:
-                raise DomainError("scales do not match digits")
-            for k, m in enumerate(self.digits):
-                if self.scales[k + 1] != m * self.scales[k]:
-                    raise DomainError("scales do not match digits")
+        scales = [1]
+        for m in self.digits:
+            scales.append(scales[-1] * m)
+        object.__setattr__(self, "scales", tuple(scales))
+        object.__setattr__(self, "bound", max(self.digits, default=1))
 
     @property
     def resolution(self) -> int:
@@ -106,27 +92,7 @@ def build_group_spec(digits) -> GroupSpec:
     return GroupSpec(digits)
 
 
-@dataclass(frozen=True)
-class IndexDigits:
-    """Mixed-radix expansion of a frequency index."""
-
-    digits: tuple[int, ...]
-    group: GroupSpec
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Positions with a nonzero digit."""
-        return tuple(j for j, d in enumerate(self.digits) if d)
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of the truncated group, stored as its coordinate digits."""
-
-    coords: tuple[int, ...]
-
-
-def digit_decompose(n: int, group: GroupSpec) -> IndexDigits:
+def digit_decompose(n: int, group: GroupSpec) -> tuple[int, ...]:
     """Expand ``0 <= n < M_N`` in the group's mixed-radix system."""
     n = int(n)
     if not 0 <= n < group.size:
@@ -135,7 +101,7 @@ def digit_decompose(n: int, group: GroupSpec) -> IndexDigits:
     for m in group.digits:
         n, d = divmod(n, m)
         out.append(d)
-    return IndexDigits(tuple(out), group)
+    return tuple(out)
 
 
 def digit_compose(digits, group: GroupSpec) -> int:
@@ -152,15 +118,6 @@ def digit_compose(digits, group: GroupSpec) -> int:
             raise DomainError(f"digit {d} at position {j} outside base {group.digits[j]}")
         n = n * group.digits[j] + d
     return n
-
-
-def point_from_index(idx: int, group: GroupSpec) -> Point:
-    """The enumeration of points mirrors the frequency expansion."""
-    return Point(digit_decompose(idx, group).digits)
-
-
-def point_to_index(x: Point, group: GroupSpec) -> int:
-    return digit_compose(x.coords, group)
 
 
 @dataclass(frozen=True)
@@ -195,17 +152,17 @@ class Cylinder:
         return n
 
     def contains_index(self, idx: int) -> bool:
-        return digit_decompose(idx, self.group).digits[: self.depth] == self.prefix
+        return digit_decompose(idx, self.group)[: self.depth] == self.prefix
 
 
-def cylinder_of(x: Point, n: int, group: GroupSpec) -> Cylinder:
-    """Depth-``n`` cylinder through ``x``."""
+def cylinder_of(x: tuple[int, ...], n: int, group: GroupSpec) -> Cylinder:
+    """Depth-``n`` cylinder through the point ``x`` (its digit tuple)."""
     n = int(n)
     if not 0 <= n <= group.resolution:
         raise DomainError(f"cylinder depth {n} outside [0, {group.resolution}]")
-    if len(x.coords) != group.resolution:
+    if len(x) != group.resolution:
         raise DomainError("point has the wrong number of coordinates")
-    return Cylinder(group, x.coords[:n])
+    return Cylinder(group, tuple(x[:n]))
 
 
 def all_cylinders(group: GroupSpec, depth: int):
@@ -214,25 +171,6 @@ def all_cylinders(group: GroupSpec, depth: int):
         raise DomainError(f"depth {depth} outside [0, {group.resolution}]")
     for prefix in itertools.product(*(range(m) for m in group.digits[:depth])):
         yield Cylinder(group, prefix)
-
-
-def q_number(a: int, group: GroupSpec) -> int:
-    """The sparse index ``q_a = M_{2a} + M_{2a-2} + ... + M_2 + M_0``.
-
-    Its digit expansion has a one in every even position up to ``2a`` and
-    zeros elsewhere, which makes it the canonical test order for the
-    Cesaro-mean lower bounds.  Satisfies ``q_a = M_{2a} + q_{a-1}`` and,
-    with all bases at least 2, ``q_a <= 2 M_{2a}``.  Requires
-    ``2a <= resolution``.
-    """
-    a = int(a)
-    if a < 0:
-        raise DomainError(f"sparse-index level must be >= 0, got {a}")
-    if 2 * a > group.resolution:
-        raise DomainError(
-            f"level {a} needs resolution >= {2 * a}, group has {group.resolution}"
-        )
-    return sum(group.scales[2 * j] for j in range(a + 1))
 
 
 @dataclass(frozen=True)
@@ -283,7 +221,12 @@ class GroupPattern:
         return GroupSpec((self.base * reps)[:resolution])
 
     def q_number(self, a: int) -> int:
-        """``q_a = sum_{j <= a} M_{2j}`` without materializing a group.
+        """The sparse index ``q_a = M_{2a} + M_{2a-2} + ... + M_2 + M_0``.
+
+        Its digit expansion has a one in every even position up to ``2a``
+        and zeros elsewhere, which makes it the canonical test order for
+        the Cesaro-mean lower bounds.  Satisfies ``q_a = M_{2a} + q_{a-1}``
+        and, with all bases at least 2, ``q_a <= 2 M_{2a}``.
 
         Evaluated in closed form: group the terms by ``j`` modulo the
         pattern's half-period, where each class is a geometric series in
@@ -309,24 +252,6 @@ class GroupPattern:
             geometric = (ratio**count - 1) // (ratio - 1)
             total += self.scale(c) * period**e0 * geometric
         return total
-
-
-def materialize_group(g, resolution: int | None = None) -> GroupSpec:
-    """Resolve a :class:`GroupSpec` or :class:`GroupPattern` to a concrete group."""
-    if isinstance(g, GroupSpec):
-        if resolution is None or resolution == g.resolution:
-            return g
-        if resolution < g.resolution:
-            return g.truncate(resolution)
-        raise DomainError(
-            f"group has resolution {g.resolution}; cannot extend a concrete "
-            f"group to {resolution} (use a pattern)"
-        )
-    if isinstance(g, GroupPattern):
-        if resolution is None:
-            raise DomainError("a pattern needs an explicit resolution")
-        return g.group(resolution)
-    raise DomainError(f"expected GroupSpec or GroupPattern, got {type(g).__name__}")
 
 
 def parse_group_text(text: str) -> tuple[GroupPattern, int | None]:

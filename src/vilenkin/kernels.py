@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .group import Cylinder, GroupSpec, digit_decompose, materialize_group
+from .group import Cylinder, GroupSpec, digit_decompose
 from .transform import (
     CylinderFunction,
     Spectrum,
@@ -69,32 +69,30 @@ def zero_cylinder_indicator(group: GroupSpec, level: int) -> CylinderFunction:
     return CylinderFunction(group, vals)
 
 
-def _kernel_group(g, resolution, n) -> GroupSpec:
-    grp = materialize_group(g, resolution)
+def _check_order(n: int, grp: GroupSpec) -> None:
     if n > grp.size:
         raise DomainError(
             f"order {n} exceeds M_{grp.resolution} = {grp.size}; resolution too small"
         )
-    return grp
 
 
-def dirichlet_kernel(n: int, g, resolution: int | None = None) -> CylinderFunction:
+def dirichlet_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
     """``D_n`` on the full grid (``D_0`` is identically zero)."""
     n = int(n)
     if n < 0:
         raise DomainError(f"kernel order must be >= 0, got {n}")
-    grp = _kernel_group(g, resolution, n)
+    _check_order(n, grp)
     coeffs = np.zeros(grp.size, dtype=np.complex128)
     coeffs[:n] = 1.0
     return inverse_transform(Spectrum(grp, coeffs))
 
 
-def fejer_kernel(n: int, g, resolution: int | None = None) -> CylinderFunction:
+def fejer_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
     """``K_n = (1/n) sum_{k<n} D_k``, through its multiplier ``(n-1-v)/n``."""
     n = int(n)
     if n < 1:
         raise DomainError(f"Fejer kernel order must be >= 1, got {n}")
-    grp = _kernel_group(g, resolution, n)
+    _check_order(n, grp)
     v = np.arange(grp.size)
     weights = np.maximum(n - 1 - v, 0) / n
     return inverse_transform(Spectrum(grp, weights.astype(np.complex128)))
@@ -134,7 +132,7 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     cur = partial_sum(s, start).values if start else np.zeros(g.size, dtype=np.complex128)
     nonzero = bool(cur.any())
     basis = character_basis(g)
-    counter = list(digit_decompose(start, g).digits)
+    counter = list(digit_decompose(start, g))
     top = max((k for k, d in enumerate(counter) if d), default=0)
     psi = basis.row(start)[: g.scales[top + 1]].copy()
     tmp = np.empty(g.size, dtype=np.complex128)

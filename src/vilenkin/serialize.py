@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from .errors import SAFE_STR_BITS, DomainError
-from .group import Cylinder, GroupPattern, GroupSpec, build_group_spec, parse_group_text
+from .group import Cylinder, GroupPattern, GroupSpec, parse_group_text
 from .transform import CylinderFunction, Spectrum
 from .counterexample import DivergenceReport, KernelBoundReport
 
@@ -180,14 +180,13 @@ def decode_group(raw, resolution: int | None = None) -> GroupSpec:
     """Accepts ``{"digits": [...], "resolution": N}`` or a shorthand string
     like ``"const:2^13"`` / ``"2,3,2,4"``.
 
-    A digit list shorter than the resolution repeats cyclically.  The
-    ``resolution`` argument fills in when the value itself carries none.
-    Group text that carries one (a digit list's length, or ``^N``) must
-    agree with an explicit ``resolution``; a mismatch raises
+    A digit list shorter than the resolution repeats cyclically; one
+    longer than the resolution raises :class:`DomainError` rather than
+    being cut.  The ``resolution`` argument fills in when the value itself
+    carries none.  Group text that carries one (a digit list's length, or
+    ``^N``) must agree with an explicit ``resolution``; a mismatch raises
     :class:`DomainError`.
     """
-    if isinstance(raw, GroupSpec):
-        return raw
     if isinstance(raw, str):
         pattern, own_res = parse_group_text(raw)
         if resolution is not None and own_res not in (None, resolution):
@@ -208,10 +207,8 @@ def decode_group(raw, resolution: int | None = None) -> GroupSpec:
         if res < 1:
             raise DomainError(f"resolution must be >= 1, got {res}")
         if res < len(digits):
-            digits = digits[:res]
-        if res > len(digits):
-            return GroupPattern(tuple(digits)).group(res)
-        return build_group_spec(digits)
+            raise DomainError(f"group lists {len(digits)} digits, more than its resolution {res}")
+        return GroupPattern(tuple(digits)).group(res)
     raise DomainError(f"cannot interpret {raw!r} as a group")
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, DomainError
-from .group import GroupSpec, Point, digit_decompose
+from .group import GroupSpec, digit_decompose
 
 __all__ = [
     "CylinderFunction",
@@ -100,13 +100,14 @@ class Spectrum:
         return Spectrum(self.group, self.coeffs.copy())
 
 
-def character_eval(n: int, x: Point, group: GroupSpec) -> complex:
-    """Evaluate ``psi_n(x)`` through exact rational phase accumulation."""
-    nd = digit_decompose(n, group).digits
-    if len(x.coords) != group.resolution:
+def character_eval(n: int, x: tuple[int, ...], group: GroupSpec) -> complex:
+    """Evaluate ``psi_n`` at the point with digits ``x`` through exact
+    rational phase accumulation."""
+    nd = digit_decompose(n, group)
+    if len(x) != group.resolution:
         raise DomainError("point has the wrong number of coordinates")
     phase = Fraction(0)
-    for nk, xk, mk in zip(nd, x.coords, group.digits):
+    for nk, xk, mk in zip(nd, x, group.digits):
         if not 0 <= xk < mk:
             raise DomainError(f"coordinate {xk} outside base {mk}")
         phase += Fraction((nk * xk) % mk, mk)
@@ -166,7 +167,7 @@ def naive_transform_oracle(f: CylinderFunction, cap: int = NAIVE_ORACLE_CAP) -> 
     ]
     out = np.empty(g.size, dtype=np.complex128)
     for n in range(g.size):
-        nd = digit_decompose(n, g).digits
+        nd = digit_decompose(n, g)
         phase = np.zeros(g.size, dtype=np.float64)
         for k, nk in enumerate(nd):
             if nk:
@@ -214,7 +215,7 @@ class CharacterBasis:
 
     def row(self, n: int) -> np.ndarray:
         """``psi_n`` on all points, via a single phase accumulation."""
-        nd = digit_decompose(n, self.group).digits
+        nd = digit_decompose(n, self.group)
         phase = np.zeros(self.group.size, dtype=np.float64)
         for k, nk in enumerate(nd):
             if nk:

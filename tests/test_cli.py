@@ -71,6 +71,15 @@ def test_transform_input_resolution_below_one_exits_2(tmp_path, capsys):
     assert "resolution must be >= 1" in capsys.readouterr().err
 
 
+def test_transform_input_longer_than_its_resolution_exits_2(tmp_path, capsys):
+    bad = tmp_path / "long.json"
+    doc = {"group": {"digits": [2, 3, 4], "resolution": 2}, "kind": "values",
+           "re": [0.0] * 6, "im": [0.0] * 6}
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("transform", "--input", str(bad)) == 2
+    assert "more than its resolution 2" in capsys.readouterr().err
+
+
 def test_transform_input_resolution_mismatch_exits_2(ones_file, capsys):
     assert run_cli("transform", "--input", ones_file, "--resolution", "99") == 2
     assert "has resolution 8, not 99" in capsys.readouterr().err
@@ -137,6 +146,20 @@ def test_zero_caps_are_refused(capsys):
     assert "cap is 0" in capsys.readouterr().err
     assert run_cli("transform", "--group", "2,3,2", "--random", "--check-oracle", "--oracle-cap", "0") == 3
     assert "M_N <= 0" in capsys.readouterr().err
+    for cap in ("0", "-7", "1"):  # the same floor as VILENKIN_MATERIALIZE_CAP
+        assert run_cli("counterexample", "--group", "const:2", "--kmax", "1", "--materialize-cap", cap) == 2
+        assert f"must be >= 2, got {cap}" in capsys.readouterr().err
+    assert run_cli("counterexample", "--group", "const:2", "--kmax", "1", "--materialize-cap", "2") == 0
+
+
+def test_commands_that_pick_their_depth_refuse_a_fixed_one(capsys):
+    assert run_cli("lemma2", "--group", "const:2^3", "--A", "5") == 2
+    assert "picks its own" in capsys.readouterr().err
+    assert run_cli("counterexample", "--group", "const:2^40", "--kmax", "2") == 2
+    assert "picks its own" in capsys.readouterr().err
+    # a digit list stays a base pattern
+    assert run_cli("lemma2", "--group", "2,3", "--A", "3") == 0
+    assert run_cli("counterexample", "--group", "2,2", "--kmax", "1") == 0
 
 
 def test_kernel_resolution_mismatch_exits_2(capsys):

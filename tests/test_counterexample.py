@@ -31,7 +31,7 @@ from vilenkin.counterexample import (
     sigma_decomposition,
 )
 from vilenkin.errors import SAFE_STR_BITS, CapExceededError, DomainError, VerificationError, brief
-from vilenkin.group import GroupPattern, build_group_spec, digit_decompose, q_number
+from vilenkin.group import GroupPattern, build_group_spec, digit_decompose
 from vilenkin.kernels import fejer_mean_direct, partial_sum, validate_p_atom
 from vilenkin.transform import sup_abs
 
@@ -158,6 +158,9 @@ def test_materialize_respects_cap():
     spec = plan_counterexample(PAT2, 1)
     with pytest.raises(CapExceededError):
         materialize_f(spec, 13, cap=100)
+    # refused from the exact size alone, before any grid is built
+    with pytest.raises(CapExceededError, match="<int of 40001 bits>"):
+        materialize_f(spec, 13, resolution=40000)
 
 
 def test_materialize_cap_env_override(monkeypatch):
@@ -304,6 +307,8 @@ def test_kernel_floor_preconditions():
         lemma2_verify(PAT2, 2)
     with pytest.raises(CapExceededError):
         lemma2_verify(PAT2, 6, cap=100)
+    with pytest.raises(CapExceededError, match="<int of 40001 bits>"):
+        lemma2_verify(PAT2, 20000)
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,7 +329,7 @@ def test_region_view_matches_digit_pattern(digits, data):
             and d[2 * s] != 0
         )
 
-    want = [x for x in range(g.size) if in_region(digit_decompose(x, g).digits)]
+    want = [x for x in range(g.size) if in_region(digit_decompose(x, g))]
     view = _region(np.arange(g.size), g, eta, s)
     assert view.ravel().tolist() == want
     assert Fraction(view.size, g.size) == _region_measure(GroupPattern(g.digits), eta, s)
@@ -362,7 +367,7 @@ def test_ledger_block_one_exact_values():
     spec = plan_counterexample(PAT2, 8)
     led = bound_chain_evaluate(spec, 1)
     assert led.alpha == 33
-    assert led.q_index == q_number(33, PAT2.group(66))
+    assert led.q_index == sum(4**j for j in range(34))  # M_0 + M_2 + ... + M_66
     assert led.low_part_bound == Fraction(2 * 2**24, 6)
     assert led.carried_history_bound == led.low_part_bound
     assert led.threshold == Fraction(2**33, 16 * 2 * 33)

@@ -1,23 +1,24 @@
-"""Unit tests: group structure, digits, cylinders, sparse orders."""
+"""Unit tests: group structure, digits, cylinders, sparse orders, and the
+package's exported names."""
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vilenkin
 from vilenkin.errors import DomainError
 from vilenkin.group import (
     Cylinder,
     GroupPattern,
+    GroupSpec,
     all_cylinders,
     build_group_spec,
     cylinder_of,
     digit_compose,
     digit_decompose,
-    materialize_group,
     parse_group_text,
-    point_from_index,
-    point_to_index,
-    q_number,
 )
 
 digit_lists = st.lists(st.integers(2, 6), min_size=1, max_size=6)
@@ -43,7 +44,7 @@ def test_build_group_rejects_bad_digits():
 
 def test_digit_decompose_example():
     g = build_group_spec([2, 3, 4])
-    assert digit_decompose(17, g).digits == (1, 2, 2)
+    assert digit_decompose(17, g) == (1, 2, 2)
     # 1 + 2*2 + 2*6 = 17
     assert digit_compose((1, 2, 2), g) == 17
 
@@ -65,22 +66,8 @@ def test_digit_round_trip(digits, data):
     g = build_group_spec(digits)
     n = data.draw(st.integers(0, g.size - 1))
     d = digit_decompose(n, g)
-    assert all(0 <= v < m for v, m in zip(d.digits, g.digits))
-    assert digit_compose(d.digits, g) == n
-
-
-@given(digit_lists, st.data())
-def test_point_round_trip(digits, data):
-    g = build_group_spec(digits)
-    i = data.draw(st.integers(0, g.size - 1))
-    assert point_to_index(point_from_index(i, g), g) == i
-
-
-def test_support_of_index_digits():
-    g = build_group_spec([2, 3, 4])
-    assert digit_decompose(0, g).support == ()
-    assert digit_decompose(17, g).support == (0, 1, 2)
-    assert digit_decompose(6, g).support == (2,)
+    assert all(0 <= v < m for v, m in zip(d, g.digits))
+    assert digit_compose(d, g) == n
 
 
 @pytest.mark.parametrize("digits", [[2, 2, 2], [2, 3, 2], [3, 3], [2, 3, 4]])
@@ -94,7 +81,7 @@ def test_cylinder_measures_sum_to_one_exactly(digits, depth):
 
 def test_cylinder_of_membership():
     g = build_group_spec([2, 3, 2])
-    x = point_from_index(7, g)
+    x = digit_decompose(7, g)
     for n in range(g.resolution + 1):
         c = cylinder_of(x, n, g)
         assert c.depth == n
@@ -115,24 +102,16 @@ def test_cylinder_base_index_counts_members():
 
 
 def test_q_number_known_values():
-    g2 = build_group_spec([2] * 13)
-    assert q_number(0, g2) == 1
-    assert q_number(2, g2) == 21
-    assert q_number(3, g2) == 85
-    assert q_number(6, g2) == 5461
-    g3 = build_group_spec([3] * 6)
-    assert q_number(2, g3) == 91
-    g23 = build_group_spec([2, 3] * 3)
-    assert q_number(2, g23) == 1 + 6 + 36
-
-
-def test_q_number_needs_enough_resolution():
-    g = build_group_spec([2] * 5)
-    assert q_number(2, g) == 21
-    with pytest.raises(DomainError):
-        q_number(3, g)
-    with pytest.raises(DomainError):
-        q_number(-1, g)
+    p2 = GroupPattern((2,))
+    assert p2.q_number(0) == 1
+    assert p2.q_number(2) == 21
+    assert p2.q_number(3) == 85
+    assert p2.q_number(6) == 5461
+    assert GroupPattern((3,)).q_number(2) == 91
+    assert GroupPattern((2, 3)).q_number(2) == 1 + 6 + 36
+    for base in ((2,), (3,), (2, 3)):
+        with pytest.raises(DomainError):
+            GroupPattern(base).q_number(-1)
 
 
 @given(patterns, st.integers(0, 30))
@@ -154,20 +133,13 @@ def test_pattern_scales_match_materialized_group(base, resolution):
     pat = GroupPattern(base)
     if resolution == 0:
         return
-    g = materialize_group(pat, resolution)
+    g = pat.group(resolution)
     assert g.resolution == resolution
     for j in range(resolution + 1):
         assert pat.scale(j) == g.scales[j]
     for j in range(resolution):
         assert pat.digit(j) == g.digits[j]
     assert pat.bound == max(base)
-
-
-@given(patterns, st.integers(0, 10))
-def test_pattern_q_number_agrees_with_group_q_number(base, a):
-    pat = GroupPattern(base)
-    g = pat.group(2 * a + 1)
-    assert pat.q_number(a) == q_number(a, g)
 
 
 def test_parse_group_text_variants():
@@ -189,3 +161,22 @@ def test_haar_weight():
     g = build_group_spec([2, 3, 2])
     assert g.haar_weight() == Fraction(1, 12)
     assert g.truncate(2).haar_weight() == Fraction(1, 6)
+
+
+def test_group_spec_scales_and_bound_are_derived_only():
+    with pytest.raises(TypeError):
+        GroupSpec((2, 3), scales=(1, 2, 6))
+    with pytest.raises(TypeError):
+        GroupSpec((2, 3), bound=9)
+    g = GroupSpec((2, 3))
+    assert g.scales == (1, 2, 6) and g.bound == 3
+
+
+def test_every_exported_name_resolves():
+    modules = [vilenkin] + [
+        importlib.import_module(f"vilenkin.{info.name}")
+        for info in pkgutil.iter_modules(vilenkin.__path__)
+    ]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], module.__name__

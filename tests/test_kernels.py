@@ -76,7 +76,7 @@ def full_grid_sweep(s, start, stop):
     cur = partial_sum(s, start).values
     basis = character_basis(g)
     psi = basis.row(start)
-    counter = list(digit_decompose(start, g).digits)
+    counter = list(digit_decompose(start, g))
     tmp = np.empty(g.size, dtype=np.complex128)
     for j in range(start, stop):
         total += cur
@@ -200,7 +200,7 @@ def test_prefix_row_advance_tiles_to_the_full_row_advance(g, data):
     start = data.draw(st.integers(0, g.size - 1))
     steps = data.draw(st.integers(0, g.size - 1 - start))
     basis = character_basis(g)
-    counter = list(digit_decompose(start, g).digits)
+    counter = list(digit_decompose(start, g))
     top = max((k for k, d in enumerate(counter) if d), default=0)
     full = basis.row(start)
     prefix = full[: g.scales[top + 1]].copy()

@@ -139,7 +139,7 @@ def test_group_decode_errors():
         decode_group({"resolution": 3})
     with pytest.raises(DomainError):
         decode_group(42)
-    for res in (0, -1):  # never a silent cut of the digit list
+    for res in (2, 1, 0, -1):  # never a silent cut of the digit list
         with pytest.raises(DomainError):
             decode_group({"digits": [2, 3, 4], "resolution": res})
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vilenkin.errors import CapExceededError, DomainError
-from vilenkin.group import build_group_spec, digit_decompose, point_from_index
+from vilenkin.group import build_group_spec, digit_decompose
 from vilenkin.transform import (
     CylinderFunction,
     Spectrum,
@@ -70,9 +70,9 @@ def test_characters_multiplicative_exhaustively():
     g = build_group_spec([2, 3, 2])  # size 12 <= 64
     basis = character_basis(g)
     for n in range(g.size):
-        dn = digit_decompose(n, g).digits
+        dn = digit_decompose(n, g)
         for k in range(g.size):
-            dk = digit_decompose(k, g).digits
+            dk = digit_decompose(k, g)
             merged = tuple((a + b) % m for a, b, m in zip(dn, dk, g.digits))
             idx = 0
             for j in reversed(range(g.resolution)):
@@ -85,7 +85,7 @@ def test_character_eval_matches_basis_row(digits, data):
     g = build_group_spec(digits)
     n = data.draw(st.integers(0, g.size - 1))
     i = data.draw(st.integers(0, g.size - 1))
-    x = point_from_index(i, g)
+    x = digit_decompose(i, g)
     assert abs(character_eval(n, x, g) - character_basis(g).row(n)[i]) < 1e-12
 
 
