@@ -9,20 +9,23 @@ Subcommands::
     selftest        quick end-to-end invariant sweep
 
 Exit codes: 0 success, 2 usage or domain precondition, 3 resource cap
-exceeded, 4 verification failure.  Results go to stdout or ``--out``;
-standard error carries diagnostics only.  Given the same arguments and seed,
-every command rewrites byte-identical output.
+exceeded (a grid over its point cap is refused before it is built), 4
+verification failure, 141 stdout closed by its reader (128 + SIGPIPE).
+Results go to stdout or ``--out``; standard error carries diagnostics only.
+Given the same arguments and seed, every command rewrites byte-identical
+output.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from .errors import CapExceededError, DomainError, VerificationError
-from .group import GroupPattern, build_group_spec, digit_compose, digit_decompose, parse_group_text
+from .group import GRID_CAP, GroupPattern, build_group_spec, digit_compose, digit_decompose, parse_group_text
 from .transform import (
     NAIVE_ORACLE_CAP,
     Spectrum,
@@ -43,7 +46,6 @@ from .kernels import (
 )
 from .counterexample import (
     LEMMA2_CAP,
-    MATERIALIZE_CAP_ENV,
     atom_function,
     lemma2_verify,
     plan_counterexample,
@@ -268,7 +270,7 @@ def _selftest_checks():
         spec = plan_counterexample(GroupPattern((2,)), 2)
         report = divergence_report(spec)
         assert report.passed
-        atom, interval = atom_function(spec, 0)
+        atom, interval = atom_function(spec, 0, spec.pattern.group(2 * spec.alphas[0] + 1))
         atom_report = validate_p_atom(atom, interval, Fraction(1, 2))
         assert atom_report.is_atom
         star = maximal_function(atom)
@@ -355,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="emit (k, sqrt(alpha_k), LB_k^2) CSV to PATH (bare flag: stdout)",
     )
-    ce.add_argument("--materialize-cap", type=int, default=None, help=f"grid cap, at least 2 (or set {MATERIALIZE_CAP_ENV})")
+    ce.add_argument("--materialize-cap", type=int, default=GRID_CAP, help="grid point cap, at least 2 (default %(default)s)")
     ce.add_argument("--region-detail-cap", type=int, default=4096)
     ce.add_argument("--out", help="write the primary table here instead of stdout")
 
@@ -375,7 +377,12 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader has gone: keep the exit-time flush quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,21 +33,21 @@ bound
 which grows like ``alpha_k / (32 M^4)^2``: the means diverge even though
 the function stays in H_{1/2}.  Everything on the inequality side of that
 story is verified here in exact integer/rational arithmetic; grids enter
-only for desk-scale cross-checks of the algebraic identities.
+only for desk-scale cross-checks of the algebraic identities, and every
+function that evaluates on a grid takes that ``GroupSpec`` as an argument.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceededError, DomainError, VerificationError, brief
-from .group import Cylinder, GroupPattern, GroupSpec
+from .errors import DomainError, VerificationError, brief
+from .group import GRID_CAP, Cylinder, GroupPattern, GroupSpec
 from .kernels import (
     dirichlet_kernel,
     fejer_kernel,
@@ -63,7 +63,6 @@ from .transform import (
     Spectrum,
     character_basis,
     coarsen,
-    forward_transform,
 )
 
 __all__ = [
@@ -79,10 +78,7 @@ __all__ = [
     "SeriesReport",
     "DivergenceReport",
     "MIN_ALPHA0",
-    "DEFAULT_MATERIALIZE_CAP",
-    "MATERIALIZE_CAP_ENV",
     "LEMMA2_CAP",
-    "default_materialize_cap",
     "rational_sqrt_lower",
     "rational_sqrt_upper",
     "build_alpha_sequence",
@@ -100,27 +96,7 @@ __all__ = [
 ]
 
 MIN_ALPHA0 = 6
-DEFAULT_MATERIALIZE_CAP = 1 << 24
-MATERIALIZE_CAP_ENV = "VILENKIN_MATERIALIZE_CAP"
 LEMMA2_CAP = 1 << 20
-
-
-def default_materialize_cap() -> int:
-    raw = os.environ.get(MATERIALIZE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_MATERIALIZE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{MATERIALIZE_CAP_ENV} must be an integer, got {raw!r}") from exc
-    return _at_least_two(cap, MATERIALIZE_CAP_ENV)
-
-
-def _at_least_two(cap: int, source: str) -> int:
-    """``cap`` itself; a materialization cap below 2 would silently skip every grid."""
-    if cap < 2:
-        raise DomainError(f"{source} must be >= 2, got {cap}")
-    return cap
 
 
 def rational_sqrt_lower(x: Fraction) -> Fraction:
@@ -321,22 +297,18 @@ def build_alpha_sequence(
 class CounterexampleSpec:
     """A level sequence together with how much of it to use.
 
-    ``k_max`` is the number of atom blocks included in the martingale;
-    ``resolution`` is the default grid depth for materialized cross-checks
-    (the exact-arithmetic side never touches a grid).
+    ``k_max`` is the number of atom blocks included in the martingale.  No
+    grid is part of the spec (the exact-arithmetic side never touches one).
     """
 
     sequence: AlphaSequence
     k_max: int
-    resolution: int
 
     def __post_init__(self):
         if not 1 <= self.k_max <= len(self.sequence.alphas):
             raise DomainError(
                 f"k_max must lie in [1, {len(self.sequence.alphas)}], got {self.k_max}"
             )
-        if self.resolution < 1:
-            raise DomainError(f"resolution must be >= 1, got {self.resolution}")
 
     @property
     def pattern(self) -> GroupPattern:
@@ -348,21 +320,16 @@ class CounterexampleSpec:
 
 
 def plan_counterexample(
-    pattern: GroupPattern,
-    k_max: int,
-    alpha0: int = MIN_ALPHA0,
-    resolution: int | None = None,
+    pattern: GroupPattern, k_max: int, alpha0: int = MIN_ALPHA0
 ) -> CounterexampleSpec:
-    """Build a certified sequence and pick a desk-scale default resolution.
+    """Build a certified sequence of ``k_max`` levels.
 
-    The default grid depth ``2 alpha_0 + 1`` is exactly enough to resolve
-    block 0 and the sparse order ``q_number(alpha_0)``; deeper levels are
+    The grid depth ``2 alpha_0 + 1`` is exactly enough to resolve block 0
+    and the sparse order ``q_number(alpha_0)``; deeper levels are
     astronomically large by design and live only in the exact ledgers.
     """
     seq = build_alpha_sequence(pattern, k_max, alpha0)
-    if resolution is None:
-        resolution = 2 * seq.alphas[0] + 1
-    return CounterexampleSpec(seq, k_max, resolution)
+    return CounterexampleSpec(seq, k_max)
 
 
 def coefficient_oracle(spec: CounterexampleSpec, j: int) -> Fraction:
@@ -404,22 +371,10 @@ def oracle_spectrum(spec: CounterexampleSpec, group: GroupSpec) -> Spectrum:
     return Spectrum(group, coeffs)
 
 
-def _check_grid(spec: CounterexampleSpec, resolution: int | None, cap: int | None) -> GroupSpec:
-    res = spec.resolution if resolution is None else int(resolution)
-    cap = default_materialize_cap() if cap is None else cap
-    size = spec.pattern.scale(res)
-    if size > cap:
-        raise CapExceededError(
-            f"materialization needs {brief(size)} grid points, cap is {cap} "
-            f"(override via {MATERIALIZE_CAP_ENV})"
-        )
-    return spec.pattern.group(res)
-
-
 def atom_function(
-    spec: CounterexampleSpec, k: int, resolution: int | None = None, cap: int | None = None
+    spec: CounterexampleSpec, k: int, group: GroupSpec
 ) -> tuple[CylinderFunction, Cylinder]:
-    """The k-th atom on a grid, from indicator closed forms (no transform).
+    """The k-th atom on ``group``, from indicator closed forms (no transform).
 
     ``a_k = (M_{2a}/M) (M_{2a+1} 1_{I_{2a+1}} - M_{2a} 1_{I_{2a}})`` with
     ``a = alpha_k``; the supporting interval is the zero cylinder of depth
@@ -428,7 +383,6 @@ def atom_function(
     if not 0 <= k < spec.k_max:
         raise DomainError(f"atom index {k} outside [0, {spec.k_max})")
     alpha = spec.alphas[k]
-    group = _check_grid(spec, resolution, cap)
     if group.resolution < 2 * alpha + 1:
         raise DomainError(
             f"atom {k} needs resolution >= {2 * alpha + 1}, got {group.resolution}"
@@ -442,27 +396,18 @@ def atom_function(
     return CylinderFunction(group, vals), interval
 
 
-def _atom_history(
-    spec: CounterexampleSpec, count: int, group: GroupSpec, cap: int | None
-) -> np.ndarray:
+def _atom_history(spec: CounterexampleSpec, count: int, group: GroupSpec) -> np.ndarray:
     """``sum_{eta < count} a_eta / alpha_eta`` on ``group``, from the atom
     closed forms."""
     vals = np.zeros(group.size, dtype=np.complex128)
     for eta in range(count):
-        atom, _ = atom_function(spec, eta, resolution=group.resolution, cap=cap)
+        atom, _ = atom_function(spec, eta, group)
         vals += atom.values / spec.alphas[eta]
     return vals
 
 
-def materialize_f(
-    spec: CounterexampleSpec,
-    A: int,
-    resolution: int | None = None,
-    cap: int | None = None,
-) -> tuple[CylinderFunction, Spectrum]:
-    """The depth-``A`` martingale level of ``f`` on a grid, plus its
-    transform (computed by the fast path, for cross-checks against
-    :func:`coefficient_oracle`).
+def materialize_f(spec: CounterexampleSpec, A: int, group: GroupSpec) -> CylinderFunction:
+    """The depth-``A`` martingale level of ``f`` on ``group``.
 
     A block with ``2 alpha_k >= A`` integrates to zero over every
     depth-``A`` cylinder, so the level function is exactly the sum of the
@@ -471,22 +416,15 @@ def materialize_f(
     A = int(A)
     if A < 0:
         raise DomainError(f"level must be >= 0, got {A}")
-    group = _check_grid(spec, resolution, cap)
     if A > group.resolution:
         raise DomainError(
             f"insufficient resolution: level {A} on a depth-{group.resolution} grid"
         )
     count = sum(1 for alpha in spec.alphas if 2 * alpha < A)
-    f = CylinderFunction(group, _atom_history(spec, count, group, cap))
-    return f, forward_transform(f)
+    return CylinderFunction(group, _atom_history(spec, count, group))
 
 
-def closed_form_partial_sum(
-    spec: CounterexampleSpec,
-    j: int,
-    resolution: int | None = None,
-    cap: int | None = None,
-) -> CylinderFunction:
+def closed_form_partial_sum(spec: CounterexampleSpec, j: int, group: GroupSpec) -> CylinderFunction:
     """``S_j f`` assembled from block structure instead of coefficient cuts.
 
     Two admissible regimes, mirroring how the divergence argument reads
@@ -507,7 +445,6 @@ def closed_form_partial_sum(
     j = int(j)
     if j < 0:
         raise DomainError(f"partial-sum order must be >= 0, got {brief(j)}")
-    group = _check_grid(spec, resolution, cap)
     if j > group.size:
         raise DomainError(f"order {brief(j)} exceeds the grid size {group.size}")
     pattern = spec.pattern
@@ -538,7 +475,7 @@ def closed_form_partial_sum(
             f"[{brief(pattern.scale(2 * last))}, {brief(pattern.q_number(last))})"
         )
 
-    vals = _atom_history(spec, history_count, group, cap)
+    vals = _atom_history(spec, history_count, group)
     if tail is not None:
         k, alpha, lo, inner = tail
         if inner:
@@ -580,16 +517,11 @@ class SigmaDecomposition:
         )
 
 
-def sigma_decomposition(
-    spec: CounterexampleSpec,
-    k: int,
-    resolution: int | None = None,
-    cap: int | None = None,
-) -> SigmaDecomposition:
+def sigma_decomposition(spec: CounterexampleSpec, k: int, group: GroupSpec) -> SigmaDecomposition:
+    """The three pieces of ``sigma_q f`` at ``q = q_number(alpha_k)`` on ``group``."""
     if not 0 <= k < spec.k_max:
         raise DomainError(f"block index {k} outside [0, {spec.k_max})")
     alpha = spec.alphas[k]
-    group = _check_grid(spec, resolution, cap)
     pattern = spec.pattern
     q = pattern.q_number(alpha)
     q_inner = pattern.q_number(alpha - 1)
@@ -603,7 +535,7 @@ def sigma_decomposition(
     low_vals = summed_partial_sums(spectrum, 0, block_lo) / q
     low = CylinderFunction(group, low_vals)
 
-    hist_vals = _atom_history(spec, k, group, cap)
+    hist_vals = _atom_history(spec, k, group)
     carried = CylinderFunction(group, hist_vals * ((q - block_lo) / q))
 
     coeff = float(Fraction(block_lo, pattern.bound * alpha))
@@ -671,10 +603,7 @@ def lemma2_verify(pattern: GroupPattern, level: int, cap: int = LEMMA2_CAP) -> K
     level = int(level)
     if level < 3:
         raise DomainError(f"need level >= 3 for a nonempty region family, got {level}")
-    size = pattern.scale(2 * level)
-    if size > cap:
-        raise CapExceededError(f"region check needs {brief(size)} grid points, cap is {cap}")
-    group = pattern.group(2 * level)
+    group = pattern.group(2 * level, cap)
     q_inner = pattern.q_number(level - 1)
     kernel = np.abs(fejer_kernel(q_inner, group).values) * q_inner
     regions = []
@@ -978,13 +907,11 @@ class DivergenceReport:
 
 
 def _materialized_checks(
-    spec: CounterexampleSpec, ledger: BoundLedger
+    spec: CounterexampleSpec, ledger: BoundLedger, group: GroupSpec
 ) -> tuple[int, float, bool, bool | None]:
-    """Grid-side audit of one block: direct integral, per-region floors,
-    and domination of the exact region sum."""
+    """Grid-side audit of one block on its depth-``2 alpha + 1`` grid: direct
+    integral, per-region floors, and domination of the exact region sum."""
     alpha = ledger.alpha
-    res = 2 * alpha + 1
-    group = spec.pattern.group(res)
     sigma = fejer_mean_direct(oracle_spectrum(spec, group), ledger.q_index).values.values
     direct = float(np.mean(np.sqrt(np.abs(sigma))))
     pointwise_ok = True
@@ -999,7 +926,7 @@ def _materialized_checks(
     dominates = None
     if ledger.region_sum_squared is not None:
         dominates = direct * direct >= float(ledger.region_sum_squared) * (1 - 1e-9)
-    return res, direct, pointwise_ok, dominates
+    return group.resolution, direct, pointwise_ok, dominates
 
 
 def _series_report(spec: CounterexampleSpec, cap: int) -> SeriesReport:
@@ -1024,7 +951,7 @@ def _series_report(spec: CounterexampleSpec, cap: int) -> SeriesReport:
         atoms_ok = True
         atom_maximal_ok = True
         for k in materializable:
-            atom, interval = atom_function(spec, k, resolution=2 * alphas[k] + 1, cap=cap)
+            atom, interval = atom_function(spec, k, spec.pattern.group(2 * alphas[k] + 1, cap))
             report = validate_p_atom(atom, interval, Fraction(1, 2))
             atoms_ok &= report.is_atom
             star = maximal_function(atom)
@@ -1032,7 +959,7 @@ def _series_report(spec: CounterexampleSpec, cap: int) -> SeriesReport:
             atom_maximal_ok &= root_integral <= 1 + 1e-9
             validated += 1
         depth = 2 * alphas[max(materializable)] + 1
-        f, _ = materialize_f(spec, depth, resolution=depth, cap=cap)
+        f = materialize_f(spec, depth, spec.pattern.group(depth, cap))
         levels = [coarsen(f, r) for r in range(depth)] + [f]
         grid_estimate = hardy_quasinorm_estimate(levels, Fraction(1, 2))
         grid_ok = grid_estimate <= hardy_upper * (1 + 1e-9)
@@ -1053,18 +980,19 @@ def divergence_report(
     spec: CounterexampleSpec,
     k_range=None,
     region_detail_cap: int = 4096,
-    cap: int | None = None,
+    cap: int = GRID_CAP,
 ) -> DivergenceReport:
     """Evaluate the whole argument for the requested blocks.
 
     Exact ledgers are produced for every block in ``k_range`` (default:
     all of them).  Blocks whose natural grid ``M_{2 alpha_k + 1}`` fits
-    under the materialization cap additionally get a desk-scale audit: the
-    Cesaro mean is computed outright and checked against the per-region
-    floors and the exact region sum.
+    under ``cap`` points additionally get a desk-scale audit: the Cesaro
+    mean is computed outright and checked against the per-region floors
+    and the exact region sum.  A ``cap`` below 2 would skip every audit.
     """
     spec.sequence.require_certified("divergence_report")
-    cap = default_materialize_cap() if cap is None else _at_least_two(cap, "materialization cap")
+    if cap < 2:
+        raise DomainError(f"materialization cap must be >= 2, got {cap}")
     if k_range is None:
         k_range = range(spec.k_max)
     ks = tuple(int(k) for k in k_range)
@@ -1076,8 +1004,10 @@ def divergence_report(
         ledger = bound_chain_evaluate(spec, k, region_detail_cap)
         ledgers.append(ledger)
         res = direct = pw = dom = None
-        if spec.pattern.scale(2 * ledger.alpha + 1) <= cap:
-            res, direct, pw, dom = _materialized_checks(spec, ledger)
+        depth = 2 * ledger.alpha + 1
+        if spec.pattern.scale(depth) <= cap:
+            group = spec.pattern.group(depth, cap)
+            res, direct, pw, dom = _materialized_checks(spec, ledger, group)
         rows.append(
             DivergenceRow(
                 k=k,

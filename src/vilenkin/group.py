@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import CapExceededError, DomainError, brief
 
 __all__ = [
+    "GRID_CAP",
     "GroupSpec",
     "GroupPattern",
     "Cylinder",
@@ -34,6 +35,8 @@ __all__ = [
     "parse_group_text",
     "all_cylinders",
 ]
+
+GRID_CAP = 1 << 24  # points in the largest grid GroupPattern.group builds by default
 
 
 @dataclass(frozen=True)
@@ -214,9 +217,16 @@ class GroupPattern:
             tail *= m
         return period**full * tail
 
-    def group(self, resolution: int) -> GroupSpec:
+    def group(self, resolution: int, cap: int = GRID_CAP) -> GroupSpec:
+        """The depth-``resolution`` grid; :class:`CapExceededError` if its
+        exact size ``M_resolution`` exceeds ``cap``, before anything is built."""
         if resolution < 1:
             raise DomainError(f"resolution must be >= 1, got {resolution}")
+        size = self.scale(resolution)
+        if size > cap:
+            raise CapExceededError(
+                f"a depth-{resolution} grid has {brief(size)} points, cap is {cap}"
+            )
         reps = -(-resolution // len(self.base))
         return GroupSpec((self.base * reps)[:resolution])
 

@@ -185,7 +185,8 @@ def decode_group(raw, resolution: int | None = None) -> GroupSpec:
     being cut.  The ``resolution`` argument fills in when the value itself
     carries none.  Group text that carries one (a digit list's length, or
     ``^N``) must agree with an explicit ``resolution``; a mismatch raises
-    :class:`DomainError`.
+    :class:`DomainError`.  The grid comes from :meth:`GroupPattern.group`,
+    so one over ``GRID_CAP`` points raises :class:`CapExceededError`.
     """
     if isinstance(raw, str):
         pattern, own_res = parse_group_text(raw)

@@ -131,15 +131,16 @@ def test_criterion_4_kernel_floor(report):
 
 
 def test_criterion_5_coefficient_fidelity(report):
-    spec = plan_counterexample(PAT2, 8, resolution=13)
-    f, spectrum = materialize_f(spec, 13)
-    g = spectrum.group
+    spec = plan_counterexample(PAT2, 8)
+    g = PAT2.group(13)
+    f = materialize_f(spec, 13, g)
+    spectrum = forward_transform(f)
     worst = max(
         abs(spectrum.coeffs[j] - float(coefficient_oracle(spec, j))) for j in range(g.size)
     )
     s12 = partial_sum(spectrum, g.scales[12]).values
     s13 = partial_sum(spectrum, g.scales[13]).values
-    zero_level, _ = materialize_f(spec, 12)
+    zero_level = materialize_f(spec, 12, g)
     dichotomy = (
         sup_abs(s12) <= 1e-9
         and sup_abs(zero_level.values) == 0.0
@@ -154,9 +155,9 @@ def test_criterion_5_coefficient_fidelity(report):
 
 
 def test_criterion_6_decomposition_identities(report):
-    spec = plan_counterexample(PAT2, 8, resolution=13)
-    dec = sigma_decomposition(spec, 0)
-    g = dec.low.group
+    spec = plan_counterexample(PAT2, 8)
+    g = PAT2.group(13)
+    dec = sigma_decomposition(spec, 0, g)
     s = oracle_spectrum(spec, g)
     direct = fejer_mean_direct(s, dec.q_index).values.values
     err_sigma = sup_abs(dec.total().values - direct)
@@ -165,7 +166,7 @@ def test_criterion_6_decomposition_identities(report):
     worst_cf = 0.0
     for j in orders:
         worst_cf = max(
-            worst_cf, sup_abs(closed_form_partial_sum(spec, j).values - partial_sum(s, j).values)
+            worst_cf, sup_abs(closed_form_partial_sum(spec, j, g).values - partial_sum(s, j).values)
         )
     ok = err_sigma <= 1e-9 and worst_cf <= 1e-9 and len(orders) >= 50
     report(
@@ -178,9 +179,9 @@ def test_criterion_6_decomposition_identities(report):
 
 def test_criterion_7_pointwise_lower_bound(report):
     t0 = time.perf_counter()
-    spec = plan_counterexample(PAT2, 8, resolution=13)
+    spec = plan_counterexample(PAT2, 8)
     led = bound_chain_evaluate(spec, 0)
-    g = spec.pattern.group(13)
+    g = PAT2.group(13)
     sigma = fejer_mean_direct(oracle_spectrum(spec, g), led.q_index).values.values
     floor = g.scales[6] * g.scales[10] / (8 * 2**2 * 6)
     pointwise_ok = bool(np.min(np.abs(_region(sigma, g, 3, 5))) >= floor * (1 - 1e-9))
@@ -231,7 +232,7 @@ def test_criterion_8_exact_ledger(report):
 
 def test_criterion_9_atoms_and_membership(report):
     spec = plan_counterexample(PAT2, 8)
-    atom, interval = atom_function(spec, 0)
+    atom, interval = atom_function(spec, 0, PAT2.group(13))
     atom_report = validate_p_atom(atom, interval, Fraction(1, 2))
     star = maximal_function(atom)
     root_integral = float(np.mean(np.sqrt(np.abs(star.values))))

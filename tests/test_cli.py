@@ -146,10 +146,29 @@ def test_zero_caps_are_refused(capsys):
     assert "cap is 0" in capsys.readouterr().err
     assert run_cli("transform", "--group", "2,3,2", "--random", "--check-oracle", "--oracle-cap", "0") == 3
     assert "M_N <= 0" in capsys.readouterr().err
-    for cap in ("0", "-7", "1"):  # the same floor as VILENKIN_MATERIALIZE_CAP
+    for cap in ("0", "-7", "1"):  # below 2 every grid audit would be skipped
         assert run_cli("counterexample", "--group", "const:2", "--kmax", "1", "--materialize-cap", cap) == 2
         assert f"must be >= 2, got {cap}" in capsys.readouterr().err
     assert run_cli("counterexample", "--group", "const:2", "--kmax", "1", "--materialize-cap", "2") == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel", "--kind", "dirichlet", "--n", "1", "--group", "const:2^40"),
+    ("transform", "--group", "const:2^40", "--random"),
+])
+def test_grid_over_the_default_cap_exits_3(argv, capsys):
+    assert run_cli(*argv) == 3
+    assert "cap is 16777216" in capsys.readouterr().err
+
+
+def test_environment_sets_no_cap(monkeypatch, capsys):
+    argv = ("counterexample", "--group", "const:2", "--kmax", "1")
+    assert run_cli(*argv) == 0
+    want = capsys.readouterr().out
+    for value in ("junk", "2"):
+        monkeypatch.setenv("VILENKIN_MATERIALIZE_CAP", value)
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_commands_that_pick_their_depth_refuse_a_fixed_one(capsys):
@@ -231,3 +250,18 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == 0
     assert "K_21(0) = 10" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    argv = [sys.executable, "-m", "vilenkin.cli", "counterexample", "--group", "const:2",
+            "--kmax", "6", "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            # the report is over a megabyte, far more than a pipe buffers
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        finally:
+            proc.kill()
+    assert err == b""

@@ -19,7 +19,6 @@ from vilenkin.counterexample import (
     build_alpha_sequence,
     closed_form_partial_sum,
     coefficient_oracle,
-    default_materialize_cap,
     divergence_report,
     lemma2_verify,
     materialize_f,
@@ -33,7 +32,7 @@ from vilenkin.counterexample import (
 from vilenkin.errors import SAFE_STR_BITS, CapExceededError, DomainError, VerificationError, brief
 from vilenkin.group import GroupPattern, build_group_spec, digit_decompose
 from vilenkin.kernels import fejer_mean_direct, partial_sum, validate_p_atom
-from vilenkin.transform import sup_abs
+from vilenkin.transform import forward_transform, sup_abs
 
 PAT2 = GroupPattern((2,))
 PAT3 = GroupPattern((3,))
@@ -105,7 +104,7 @@ def test_certificate_values_at_k1():
 
 
 def test_uncertified_sequence_refused_by_inequality_chain():
-    spec = CounterexampleSpec(sequence_from_levels(PAT2, (2, 3)), 2, 7)
+    spec = CounterexampleSpec(sequence_from_levels(PAT2, (2, 3)), 2)
     with pytest.raises(VerificationError):
         bound_chain_evaluate(spec, 0)
     with pytest.raises(VerificationError):
@@ -134,7 +133,7 @@ def test_coefficient_oracle_frozen_values():
 
 def test_materialized_spectrum_matches_oracle():
     spec = plan_counterexample(PAT2, 8)
-    _, spectrum = materialize_f(spec, spec.resolution)
+    spectrum = forward_transform(materialize_f(spec, 13, PAT2.group(13)))
     g = spectrum.group
     worst = 0.0
     for j in range(g.size):
@@ -145,35 +144,28 @@ def test_materialized_spectrum_matches_oracle():
 
 def test_materialize_dichotomy():
     spec = plan_counterexample(PAT2, 8)
-    zero, _ = materialize_f(spec, 12)
+    g = PAT2.group(13)
+    zero = materialize_f(spec, 12, g)
     assert sup_abs(zero.values) == 0.0
-    full, _ = materialize_f(spec, 13)
-    atom, _ = atom_function(spec, 0)
+    full = materialize_f(spec, 13, g)
+    atom, _ = atom_function(spec, 0, g)
     assert sup_abs(full.values - atom.values / 6) < 1e-12
     with pytest.raises(DomainError):
-        materialize_f(spec, 14)  # deeper than the grid
+        materialize_f(spec, 14, g)  # deeper than the grid
 
 
 def test_materialize_respects_cap():
     spec = plan_counterexample(PAT2, 1)
     with pytest.raises(CapExceededError):
-        materialize_f(spec, 13, cap=100)
+        materialize_f(spec, 13, PAT2.group(13, cap=100))
     # refused from the exact size alone, before any grid is built
     with pytest.raises(CapExceededError, match="<int of 40001 bits>"):
-        materialize_f(spec, 13, resolution=40000)
-
-
-def test_materialize_cap_env_override(monkeypatch):
-    monkeypatch.setenv("VILENKIN_MATERIALIZE_CAP", "12345")
-    assert default_materialize_cap() == 12345
-    monkeypatch.setenv("VILENKIN_MATERIALIZE_CAP", "junk")
-    with pytest.raises(DomainError):
-        default_materialize_cap()
+        materialize_f(spec, 13, PAT2.group(40000))
 
 
 def test_atom_shape_and_validation():
     spec = plan_counterexample(PAT2, 1)
-    atom, interval = atom_function(spec, 0)
+    atom, interval = atom_function(spec, 0, PAT2.group(13))
     assert interval.depth == 12
     assert interval.measure == Fraction(1, 4096)
     assert float(np.max(np.abs(atom.values))) == 2048.0 * 4096.0
@@ -191,33 +183,34 @@ def test_atom_shape_and_validation():
 
 def test_closed_form_matches_truncation_everywhere_admissible():
     spec = plan_counterexample(PAT2, 8)
-    g = spec.pattern.group(spec.resolution)
+    g = PAT2.group(13)
     s = oracle_spectrum(spec, g)
     B, q = 4096, 5461
     orders = list(range(0, B + 1, 129)) + [B] + list(range(B + 1, q, 87)) + [q - 1, 8192]
     assert len(orders) >= 50
     for j in orders:
         want = partial_sum(s, j).values
-        got = closed_form_partial_sum(spec, j).values
+        got = closed_form_partial_sum(spec, j, g).values
         assert sup_abs(got - want) <= 1e-9
 
 
 def test_closed_form_rejects_between_regimes():
     spec = plan_counterexample(PAT2, 8)
+    g = PAT2.group(13)
     with pytest.raises(DomainError, match="5461"):
-        closed_form_partial_sum(spec, 5461)
+        closed_form_partial_sum(spec, 5461, g)
     with pytest.raises(DomainError, match="5461"):
-        closed_form_partial_sum(spec, 6000)
+        closed_form_partial_sum(spec, 6000, g)
     with pytest.raises(DomainError):
-        closed_form_partial_sum(spec, 8192 + 1)  # beyond the grid
+        closed_form_partial_sum(spec, 8192 + 1, g)  # beyond the grid
     with pytest.raises(DomainError):
-        closed_form_partial_sum(spec, -1)
+        closed_form_partial_sum(spec, -1, g)
 
 
 def test_closed_form_full_history_on_mixed_uncertified_levels():
     # algebraic identities need no growth certificates: alpha = (2, 3) keeps
     # both blocks plus the sparse order q_3 = 85 inside a 128-point grid
-    spec = CounterexampleSpec(sequence_from_levels(PAT23, (2, 3)), 2, 7)
+    spec = CounterexampleSpec(sequence_from_levels(PAT23, (2, 3)), 2)
     g = spec.pattern.group(7)
     s = oracle_spectrum(spec, g)
     lo0, hi0 = spec.pattern.scale(4), spec.pattern.scale(5)
@@ -231,11 +224,11 @@ def test_closed_form_full_history_on_mixed_uncertified_levels():
     )
     for j in admissible:
         want = partial_sum(s, j).values
-        got = closed_form_partial_sum(spec, j).values
+        got = closed_form_partial_sum(spec, j, g).values
         assert sup_abs(got - want) <= 1e-9
     for j in (spec.pattern.q_number(2), hi0 - 1, q1, g.size):
         with pytest.raises(DomainError):
-            closed_form_partial_sum(spec, j)
+            closed_form_partial_sum(spec, j, g)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +238,7 @@ def test_closed_form_full_history_on_mixed_uncertified_levels():
 
 def test_sigma_decomposition_block_zero_pieces_vanish():
     spec = plan_counterexample(PAT2, 8)
-    dec = sigma_decomposition(spec, 0)
+    dec = sigma_decomposition(spec, 0, PAT2.group(13))
     assert dec.q_index == 5461
     assert dec.q_inner == 1365
     assert sup_abs(dec.low.values) == 0.0
@@ -254,15 +247,15 @@ def test_sigma_decomposition_block_zero_pieces_vanish():
 
 def test_sigma_decomposition_totals_to_direct_mean():
     spec = plan_counterexample(PAT2, 8)
-    dec = sigma_decomposition(spec, 0)
+    dec = sigma_decomposition(spec, 0, PAT2.group(13))
     g = dec.low.group
     direct = fejer_mean_direct(oracle_spectrum(spec, g), dec.q_index).values.values
     assert sup_abs(dec.total().values - direct) <= 1e-9
 
 
 def test_sigma_decomposition_with_nonzero_history():
-    spec = CounterexampleSpec(sequence_from_levels(PAT23, (2, 3)), 2, 7)
-    dec = sigma_decomposition(spec, 1)
+    spec = CounterexampleSpec(sequence_from_levels(PAT23, (2, 3)), 2)
+    dec = sigma_decomposition(spec, 1, PAT23.group(7))
     assert dec.q_index == spec.pattern.q_number(3)
     assert dec.q_inner == spec.pattern.q_number(2)
     assert sup_abs(dec.low.values) > 0
@@ -275,7 +268,7 @@ def test_sigma_decomposition_with_nonzero_history():
 def test_sigma_decomposition_needs_resolved_frequencies():
     spec = plan_counterexample(PAT2, 8)
     with pytest.raises(DomainError):
-        sigma_decomposition(spec, 1)  # q_{alpha_1} dwarfs any real grid
+        sigma_decomposition(spec, 1, PAT2.group(13))  # q_{alpha_1} dwarfs any real grid
 
 
 # ---------------------------------------------------------------------------

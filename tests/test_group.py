@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vilenkin
-from vilenkin.errors import DomainError
+from vilenkin.errors import CapExceededError, DomainError
 from vilenkin.group import (
+    GRID_CAP,
     Cylinder,
     GroupPattern,
     GroupSpec,
@@ -133,13 +134,27 @@ def test_pattern_scales_match_materialized_group(base, resolution):
     pat = GroupPattern(base)
     if resolution == 0:
         return
-    g = pat.group(resolution)
+    g = pat.group(resolution, cap=pat.scale(resolution))
     assert g.resolution == resolution
     for j in range(resolution + 1):
         assert pat.scale(j) == g.scales[j]
     for j in range(resolution):
         assert pat.digit(j) == g.digits[j]
     assert pat.bound == max(base)
+
+
+@pytest.mark.parametrize("resolution", range(1, 7))
+def test_group_builds_up_to_its_cap_and_no_further(resolution):
+    pat = GroupPattern((2, 3))
+    size = pat.scale(resolution)
+    assert pat.group(resolution, cap=size).size == size
+    with pytest.raises(CapExceededError, match=f"has {size} points, cap is {size - 1}$"):
+        pat.group(resolution, cap=size - 1)
+
+
+def test_group_refuses_a_huge_depth_from_its_exact_size():
+    with pytest.raises(CapExceededError, match=f"<int of 1000001 bits> points, cap is {GRID_CAP}"):
+        GroupPattern((2,)).group(10**6)
 
 
 def test_parse_group_text_variants():
