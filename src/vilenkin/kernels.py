@@ -18,6 +18,8 @@ conditional expectations.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ from .transform import (
     character_basis,
     coarsen,
     inverse_transform,
+    step_character,
     sup_abs,
 )
 
@@ -118,10 +121,22 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
 
     Work that cannot change a bit is skipped: a zero coefficient adds no
     rank-one term, and while the running partial sum is still identically
-    zero it is not added to the total.  Until the first rank-one term the
-    character row is a prefix row (see :class:`CharacterBasis`), tiled to
-    the full grid before it is first used.  The result is bit for bit the
-    full-grid sweep that does every multiply and add.
+    zero it is not added to the total and only the character row moves.
+    Until the first rank-one term the row is a prefix row (see
+    :class:`CharacterBasis`), tiled up whenever a carry first reaches a
+    new axis and to the full grid before the first rank-one term; a
+    nonzero partial sum at ``start`` gets the full row at once.
+
+    The steps are cut into segments at those tile-ups, so the row length
+    is fixed inside a segment.  Each step changes a point's row, partial
+    sum and total from that point's own values alone, so a segment whose
+    row has at least ``2 * _RANGE_POINTS`` points is stepped as up to
+    ``_THREADS`` contiguous point ranges, each on its own thread with its
+    own copy of the counter; numpy releases the interpreter lock inside
+    each vector operation.  Every point gets the same multiplies and adds
+    in the same order whatever the split, so the result is bit for bit
+    the same for any thread count, and bit for bit the full-grid sweep
+    that does every multiply and add.
     """
     g = s.group
     if not 0 <= start <= stop <= g.size:
@@ -130,26 +145,102 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     if start == stop:
         return total
     cur = partial_sum(s, start).values if start else np.zeros(g.size, dtype=np.complex128)
-    nonzero = bool(cur.any())
+    if cur.any():
+        first = start
+    else:
+        # adding a zero partial sum to the zero total changes no bit
+        hits = np.flatnonzero(s.coeffs[start : stop - 1])
+        if not hits.size:
+            return total
+        first = start + int(hits[0])
     basis = character_basis(g)
-    counter = list(digit_decompose(start, g))
-    top = max((k for k, d in enumerate(counter) if d), default=0)
-    psi = basis.row(start)[: g.scales[top + 1]].copy()
+    # a carry reaches axis a only on a step to a multiple of M_a below stop
+    steps = [basis.unit_step(a) for a in range(g.resolution) if g.scales[a] < stop]
     tmp = np.empty(g.size, dtype=np.complex128)
-    for j in range(start, stop):
-        if nonzero:
-            total += cur
-        if j + 1 == stop:
-            break
-        c = s.coeffs[j]
-        if c:
-            if psi.size < g.size:
-                psi = np.tile(psi, g.size // psi.size)
-            np.multiply(psi, c, out=tmp)
-            cur += tmp
-            nonzero = True
-        psi = basis.advance(psi, counter)
+    counter = list(digit_decompose(start, g))
+    width = max((k for k, d in enumerate(counter) if d), default=0) + 1
+    psi = basis.row(start)[: g.scales[width]].copy()
+    n = start
+    while n < first:  # the zero run: only the prefix row moves
+        if n + 1 == psi.size:  # this step carries into axis ``width``
+            psi = np.tile(psi, g.digits[width])
+            width += 1
+        end = min(first, psi.size - 1)
+        _sweep_segment(psi, None, total, tmp, steps, counter, g.digits, s.coeffs[n:end])
+        n = end
+    if psi.size < g.size:
+        psi = np.tile(psi, g.size // psi.size)
+    _sweep_segment(psi, cur, total, tmp, steps, counter, g.digits, s.coeffs[first : stop - 1])
+    total += cur
     return total
+
+
+# A sweep segment is split into contiguous point ranges of at least
+# _RANGE_POINTS points, on at most _THREADS threads; shorter ranges cost
+# more in per-step interpreter work than the threads save.
+_RANGE_POINTS = 8192
+_THREADS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
+def _sweep_segment(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
+    """Step the row ``psi`` through one coefficient per step, split into
+    point ranges on threads when the row is long enough.
+
+    ``cur`` None means the partial sum is identically zero.  ``counter``
+    ends advanced past the segment.  A range's exception is raised again
+    here, after every thread has finished.
+    """
+    parts = max(1, min(_THREADS, psi.size // _RANGE_POINTS))
+    bounds = [psi.size * i // parts for i in range(parts + 1)]
+    counters = [list(counter) for _ in range(parts)]
+    ranges = [
+        (
+            psi[lo:hi],
+            None if cur is None else cur[lo:hi],
+            total[lo:hi],
+            tmp[lo:hi],
+            [step[lo:hi] for step in steps],
+            counters[i],
+            digits,
+            coeffs,
+        )
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    if parts == 1:
+        _sweep_range(*ranges[0])
+    else:
+        errors: list[Exception] = []
+
+        def run(args):
+            try:
+                _sweep_range(*args)
+            except Exception as exc:  # raised again in the caller below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(args,)) for args in ranges]
+        started = []
+        try:
+            for thread in threads:
+                thread.start()
+                started.append(thread)
+        finally:
+            for thread in started:
+                thread.join()
+        if errors:
+            raise errors[0]
+    counter[:] = counters[0]
+
+
+def _sweep_range(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
+    """The sweep's loop body on one point range, one step per coefficient;
+    it calls only numpy, so it may run on any thread."""
+    for c in coeffs:
+        if cur is not None:
+            total += cur
+            if c:
+                np.multiply(psi, c, out=tmp)
+                cur += tmp
+        step_character(psi, counter, digits, steps)
 
 
 def fejer_mean_direct(s: Spectrum, n: int) -> SummabilityResult:

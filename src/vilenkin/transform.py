@@ -33,6 +33,7 @@ __all__ = [
     "CharacterBasis",
     "character_eval",
     "character_basis",
+    "step_character",
     "forward_transform",
     "inverse_transform",
     "naive_transform_oracle",
@@ -191,6 +192,13 @@ class CharacterBasis:
     digit.  The row depends on no digit above ``J``, so ``np.tile`` of the
     prefix is the full row, bit for bit; :meth:`advance` steps a prefix
     row at that cost and tiles it up when a carry first reaches a new axis.
+
+    The carry walk itself is :func:`step_character`, which touches each
+    point on its own: ``psi[lo:hi]`` stepped with ``unit_step(a)[lo:hi]``
+    is bit for bit that slice of the stepped row.  The partial-sum sweep
+    relies on this to step contiguous point ranges on separate threads;
+    it fetches every step vector it needs first, because :meth:`unit_step`
+    fills its cache lazily.
     """
 
     def __init__(self, group: GroupSpec):
@@ -239,19 +247,33 @@ class CharacterBasis:
         that product is only close to 1, which is why a prefix row keeps
         every axis it has carried into.
         """
-        scales = self.group.scales
-        j = 0
-        while True:
-            if psi.size < scales[j + 1]:
-                psi = np.tile(psi, scales[j + 1] // psi.size)
-            psi *= self.unit_step(j)[: psi.size]
-            counter[j] += 1
-            if counter[j] < self.group.digits[j]:
-                return psi
-            counter[j] = 0
-            j += 1
-            if j == self.group.resolution:
-                return psi  # counter wrapped all the way around
+        digits, scales = self.group.digits, self.group.scales
+        # the carry stops at the first digit that does not wrap
+        top = next((j for j, d in enumerate(counter) if d + 1 < digits[j]), len(digits) - 1)
+        if psi.size < scales[top + 1]:
+            psi = np.tile(psi, scales[top + 1] // psi.size)
+        step_character(psi, counter, digits, [self.unit_step(j)[: psi.size] for j in range(top + 1)])
+        return psi
+
+
+def step_character(psi: np.ndarray, counter: list[int], digits, steps) -> None:
+    """Multiply ``psi_n`` into ``psi_{n+1}`` in place along the carry chain.
+
+    ``counter`` holds n's digits and is advanced too; ``steps[j]`` is the
+    axis-``j`` unit step on the same points as ``psi`` and must exist for
+    every axis the carry reaches.  Only numpy runs here, on ``psi`` and
+    ``steps`` alone, so disjoint point ranges may be stepped at once.
+    """
+    j = 0
+    while True:
+        psi *= steps[j]
+        counter[j] += 1
+        if counter[j] < digits[j]:
+            return
+        counter[j] = 0
+        j += 1
+        if j == len(digits):
+            return  # counter wrapped all the way around
 
 
 @lru_cache(maxsize=8)
@@ -273,6 +295,9 @@ def coarsen(f: CylinderFunction, level: int) -> CylinderFunction:
 
 
 def random_cylinder_function(group: GroupSpec, seed: int = 0, complex_parts: bool = True) -> CylinderFunction:
+    """Standard normal values (real and imaginary parts) from ``seed >= 0``."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     re = rng.standard_normal(group.size)
     im = rng.standard_normal(group.size) if complex_parts else 0.0

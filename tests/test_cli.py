@@ -51,6 +51,13 @@ def test_transform_random_with_oracle_check(capsys):
     assert "max relative error" in out and "ok" in out
 
 
+def test_transform_negative_seed_exits_2(capsys):
+    assert run_cli("transform", "--group", "2,3", "--random", "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seed must be >= 0, got -1")
+
+
 def test_transform_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "malformed.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -96,6 +96,22 @@ def test_golden_output(name, tmp_path, capsys):
         assert_golden(name, "file", out.read_bytes())
 
 
+def test_sweep_output_does_not_depend_on_the_cpu_count():
+    # a child pinned to one CPU steps the partial-sum sweep on no thread
+    name = "counterexample_232_k2"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vilenkin.cli", *CASES[name][0]],
+        capture_output=True,
+        env=env,
+        timeout=300,
+        preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert_golden(name, "stdout", proc.stdout)
+
+
 def test_cli_needs_no_raised_digit_limit():
     # a fresh interpreter at the smallest digit limit Python allows: an
     # in-process test could pass on a limit some earlier test had raised

@@ -1,10 +1,13 @@
 """Unit tests: Dirichlet/Fejer kernels, Cesaro means, Hardy-space pieces."""
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vilenkin import kernels
 from vilenkin.errors import DomainError
 from vilenkin.group import Cylinder, build_group_spec, digit_decompose
 from vilenkin.kernels import (
@@ -192,6 +195,89 @@ def test_summed_partial_sums_is_the_full_grid_sweep_bit_for_bit(from_zero, s, da
     slow = full_grid_sweep(s, start, stop)
     assert np.array_equal(fast, slow)
     assert fast.tobytes() == slow.tobytes()  # signed zeros too
+
+
+@given(sweep_spectra(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sweep_split_into_tiny_thread_ranges_is_the_full_grid_sweep(s, data):
+    # ranges of 1 or 2 points on 3 threads: every row of 2 or 4 points or
+    # more is split, into ranges of one point too; a short switch interval
+    # makes the threads interleave between steps
+    start = data.draw(st.integers(0, s.group.size))
+    stop = data.draw(st.integers(start, s.group.size))
+    range_points = data.draw(st.sampled_from([1, 2]))
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_RANGE_POINTS", range_points)
+            mp.setattr(kernels, "_THREADS", 3)
+            fast = summed_partial_sums(s, start, stop)
+    finally:
+        sys.setswitchinterval(interval)
+    assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+
+
+def test_sweep_raises_a_range_error_in_the_caller_after_every_thread_ends(monkeypatch):
+    def fail(*args):
+        raise ValueError("range failed")
+
+    g = build_group_spec([2, 3, 2])
+    s = forward_transform(random_cylinder_function(g, seed=4))
+    monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)
+    monkeypatch.setattr(kernels, "_THREADS", 3)
+    monkeypatch.setattr(kernels, "step_character", fail)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="range failed"):
+        summed_partial_sums(s, 0, g.size)
+    assert threading.active_count() == before
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+class _NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("the sweep started a thread")
+
+
+@pytest.fixture(scope="module")
+def split_sweep_case():
+    """``const:2`` at depth 15 (32,768 points), zero coefficients below
+    16,384 and random ones up to 16,448: the zero run steps a 16,384-point
+    prefix row and the rest the full row, so with 2 CPUs or more both
+    phases split at the default range size."""
+    g = build_group_spec([2] * 15)
+    rng = np.random.default_rng(5)
+    coeffs = np.zeros(g.size, dtype=np.complex128)
+    coeffs[16384:16448] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    return Spectrum(g, coeffs), 0, 16449
+
+
+def test_sweep_above_the_split_threshold_is_the_full_grid_sweep(split_sweep_case, monkeypatch):
+    s, start, stop = split_sweep_case
+    _CountedThread.started = 0
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    fast = summed_partial_sums(s, start, stop)
+    monkeypatch.undo()
+    if kernels._THREADS > 1:
+        assert _CountedThread.started > 0
+    assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+
+
+def test_sweep_on_one_thread_starts_none_and_gives_the_same_bytes(split_sweep_case, monkeypatch):
+    s, start, stop = split_sweep_case
+    split = summed_partial_sums(s, start, stop)
+    monkeypatch.setattr(kernels, "_THREADS", 1)
+    monkeypatch.setattr(threading, "Thread", _NoThread)
+    single = summed_partial_sums(s, start, stop)
+    monkeypatch.undo()
+    assert single.tobytes() == split.tobytes()
 
 
 @given(sweep_groups(), st.data())

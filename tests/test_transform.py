@@ -123,6 +123,13 @@ def test_naive_oracle_refuses_large_groups():
         naive_transform_oracle(f, cap=32)
 
 
+def test_random_function_refuses_a_negative_seed():
+    g = build_group_spec([2, 3])
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        random_cylinder_function(g, seed=-1)
+    assert random_cylinder_function(g, seed=0).values.shape == (6,)
+
+
 def test_spectrum_and_function_validate_shapes():
     g = build_group_spec([2, 3])
     with pytest.raises(DomainError):
