@@ -256,8 +256,8 @@ def _selftest_checks():
     def fejer_dual_routes():
         g = serialize.decode_group("const:2^6")
         s = forward_transform(random_cylinder_function(g, seed=3))
-        a = fejer_mean_direct(s, 21).values.values
-        b = fejer_mean_multiplier(s, 21).values.values
+        a = fejer_mean_direct(s, 21).values
+        b = fejer_mean_multiplier(s, 21).values
         assert np.max(np.abs(a - b)) < 1e-10
         k = fejer_kernel(21, g)
         assert abs(k.values[0].real - 10.0) < 1e-10

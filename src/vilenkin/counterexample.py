@@ -912,7 +912,7 @@ def _materialized_checks(
     """Grid-side audit of one block on its depth-``2 alpha + 1`` grid: direct
     integral, per-region floors, and domination of the exact region sum."""
     alpha = ledger.alpha
-    sigma = fejer_mean_direct(oracle_spectrum(spec, group), ledger.q_index).values.values
+    sigma = fejer_mean_direct(oracle_spectrum(spec, group), ledger.q_index).values
     direct = float(np.mean(np.sqrt(np.abs(sigma))))
     pointwise_ok = True
     bound = spec.pattern.bound

@@ -38,7 +38,6 @@ from .transform import (
 )
 
 __all__ = [
-    "SummabilityResult",
     "AtomReport",
     "zero_cylinder_indicator",
     "dirichlet_kernel",
@@ -52,15 +51,6 @@ __all__ = [
     "hardy_quasinorm_estimate",
     "validate_p_atom",
 ]
-
-
-@dataclass
-class SummabilityResult:
-    """A Cesaro mean together with how it was obtained."""
-
-    order: int
-    values: CylinderFunction
-    method: str  # "direct" or "multiplier"
 
 
 def zero_cylinder_indicator(group: GroupSpec, level: int) -> CylinderFunction:
@@ -122,10 +112,16 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     Work that cannot change a bit is skipped: a zero coefficient adds no
     rank-one term, and while the running partial sum is still identically
     zero it is not added to the total and only the character row moves.
-    Until the first rank-one term the row is a prefix row (see
-    :class:`CharacterBasis`), tiled up whenever a carry first reaches a
-    new axis and to the full grid before the first rank-one term; a
-    nonzero partial sum at ``start`` gets the full row at once.
+    Until the first rank-one term the row is a *prefix row*: its first
+    ``M_{J+1}`` points, where ``J`` is the highest axis on which the
+    counter has ever had a nonzero digit.  The row depends on no digit
+    above ``J``, so ``np.tile`` of the prefix is the full row, bit for bit.
+    A digit that wraps from ``m - 1`` to ``0`` has multiplied the row by
+    its unit step ``m`` times, a product only close to 1 in floating
+    point, so ``J`` never falls.  The prefix row is tiled up whenever a
+    carry first reaches a new axis, and to the full grid before the first
+    rank-one term; a nonzero partial sum at ``start`` gets the full row at
+    once.
 
     The steps are cut into segments at those tile-ups, so the row length
     is fixed inside a segment.  Each step changes a point's row, partial
@@ -243,24 +239,22 @@ def _sweep_range(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
         step_character(psi, counter, digits, steps)
 
 
-def fejer_mean_direct(s: Spectrum, n: int) -> SummabilityResult:
+def fejer_mean_direct(s: Spectrum, n: int) -> CylinderFunction:
     """The n-th Cesaro mean as an honest average of ``n`` partial sums."""
     n = int(n)
     if not 1 <= n <= s.group.size:
         raise DomainError(f"Cesaro order {n} outside [1, {s.group.size}]")
-    vals = summed_partial_sums(s, 0, n) / n
-    return SummabilityResult(n, CylinderFunction(s.group, vals), "direct")
+    return CylinderFunction(s.group, summed_partial_sums(s, 0, n) / n)
 
 
-def fejer_mean_multiplier(s: Spectrum, n: int) -> SummabilityResult:
+def fejer_mean_multiplier(s: Spectrum, n: int) -> CylinderFunction:
     """The same mean as one inverse transform of ``c_v * (n - 1 - v)/n``."""
     n = int(n)
     if not 1 <= n <= s.group.size:
         raise DomainError(f"Cesaro order {n} outside [1, {s.group.size}]")
     v = np.arange(s.group.size)
     weights = np.maximum(n - 1 - v, 0) / n
-    out = inverse_transform(Spectrum(s.group, s.coeffs * weights))
-    return SummabilityResult(n, out, "multiplier")
+    return inverse_transform(Spectrum(s.group, s.coeffs * weights))
 
 
 def lp_quasinorm(f: CylinderFunction, p) -> float:

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, DomainError
-from .group import GroupSpec, digit_decompose
+from .group import GRID_CAP, GroupSpec, digit_decompose
 
 __all__ = [
     "CylinderFunction",
@@ -118,7 +118,11 @@ def character_eval(n: int, x: tuple[int, ...], group: GroupSpec) -> complex:
 
 @lru_cache(maxsize=64)
 def _root_matrix(m: int, conjugate: bool) -> np.ndarray:
-    """The ``m x m`` table ``exp(+-2*pi*i * (a*b mod m) / m)``."""
+    """The ``m x m`` table ``exp(+-2*pi*i * (a*b mod m) / m)``;
+    :class:`CapExceededError` before it is built if it has more than
+    ``GRID_CAP`` entries."""
+    if m * m > GRID_CAP:
+        raise CapExceededError(f"a base-{m} root table has {m * m} entries, cap is {GRID_CAP}")
     ab = (np.outer(np.arange(m), np.arange(m)) % m).astype(np.float64)
     sign = -1.0 if conjugate else 1.0
     return np.exp(sign * 2j * np.pi * ab / m)
@@ -178,82 +182,40 @@ def naive_transform_oracle(f: CylinderFunction, cap: int = NAIVE_ORACLE_CAP) -> 
 
 
 class CharacterBasis:
-    """Cached digit tables for sweeping characters across a whole grid.
+    """Characters on every point of a grid, built from each base's roots
+    of unity.
 
-    ``row(n)`` materializes ``psi_n`` on all points; :meth:`advance`
-    multiplies an existing row into ``psi_{n+1}`` by walking the carry
-    chain of the frequency counter, touching one coordinate-step vector
-    per carried digit.  This is what makes summing thousands of
-    consecutive partial sums affordable: a step costs one multiply of the
-    row plus one per carry, fewer than two multiplies amortized.
-
-    A row may also be a *prefix row*: its first ``M_{J+1}`` points, where
-    ``J`` is the highest axis on which its counter has ever had a nonzero
-    digit.  The row depends on no digit above ``J``, so ``np.tile`` of the
-    prefix is the full row, bit for bit; :meth:`advance` steps a prefix
-    row at that cost and tiles it up when a carry first reaches a new axis.
-
-    The carry walk itself is :func:`step_character`, which touches each
-    point on its own: ``psi[lo:hi]`` stepped with ``unit_step(a)[lo:hi]``
-    is bit for bit that slice of the stepped row.  The partial-sum sweep
-    relies on this to step contiguous point ranges on separate threads;
-    it fetches every step vector it needs first, because :meth:`unit_step`
-    fills its cache lazily.
+    ``row(n)`` is ``psi_n`` on all points.  ``unit_step(a)`` is
+    ``exp(2*pi*i * x_a / m_a)`` on all points: the factor by which a row
+    changes when digit ``a`` of its frequency goes up by one.
     """
 
     def __init__(self, group: GroupSpec):
-        if group.bound >= 2**15:
-            raise DomainError("digit bases this large are not supported")
         self.group = group
-        idx = np.arange(group.size, dtype=np.int64)
-        self.digit_grid = [
-            ((idx // group.scales[k]) % m).astype(np.int16)
-            for k, m in enumerate(group.digits)
-        ]
         self._steps: dict[int, np.ndarray] = {}
 
     def unit_step(self, axis: int) -> np.ndarray:
-        """``exp(2*pi*i * x_axis / m_axis)`` on every point; lazily cached."""
+        """``exp(2*pi*i * x_axis / m_axis)`` on every point; lazily cached,
+        so a caller that reads the cache from threads fetches it first."""
         step = self._steps.get(axis)
         if step is None:
-            m = self.group.digits[axis]
-            step = np.exp(2j * np.pi * self.digit_grid[axis] / m)
+            g = self.group
+            m, low = g.digits[axis], g.scales[axis]
+            roots = np.exp(2j * np.pi * np.arange(m) / m)
+            step = np.tile(np.repeat(roots, low), g.size // (m * low))
             self._steps[axis] = step
         return step
 
     def row(self, n: int) -> np.ndarray:
         """``psi_n`` on all points, via a single phase accumulation."""
-        nd = digit_decompose(n, self.group)
-        phase = np.zeros(self.group.size, dtype=np.float64)
-        for k, nk in enumerate(nd):
+        g = self.group
+        phase = np.zeros(g.size, dtype=np.float64)
+        for k, nk in enumerate(digit_decompose(n, g)):
             if nk:
-                phase += (nk / self.group.digits[k]) * self.digit_grid[k]
+                m = g.digits[k]
+                by_digit = phase.reshape(-1, m, g.scales[k])
+                by_digit += ((nk / m) * np.arange(m))[:, None]
         return np.exp(2j * np.pi * phase)
-
-    def advance(self, psi: np.ndarray, counter: list[int]) -> np.ndarray:
-        """Turn ``psi_n`` into ``psi_{n+1}`` and return it; ``counter`` holds n's digits.
-
-        A full row, or a prefix row long enough for the carry, changes in
-        place and is returned.  When a carry reaches an axis ``j`` beyond a
-        prefix row, the row is first tiled to ``M_{j+1}`` points and that
-        new array is returned, so callers write
-        ``psi = basis.advance(psi, counter)``.  Each point gets the same
-        multiplies in the same order as on the full grid, so a prefix row
-        stays exactly the full row's prefix.
-
-        A digit that wraps from ``m - 1`` to ``0`` still contributes one
-        multiply by the unit step, because the digit change is ``1 - m``
-        and the step vector has order ``m`` pointwise.  In floating point
-        that product is only close to 1, which is why a prefix row keeps
-        every axis it has carried into.
-        """
-        digits, scales = self.group.digits, self.group.scales
-        # the carry stops at the first digit that does not wrap
-        top = next((j for j, d in enumerate(counter) if d + 1 < digits[j]), len(digits) - 1)
-        if psi.size < scales[top + 1]:
-            psi = np.tile(psi, scales[top + 1] // psi.size)
-        step_character(psi, counter, digits, [self.unit_step(j)[: psi.size] for j in range(top + 1)])
-        return psi
 
 
 def step_character(psi: np.ndarray, counter: list[int], digits, steps) -> None:

@@ -159,7 +159,7 @@ def test_criterion_6_decomposition_identities(report):
     g = PAT2.group(13)
     dec = sigma_decomposition(spec, 0, g)
     s = oracle_spectrum(spec, g)
-    direct = fejer_mean_direct(s, dec.q_index).values.values
+    direct = fejer_mean_direct(s, dec.q_index).values
     err_sigma = sup_abs(dec.total().values - direct)
 
     orders = list(range(0, 4097, 129)) + list(range(4097, 5461, 87)) + [4096, 5460, 8192]
@@ -182,7 +182,7 @@ def test_criterion_7_pointwise_lower_bound(report):
     spec = plan_counterexample(PAT2, 8)
     led = bound_chain_evaluate(spec, 0)
     g = PAT2.group(13)
-    sigma = fejer_mean_direct(oracle_spectrum(spec, g), led.q_index).values.values
+    sigma = fejer_mean_direct(oracle_spectrum(spec, g), led.q_index).values
     floor = g.scales[6] * g.scales[10] / (8 * 2**2 * 6)
     pointwise_ok = bool(np.min(np.abs(_region(sigma, g, 3, 5))) >= floor * (1 - 1e-9))
     direct = float(np.mean(np.sqrt(np.abs(sigma))))

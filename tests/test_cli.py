@@ -168,6 +168,17 @@ def test_grid_over_the_default_cap_exits_3(argv, capsys):
     assert "cap is 16777216" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("kernel", "--kind", "dirichlet", "--n", "1", "--group", "5000"),
+    ("transform", "--group", "5000", "--random"),
+])
+def test_base_with_a_root_table_over_the_cap_exits_3(argv, capsys):
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cap exceeded: a base-5000 root table has 25000000 entries, cap is 16777216\n"
+
+
 def test_environment_sets_no_cap(monkeypatch, capsys):
     argv = ("counterexample", "--group", "const:2", "--kmax", "1")
     assert run_cli(*argv) == 0

@@ -1,4 +1,6 @@
 """Unit tests: characters, fast transform, naive oracle, coarsening."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from vilenkin.group import build_group_spec, digit_decompose
 from vilenkin.transform import (
     CylinderFunction,
     Spectrum,
+    _root_matrix,
     character_basis,
     character_eval,
     coarsen,
@@ -121,6 +124,17 @@ def test_naive_oracle_refuses_large_groups():
     f = random_cylinder_function(g, seed=1)
     with pytest.raises(CapExceededError):
         naive_transform_oracle(f, cap=32)
+
+
+def test_root_table_over_the_cap_is_refused_before_it_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="base-4097 root table has 16785409 entries, cap is 16777216$"):
+            _root_matrix(4097, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_random_function_refuses_a_negative_seed():
