@@ -63,14 +63,18 @@ RESOLUTION_HELP = "digit count when the group text has none; must match the text
 
 def _emit_output(parts: list[str], out: str | None) -> None:
     """Write ``parts`` in order, without joining them, to the file ``out``
-    or to stdout; stdout output always ends in a newline."""
+    or to stdout; stdout output always ends in a newline.  A file that
+    cannot be written is a usage error (exit 2)."""
     if out is None:
         sys.stdout.writelines(parts)
         if not (parts and parts[-1].endswith("\n")):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(parts)
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc}") from exc
 
 
 def _write_function(obj, out: str | None, fmt: str) -> None:
@@ -206,8 +210,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     else:
         _emit_output([serialize.summary_csv(report)], args.out)
     if plot_target and plot_target != "-":
-        with open(plot_target, "w", encoding="utf-8") as fh:
-            fh.write(serialize.plot_csv(report))
+        _emit_output([serialize.plot_csv(report)], plot_target)
     if not report.passed:
         print(f"verification failed: {report.first_failure()}", file=sys.stderr)
         return 4

@@ -153,7 +153,6 @@ class LevelCertificate:
 
     k: int
     alpha: int
-    vacuous: bool
     doubling_ok: bool
     history_growth_lhs: Fraction
     history_growth_rhs: Fraction
@@ -189,43 +188,29 @@ class AlphaSequence:
             )
 
 
-def _conditions(pattern: GroupPattern, alphas: list[int], k: int, t: int):
-    """Exact condition values for candidate level ``t`` at position ``k``."""
-    bound = pattern.bound
-    history = sum(
-        (Fraction(pattern.scale(2 * a) ** 2, a) for a in alphas[:k]), Fraction(0)
-    )
+def _certificate(
+    pattern: GroupPattern, k: int, t: int, prev: int, history: Fraction
+) -> LevelCertificate:
+    """The exact certificate of level ``t`` at position ``k``.
+
+    ``prev`` is ``alpha_{k-1}`` (unused at ``k = 0``) and ``history`` is
+    ``sum_{eta<k} M_{2 alpha_eta}^2 / alpha_eta``, which the caller keeps
+    running: it is the sum of the earlier levels' ``history_growth_rhs``.
+    """
     growth_rhs = Fraction(pattern.scale(2 * t) ** 2, t)
-    gap_lhs = (
-        32 * bound * Fraction(pattern.scale(2 * alphas[k - 1]) ** 2, alphas[k - 1])
-        if k
-        else Fraction(0)
-    )
+    gap_lhs = Fraction(32 * pattern.bound * pattern.scale(2 * prev) ** 2, prev) if k else Fraction(0)
     gap_rhs = Fraction(pattern.scale(t), t)
-    return history, growth_rhs, gap_lhs, gap_rhs
-
-
-def _certify(pattern: GroupPattern, alphas) -> tuple[LevelCertificate, ...]:
-    alphas = list(alphas)
-    certs = []
-    for k, alpha in enumerate(alphas):
-        history, growth_rhs, gap_lhs, gap_rhs = _conditions(pattern, alphas, k, alpha)
-        doubling = alpha >= 2 * alphas[k - 1] if k else alpha >= MIN_ALPHA0
-        certs.append(
-            LevelCertificate(
-                k=k,
-                alpha=alpha,
-                vacuous=(k == 0),
-                doubling_ok=doubling,
-                history_growth_lhs=history,
-                history_growth_rhs=growth_rhs,
-                history_growth_ok=(k == 0) or history < growth_rhs,
-                history_gap_lhs=gap_lhs,
-                history_gap_rhs=gap_rhs,
-                history_gap_ok=(k == 0) or gap_lhs < gap_rhs,
-            )
-        )
-    return tuple(certs)
+    return LevelCertificate(
+        k=k,
+        alpha=t,
+        doubling_ok=t >= 2 * prev if k else t >= MIN_ALPHA0,
+        history_growth_lhs=history,
+        history_growth_rhs=growth_rhs,
+        history_growth_ok=k == 0 or history < growth_rhs,
+        history_gap_lhs=gap_lhs,
+        history_gap_rhs=gap_rhs,
+        history_gap_ok=k == 0 or gap_lhs < gap_rhs,
+    )
 
 
 def sequence_from_levels(pattern: GroupPattern, alphas) -> AlphaSequence:
@@ -242,7 +227,12 @@ def sequence_from_levels(pattern: GroupPattern, alphas) -> AlphaSequence:
         raise DomainError("levels must be positive")
     if any(b >= a for a, b in zip(alphas[1:], alphas)):
         raise DomainError("levels must be strictly increasing")
-    return AlphaSequence(pattern, alphas, _certify(pattern, alphas), "explicit")
+    certs = []
+    history = Fraction(0)
+    for k, alpha in enumerate(alphas):
+        certs.append(_certificate(pattern, k, alpha, alphas[k - 1] if k else 0, history))
+        history += certs[-1].history_growth_rhs
+    return AlphaSequence(pattern, alphas, tuple(certs), "explicit")
 
 
 def build_alpha_sequence(
@@ -251,12 +241,19 @@ def build_alpha_sequence(
     """Greedy-minimal certified levels: ``alpha_k`` is the smallest integer
     above ``alpha_{k-1}`` passing both history conditions.
 
-    Both conditions compare a fixed left side against ``M_{2t}^2 / t``
-    resp. ``M_t / t``, and those right sides are strictly increasing in
-    ``t`` (every base is at least 2), so the feasible set is upward closed
-    and binary search finds the greedy minimum.  In the bounded case the
-    greedy choice always lands at ``alpha_k >= 2 alpha_{k-1}``; that is
-    re-checked, not assumed, and certified in the result.
+    Both conditions compare a left side fixed for the level against
+    ``M_{2t}^2 / t`` resp. ``M_t / t``; with every base at least 2, a step to
+    ``t + 1`` multiplies these by at least ``16 t / (t + 1)`` resp.
+    ``2 t / (t + 1)``, so neither decreases and the feasible set is upward
+    closed.  The search predicts ``t = max(alpha_{k-1} + 1, 4 alpha_{k-1} + c)``
+    with ``c`` the previous level's offset ``alpha_{k-1} - 4 alpha_{k-2}``
+    (0 at ``k = 1``), steps up until ``t`` is feasible, then down while
+    ``t - 1 > alpha_{k-1}`` is feasible.  It ends at a feasible ``t`` whose
+    predecessor is ``alpha_{k-1}`` or infeasible, so by upward closure ``t``
+    is the greedy minimum.  Each level keeps the certificate its accepting
+    probe built.  In the bounded case the greedy choice always lands at
+    ``alpha_k >= 2 alpha_{k-1}``; that is re-checked, not assumed, and
+    certified in the result.
     """
     if count < 1:
         raise DomainError(f"need at least one level, got {count}")
@@ -264,25 +261,24 @@ def build_alpha_sequence(
         raise DomainError(
             f"alpha0 must be >= {MIN_ALPHA0} so the region family is nonempty, got {alpha0}"
         )
-    alphas = [int(alpha0)]
+
+    def feasible(cert: LevelCertificate) -> bool:
+        return cert.history_growth_ok and cert.history_gap_ok
+
+    certs = [_certificate(pattern, 0, int(alpha0), 0, Fraction(0))]
+    history = Fraction(0)
+    c = 0
     for k in range(1, count):
-
-        def feasible(t: int) -> bool:
-            history, growth_rhs, gap_lhs, gap_rhs = _conditions(pattern, alphas, k, t)
-            return history < growth_rhs and gap_lhs < gap_rhs
-
-        lo = alphas[-1] + 1
-        hi = lo
-        while not feasible(hi):
-            hi *= 2
-        while lo < hi:  # smallest feasible t in (alpha_{k-1}, hi]
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        alphas.append(hi)
-    seq = AlphaSequence(pattern, tuple(alphas), _certify(pattern, alphas), "greedy-minimal")
+        prev = certs[-1].alpha
+        history += certs[-1].history_growth_rhs
+        t = max(prev + 1, 4 * prev + c)
+        while not feasible(cert := _certificate(pattern, k, t, prev, history)):
+            t += 1
+        while t - 1 > prev and feasible(below := _certificate(pattern, k, t - 1, prev, history)):
+            t, cert = t - 1, below
+        certs.append(cert)
+        c = t - 4 * prev
+    seq = AlphaSequence(pattern, tuple(cert.alpha for cert in certs), tuple(certs), "greedy-minimal")
     if not seq.certified:
         raise VerificationError("greedy construction produced an uncertified sequence")
     return seq

@@ -235,6 +235,26 @@ def test_counterexample_plot_data(tmp_path, capsys):
     assert out.startswith("k,sqrt_alpha_k,lb_squared")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--group", "const:2", "--kmax", "2", "--out"],
+        ["counterexample", "--group", "const:2", "--kmax", "2", "--json", "--out"],
+        ["counterexample", "--group", "const:2", "--kmax", "2", "--emit-plot-data"],
+        ["kernel", "--kind", "fejer", "--n", "5", "--group", "const:2^4", "--out"],
+        ["transform", "--group", "2,3", "--random", "--out"],
+        ["lemma2", "--group", "const:2", "--A", "4", "--out"],
+    ],
+)
+def test_unwritable_output_path_exits_2_with_one_line(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    assert run_cli(*argv, str(target)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_counterexample_json_report(capsys):
     assert run_cli("counterexample", "--group", "const:2", "--kmax", "2", "--json") == 0
     doc = json.loads(capsys.readouterr().out)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vilenkin import counterexample
 from vilenkin.counterexample import (
     CounterexampleSpec,
     MIN_ALPHA0,
@@ -101,6 +102,106 @@ def test_certificate_values_at_k1():
     assert cert.history_growth_rhs == Fraction(2**132, 33)
     assert cert.history_gap_lhs == Fraction(64 * 2**24, 6)
     assert cert.history_gap_rhs == Fraction(2**33, 33)
+
+
+def reference_conditions(pattern, alphas, k, t):
+    """The condition values as the bisection planner computed them: the
+    whole history re-summed on every probe."""
+    history = sum((Fraction(pattern.scale(2 * a) ** 2, a) for a in alphas[:k]), Fraction(0))
+    growth_rhs = Fraction(pattern.scale(2 * t) ** 2, t)
+    gap_lhs = (
+        32 * pattern.bound * Fraction(pattern.scale(2 * alphas[k - 1]) ** 2, alphas[k - 1])
+        if k
+        else Fraction(0)
+    )
+    gap_rhs = Fraction(pattern.scale(t), t)
+    return history, growth_rhs, gap_lhs, gap_rhs
+
+
+def reference_greedy_levels(pattern, count, alpha0):
+    """The bisection planner: double ``hi`` until feasible, then bisect
+    ``(alpha_{k-1}, hi]`` for the smallest feasible level."""
+    alphas = [alpha0]
+    for k in range(1, count):
+
+        def feasible(t):
+            history, growth_rhs, gap_lhs, gap_rhs = reference_conditions(pattern, alphas, k, t)
+            return history < growth_rhs and gap_lhs < gap_rhs
+
+        lo = hi = alphas[-1] + 1
+        while not feasible(hi):
+            hi *= 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        alphas.append(hi)
+    return alphas
+
+
+def reference_certificates(pattern, alphas):
+    """Every certificate field of each level, from ``reference_conditions``."""
+    fields = []
+    for k, alpha in enumerate(alphas):
+        history, growth_rhs, gap_lhs, gap_rhs = reference_conditions(pattern, alphas, k, alpha)
+        fields.append({
+            "k": k,
+            "alpha": alpha,
+            "doubling_ok": alpha >= 2 * alphas[k - 1] if k else alpha >= MIN_ALPHA0,
+            "history_growth_lhs": history,
+            "history_growth_rhs": growth_rhs,
+            "history_growth_ok": k == 0 or history < growth_rhs,
+            "history_gap_lhs": gap_lhs,
+            "history_gap_rhs": gap_rhs,
+            "history_gap_ok": k == 0 or gap_lhs < gap_rhs,
+        })
+    return fields
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+    alpha0=st.integers(6, 40),
+    count=st.integers(1, 5),
+)
+def test_predict_and_verify_equals_the_bisection(base, alpha0, count):
+    pattern = GroupPattern(tuple(base))
+    seq = build_alpha_sequence(pattern, count, alpha0)
+    assert list(seq.alphas) == reference_greedy_levels(pattern, count, alpha0)
+    assert [dataclasses.asdict(c) for c in seq.certificates] == reference_certificates(
+        pattern, seq.alphas
+    )
+    assert seq.certificates == sequence_from_levels(pattern, seq.alphas).certificates
+
+
+@pytest.mark.parametrize(
+    "base, count", [((2,), 10), ((3,), 8), ((2, 3), 8), ((2, 3, 5), 8)]
+)
+def test_planning_probes_each_level_at_most_three_times(base, count, monkeypatch):
+    probes = []
+    certificate = counterexample._certificate
+
+    def counted(pattern, k, t, prev, history):
+        probes.append(k)
+        return certificate(pattern, k, t, prev, history)
+
+    monkeypatch.setattr(counterexample, "_certificate", counted)
+    seq = build_alpha_sequence(GroupPattern(base), count)
+    assert seq.certified
+    assert set(probes) == set(range(count))
+    assert all(probes.count(k) <= 3 for k in range(2, count))
+
+
+def test_planned_levels_follow_the_affine_rule():
+    const2 = build_alpha_sequence(PAT2, 11).alphas
+    assert const2[:8] == KNOWN_ALPHAS_BASE2
+    assert const2[-1] == 9_437_181
+    assert all(b == 4 * a + 9 for a, b in zip(const2[1:], const2[2:]))
+    mixed = build_alpha_sequence(PAT23, 8).alphas
+    assert mixed[:3] == (6, 32, 135)
+    assert mixed[-1] == 140_627
 
 
 def test_uncertified_sequence_refused_by_inequality_chain():

@@ -10,7 +10,10 @@ at ``--kmax 8 --json`` and ``--kmax 6 --json --out`` were written before
 decimal text of big integers became subquadratic and the JSON was
 streamed to its destination; the ``counterexample`` case on ``2,3,2`` was
 written before the partial-sum sweep skipped zero coefficients and stepped
-the character row on a grid prefix.  ``<name>.stdout`` is
+the character row on a grid prefix; the eight-level ``counterexample``
+cases on ``2,3``, ``const:3`` and ``2,3,5`` were written while levels were
+still planned by doubling and bisection, with each level's certificate
+evaluated a second time.  ``<name>.stdout`` is
 standard output and ``<name>.file`` the ``--out`` file; an artifact over
 ~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
 """
@@ -50,6 +53,19 @@ CASES = {
     "counterexample_223_k2": (["counterexample", "--group", "2,2,3", "--kmax", "2"], False),
     # q = 25,231 after a zero run of 20,736 coefficients, on another digit order
     "counterexample_232_k2": (["counterexample", "--group", "2,3,2", "--kmax", "2"], False),
+    # eight planned levels on periodic patterns; the grid audits are capped off
+    "counterexample_23_k8_cap2": (
+        ["counterexample", "--group", "2,3", "--kmax", "8", "--materialize-cap", "2"],
+        False,
+    ),
+    "counterexample_const3_k8_cap2": (
+        ["counterexample", "--group", "const:3", "--kmax", "8", "--materialize-cap", "2"],
+        False,
+    ),
+    "counterexample_235_k8_cap2": (
+        ["counterexample", "--group", "2,3,5", "--kmax", "8", "--materialize-cap", "2"],
+        False,
+    ),
     "lemma2_23_A4": (["lemma2", "--group", "2,3", "--A", "4"], False),
     "lemma2_const2_A5": (["lemma2", "--group", "const:2", "--A", "5"], False),
     "lemma2_const4_A5": (["lemma2", "--group", "const:4", "--A", "5"], False),
