@@ -19,6 +19,7 @@ import sys
 from vilenkin.counterexample import divergence_report, plan_counterexample
 from vilenkin.group import parse_group_text
 from vilenkin.serialize import (
+    DecimalText,
     canonical_parts,
     divergence_to_doc,
     int_str,
@@ -64,7 +65,8 @@ def main(argv=None):
         with open(base + "_plot.csv", "w") as fh:
             fh.write(plot_csv(report))
         with open(base + ".json", "w") as fh:
-            fh.writelines(canonical_parts(divergence_to_doc(report)))
+            text = DecimalText()
+            fh.writelines(canonical_parts(divergence_to_doc(report, text), text))
             fh.write("\n")
         print(f"wrote {base}_summary.csv, {base}_plot.csv, {base}.json")
 

@@ -77,6 +77,29 @@ def _emit_output(parts: list[str], out: str | None) -> None:
         raise DomainError(f"cannot write {out}: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be opened for writing, before any
+    work is done (exit 2).  An existing file is opened without truncation
+    and left as it is; a file the check creates is removed again."""
+    try:
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+        except FileExistsError:
+            os.close(os.open(path, os.O_WRONLY))
+            return
+        os.close(fd)
+        os.unlink(path)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit_report(to_doc, report, out: str | None) -> None:
+    """Write a report as canonical JSON, converting each of its exact
+    integers to decimal text once, with one power table."""
+    text = serialize.DecimalText()
+    _emit_output(serialize.canonical_parts(to_doc(report, text), text), out)
+
+
 def _write_function(obj, out: str | None, fmt: str) -> None:
     if fmt == "csv":
         _emit_output([serialize.function_to_csv(obj)], out)
@@ -182,7 +205,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 def cmd_lemma2(args: argparse.Namespace) -> int:
     report = lemma2_verify(_load_pattern(args.group), args.A, cap=args.cap)
-    _emit_output(serialize.canonical_parts(serialize.kernel_report_to_doc(report)), args.out)
+    _emit_report(serialize.kernel_report_to_doc, report, args.out)
     if not report.passed:
         print(
             f"kernel floor fails: global min ratio {report.global_min_ratio} < 0.25",
@@ -204,7 +227,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     )
     plot_target = args.emit_plot_data
     if args.json:
-        _emit_output(serialize.canonical_parts(serialize.divergence_to_doc(report)), args.out)
+        _emit_report(serialize.divergence_to_doc, report, args.out)
     elif plot_target == "-":
         _emit_output([serialize.plot_csv(report)], args.out)
     else:
@@ -379,7 +402,11 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    plot_target = getattr(args, "emit_plot_data", None)
     try:
+        for path in (getattr(args, "out", None), None if plot_target == "-" else plot_target):
+            if path is not None:
+                _check_writable(path)
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

@@ -557,9 +557,11 @@ def _region(values: np.ndarray, group: GroupSpec, eta: int, s: int) -> np.ndarra
     )[:, 1:, 0, 1:, 0]
 
 
-def _region_measure(pattern: GroupPattern, eta: int, s: int) -> Fraction:
+def _region_measure(pattern: GroupPattern, eta: int, s: int, scale=None) -> Fraction:
+    """``(m_{2 eta} - 1)(m_{2 s} - 1) / M_{2 s + 1}``; ``scale(j)`` gives
+    ``M_j`` (default :meth:`GroupPattern.scale`)."""
     m_eta, m_s = pattern.digit(2 * eta), pattern.digit(2 * s)
-    return Fraction((m_eta - 1) * (m_s - 1), pattern.scale(2 * s + 1))
+    return Fraction((m_eta - 1) * (m_s - 1), (scale or pattern.scale)(2 * s + 1))
 
 
 @dataclass(frozen=True)
@@ -690,12 +692,13 @@ class BoundLedger:
 
 
 def _region_bound(
-    pattern: GroupPattern, alpha: int, eta: int, s: int, detailed: bool
+    pattern: GroupPattern, alpha: int, m_alpha: int, eta: int, s: int, scale, detailed: bool
 ) -> RegionBound:
+    """``scale(j)`` gives ``M_j`` for ``j`` in ``2 eta``, ``2 s``, ``2 s + 1``."""
     bound = pattern.bound
-    prod = pattern.scale(2 * eta) * pattern.scale(2 * s)
-    ok = (bound - 1) * prod >= bound * pattern.scale(alpha)
-    measure = _region_measure(pattern, eta, s)
+    prod = scale(2 * eta) * scale(2 * s)
+    ok = (bound - 1) * prod >= bound * m_alpha
+    measure = _region_measure(pattern, eta, s, scale)
     sqrt_term = Fraction(0)
     if detailed:
         per_point = Fraction(prod, 8 * bound**2 * alpha)
@@ -727,23 +730,35 @@ def bound_chain_evaluate(
     q_inner = pattern.q_number(alpha - 1)
     q_doubling_ok = q <= 2 * pattern.scale(2 * alpha)
 
-    if k:
-        prev = spec.alphas[k - 1]
-        piece_bound = 2 * Fraction(pattern.scale(2 * prev) ** 2, prev)
-    else:
-        piece_bound = Fraction(0)
-    threshold = Fraction(pattern.scale(alpha), 16 * bound * alpha)
-    history_ok = piece_bound <= threshold
-
     eta_lo = alpha // 2
     eta_hi = alpha - 3
     count = eta_hi - eta_lo + 1
     if count < 1:
         raise DomainError(f"alpha = {alpha} leaves no usable regions")
     pair_count = count * (count + 1) // 2  # sum over eta of (alpha - 2 - eta)
-
     detailed = pair_count <= region_detail_cap
-    corner = _region_bound(pattern, alpha, eta_lo, eta_lo + 2, detailed)
+
+    # M_j for 2 eta_lo <= j <= 2 s + 1 of the last region used, by running
+    # product; M_alpha is among them, since alpha is 2 eta_lo or 2 eta_lo + 1
+    lo = 2 * eta_lo
+    run = [pattern.scale(lo)]
+    for j in range(lo, 2 * alpha - 1 if detailed else lo + 5):
+        run.append(run[-1] * pattern.digit(j))
+
+    def scale(j: int) -> int:
+        return run[j - lo]
+
+    m_alpha = scale(alpha)
+
+    if k:
+        prev = spec.alphas[k - 1]
+        piece_bound = 2 * Fraction(pattern.scale(2 * prev) ** 2, prev)
+    else:
+        piece_bound = Fraction(0)
+    threshold = Fraction(m_alpha, 16 * bound * alpha)
+    history_ok = piece_bound <= threshold
+
+    corner = _region_bound(pattern, alpha, m_alpha, eta_lo, eta_lo + 2, scale, detailed)
     regions = None
     region_sum_squared = None
     if detailed:
@@ -752,7 +767,7 @@ def bound_chain_evaluate(
         all_ok = True
         for eta in range(eta_lo, eta_hi + 1):
             for s in range(eta + 2, alpha):
-                rb = _region_bound(pattern, alpha, eta, s, True)
+                rb = _region_bound(pattern, alpha, m_alpha, eta, s, scale, True)
                 entries.append(rb)
                 total += rb.sqrt_term
                 all_ok &= rb.separation_ok
@@ -767,7 +782,7 @@ def bound_chain_evaluate(
         k=k,
         alpha=alpha,
         bound=bound,
-        m_alpha=pattern.scale(alpha),
+        m_alpha=m_alpha,
         q_index=q,
         q_inner=q_inner,
         q_doubling_ok=q_doubling_ok,

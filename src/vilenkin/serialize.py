@@ -13,7 +13,14 @@ thousands of digits; they never pass through floats.
 
 Decimal text is exact and subquadratic: :func:`int_str` converts a large
 integer by divide and conquer on :mod:`decimal` numbers instead of the
-quadratic ``str(int)``.  The library never changes the interpreter's
+quadratic ``str(int)``.  It splits at power-of-two bit widths, so one table
+of ``2 ** 2 ** j`` serves every integer of a document; a zero low chunk
+costs no addition, and a low chunk equal to its high chunk is converted
+once, which makes powers of two and the 0101...01 q-numbers cheap.  A
+:class:`DecimalText` holds that table and converts each distinct value
+once per document; it is made per document (one :func:`report_to_doc`
+with its :func:`canonical_parts`, or one :func:`summary_csv`) and kept by
+nothing in this module.  The library never changes the interpreter's
 integer digit limit, so a reader on Python >= 3.11 that turns the longest
 decimal strings back into ``int`` must raise that limit itself.  Every
 verdict stays re-derivable from the stored numbers.
@@ -39,6 +46,7 @@ from .counterexample import DivergenceReport, KernelBoundReport
 
 __all__ = [
     "EXACT_INT_FIELDS",
+    "DecimalText",
     "int_str",
     "float_str",
     "canonical_parts",
@@ -57,53 +65,72 @@ __all__ = [
 ]
 
 
-def int_str(n: int) -> str:
+def int_str(n: int, powers: list[decimal.Decimal] | None = None) -> str:
     """Exact decimal string of an integer, in subquadratic time.  Works
-    under any interpreter digit limit, and never reads or changes it."""
+    under any interpreter digit limit, and never reads or changes it.
+
+    ``powers`` is a power table to share between the calls of one
+    document (see :class:`DecimalText`); it is filled as needed."""
     n = int(n)
     if n.bit_length() <= SAFE_STR_BITS:
         return str(n)
-    return str(_int_to_decimal(n))
+    return str(_int_to_decimal(n, [] if powers is None else powers))
 
 
-_LEAF_BITS = 128  # below this, Decimal(int) converts directly
+_LEAF_BITS = 128  # up to this, Decimal(int) converts directly
 
 
-def _int_to_decimal(n: int) -> decimal.Decimal:
-    """``n`` as an exact ``Decimal``: split by powers of two, recombine in
-    :mod:`decimal`, whose big multiplications are subquadratic.  Any
-    rounding traps, so a wrong digit can never be printed."""
+def _int_to_decimal(n: int, powers: list[decimal.Decimal]) -> decimal.Decimal:
+    """``n`` as an exact ``Decimal``: split at power-of-two bit widths and
+    recombine in :mod:`decimal`, whose big multiplications are
+    subquadratic.  ``powers[j]`` is ``2 ** 2 ** j``; a zero low chunk
+    costs no addition, and a low chunk equal to the high one is converted
+    once.  Any rounding traps, so a wrong digit can never be printed."""
     D = decimal.Decimal
-    two = D(2)
-    powers: dict[int, decimal.Decimal] = {}  # w -> 2**w, for this call only
 
-    def pow2(w: int) -> decimal.Decimal:
-        result = powers.get(w)
-        if result is None:
-            if w <= _LEAF_BITS:
-                result = two**w
-            elif w - 1 in powers:
-                result = powers[w - 1] * 2
-            else:
-                # the smaller half first, so the larger one is a doubling
-                result = pow2(w >> 1) * pow2(w - (w >> 1))
-            powers[w] = result
-        return result
-
-    def inner(m: int, w: int) -> decimal.Decimal:
-        if w <= _LEAF_BITS:
+    def inner(m: int) -> decimal.Decimal:
+        bits = m.bit_length()
+        if bits <= _LEAF_BITS:
             return D(m)
-        half = w >> 1
+        j = (bits - 1).bit_length() - 1  # split at half = 2**j < bits <= 2**(j + 1)
+        while len(powers) <= j:
+            powers.append(powers[-1] * powers[-1] if powers else D(2))
+        half = 1 << j
         hi = m >> half
-        return inner(m - (hi << half), half) + inner(hi, w - half) * pow2(half)
+        lo = m - (hi << half)
+        if lo == hi:
+            x = inner(lo)
+            return x + x * powers[j]
+        high = inner(hi) * powers[j]
+        return high + inner(lo) if lo else high
 
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.Emin = decimal.MIN_EMIN
         ctx.traps[decimal.Inexact] = 1
-        result = inner(abs(n), n.bit_length())
+        result = inner(abs(n))
         return -result if n < 0 else result
+
+
+class DecimalText:
+    """The decimal text of the exact integers of one document: each value
+    over ``SAFE_STR_BITS`` bits is converted once, by :func:`int_str`, and
+    every conversion shares one power table.  Make one per document and
+    drop it afterwards; nothing here outlives it."""
+
+    def __init__(self) -> None:
+        self.powers: list[decimal.Decimal] = []
+        self.memo: dict[int, str] = {}
+
+    def __call__(self, n: int) -> str:
+        n = int(n)
+        if n.bit_length() <= SAFE_STR_BITS:
+            return int_str(n)
+        text = self.memo.get(n)
+        if text is None:
+            text = self.memo[n] = int_str(n, self.powers)
+        return text
 
 
 def float_str(x: float) -> str:
@@ -113,7 +140,7 @@ def float_str(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit(obj: Any, out: list[str]) -> None:
+def _emit(obj: Any, out: list[str], text: DecimalText) -> None:
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -126,7 +153,7 @@ def _emit(obj: Any, out: list[str]) -> None:
         else:
             out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, Fraction):
-        out += ('{"num":"', int_str(obj.numerator), '","den":"', int_str(obj.denominator), '"}')
+        out += ('{"num":"', text(obj.numerator), '","den":"', text(obj.denominator), '"}')
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
@@ -142,24 +169,25 @@ def _emit(obj: Any, out: list[str]) -> None:
                 out.append(",")
             out.append(json.dumps(key, ensure_ascii=False))
             out.append(":")
-            _emit(val, out)
+            _emit(val, out, text)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, val in enumerate(obj):
             if i:
                 out.append(",")
-            _emit(val, out)
+            _emit(val, out, text)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def canonical_parts(obj: Any) -> list[str]:
+def canonical_parts(obj: Any, text: DecimalText | None = None) -> list[str]:
     """The canonical JSON text of ``obj`` as a list of parts, to be written
-    in order (``writelines``) without joining them first."""
+    in order (``writelines``) without joining them first.  ``text`` is the
+    document's decimal text, shared with :func:`report_to_doc`."""
     out: list[str] = []
-    _emit(obj, out)
+    _emit(obj, out, DecimalText() if text is None else text)
     return out
 
 
@@ -284,15 +312,18 @@ EXACT_INT_FIELDS = frozenset(
 )
 
 
-def report_to_doc(obj: Any) -> Any:
+def report_to_doc(obj: Any, text: DecimalText | None = None) -> Any:
     """A report dataclass as a JSON-ready document.
 
     Fields come in declaration order, then the class's properties (the
     verdicts ``all_ok``, ``ok``, ``passed``, ``is_atom``).  Fields named in
-    :data:`EXACT_INT_FIELDS` become decimal strings; ``Fraction`` values are
-    left for :func:`dumps_canonical`.  Groups, patterns and cylinders are
+    :data:`EXACT_INT_FIELDS` become decimal strings, converted by ``text``
+    (pass the same one to :func:`canonical_parts`); ``Fraction`` values are
+    left for :func:`canonical_parts`.  Groups, patterns and cylinders are
     written in their short forms.
     """
+    if text is None:
+        text = DecimalText()
     if isinstance(obj, GroupSpec):
         return encode_group(obj)
     if isinstance(obj, GroupPattern):
@@ -303,33 +334,34 @@ def report_to_doc(obj: Any) -> Any:
         doc = {}
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
-            doc[f.name] = int_str(value) if f.name in EXACT_INT_FIELDS else report_to_doc(value)
+            doc[f.name] = text(value) if f.name in EXACT_INT_FIELDS else report_to_doc(value, text)
         for name, attr in vars(type(obj)).items():
             if isinstance(attr, property):
-                doc[name] = report_to_doc(getattr(obj, name))
+                doc[name] = report_to_doc(getattr(obj, name), text)
         return doc
     if isinstance(obj, (list, tuple)):
-        return [report_to_doc(v) for v in obj]
+        return [report_to_doc(v, text) for v in obj]
     return obj
 
 
-def kernel_report_to_doc(report: KernelBoundReport) -> dict:
-    doc = report_to_doc(report)
+def kernel_report_to_doc(report: KernelBoundReport, text: DecimalText | None = None) -> dict:
+    doc = report_to_doc(report, text)
     doc["regions"] = doc.pop("regions")  # after the verdict
     return doc
 
 
-def divergence_to_doc(report: DivergenceReport) -> dict:
-    return report_to_doc(report)
+def divergence_to_doc(report: DivergenceReport, text: DecimalText | None = None) -> dict:
+    return report_to_doc(report, text)
 
 
 def summary_csv(report: DivergenceReport) -> str:
     lines = ["k,alpha_k,q_alpha_k,LB_k_squared_num,LB_k_squared_den,direct_integral"]
+    text = DecimalText()
     for row in report.rows:
         direct = "" if row.direct_integral is None else float_str(row.direct_integral)
         lines.append(
-            f"{row.k},{int_str(row.alpha)},{int_str(row.q_index)},"
-            f"{int_str(row.lb_squared.numerator)},{int_str(row.lb_squared.denominator)},"
+            f"{row.k},{text(row.alpha)},{text(row.q_index)},"
+            f"{text(row.lb_squared.numerator)},{text(row.lb_squared.denominator)},"
             f"{direct}"
         )
     return "\n".join(lines) + "\n"

@@ -116,16 +116,19 @@ def character_eval(n: int, x: tuple[int, ...], group: GroupSpec) -> complex:
     return complex(np.exp(2j * np.pi * float(phase)))
 
 
-@lru_cache(maxsize=64)
 def _root_matrix(m: int, conjugate: bool) -> np.ndarray:
-    """The ``m x m`` table ``exp(+-2*pi*i * (a*b mod m) / m)``;
-    :class:`CapExceededError` before it is built if it has more than
-    ``GRID_CAP`` entries."""
+    """The ``m x m`` table ``exp(+-2*pi*i * (a*b mod m) / m)``, looked up
+    in the m roots of unity; :class:`CapExceededError` before it is built
+    if it has more than ``GRID_CAP`` entries.  Built on each call, never
+    kept: one table of a large base outweighs its whole grid."""
     if m * m > GRID_CAP:
         raise CapExceededError(f"a base-{m} root table has {m * m} entries, cap is {GRID_CAP}")
-    ab = (np.outer(np.arange(m), np.arange(m)) % m).astype(np.float64)
     sign = -1.0 if conjugate else 1.0
-    return np.exp(sign * 2j * np.pi * ab / m)
+    roots = np.exp(sign * 2j * np.pi * np.arange(m, dtype=np.float64) / m)
+    index = np.arange(m, dtype=np.int32)  # a*b < m*m <= GRID_CAP < 2**31
+    ab = np.multiply.outer(index, index)
+    ab %= m
+    return roots[ab]
 
 
 def _axis_dft(flat: np.ndarray, group: GroupSpec, axis: int, conjugate: bool) -> np.ndarray:

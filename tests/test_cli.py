@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from vilenkin import cli
 from vilenkin.cli import main
 from vilenkin.group import build_group_spec
 from vilenkin.serialize import doc_to_function, dumps_canonical, function_to_doc
@@ -253,6 +254,36 @@ def test_unwritable_output_path_exits_2_with_one_line(argv, tmp_path, capsys):
     assert err.startswith(f"error: cannot write {target}: ")
     assert err.count("\n") == 1
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["counterexample", "--group", "const:2", "--kmax", "10", "--json", "--out"], "plan_counterexample"),
+        (["counterexample", "--group", "const:2", "--kmax", "10", "--emit-plot-data"], "plan_counterexample"),
+        (["lemma2", "--group", "const:2", "--A", "10", "--out"], "lemma2_verify"),
+        (["kernel", "--kind", "fejer", "--n", "5", "--group", "const:2^20", "--out"], "_load_group"),
+        (["transform", "--group", "const:2^20", "--random", "--out"], "_load_group"),
+    ],
+)
+def test_unwritable_output_path_is_refused_before_any_work(argv, work, monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output path was checked")
+
+    monkeypatch.setattr(cli, work, refuse)
+    target = tmp_path / "missing" / "out.txt"
+    assert run_cli(*argv, str(target)) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
+def test_output_path_check_leaves_existing_files_alone_and_new_ones_unmade(tmp_path, capsys):
+    existing, new = tmp_path / "existing.json", tmp_path / "new.json"
+    existing.write_text("keep", encoding="utf-8")
+    for path in (existing, new):  # the grid is refused after the path check
+        assert run_cli("kernel", "--kind", "dirichlet", "--n", "1", "--group", "const:2^40", "--out", str(path)) == 3
+    assert "cap is" in capsys.readouterr().err
+    assert existing.read_text(encoding="utf-8") == "keep"
+    assert not new.exists()
 
 
 def test_counterexample_json_report(capsys):

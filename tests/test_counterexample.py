@@ -504,6 +504,27 @@ def test_ledger_detail_cap_switches_to_corner_certificate():
     assert detailed.separation_all_ok == led.separation_all_ok
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    base=st.lists(st.integers(2, 7), min_size=1, max_size=4),
+    k=st.integers(0, 2),
+    detail_cap=st.sampled_from([0, 10**9]),
+)
+def test_ledger_scales_match_group_pattern_scale(base, k, detail_cap):
+    # the block's running product of M_j against GroupPattern.scale, term by term
+    pattern = GroupPattern(tuple(base))
+    led = bound_chain_evaluate(plan_counterexample(pattern, 3), k, region_detail_cap=detail_cap)
+    assert led.m_alpha == pattern.scale(led.alpha)
+    assert led.threshold == Fraction(pattern.scale(led.alpha), 16 * led.bound * led.alpha)
+    for region in (led.corner, *(led.regions or ())):
+        eta, s = region.eta, region.s
+        assert region.product == pattern.scale(2 * eta) * pattern.scale(2 * s)
+        assert region.measure == _region_measure(pattern, eta, s)
+        assert region.separation_ok == (
+            (led.bound - 1) * region.product >= led.bound * pattern.scale(led.alpha)
+        )
+
+
 def test_rational_sqrt_brackets():
     for frac in (Fraction(2), Fraction(341, 48), Fraction(1, 98304), Fraction(7, 5)):
         lo = rational_sqrt_lower(frac)

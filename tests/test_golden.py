@@ -13,7 +13,9 @@ written before the partial-sum sweep skipped zero coefficients and stepped
 the character row on a grid prefix; the eight-level ``counterexample``
 cases on ``2,3``, ``const:3`` and ``2,3,5`` were written while levels were
 still planned by doubling and bisection, with each level's certificate
-evaluated a second time.  ``<name>.stdout`` is
+evaluated a second time; the eight-level ``--json`` cases on ``2,3`` and
+``2,3,5`` were written before decimal text was split at power-of-two
+widths from one power table per document.  ``<name>.stdout`` is
 standard output and ``<name>.file`` the ``--out`` file; an artifact over
 ~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
 """
@@ -64,6 +66,15 @@ CASES = {
     ),
     "counterexample_235_k8_cap2": (
         ["counterexample", "--group", "2,3,5", "--kmax", "8", "--materialize-cap", "2"],
+        False,
+    ),
+    # the same levels as JSON: big integers that are not 0101...01 patterns
+    "counterexample_23_k8_json_cap2": (
+        ["counterexample", "--group", "2,3", "--kmax", "8", "--json", "--materialize-cap", "2"],
+        False,
+    ),
+    "counterexample_235_k8_json_cap2": (
+        ["counterexample", "--group", "2,3,5", "--kmax", "8", "--json", "--materialize-cap", "2"],
         False,
     ),
     "lemma2_23_A4": (["lemma2", "--group", "2,3", "--A", "4"], False),

@@ -1,8 +1,10 @@
 """Unit tests: canonical JSON/CSV encoding and decoding."""
 import dataclasses
+import gc
 import json
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,8 @@ from vilenkin.group import GroupPattern, build_group_spec
 from vilenkin.kernels import validate_p_atom
 from vilenkin.serialize import (
     EXACT_INT_FIELDS,
+    DecimalText,
+    canonical_parts,
     decode_group,
     divergence_to_doc,
     doc_to_function,
@@ -99,6 +103,54 @@ def test_int_str_edge_cases_around_the_fast_path():
         values += [2**k + 1, 2**k - 1, -(2**k + 1)]
     for n in values:
         assert int_str(n) == str(n), n.bit_length()
+
+
+def _repeated_block(block: int, width: int, count: int) -> int:
+    return block * ((1 << (width * count)) - 1) // ((1 << width) - 1)
+
+
+@st.composite
+def split_shaped_ints(draw):
+    """Integers that reach the branches of the split at power-of-two widths:
+    powers of two, repeated bit blocks (whose copies straddle the split
+    widths unless the block width is a power of two), zero high or low
+    chunks, bit lengths next to a power of two, and the scales and
+    q-numbers of random digit patterns; any of them negated."""
+    kind = draw(st.sampled_from(["power", "repeat", "chunks", "width", "pattern"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "power":
+        n = 1 << draw(st.integers(0, 70_000))
+    elif kind == "repeat":
+        width = draw(st.one_of(st.sampled_from([2, 64, 128, 256, 1024]), st.integers(1, 3000)))
+        block = rng.getrandbits(width) | 1
+        n = _repeated_block(block, width, draw(st.integers(1, 40_000 // width + 2)))
+    elif kind == "chunks":
+        # a split at 2**j whose low chunk is zero or starts with zeros
+        j = draw(st.integers(7, 15))
+        low_bits = draw(st.integers(0, 1 << j))
+        n = (rng.getrandbits(draw(st.integers(1, 1 << j))) << (1 << j)) | rng.getrandbits(low_bits)
+    elif kind == "width":
+        bits = (1 << draw(st.integers(11, 16))) + draw(st.sampled_from([-1, 0, 1]))
+        shape = draw(st.sampled_from(["random", "ones", "power"]))
+        n = {
+            "random": (1 << (bits - 1)) | rng.getrandbits(bits - 1),
+            "ones": (1 << bits) - 1,
+            "power": 1 << (bits - 1),
+        }[shape]
+    else:
+        pattern = GroupPattern(tuple(draw(st.lists(st.integers(2, 7), min_size=1, max_size=4))))
+        a = draw(st.integers(0, 3000))
+        n = pattern.q_number(a) if draw(st.booleans()) else pattern.scale(2 * a + draw(st.integers(0, 1)))
+    return -n if draw(st.booleans()) else n
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(split_shaped_ints(), min_size=1, max_size=3))
+def test_int_str_on_split_shaped_integers_matches_reference(big_int_text, values):
+    text = DecimalText()  # one power table and memo across the values
+    for n in values:
+        assert int_str(n) == str(n)
+        assert text(n) == str(n)
 
 
 def test_int_str_leaves_the_digit_limit_alone(big_int_text):
@@ -287,6 +339,65 @@ def test_divergence_doc_and_csv():
     k, sq, lb = plines[1].split(",")
     assert float(sq) == pytest.approx(6**0.5)
     assert float(lb) == pytest.approx(1 / 98304)
+
+
+def _record_int_str(monkeypatch):
+    """Route every :func:`int_str` call of the serializer through a recorder."""
+    from vilenkin import serialize
+
+    calls = []
+    original = serialize.int_str
+
+    def recorded(n, powers=None):
+        calls.append((int(n), powers))
+        return original(n, powers)
+
+    monkeypatch.setattr(serialize, "int_str", recorded)
+    return calls
+
+
+def test_a_document_converts_each_big_value_once_with_one_power_table(monkeypatch):
+    report = divergence_report(plan_counterexample(PAT2, 6), cap=2)
+    want = dumps_canonical(divergence_to_doc(report))
+    calls = _record_int_str(monkeypatch)
+    text = DecimalText()
+    assert "".join(canonical_parts(divergence_to_doc(report, text), text)) == want
+    big = [(n, powers) for n, powers in calls if n.bit_length() > SAFE_STR_BITS]
+    values = [n for n, _ in big]
+    assert len(values) == len(set(values)) > 0
+    assert all(powers is text.powers for _, powers in big)
+    # q_index is written in its ledger and again in its row, converted once
+    q = report.rows[-1].q_index
+    assert q == report.ledgers[-1].q_index and q.bit_length() > SAFE_STR_BITS
+    assert values.count(q) == 1
+
+
+def test_summary_csv_converts_each_big_value_once(monkeypatch):
+    report = divergence_report(plan_counterexample(PAT2, 6), cap=2)
+    want = summary_csv(report)
+    calls = _record_int_str(monkeypatch)
+    assert summary_csv(report) == want
+    big = [n for n, _ in calls if n.bit_length() > SAFE_STR_BITS]
+    assert len(big) == len(set(big)) > 0
+
+
+def test_no_decimal_text_outlives_its_document(monkeypatch, capsys):
+    from vilenkin import cli, serialize
+
+    alive = []
+
+    class Tracked(DecimalText):
+        def __init__(self):
+            super().__init__()
+            alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(serialize, "DecimalText", Tracked)
+    assert cli.main(["counterexample", "--group", "const:2", "--kmax", "6", "--json"]) == 0
+    assert cli.main(["counterexample", "--group", "const:2", "--kmax", "6"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert len(alive) == 2
+    assert all(ref() is None for ref in alive)
 
 
 def test_serialization_is_deterministic_across_runs():

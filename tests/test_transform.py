@@ -137,6 +137,16 @@ def test_root_table_over_the_cap_is_refused_before_it_is_built():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 7, 64, 97, 1000])
+def test_root_table_from_the_roots_of_unity_is_the_direct_formula_bit_for_bit(m):
+    for conjugate, sign in ((True, -1.0), (False, 1.0)):
+        ab = (np.outer(np.arange(m), np.arange(m)) % m).astype(np.float64)
+        direct = np.exp(sign * 2j * np.pi * ab / m)
+        table = _root_matrix(m, conjugate)
+        assert table.dtype == direct.dtype and table.tobytes() == direct.tobytes()
+    assert _root_matrix(m, True) is not _root_matrix(m, True)  # never kept
+
+
 def test_random_function_refuses_a_negative_seed():
     g = build_group_spec([2, 3])
     with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
