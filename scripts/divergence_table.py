@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from vilenkin.counterexample import divergence_report, plan_counterexample
+from vilenkin.counterexample import build_alpha_sequence, divergence_report
 from vilenkin.group import parse_group_text
 from vilenkin.serialize import (
     DecimalText,
@@ -37,8 +37,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     pattern, _ = parse_group_text(args.group)
-    spec = plan_counterexample(pattern, args.kmax, alpha0=args.alpha0)
-    report = divergence_report(spec)
+    seq = build_alpha_sequence(pattern, args.kmax, alpha0=args.alpha0)
+    report = divergence_report(seq)
 
     print(f"pattern {args.group}  bound M = {pattern.bound}  blocks = {args.kmax}")
     print(f"{'k':>2} {'alpha_k':>9} {'digits(q_k)':>12} {'LB_k':>12} "

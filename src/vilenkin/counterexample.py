@@ -68,7 +68,6 @@ from .transform import (
 __all__ = [
     "LevelCertificate",
     "AlphaSequence",
-    "CounterexampleSpec",
     "SigmaDecomposition",
     "RegionBound",
     "BoundLedger",
@@ -83,7 +82,6 @@ __all__ = [
     "rational_sqrt_upper",
     "build_alpha_sequence",
     "sequence_from_levels",
-    "plan_counterexample",
     "coefficient_oracle",
     "oracle_spectrum",
     "atom_function",
@@ -168,7 +166,11 @@ class LevelCertificate:
 
 @dataclass(frozen=True)
 class AlphaSequence:
-    """Levels plus their certificates; ``certified`` means every check passed."""
+    """Levels plus their certificates; ``certified`` means every check passed.
+
+    The sequence is the counterexample: ``f = sum_k a_k / alpha_k`` runs
+    over every level in ``alphas``, so its length is the block count.
+    """
 
     pattern: GroupPattern
     alphas: tuple[int, ...]
@@ -289,46 +291,7 @@ def build_alpha_sequence(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CounterexampleSpec:
-    """A level sequence together with how much of it to use.
-
-    ``k_max`` is the number of atom blocks included in the martingale.  No
-    grid is part of the spec (the exact-arithmetic side never touches one).
-    """
-
-    sequence: AlphaSequence
-    k_max: int
-
-    def __post_init__(self):
-        if not 1 <= self.k_max <= len(self.sequence.alphas):
-            raise DomainError(
-                f"k_max must lie in [1, {len(self.sequence.alphas)}], got {self.k_max}"
-            )
-
-    @property
-    def pattern(self) -> GroupPattern:
-        return self.sequence.pattern
-
-    @property
-    def alphas(self) -> tuple[int, ...]:
-        return self.sequence.alphas[: self.k_max]
-
-
-def plan_counterexample(
-    pattern: GroupPattern, k_max: int, alpha0: int = MIN_ALPHA0
-) -> CounterexampleSpec:
-    """Build a certified sequence of ``k_max`` levels.
-
-    The grid depth ``2 alpha_0 + 1`` is exactly enough to resolve block 0
-    and the sparse order ``q_number(alpha_0)``; deeper levels are
-    astronomically large by design and live only in the exact ledgers.
-    """
-    seq = build_alpha_sequence(pattern, k_max, alpha0)
-    return CounterexampleSpec(seq, k_max)
-
-
-def coefficient_oracle(spec: CounterexampleSpec, j: int) -> Fraction:
+def coefficient_oracle(seq: AlphaSequence, j: int) -> Fraction:
     """The exact Fourier coefficient of ``f`` at index ``j``.
 
     Piecewise constant by construction: ``M_{2 alpha_k} / (M alpha_k)`` on
@@ -338,8 +301,8 @@ def coefficient_oracle(spec: CounterexampleSpec, j: int) -> Fraction:
     j = int(j)
     if j < 0:
         raise DomainError(f"coefficient index must be >= 0, got {j}")
-    pattern = spec.pattern
-    for alpha in spec.alphas:
+    pattern = seq.pattern
+    for alpha in seq.alphas:
         lo = pattern.scale(2 * alpha)
         if j < lo:
             return Fraction(0)
@@ -348,7 +311,7 @@ def coefficient_oracle(spec: CounterexampleSpec, j: int) -> Fraction:
     return Fraction(0)
 
 
-def oracle_spectrum(spec: CounterexampleSpec, group: GroupSpec) -> Spectrum:
+def oracle_spectrum(seq: AlphaSequence, group: GroupSpec) -> Spectrum:
     """All coefficients below ``M_resolution`` as a grid spectrum.
 
     Blocks are never split by a resolution cut: block ``k`` occupies
@@ -357,8 +320,8 @@ def oracle_spectrum(spec: CounterexampleSpec, group: GroupSpec) -> Spectrum:
     complete).
     """
     coeffs = np.zeros(group.size, dtype=np.complex128)
-    pattern = spec.pattern
-    for alpha in spec.alphas:
+    pattern = seq.pattern
+    for alpha in seq.alphas:
         if 2 * alpha + 1 > group.resolution:
             break
         lo = pattern.scale(2 * alpha)
@@ -368,7 +331,7 @@ def oracle_spectrum(spec: CounterexampleSpec, group: GroupSpec) -> Spectrum:
 
 
 def atom_function(
-    spec: CounterexampleSpec, k: int, group: GroupSpec
+    seq: AlphaSequence, k: int, group: GroupSpec
 ) -> tuple[CylinderFunction, Cylinder]:
     """The k-th atom on ``group``, from indicator closed forms (no transform).
 
@@ -376,9 +339,9 @@ def atom_function(
     ``a = alpha_k``; the supporting interval is the zero cylinder of depth
     ``2 alpha_k``.
     """
-    if not 0 <= k < spec.k_max:
-        raise DomainError(f"atom index {k} outside [0, {spec.k_max})")
-    alpha = spec.alphas[k]
+    if not 0 <= k < len(seq.alphas):
+        raise DomainError(f"atom index {k} outside [0, {len(seq.alphas)})")
+    alpha = seq.alphas[k]
     if group.resolution < 2 * alpha + 1:
         raise DomainError(
             f"atom {k} needs resolution >= {2 * alpha + 1}, got {group.resolution}"
@@ -387,22 +350,22 @@ def atom_function(
     hi = group.scales[2 * alpha + 1]
     vals = hi * zero_cylinder_indicator(group, 2 * alpha + 1).values
     vals -= lo * zero_cylinder_indicator(group, 2 * alpha).values
-    vals *= lo / spec.pattern.bound
+    vals *= lo / seq.pattern.bound
     interval = Cylinder(group, (0,) * (2 * alpha))
     return CylinderFunction(group, vals), interval
 
 
-def _atom_history(spec: CounterexampleSpec, count: int, group: GroupSpec) -> np.ndarray:
+def _atom_history(seq: AlphaSequence, count: int, group: GroupSpec) -> np.ndarray:
     """``sum_{eta < count} a_eta / alpha_eta`` on ``group``, from the atom
     closed forms."""
     vals = np.zeros(group.size, dtype=np.complex128)
     for eta in range(count):
-        atom, _ = atom_function(spec, eta, group)
-        vals += atom.values / spec.alphas[eta]
+        atom, _ = atom_function(seq, eta, group)
+        vals += atom.values / seq.alphas[eta]
     return vals
 
 
-def materialize_f(spec: CounterexampleSpec, A: int, group: GroupSpec) -> CylinderFunction:
+def materialize_f(seq: AlphaSequence, A: int, group: GroupSpec) -> CylinderFunction:
     """The depth-``A`` martingale level of ``f`` on ``group``.
 
     A block with ``2 alpha_k >= A`` integrates to zero over every
@@ -416,11 +379,11 @@ def materialize_f(spec: CounterexampleSpec, A: int, group: GroupSpec) -> Cylinde
         raise DomainError(
             f"insufficient resolution: level {A} on a depth-{group.resolution} grid"
         )
-    count = sum(1 for alpha in spec.alphas if 2 * alpha < A)
-    return CylinderFunction(group, _atom_history(spec, count, group))
+    count = sum(1 for alpha in seq.alphas if 2 * alpha < A)
+    return CylinderFunction(group, _atom_history(seq, count, group))
 
 
-def closed_form_partial_sum(spec: CounterexampleSpec, j: int, group: GroupSpec) -> CylinderFunction:
+def closed_form_partial_sum(seq: AlphaSequence, j: int, group: GroupSpec) -> CylinderFunction:
     """``S_j f`` assembled from block structure instead of coefficient cuts.
 
     Two admissible regimes, mirroring how the divergence argument reads
@@ -443,18 +406,18 @@ def closed_form_partial_sum(spec: CounterexampleSpec, j: int, group: GroupSpec) 
         raise DomainError(f"partial-sum order must be >= 0, got {brief(j)}")
     if j > group.size:
         raise DomainError(f"order {brief(j)} exceeds the grid size {group.size}")
-    pattern = spec.pattern
+    pattern = seq.pattern
     history_count = None
     tail = None
     prev_hi = 0
-    for k, alpha in enumerate(spec.alphas):
+    for k, alpha in enumerate(seq.alphas):
         lo = pattern.scale(2 * alpha)
         if j <= lo:
             if j < prev_hi:
                 raise DomainError(
                     f"order {brief(j)} is inside block {k - 1} beyond its sparse order: "
-                    f"admissible there is [{brief(pattern.scale(2 * spec.alphas[k - 1]))}, "
-                    f"{brief(pattern.q_number(spec.alphas[k - 1]))})"
+                    f"admissible there is [{brief(pattern.scale(2 * seq.alphas[k - 1]))}, "
+                    f"{brief(pattern.q_number(seq.alphas[k - 1]))})"
                 )
             history_count = k
             break
@@ -465,13 +428,13 @@ def closed_form_partial_sum(spec: CounterexampleSpec, j: int, group: GroupSpec) 
             break
         prev_hi = pattern.scale(2 * alpha + 1)
     else:
-        last = spec.alphas[-1]
+        last = seq.alphas[-1]
         raise DomainError(
             f"order {brief(j)} is beyond the last admissible regime "
             f"[{brief(pattern.scale(2 * last))}, {brief(pattern.q_number(last))})"
         )
 
-    vals = _atom_history(spec, history_count, group)
+    vals = _atom_history(seq, history_count, group)
     if tail is not None:
         k, alpha, lo, inner = tail
         if inner:
@@ -513,12 +476,12 @@ class SigmaDecomposition:
         )
 
 
-def sigma_decomposition(spec: CounterexampleSpec, k: int, group: GroupSpec) -> SigmaDecomposition:
+def sigma_decomposition(seq: AlphaSequence, k: int, group: GroupSpec) -> SigmaDecomposition:
     """The three pieces of ``sigma_q f`` at ``q = q_number(alpha_k)`` on ``group``."""
-    if not 0 <= k < spec.k_max:
-        raise DomainError(f"block index {k} outside [0, {spec.k_max})")
-    alpha = spec.alphas[k]
-    pattern = spec.pattern
+    if not 0 <= k < len(seq.alphas):
+        raise DomainError(f"block index {k} outside [0, {len(seq.alphas)})")
+    alpha = seq.alphas[k]
+    pattern = seq.pattern
     q = pattern.q_number(alpha)
     q_inner = pattern.q_number(alpha - 1)
     block_lo = pattern.scale(2 * alpha)
@@ -527,11 +490,11 @@ def sigma_decomposition(spec: CounterexampleSpec, k: int, group: GroupSpec) -> S
             f"sparse order {brief(q)} exceeds the grid size {group.size}; raise the resolution"
         )
 
-    spectrum = oracle_spectrum(spec, group)
+    spectrum = oracle_spectrum(seq, group)
     low_vals = summed_partial_sums(spectrum, 0, block_lo) / q
     low = CylinderFunction(group, low_vals)
 
-    hist_vals = _atom_history(spec, k, group)
+    hist_vals = _atom_history(seq, k, group)
     carried = CylinderFunction(group, hist_vals * ((q - block_lo) / q))
 
     coeff = float(Fraction(block_lo, pattern.bound * alpha))
@@ -709,7 +672,7 @@ def _region_bound(
 
 
 def bound_chain_evaluate(
-    spec: CounterexampleSpec, k: int, region_detail_cap: int = 4096
+    seq: AlphaSequence, k: int, region_detail_cap: int = 4096
 ) -> BoundLedger:
     """Audit every inequality behind ``LB_k``, in exact arithmetic.
 
@@ -720,12 +683,12 @@ def bound_chain_evaluate(
     fixed, so the corner verdict covers the whole family (and the exact
     region sum is skipped, leaving the closed-form ``lb_squared``).
     """
-    spec.sequence.require_certified("bound_chain_evaluate")
-    if not 0 <= k < spec.k_max:
-        raise DomainError(f"block index {k} outside [0, {spec.k_max})")
-    pattern = spec.pattern
+    seq.require_certified("bound_chain_evaluate")
+    if not 0 <= k < len(seq.alphas):
+        raise DomainError(f"block index {k} outside [0, {len(seq.alphas)})")
+    pattern = seq.pattern
     bound = pattern.bound
-    alpha = spec.alphas[k]
+    alpha = seq.alphas[k]
     q = pattern.q_number(alpha)
     q_inner = pattern.q_number(alpha - 1)
     q_doubling_ok = q <= 2 * pattern.scale(2 * alpha)
@@ -751,7 +714,7 @@ def bound_chain_evaluate(
     m_alpha = scale(alpha)
 
     if k:
-        prev = spec.alphas[k - 1]
+        prev = seq.alphas[k - 1]
         piece_bound = 2 * Fraction(pattern.scale(2 * prev) ** 2, prev)
     else:
         piece_bound = Fraction(0)
@@ -918,15 +881,15 @@ class DivergenceReport:
 
 
 def _materialized_checks(
-    spec: CounterexampleSpec, ledger: BoundLedger, group: GroupSpec
+    seq: AlphaSequence, ledger: BoundLedger, group: GroupSpec
 ) -> tuple[int, float, bool, bool | None]:
     """Grid-side audit of one block on its depth-``2 alpha + 1`` grid: direct
     integral, per-region floors, and domination of the exact region sum."""
     alpha = ledger.alpha
-    sigma = fejer_mean_direct(oracle_spectrum(spec, group), ledger.q_index).values
+    sigma = fejer_mean_direct(oracle_spectrum(seq, group), ledger.q_index).values
     direct = float(np.mean(np.sqrt(np.abs(sigma))))
     pointwise_ok = True
-    bound = spec.pattern.bound
+    bound = seq.pattern.bound
     for eta in range(ledger.eta_lo, ledger.eta_hi + 1):
         for s in range(eta + 2, alpha):
             floor = float(
@@ -940,8 +903,8 @@ def _materialized_checks(
     return group.resolution, direct, pointwise_ok, dominates
 
 
-def _series_report(spec: CounterexampleSpec, cap: int) -> SeriesReport:
-    alphas = spec.alphas
+def _series_report(seq: AlphaSequence, cap: int) -> SeriesReport:
+    alphas = seq.alphas
     total = Fraction(0)
     for a in alphas:
         total += rational_sqrt_upper(Fraction(1, a))
@@ -956,13 +919,13 @@ def _series_report(spec: CounterexampleSpec, cap: int) -> SeriesReport:
     grid_ok = None
     validated = 0
     materializable = [
-        k for k, a in enumerate(alphas) if spec.pattern.scale(2 * a + 1) <= cap
+        k for k, a in enumerate(alphas) if seq.pattern.scale(2 * a + 1) <= cap
     ]
     if materializable:
         atoms_ok = True
         atom_maximal_ok = True
         for k in materializable:
-            atom, interval = atom_function(spec, k, spec.pattern.group(2 * alphas[k] + 1, cap))
+            atom, interval = atom_function(seq, k, seq.pattern.group(2 * alphas[k] + 1, cap))
             report = validate_p_atom(atom, interval, Fraction(1, 2))
             atoms_ok &= report.is_atom
             star = maximal_function(atom)
@@ -970,7 +933,7 @@ def _series_report(spec: CounterexampleSpec, cap: int) -> SeriesReport:
             atom_maximal_ok &= root_integral <= 1 + 1e-9
             validated += 1
         depth = 2 * alphas[max(materializable)] + 1
-        f = materialize_f(spec, depth, spec.pattern.group(depth, cap))
+        f = materialize_f(seq, depth, seq.pattern.group(depth, cap))
         levels = [coarsen(f, r) for r in range(depth)] + [f]
         grid_estimate = hardy_quasinorm_estimate(levels, Fraction(1, 2))
         grid_ok = grid_estimate <= hardy_upper * (1 + 1e-9)
@@ -988,7 +951,7 @@ def _series_report(spec: CounterexampleSpec, cap: int) -> SeriesReport:
 
 
 def divergence_report(
-    spec: CounterexampleSpec,
+    seq: AlphaSequence,
     k_range=None,
     region_detail_cap: int = 4096,
     cap: int = GRID_CAP,
@@ -1001,24 +964,24 @@ def divergence_report(
     mean is computed outright and checked against the per-region floors
     and the exact region sum.  A ``cap`` below 2 would skip every audit.
     """
-    spec.sequence.require_certified("divergence_report")
+    seq.require_certified("divergence_report")
     if cap < 2:
         raise DomainError(f"materialization cap must be >= 2, got {cap}")
     if k_range is None:
-        k_range = range(spec.k_max)
+        k_range = range(len(seq.alphas))
     ks = tuple(int(k) for k in k_range)
-    if any(not 0 <= k < spec.k_max for k in ks):
-        raise DomainError(f"k_range entries must lie in [0, {spec.k_max})")
+    if any(not 0 <= k < len(seq.alphas) for k in ks):
+        raise DomainError(f"k_range entries must lie in [0, {len(seq.alphas)})")
     ledgers = []
     rows = []
     for k in ks:
-        ledger = bound_chain_evaluate(spec, k, region_detail_cap)
+        ledger = bound_chain_evaluate(seq, k, region_detail_cap)
         ledgers.append(ledger)
         res = direct = pw = dom = None
         depth = 2 * ledger.alpha + 1
-        if spec.pattern.scale(depth) <= cap:
-            group = spec.pattern.group(depth, cap)
-            res, direct, pw, dom = _materialized_checks(spec, ledger, group)
+        if seq.pattern.scale(depth) <= cap:
+            group = seq.pattern.group(depth, cap)
+            res, direct, pw, dom = _materialized_checks(seq, ledger, group)
         rows.append(
             DivergenceRow(
                 k=k,
@@ -1040,10 +1003,10 @@ def divergence_report(
         if all(led.c_certified for led in ledgers[i:]):
             certified_from = ledgers[i].k
             break
-    series = _series_report(spec, cap)
+    series = _series_report(seq, cap)
     return DivergenceReport(
-        pattern=spec.pattern,
-        alpha0=spec.alphas[0],
+        pattern=seq.pattern,
+        alpha0=seq.alphas[0],
         k_range=ks,
         ledgers=tuple(ledgers),
         rows=tuple(rows),

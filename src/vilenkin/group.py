@@ -85,14 +85,13 @@ class GroupSpec:
 
 
 def build_group_spec(digits) -> GroupSpec:
-    """Validate a digit-base sequence and attach its scale factors.
+    """The grid with exactly these digit bases, through :meth:`GroupPattern.group`.
 
-    The sequence must be nonempty with every entry at least 2.
+    The sequence must be nonempty with every entry at least 2, and the grid
+    no larger than ``GRID_CAP`` points.
     """
     digits = tuple(int(m) for m in digits)
-    if not digits:
-        raise DomainError("digit-base sequence must be nonempty")
-    return GroupSpec(digits)
+    return GroupPattern(digits).group(len(digits))
 
 
 def digit_decompose(n: int, group: GroupSpec) -> tuple[int, ...]:

@@ -204,34 +204,29 @@ def encode_group(group: GroupSpec) -> dict:
     return {"digits": list(group.digits), "resolution": group.resolution}
 
 
-def decode_group(raw, resolution: int | None = None) -> GroupSpec:
+def decode_group(raw) -> GroupSpec:
     """Accepts ``{"digits": [...], "resolution": N}`` or a shorthand string
     like ``"const:2^13"`` / ``"2,3,2,4"``.
 
-    A digit list shorter than the resolution repeats cyclically; one
-    longer than the resolution raises :class:`DomainError` rather than
-    being cut.  The ``resolution`` argument fills in when the value itself
-    carries none.  Group text that carries one (a digit list's length, or
-    ``^N``) must agree with an explicit ``resolution``; a mismatch raises
-    :class:`DomainError`.  The grid comes from :meth:`GroupPattern.group`,
-    so one over ``GRID_CAP`` points raises :class:`CapExceededError`.
+    Group text carries its own depth: a digit list's length, or ``^N``;
+    ``"const:b"`` alone has none and raises :class:`DomainError`.  A dict
+    without ``"resolution"`` has the depth of its digit list.  A digit list
+    shorter than the resolution repeats cyclically; one longer than the
+    resolution raises :class:`DomainError` rather than being cut.  The grid
+    comes from :meth:`GroupPattern.group`, so one over ``GRID_CAP`` points
+    raises :class:`CapExceededError`.
     """
     if isinstance(raw, str):
-        pattern, own_res = parse_group_text(raw)
-        if resolution is not None and own_res not in (None, resolution):
-            raise DomainError(f"group {raw!r} has resolution {own_res}, not {resolution}")
-        res = own_res if own_res is not None else resolution
+        pattern, res = parse_group_text(raw)
         if res is None:
-            raise DomainError(
-                f"group {raw!r} carries no resolution; pass one (e.g. const:2^8)"
-            )
+            raise DomainError(f"group {raw!r} carries no depth; add one as ^N (e.g. {raw}^8)")
         return pattern.group(res)
     if isinstance(raw, dict):
         try:
             digits = [int(d) for d in raw["digits"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad group object: {raw!r}") from exc
-        res = raw.get("resolution", resolution)
+        res = raw.get("resolution")
         res = len(digits) if res is None else int(res)
         if res < 1:
             raise DomainError(f"resolution must be >= 1, got {res}")

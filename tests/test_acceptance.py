@@ -23,7 +23,6 @@ from vilenkin.counterexample import (
     lemma2_verify,
     materialize_f,
     oracle_spectrum,
-    plan_counterexample,
     sigma_decomposition,
 )
 from vilenkin.group import GroupPattern, build_group_spec
@@ -131,16 +130,16 @@ def test_criterion_4_kernel_floor(report):
 
 
 def test_criterion_5_coefficient_fidelity(report):
-    spec = plan_counterexample(PAT2, 8)
+    seq = build_alpha_sequence(PAT2, 8)
     g = PAT2.group(13)
-    f = materialize_f(spec, 13, g)
+    f = materialize_f(seq, 13, g)
     spectrum = forward_transform(f)
     worst = max(
-        abs(spectrum.coeffs[j] - float(coefficient_oracle(spec, j))) for j in range(g.size)
+        abs(spectrum.coeffs[j] - float(coefficient_oracle(seq, j))) for j in range(g.size)
     )
     s12 = partial_sum(spectrum, g.scales[12]).values
     s13 = partial_sum(spectrum, g.scales[13]).values
-    zero_level = materialize_f(spec, 12, g)
+    zero_level = materialize_f(seq, 12, g)
     dichotomy = (
         sup_abs(s12) <= 1e-9
         and sup_abs(zero_level.values) == 0.0
@@ -155,10 +154,10 @@ def test_criterion_5_coefficient_fidelity(report):
 
 
 def test_criterion_6_decomposition_identities(report):
-    spec = plan_counterexample(PAT2, 8)
+    seq = build_alpha_sequence(PAT2, 8)
     g = PAT2.group(13)
-    dec = sigma_decomposition(spec, 0, g)
-    s = oracle_spectrum(spec, g)
+    dec = sigma_decomposition(seq, 0, g)
+    s = oracle_spectrum(seq, g)
     direct = fejer_mean_direct(s, dec.q_index).values
     err_sigma = sup_abs(dec.total().values - direct)
 
@@ -166,7 +165,7 @@ def test_criterion_6_decomposition_identities(report):
     worst_cf = 0.0
     for j in orders:
         worst_cf = max(
-            worst_cf, sup_abs(closed_form_partial_sum(spec, j, g).values - partial_sum(s, j).values)
+            worst_cf, sup_abs(closed_form_partial_sum(seq, j, g).values - partial_sum(s, j).values)
         )
     ok = err_sigma <= 1e-9 and worst_cf <= 1e-9 and len(orders) >= 50
     report(
@@ -179,10 +178,10 @@ def test_criterion_6_decomposition_identities(report):
 
 def test_criterion_7_pointwise_lower_bound(report):
     t0 = time.perf_counter()
-    spec = plan_counterexample(PAT2, 8)
-    led = bound_chain_evaluate(spec, 0)
+    seq = build_alpha_sequence(PAT2, 8)
+    led = bound_chain_evaluate(seq, 0)
     g = PAT2.group(13)
-    sigma = fejer_mean_direct(oracle_spectrum(spec, g), led.q_index).values
+    sigma = fejer_mean_direct(oracle_spectrum(seq, g), led.q_index).values
     floor = g.scales[6] * g.scales[10] / (8 * 2**2 * 6)
     pointwise_ok = bool(np.min(np.abs(_region(sigma, g, 3, 5))) >= floor * (1 - 1e-9))
     direct = float(np.mean(np.sqrt(np.abs(sigma))))
@@ -208,9 +207,8 @@ def test_criterion_7_pointwise_lower_bound(report):
 def test_criterion_8_exact_ledger(report):
     t0 = time.perf_counter()
     seq = build_alpha_sequence(PAT2, 8)
-    spec = plan_counterexample(PAT2, 8)
     certs_ok = seq.certified
-    ledgers = [bound_chain_evaluate(spec, k) for k in range(8)]
+    ledgers = [bound_chain_evaluate(seq, k) for k in range(8)]
     verdicts_ok = all(led.all_ok for led in ledgers)
     lbs = [led.lb_squared for led in ledgers]
     increasing = all(b > a for a, b in zip(lbs, lbs[1:]))
@@ -231,12 +229,12 @@ def test_criterion_8_exact_ledger(report):
 
 
 def test_criterion_9_atoms_and_membership(report):
-    spec = plan_counterexample(PAT2, 8)
-    atom, interval = atom_function(spec, 0, PAT2.group(13))
+    seq = build_alpha_sequence(PAT2, 8)
+    atom, interval = atom_function(seq, 0, PAT2.group(13))
     atom_report = validate_p_atom(atom, interval, Fraction(1, 2))
     star = maximal_function(atom)
     root_integral = float(np.mean(np.sqrt(np.abs(star.values))))
-    series = divergence_report(spec).series
+    series = divergence_report(seq).series
     ok = (
         atom_report.is_atom
         and root_integral <= 1 + 1e-9

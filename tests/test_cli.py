@@ -10,6 +10,7 @@ from vilenkin import cli
 from vilenkin.cli import main
 from vilenkin.group import build_group_spec
 from vilenkin.serialize import doc_to_function, dumps_canonical, function_to_doc
+from vilenkin.kernels import fejer_kernel
 from vilenkin.transform import CylinderFunction, Spectrum, sup_abs
 
 
@@ -88,12 +89,6 @@ def test_transform_input_longer_than_its_resolution_exits_2(tmp_path, capsys):
     assert "more than its resolution 2" in capsys.readouterr().err
 
 
-def test_transform_input_resolution_mismatch_exits_2(ones_file, capsys):
-    assert run_cli("transform", "--input", ones_file, "--resolution", "99") == 2
-    assert "has resolution 8, not 99" in capsys.readouterr().err
-    assert run_cli("transform", "--input", ones_file, "--resolution", "8") == 0
-
-
 def test_transform_random_needs_group(capsys):
     assert run_cli("transform", "--random") == 2
 
@@ -111,7 +106,7 @@ def test_transform_csv_format(tmp_path):
 def test_kernel_dirichlet_self_check_and_values(tmp_path, capsys):
     out = tmp_path / "d6.json"
     assert run_cli(
-        "kernel", "--kind", "dirichlet", "--n", "6", "--group", "2,3,2", "--resolution", "3", "--out", str(out)
+        "kernel", "--kind", "dirichlet", "--n", "6", "--group", "2,3,2", "--out", str(out)
     ) == 0
     assert "D_6(0) = 6" in capsys.readouterr().out
     kern = doc_to_function(json.loads(out.read_text(encoding="utf-8")))
@@ -127,9 +122,23 @@ def test_kernel_fejer_n1_is_zero(tmp_path, capsys):
     assert sup_abs(kern.values) < 1e-12
 
 
-def test_kernel_fejer_check_zero(capsys):
-    assert run_cli("kernel", "--kind", "fejer", "--n", "21", "--group", "const:2^6", "--check-zero") == 0
-    assert "K_21(0) = 10" in capsys.readouterr().out
+def test_kernel_value_at_zero_mismatch_exits_4(monkeypatch, tmp_path, capsys):
+    def wrong_at_zero(n, group):
+        kernel = fejer_kernel(n, group)
+        return CylinderFunction(group, kernel.values + 1.0)
+
+    monkeypatch.setattr(cli, "fejer_kernel", wrong_at_zero)
+    out = tmp_path / "k21.json"
+    assert run_cli("kernel", "--kind", "fejer", "--n", "21", "--group", "const:2^6", "--out", str(out)) == 4
+    assert capsys.readouterr().out == "K_21(0) = 11 (expected 10): MISMATCH\n"
+    assert out.exists()  # the values are still written, for inspection
+
+
+def test_kernel_group_without_a_depth_exits_2(capsys):
+    assert run_cli("kernel", "--kind", "fejer", "--n", "7", "--group", "const:2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group 'const:2' carries no depth; add one as ^N (e.g. const:2^8)\n"
 
 
 def test_kernel_bad_index_exits_2(capsys):
@@ -200,14 +209,6 @@ def test_commands_that_pick_their_depth_refuse_a_fixed_one(capsys):
     assert run_cli("counterexample", "--group", "2,2", "--kmax", "1") == 0
 
 
-def test_kernel_resolution_mismatch_exits_2(capsys):
-    assert run_cli("kernel", "--kind", "fejer", "--n", "7", "--group", "2,3", "--resolution", "4") == 2
-    err = capsys.readouterr().err
-    assert "'2,3' has resolution 2, not 4" in err
-    assert run_cli("kernel", "--kind", "fejer", "--n", "7", "--group", "const:2^3", "--resolution", "4") == 2
-    assert run_cli("kernel", "--kind", "fejer", "--n", "7", "--group", "2,3,2", "--resolution", "3") == 0
-
-
 def test_counterexample_eight_rows(capsys):
     assert run_cli("counterexample", "--group", "const:2", "--alpha0", "6", "--kmax", "8") == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -236,6 +237,19 @@ def test_counterexample_plot_data(tmp_path, capsys):
     assert out.startswith("k,sqrt_alpha_k,lb_squared")
 
 
+def test_counterexample_json_with_bare_plot_flag_exits_2_before_planning(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_alpha_sequence ran before the flags were checked")
+
+    monkeypatch.setattr(cli, "build_alpha_sequence", refuse)
+    argv = ("counterexample", "--group", "const:2", "--kmax", "2", "--json", "--emit-plot-data")
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --json and a bare --emit-plot-data ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -259,8 +273,8 @@ def test_unwritable_output_path_exits_2_with_one_line(argv, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, work",
     [
-        (["counterexample", "--group", "const:2", "--kmax", "10", "--json", "--out"], "plan_counterexample"),
-        (["counterexample", "--group", "const:2", "--kmax", "10", "--emit-plot-data"], "plan_counterexample"),
+        (["counterexample", "--group", "const:2", "--kmax", "10", "--json", "--out"], "build_alpha_sequence"),
+        (["counterexample", "--group", "const:2", "--kmax", "10", "--emit-plot-data"], "build_alpha_sequence"),
         (["lemma2", "--group", "const:2", "--A", "10", "--out"], "lemma2_verify"),
         (["kernel", "--kind", "fejer", "--n", "5", "--group", "const:2^20", "--out"], "_load_group"),
         (["transform", "--group", "const:2^20", "--random", "--out"], "_load_group"),
@@ -311,7 +325,7 @@ def test_selftest_passes(capsys):
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "vilenkin.cli", "kernel", "--kind", "fejer", "--n", "21",
-         "--group", "const:2^6", "--check-zero"],
+         "--group", "const:2^6"],
         capture_output=True,
         text=True,
         timeout=120,

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from vilenkin import counterexample
 from vilenkin.counterexample import (
-    CounterexampleSpec,
     MIN_ALPHA0,
     RegionBound,
     _region,
@@ -24,7 +23,6 @@ from vilenkin.counterexample import (
     lemma2_verify,
     materialize_f,
     oracle_spectrum,
-    plan_counterexample,
     rational_sqrt_lower,
     rational_sqrt_upper,
     sequence_from_levels,
@@ -205,11 +203,11 @@ def test_planned_levels_follow_the_affine_rule():
 
 
 def test_uncertified_sequence_refused_by_inequality_chain():
-    spec = CounterexampleSpec(sequence_from_levels(PAT2, (2, 3)), 2)
+    seq = sequence_from_levels(PAT2, (2, 3))
     with pytest.raises(VerificationError):
-        bound_chain_evaluate(spec, 0)
+        bound_chain_evaluate(seq, 0)
     with pytest.raises(VerificationError):
-        divergence_report(spec)
+        divergence_report(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -218,55 +216,55 @@ def test_uncertified_sequence_refused_by_inequality_chain():
 
 
 def test_coefficient_oracle_frozen_values():
-    spec = plan_counterexample(PAT2, 2)
-    assert coefficient_oracle(spec, 4095) == 0
-    assert coefficient_oracle(spec, 4096) == Fraction(1024, 3)
-    assert coefficient_oracle(spec, 8191) == Fraction(1024, 3)
-    assert coefficient_oracle(spec, 8192) == 0
+    seq = build_alpha_sequence(PAT2, 2)
+    assert coefficient_oracle(seq, 4095) == 0
+    assert coefficient_oracle(seq, 4096) == Fraction(1024, 3)
+    assert coefficient_oracle(seq, 8191) == Fraction(1024, 3)
+    assert coefficient_oracle(seq, 8192) == 0
     m66 = PAT2.scale(66)
-    assert coefficient_oracle(spec, m66 - 1) == 0
-    assert coefficient_oracle(spec, m66) == Fraction(m66, 66)
-    assert coefficient_oracle(spec, 2 * m66 - 1) == Fraction(m66, 66)
-    assert coefficient_oracle(spec, 2 * m66) == 0
+    assert coefficient_oracle(seq, m66 - 1) == 0
+    assert coefficient_oracle(seq, m66) == Fraction(m66, 66)
+    assert coefficient_oracle(seq, 2 * m66 - 1) == Fraction(m66, 66)
+    assert coefficient_oracle(seq, 2 * m66) == 0
     with pytest.raises(DomainError):
-        coefficient_oracle(spec, -1)
+        coefficient_oracle(seq, -1)
 
 
 def test_materialized_spectrum_matches_oracle():
-    spec = plan_counterexample(PAT2, 8)
-    spectrum = forward_transform(materialize_f(spec, 13, PAT2.group(13)))
+    seq = build_alpha_sequence(PAT2, 8)
+    spectrum = forward_transform(materialize_f(seq, 13, PAT2.group(13)))
     g = spectrum.group
     worst = 0.0
     for j in range(g.size):
-        worst = max(worst, abs(spectrum.coeffs[j] - float(coefficient_oracle(spec, j))))
+        worst = max(worst, abs(spectrum.coeffs[j] - float(coefficient_oracle(seq, j))))
     assert worst <= 1e-10
-    assert sup_abs(spectrum.coeffs - oracle_spectrum(spec, g).coeffs) <= 1e-10
+    assert sup_abs(spectrum.coeffs - oracle_spectrum(seq, g).coeffs) <= 1e-10
 
 
 def test_materialize_dichotomy():
-    spec = plan_counterexample(PAT2, 8)
+    seq = build_alpha_sequence(PAT2, 8)
     g = PAT2.group(13)
-    zero = materialize_f(spec, 12, g)
+    zero = materialize_f(seq, 12, g)
     assert sup_abs(zero.values) == 0.0
-    full = materialize_f(spec, 13, g)
-    atom, _ = atom_function(spec, 0, g)
+    full = materialize_f(seq, 13, g)
+    atom, _ = atom_function(seq, 0, g)
     assert sup_abs(full.values - atom.values / 6) < 1e-12
     with pytest.raises(DomainError):
-        materialize_f(spec, 14, g)  # deeper than the grid
+        materialize_f(seq, 14, g)  # deeper than the grid
 
 
 def test_materialize_respects_cap():
-    spec = plan_counterexample(PAT2, 1)
+    seq = build_alpha_sequence(PAT2, 1)
     with pytest.raises(CapExceededError):
-        materialize_f(spec, 13, PAT2.group(13, cap=100))
+        materialize_f(seq, 13, PAT2.group(13, cap=100))
     # refused from the exact size alone, before any grid is built
     with pytest.raises(CapExceededError, match="<int of 40001 bits>"):
-        materialize_f(spec, 13, PAT2.group(40000))
+        materialize_f(seq, 13, PAT2.group(40000))
 
 
 def test_atom_shape_and_validation():
-    spec = plan_counterexample(PAT2, 1)
-    atom, interval = atom_function(spec, 0, PAT2.group(13))
+    seq = build_alpha_sequence(PAT2, 1)
+    atom, interval = atom_function(seq, 0, PAT2.group(13))
     assert interval.depth == 12
     assert interval.measure == Fraction(1, 4096)
     assert float(np.max(np.abs(atom.values))) == 2048.0 * 4096.0
@@ -283,53 +281,53 @@ def test_atom_shape_and_validation():
 
 
 def test_closed_form_matches_truncation_everywhere_admissible():
-    spec = plan_counterexample(PAT2, 8)
+    seq = build_alpha_sequence(PAT2, 8)
     g = PAT2.group(13)
-    s = oracle_spectrum(spec, g)
+    s = oracle_spectrum(seq, g)
     B, q = 4096, 5461
     orders = list(range(0, B + 1, 129)) + [B] + list(range(B + 1, q, 87)) + [q - 1, 8192]
     assert len(orders) >= 50
     for j in orders:
         want = partial_sum(s, j).values
-        got = closed_form_partial_sum(spec, j, g).values
+        got = closed_form_partial_sum(seq, j, g).values
         assert sup_abs(got - want) <= 1e-9
 
 
 def test_closed_form_rejects_between_regimes():
-    spec = plan_counterexample(PAT2, 8)
+    seq = build_alpha_sequence(PAT2, 8)
     g = PAT2.group(13)
     with pytest.raises(DomainError, match="5461"):
-        closed_form_partial_sum(spec, 5461, g)
+        closed_form_partial_sum(seq, 5461, g)
     with pytest.raises(DomainError, match="5461"):
-        closed_form_partial_sum(spec, 6000, g)
+        closed_form_partial_sum(seq, 6000, g)
     with pytest.raises(DomainError):
-        closed_form_partial_sum(spec, 8192 + 1, g)  # beyond the grid
+        closed_form_partial_sum(seq, 8192 + 1, g)  # beyond the grid
     with pytest.raises(DomainError):
-        closed_form_partial_sum(spec, -1, g)
+        closed_form_partial_sum(seq, -1, g)
 
 
 def test_closed_form_full_history_on_mixed_uncertified_levels():
     # algebraic identities need no growth certificates: alpha = (2, 3) keeps
     # both blocks plus the sparse order q_3 = 85 inside a 128-point grid
-    spec = CounterexampleSpec(sequence_from_levels(PAT23, (2, 3)), 2)
-    g = spec.pattern.group(7)
-    s = oracle_spectrum(spec, g)
-    lo0, hi0 = spec.pattern.scale(4), spec.pattern.scale(5)
-    lo1 = spec.pattern.scale(6)
-    q1 = spec.pattern.q_number(3)
+    seq = sequence_from_levels(PAT23, (2, 3))
+    g = seq.pattern.group(7)
+    s = oracle_spectrum(seq, g)
+    lo0, hi0 = seq.pattern.scale(4), seq.pattern.scale(5)
+    lo1 = seq.pattern.scale(6)
+    q1 = seq.pattern.q_number(3)
     admissible = (
         list(range(0, lo0 + 1))
-        + list(range(lo0, spec.pattern.q_number(2)))
+        + list(range(lo0, seq.pattern.q_number(2)))
         + list(range(hi0, lo1 + 1))
         + list(range(lo1, q1))
     )
     for j in admissible:
         want = partial_sum(s, j).values
-        got = closed_form_partial_sum(spec, j, g).values
+        got = closed_form_partial_sum(seq, j, g).values
         assert sup_abs(got - want) <= 1e-9
-    for j in (spec.pattern.q_number(2), hi0 - 1, q1, g.size):
+    for j in (seq.pattern.q_number(2), hi0 - 1, q1, g.size):
         with pytest.raises(DomainError):
-            closed_form_partial_sum(spec, j, g)
+            closed_form_partial_sum(seq, j, g)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +336,8 @@ def test_closed_form_full_history_on_mixed_uncertified_levels():
 
 
 def test_sigma_decomposition_block_zero_pieces_vanish():
-    spec = plan_counterexample(PAT2, 8)
-    dec = sigma_decomposition(spec, 0, PAT2.group(13))
+    seq = build_alpha_sequence(PAT2, 8)
+    dec = sigma_decomposition(seq, 0, PAT2.group(13))
     assert dec.q_index == 5461
     assert dec.q_inner == 1365
     assert sup_abs(dec.low.values) == 0.0
@@ -347,29 +345,29 @@ def test_sigma_decomposition_block_zero_pieces_vanish():
 
 
 def test_sigma_decomposition_totals_to_direct_mean():
-    spec = plan_counterexample(PAT2, 8)
-    dec = sigma_decomposition(spec, 0, PAT2.group(13))
+    seq = build_alpha_sequence(PAT2, 8)
+    dec = sigma_decomposition(seq, 0, PAT2.group(13))
     g = dec.low.group
-    direct = fejer_mean_direct(oracle_spectrum(spec, g), dec.q_index).values
+    direct = fejer_mean_direct(oracle_spectrum(seq, g), dec.q_index).values
     assert sup_abs(dec.total().values - direct) <= 1e-9
 
 
 def test_sigma_decomposition_with_nonzero_history():
-    spec = CounterexampleSpec(sequence_from_levels(PAT23, (2, 3)), 2)
-    dec = sigma_decomposition(spec, 1, PAT23.group(7))
-    assert dec.q_index == spec.pattern.q_number(3)
-    assert dec.q_inner == spec.pattern.q_number(2)
+    seq = sequence_from_levels(PAT23, (2, 3))
+    dec = sigma_decomposition(seq, 1, PAT23.group(7))
+    assert dec.q_index == seq.pattern.q_number(3)
+    assert dec.q_inner == seq.pattern.q_number(2)
     assert sup_abs(dec.low.values) > 0
     assert sup_abs(dec.carried_history.values) > 0
     g = dec.low.group
-    direct = fejer_mean_direct(oracle_spectrum(spec, g), dec.q_index).values
+    direct = fejer_mean_direct(oracle_spectrum(seq, g), dec.q_index).values
     assert sup_abs(dec.total().values - direct) <= 1e-9
 
 
 def test_sigma_decomposition_needs_resolved_frequencies():
-    spec = plan_counterexample(PAT2, 8)
+    seq = build_alpha_sequence(PAT2, 8)
     with pytest.raises(DomainError):
-        sigma_decomposition(spec, 1, PAT2.group(13))  # q_{alpha_1} dwarfs any real grid
+        sigma_decomposition(seq, 1, PAT2.group(13))  # q_{alpha_1} dwarfs any real grid
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +433,8 @@ def test_region_view_matches_digit_pattern(digits, data):
 
 
 def test_ledger_block_zero_exact_values():
-    spec = plan_counterexample(PAT2, 8)
-    led = bound_chain_evaluate(spec, 0)
+    seq = build_alpha_sequence(PAT2, 8)
+    led = bound_chain_evaluate(seq, 0)
     assert led.q_index == 5461 and led.q_inner == 1365
     assert led.q_doubling_ok
     assert led.low_part_bound == 0 and led.carried_history_bound == 0
@@ -458,8 +456,8 @@ def test_ledger_block_zero_exact_values():
 
 
 def test_ledger_block_one_exact_values():
-    spec = plan_counterexample(PAT2, 8)
-    led = bound_chain_evaluate(spec, 1)
+    seq = build_alpha_sequence(PAT2, 8)
+    led = bound_chain_evaluate(seq, 1)
     assert led.alpha == 33
     assert led.q_index == sum(4**j for j in range(34))  # M_0 + M_2 + ... + M_66
     assert led.low_part_bound == Fraction(2 * 2**24, 6)
@@ -473,9 +471,9 @@ def test_ledger_block_one_exact_values():
 
 
 def test_ledger_verdicts_reproducible_from_stored_values():
-    spec = plan_counterexample(PAT2, 8)
+    seq = build_alpha_sequence(PAT2, 8)
     for k in (0, 1, 2):
-        led = bound_chain_evaluate(spec, k)
+        led = bound_chain_evaluate(seq, k)
         assert led.q_doubling_ok == (led.q_index <= 2 * (led.q_index - led.q_inner))
         assert led.history_ok == (
             led.low_part_bound <= led.threshold
@@ -491,14 +489,14 @@ def test_ledger_verdicts_reproducible_from_stored_values():
 
 
 def test_ledger_detail_cap_switches_to_corner_certificate():
-    spec = plan_counterexample(PAT2, 4)
-    led = bound_chain_evaluate(spec, 3, region_detail_cap=10)
+    seq = build_alpha_sequence(PAT2, 4)
+    led = bound_chain_evaluate(seq, 3, region_detail_cap=10)
     assert led.monotone_certified
     assert led.regions is None
     assert led.region_sum_squared is None
     assert led.corner.eta == led.eta_lo and led.corner.s == led.eta_lo + 2
     assert led.all_ok
-    detailed = bound_chain_evaluate(spec, 3, region_detail_cap=10**9)
+    detailed = bound_chain_evaluate(seq, 3, region_detail_cap=10**9)
     assert not detailed.monotone_certified
     assert detailed.regions is not None
     assert detailed.separation_all_ok == led.separation_all_ok
@@ -513,7 +511,7 @@ def test_ledger_detail_cap_switches_to_corner_certificate():
 def test_ledger_scales_match_group_pattern_scale(base, k, detail_cap):
     # the block's running product of M_j against GroupPattern.scale, term by term
     pattern = GroupPattern(tuple(base))
-    led = bound_chain_evaluate(plan_counterexample(pattern, 3), k, region_detail_cap=detail_cap)
+    led = bound_chain_evaluate(build_alpha_sequence(pattern, 3), k, region_detail_cap=detail_cap)
     assert led.m_alpha == pattern.scale(led.alpha)
     assert led.threshold == Fraction(pattern.scale(led.alpha), 16 * led.bound * led.alpha)
     for region in (led.corner, *(led.regions or ())):
@@ -547,8 +545,8 @@ def test_rational_sqrt_brackets_property(x):
 
 
 def test_divergence_report_full_run():
-    spec = plan_counterexample(PAT2, 8)
-    report = divergence_report(spec)
+    seq = build_alpha_sequence(PAT2, 8)
+    report = divergence_report(seq)
     assert report.passed
     assert report.first_failure() is None
     assert len(report.ledgers) == 8
@@ -568,17 +566,17 @@ def test_divergence_report_full_run():
 
 
 def test_divergence_report_k_range():
-    spec = plan_counterexample(PAT2, 8)
-    report = divergence_report(spec, k_range=[0, 2, 4])
+    seq = build_alpha_sequence(PAT2, 8)
+    report = divergence_report(seq, k_range=[0, 2, 4])
     assert report.k_range == (0, 2, 4)
     assert [led.k for led in report.ledgers] == [0, 2, 4]
     with pytest.raises(DomainError):
-        divergence_report(spec, k_range=[9])
+        divergence_report(seq, k_range=[9])
 
 
 @pytest.fixture(scope="module")
 def passing_report():
-    report = divergence_report(plan_counterexample(PAT2, 2))
+    report = divergence_report(build_alpha_sequence(PAT2, 2))
     assert report.passed and report.rows[0].pointwise_ok
     return report
 
@@ -617,7 +615,7 @@ def test_brief_shortens_only_long_numbers():
 @pytest.mark.parametrize("flag", ["q_doubling_ok", "history_ok", "separation_all_ok"])
 def test_first_failure_message_on_huge_ledger_stays_short(flag):
     # q_index has ~295k bits at k = 7: str() of it raises at the default limit
-    report = divergence_report(plan_counterexample(PAT2, 8), k_range=[7])
+    report = divergence_report(build_alpha_sequence(PAT2, 8), k_range=[7])
     ledger = report.ledgers[0]
     assert ledger.q_index.bit_length() > 250_000
     broken = dataclasses.replace(report, ledgers=_replace_first(report.ledgers, **{flag: False}))
@@ -637,8 +635,8 @@ def test_report_reprs_survive_the_digit_limit(default_digit_limit):
     text = repr(region)
     assert text.startswith("RegionBound(eta=0, s=2, product=<int of 16610 bits>, ")
     assert "separation_ok=True, measure=1/3, sqrt_term=<int of 16610 bits>/7)" in text
-    spec = plan_counterexample(PAT2, 8)
-    report = divergence_report(spec, k_range=[7])
+    seq = build_alpha_sequence(PAT2, 8)
+    report = divergence_report(seq, k_range=[7])
     assert report.ledgers[0].q_index.bit_length() > 250_000
     heads = ("BoundLedger(k=7, ", "DivergenceRow(k=7, ", "DivergenceReport(pattern=")
     for obj, head in zip((report.ledgers[0], report.rows[0], report), heads):
@@ -647,7 +645,7 @@ def test_report_reprs_survive_the_digit_limit(default_digit_limit):
         assert "q_index=<int of " in text
         assert len(text) < sys.int_info.default_max_str_digits
     # the level certificates behind the ledgers hold integers as large
-    text = repr(spec)
+    text = repr(seq)
     assert "LevelCertificate(k=7, " in text and "bits>/147453" in text
     assert len(text) < sys.int_info.default_max_str_digits
 
@@ -655,8 +653,8 @@ def test_report_reprs_survive_the_digit_limit(default_digit_limit):
 def test_divergence_report_on_mixed_pattern():
     # cap below M_13 = 93312 keeps this exact-arithmetic only; the function
     # space identities for mixed bases are covered at resolution 7 above
-    spec = plan_counterexample(PAT23, 4)
-    report = divergence_report(spec, cap=50000)
+    seq = build_alpha_sequence(PAT23, 4)
+    report = divergence_report(seq, cap=50000)
     assert report.passed
     assert all(row.direct_integral is None for row in report.rows)
     assert report.series.atoms_validated == 0

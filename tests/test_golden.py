@@ -89,11 +89,11 @@ CASES = {
         False,
     ),
     "kernel_fejer21": (
-        ["kernel", "--kind", "fejer", "--n", "21", "--group", "const:2", "--resolution", "10"],
+        ["kernel", "--kind", "fejer", "--n", "21", "--group", "const:2^10"],
         True,
     ),
     "kernel_dirichlet6": (
-        ["kernel", "--kind", "dirichlet", "--n", "6", "--group", "2,3,2", "--resolution", "3"],
+        ["kernel", "--kind", "dirichlet", "--n", "6", "--group", "2,3,2"],
         True,
     ),
     "selftest": (["selftest"], False),

@@ -157,6 +157,19 @@ def test_group_refuses_a_huge_depth_from_its_exact_size():
         GroupPattern((2,)).group(10**6)
 
 
+def test_build_group_spec_refuses_past_the_cap_before_building(monkeypatch):
+    assert build_group_spec([2] * 24).size == GRID_CAP
+
+    def refuse(digits):
+        raise AssertionError("a grid was built before the cap was checked")
+
+    monkeypatch.setattr(vilenkin.group, "GroupSpec", refuse)
+    with pytest.raises(CapExceededError, match=f"has 33554432 points, cap is {GRID_CAP}$"):
+        build_group_spec([2] * 25)
+    with pytest.raises(CapExceededError, match=f"cap is {GRID_CAP}$"):
+        build_group_spec([3, 5] * 10_000)
+
+
 def test_parse_group_text_variants():
     pat, res = parse_group_text("const:2^8")
     assert pat.base == (2,) and res == 8

@@ -13,9 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vilenkin.counterexample import (
     bound_chain_evaluate,
+    build_alpha_sequence,
     divergence_report,
     lemma2_verify,
-    plan_counterexample,
 )
 from vilenkin.errors import SAFE_STR_BITS, DomainError
 from vilenkin.group import GroupPattern, build_group_spec
@@ -176,7 +176,8 @@ def test_group_codec_round_trip():
     assert decode_group(doc) == g
     assert decode_group("const:2^8") == build_group_spec([2] * 8)
     assert decode_group("2,3,2,4") == g
-    assert decode_group("const:3", resolution=4) == build_group_spec([3] * 4)
+    assert decode_group("const:3^4") == build_group_spec([3] * 4)
+    assert decode_group({"digits": [2, 3, 2, 4]}) == g  # a dict's depth defaults to its digit count
 
 
 def test_group_decode_cyclic_extension():
@@ -186,7 +187,7 @@ def test_group_decode_cyclic_extension():
 
 def test_group_decode_errors():
     with pytest.raises(DomainError):
-        decode_group("const:2")  # no resolution anywhere
+        decode_group("const:2")  # group text must carry its own depth
     with pytest.raises(DomainError):
         decode_group({"resolution": 3})
     with pytest.raises(DomainError):
@@ -268,7 +269,7 @@ PAT2 = GroupPattern((2,))
 
 
 def test_report_doc_key_order_and_exact_ints():
-    ledger = bound_chain_evaluate(plan_counterexample(PAT2, 2), 1)
+    ledger = bound_chain_evaluate(build_alpha_sequence(PAT2, 2), 1)
     doc = report_to_doc(ledger)
     # declaration order, then the verdict property
     assert list(doc) == [f.name for f in dataclasses.fields(ledger)] + ["all_ok"]
@@ -294,9 +295,9 @@ def test_kernel_report_doc():
 
 
 def test_ledger_doc_verdicts_reproducible_after_parse(big_int_text):
-    spec = plan_counterexample(PAT2, 8)
+    seq = build_alpha_sequence(PAT2, 8)
     for k in (1, 7):
-        doc = json.loads(dumps_canonical(report_to_doc(bound_chain_evaluate(spec, k))))
+        doc = json.loads(dumps_canonical(report_to_doc(bound_chain_evaluate(seq, k))))
         q = int(doc["q_index"])
         q_inner = int(doc["q_inner"])
         m2a = q - q_inner
@@ -314,8 +315,8 @@ def test_ledger_doc_verdicts_reproducible_after_parse(big_int_text):
 
 
 def test_divergence_doc_and_csv():
-    spec = plan_counterexample(PAT2, 8)
-    report = divergence_report(spec)
+    seq = build_alpha_sequence(PAT2, 8)
+    report = divergence_report(seq)
     doc = json.loads(dumps_canonical(divergence_to_doc(report)))
     assert doc["passed"] is True
     assert len(doc["ledgers"]) == 8
@@ -330,7 +331,7 @@ def test_divergence_doc_and_csv():
     assert first[5] != ""
     second = lines[2].split(",")
     assert second[5] == ""
-    assert int(second[2]) == spec.pattern.q_number(33)
+    assert int(second[2]) == seq.pattern.q_number(33)
 
     plot = plot_csv(report)
     plines = plot.strip().split("\n")
@@ -357,7 +358,7 @@ def _record_int_str(monkeypatch):
 
 
 def test_a_document_converts_each_big_value_once_with_one_power_table(monkeypatch):
-    report = divergence_report(plan_counterexample(PAT2, 6), cap=2)
+    report = divergence_report(build_alpha_sequence(PAT2, 6), cap=2)
     want = dumps_canonical(divergence_to_doc(report))
     calls = _record_int_str(monkeypatch)
     text = DecimalText()
@@ -373,7 +374,7 @@ def test_a_document_converts_each_big_value_once_with_one_power_table(monkeypatc
 
 
 def test_summary_csv_converts_each_big_value_once(monkeypatch):
-    report = divergence_report(plan_counterexample(PAT2, 6), cap=2)
+    report = divergence_report(build_alpha_sequence(PAT2, 6), cap=2)
     want = summary_csv(report)
     calls = _record_int_str(monkeypatch)
     assert summary_csv(report) == want
@@ -401,8 +402,8 @@ def test_no_decimal_text_outlives_its_document(monkeypatch, capsys):
 
 
 def test_serialization_is_deterministic_across_runs():
-    spec1 = plan_counterexample(PAT2, 4)
-    spec2 = plan_counterexample(PAT2, 4)
-    doc1 = dumps_canonical(divergence_to_doc(divergence_report(spec1)))
-    doc2 = dumps_canonical(divergence_to_doc(divergence_report(spec2)))
+    seq1 = build_alpha_sequence(PAT2, 4)
+    seq2 = build_alpha_sequence(PAT2, 4)
+    doc1 = dumps_canonical(divergence_to_doc(divergence_report(seq1)))
+    doc2 = dumps_canonical(divergence_to_doc(divergence_report(seq2)))
     assert doc1 == doc2
