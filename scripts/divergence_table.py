@@ -3,29 +3,20 @@
 
 For each block k the table shows alpha_k, the size of the Cesaro index
 q(alpha_k), the certified lower bound LB_k for ||sigma_{q_k} f||_{1/2},
-and the sqrt(alpha_k) growth rate it witnesses.  Optionally dumps the
-summary CSV, the (sqrt(alpha_k), LB_k^2) plot data, and the full JSON
-report next to it.
+and the sqrt(alpha_k) growth rate it witnesses.  The summary CSV, the plot
+data and the full JSON report come from ``vilenkin counterexample``.
 
 Example:
-    python3 scripts/divergence_table.py --group const:2 --kmax 8 --csv out/
+    python3 scripts/divergence_table.py --group const:2 --kmax 8
 """
 
 import argparse
 import math
-import os
 import sys
 
 from vilenkin.counterexample import build_alpha_sequence, divergence_report
 from vilenkin.group import parse_group_text
-from vilenkin.serialize import (
-    DecimalText,
-    canonical_parts,
-    divergence_to_doc,
-    int_str,
-    plot_csv,
-    summary_csv,
-)
+from vilenkin.serialize import int_str
 
 
 def main(argv=None):
@@ -33,7 +24,6 @@ def main(argv=None):
     ap.add_argument("--group", default="const:2", help="digit pattern, e.g. const:2 or 2,3")
     ap.add_argument("--kmax", type=int, default=8, help="number of blocks to certify")
     ap.add_argument("--alpha0", type=int, default=6, help="first sparse order")
-    ap.add_argument("--csv", metavar="DIR", help="also write summary/plot CSV and JSON here")
     args = ap.parse_args(argv)
 
     pattern, _ = parse_group_text(args.group)
@@ -56,20 +46,6 @@ def main(argv=None):
           f"(majorant {report.series.geometric_majorant:.6f}) -> f in H_1/2: "
           f"{'ok' if report.series.ok else 'FAIL'}")
     print(verdict)
-
-    if args.csv:
-        os.makedirs(args.csv, exist_ok=True)
-        base = os.path.join(args.csv, f"divergence_{args.group.replace(':', '_').replace(',', '-')}")
-        with open(base + "_summary.csv", "w") as fh:
-            fh.write(summary_csv(report))
-        with open(base + "_plot.csv", "w") as fh:
-            fh.write(plot_csv(report))
-        with open(base + ".json", "w") as fh:
-            text = DecimalText()
-            fh.writelines(canonical_parts(divergence_to_doc(report, text), text))
-            fh.write("\n")
-        print(f"wrote {base}_summary.csv, {base}_plot.csv, {base}.json")
-
     return 0 if report.passed else 1
 
 

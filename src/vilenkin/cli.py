@@ -152,7 +152,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     if args.check_oracle:
         if isinstance(data, Spectrum):
             raise DomainError("--check-oracle applies to value-side input only")
-        oracle = naive_transform_oracle(data, cap=args.oracle_cap)
+        oracle = naive_transform_oracle(data)
         err = sup_rel_error(result.coeffs, oracle.coeffs)
         line = f"max relative error vs naive oracle = {serialize.float_str(err)} (tolerance {ORACLE_TOLERANCE})"
         if err > ORACLE_TOLERANCE:
@@ -196,7 +196,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma2(args: argparse.Namespace) -> int:
-    report = lemma2_verify(_load_pattern(args.group), args.A, cap=args.cap)
+    report = lemma2_verify(_load_pattern(args.group), args.A)
     _emit_report(serialize.kernel_report_to_doc, report, args.out)
     if not report.passed:
         print(
@@ -219,9 +219,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
             "give --emit-plot-data a PATH"
         )
     seq = build_alpha_sequence(_load_pattern(args.group), args.kmax, alpha0=args.alpha0)
-    report = divergence_report(
-        seq, region_detail_cap=args.region_detail_cap, cap=args.materialize_cap
-    )
+    report = divergence_report(seq, cap=args.materialize_cap)
     plot_target = args.emit_plot_data
     if args.json:
         _emit_report(serialize.divergence_to_doc, report, args.out)
@@ -346,8 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--input", help="function/spectrum JSON file")
     tr.add_argument("--random", action="store_true", help="transform seeded random values")
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--check-oracle", action="store_true", help="compare against the naive-sum oracle")
-    tr.add_argument("--oracle-cap", type=int, default=NAIVE_ORACLE_CAP, help="oracle size cap (default %(default)s)")
+    tr.add_argument("--check-oracle", action="store_true", help=f"compare against the naive-sum oracle (at most {NAIVE_ORACLE_CAP} points)")
     tr.add_argument("--out", help="output path (default: stdout)")
     tr.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -360,8 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     le = sub.add_parser("lemma2", help="brute-force kernel floor over digit-pattern regions")
     le.add_argument("--group", required=True, help="base pattern, e.g. const:2 or 2,3 (no ^N: the depth follows from --A)")
-    le.add_argument("--A", type=int, required=True, help="region level (needs A > 2)")
-    le.add_argument("--cap", type=int, default=LEMMA2_CAP, help="grid point cap (default %(default)s)")
+    le.add_argument("--A", type=int, required=True, help=f"region level (needs A > 2; the depth-2A grid may have at most {LEMMA2_CAP} points)")
     le.add_argument("--out")
 
     ce = sub.add_parser("counterexample", help="build and audit the divergence example")
@@ -378,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit (k, sqrt(alpha_k), LB_k^2) CSV to PATH (bare flag: stdout)",
     )
     ce.add_argument("--materialize-cap", type=int, default=GRID_CAP, help="grid point cap, at least 2 (default %(default)s)")
-    ce.add_argument("--region-detail-cap", type=int, default=4096)
     ce.add_argument("--out", help="write the primary table here instead of stdout")
 
     sub.add_parser("selftest", help="run the quick invariant sweep")

@@ -78,6 +78,7 @@ __all__ = [
     "DivergenceReport",
     "MIN_ALPHA0",
     "LEMMA2_CAP",
+    "REGION_DETAIL_CAP",
     "rational_sqrt_lower",
     "rational_sqrt_upper",
     "build_alpha_sequence",
@@ -94,7 +95,8 @@ __all__ = [
 ]
 
 MIN_ALPHA0 = 6
-LEMMA2_CAP = 1 << 20
+LEMMA2_CAP = 1 << 20  # grid points of the Lemma 2 brute force
+REGION_DETAIL_CAP = 4096  # region pairs a ledger evaluates one by one
 
 
 def rational_sqrt_lower(x: Fraction) -> Fraction:
@@ -175,7 +177,6 @@ class AlphaSequence:
     pattern: GroupPattern
     alphas: tuple[int, ...]
     certificates: tuple[LevelCertificate, ...]
-    growth_rule: str
 
     @property
     def certified(self) -> bool:
@@ -234,7 +235,7 @@ def sequence_from_levels(pattern: GroupPattern, alphas) -> AlphaSequence:
     for k, alpha in enumerate(alphas):
         certs.append(_certificate(pattern, k, alpha, alphas[k - 1] if k else 0, history))
         history += certs[-1].history_growth_rhs
-    return AlphaSequence(pattern, alphas, tuple(certs), "explicit")
+    return AlphaSequence(pattern, alphas, tuple(certs))
 
 
 def build_alpha_sequence(
@@ -280,7 +281,7 @@ def build_alpha_sequence(
             t, cert = t - 1, below
         certs.append(cert)
         c = t - 4 * prev
-    seq = AlphaSequence(pattern, tuple(cert.alpha for cert in certs), tuple(certs), "greedy-minimal")
+    seq = AlphaSequence(pattern, tuple(cert.alpha for cert in certs), tuple(certs))
     if not seq.certified:
         raise VerificationError("greedy construction produced an uncertified sequence")
     return seq
@@ -520,11 +521,10 @@ def _region(values: np.ndarray, group: GroupSpec, eta: int, s: int) -> np.ndarra
     )[:, 1:, 0, 1:, 0]
 
 
-def _region_measure(pattern: GroupPattern, eta: int, s: int, scale=None) -> Fraction:
-    """``(m_{2 eta} - 1)(m_{2 s} - 1) / M_{2 s + 1}``; ``scale(j)`` gives
-    ``M_j`` (default :meth:`GroupPattern.scale`)."""
+def _region_measure(pattern: GroupPattern, eta: int, s: int, scale) -> Fraction:
+    """``(m_{2 eta} - 1)(m_{2 s} - 1) / M_{2 s + 1}``; ``scale(j)`` gives ``M_j``."""
     m_eta, m_s = pattern.digit(2 * eta), pattern.digit(2 * s)
-    return Fraction((m_eta - 1) * (m_s - 1), (scale or pattern.scale)(2 * s + 1))
+    return Fraction((m_eta - 1) * (m_s - 1), scale(2 * s + 1))
 
 
 @dataclass(frozen=True)
@@ -550,7 +550,7 @@ class KernelBoundReport:
         return self.global_min_ratio >= self.threshold * (1 - 1e-12)
 
 
-def lemma2_verify(pattern: GroupPattern, level: int, cap: int = LEMMA2_CAP) -> KernelBoundReport:
+def lemma2_verify(pattern: GroupPattern, level: int) -> KernelBoundReport:
     """Brute-force the kernel floor ``q' |K_{q'}| >= M_{2 eta} M_{2 s} / 4``.
 
     ``q' = q_number(level - 1)`` and the regions range over
@@ -559,12 +559,13 @@ def lemma2_verify(pattern: GroupPattern, level: int, cap: int = LEMMA2_CAP) -> K
     carries per-region minima of the ratio and the global minimum.  Region
     point counts and measures come from the grid itself (the tests check
     them against the closed form ``(m_{2 eta} - 1)(m_{2 s} - 1) / M_{2 s + 1}``).
-    Refused when the grid would exceed ``cap`` points.
+    Refused with :class:`CapExceededError` when the grid would exceed
+    ``LEMMA2_CAP`` points (on ``const:2``, past level 10).
     """
     level = int(level)
     if level < 3:
         raise DomainError(f"need level >= 3 for a nonempty region family, got {level}")
-    group = pattern.group(2 * level, cap)
+    group = pattern.group(2 * level, LEMMA2_CAP)
     q_inner = pattern.q_number(level - 1)
     kernel = np.abs(fejer_kernel(q_inner, group).values) * q_inner
     regions = []
@@ -671,17 +672,17 @@ def _region_bound(
     )
 
 
-def bound_chain_evaluate(
-    seq: AlphaSequence, k: int, region_detail_cap: int = 4096
-) -> BoundLedger:
+def bound_chain_evaluate(seq: AlphaSequence, k: int) -> BoundLedger:
     """Audit every inequality behind ``LB_k``, in exact arithmetic.
 
-    When the region family has more than ``region_detail_cap`` pairs, only
-    the extremal corner ``(eta, s) = (floor(alpha/2), floor(alpha/2) + 2)``
-    is evaluated: the products ``M_{2 eta} M_{2 s}`` are strictly
-    increasing in both indices while the compared value ``M * M_alpha`` is
-    fixed, so the corner verdict covers the whole family (and the exact
-    region sum is skipped, leaving the closed-form ``lb_squared``).
+    A region family of at most ``REGION_DETAIL_CAP`` pairs (read at call
+    time) is evaluated region by region, and its first region is the
+    corner.  A larger one evaluates only the extremal corner
+    ``(eta, s) = (floor(alpha/2), floor(alpha/2) + 2)``: the products
+    ``M_{2 eta} M_{2 s}`` are strictly increasing in both indices while the
+    compared value ``M * M_alpha`` is fixed, so the corner verdict covers
+    the whole family (and the exact region sum is skipped, leaving the
+    closed-form ``lb_squared``).
     """
     seq.require_certified("bound_chain_evaluate")
     if not 0 <= k < len(seq.alphas):
@@ -699,7 +700,7 @@ def bound_chain_evaluate(
     if count < 1:
         raise DomainError(f"alpha = {alpha} leaves no usable regions")
     pair_count = count * (count + 1) // 2  # sum over eta of (alpha - 2 - eta)
-    detailed = pair_count <= region_detail_cap
+    detailed = pair_count <= REGION_DETAIL_CAP
 
     # M_j for 2 eta_lo <= j <= 2 s + 1 of the last region used, by running
     # product; M_alpha is among them, since alpha is 2 eta_lo or 2 eta_lo + 1
@@ -721,23 +722,18 @@ def bound_chain_evaluate(
     threshold = Fraction(m_alpha, 16 * bound * alpha)
     history_ok = piece_bound <= threshold
 
-    corner = _region_bound(pattern, alpha, m_alpha, eta_lo, eta_lo + 2, scale, detailed)
-    regions = None
-    region_sum_squared = None
     if detailed:
-        entries = []
-        total = Fraction(0)
-        all_ok = True
-        for eta in range(eta_lo, eta_hi + 1):
-            for s in range(eta + 2, alpha):
-                rb = _region_bound(pattern, alpha, m_alpha, eta, s, scale, True)
-                entries.append(rb)
-                total += rb.sqrt_term
-                all_ok &= rb.separation_ok
-        regions = tuple(entries)
-        region_sum_squared = total * total
-        separation_all_ok = all_ok
+        regions = tuple(
+            _region_bound(pattern, alpha, m_alpha, eta, s, scale, True)
+            for eta in range(eta_lo, eta_hi + 1)
+            for s in range(eta + 2, alpha)
+        )
+        corner = regions[0]
+        region_sum_squared = sum((rb.sqrt_term for rb in regions), Fraction(0)) ** 2
+        separation_all_ok = all(rb.separation_ok for rb in regions)
     else:
+        corner = _region_bound(pattern, alpha, m_alpha, eta_lo, eta_lo + 2, scale, False)
+        regions = region_sum_squared = None
         separation_all_ok = corner.separation_ok
 
     lb_squared = Fraction(count * count, 64 * bound**8 * alpha)
@@ -953,7 +949,6 @@ def _series_report(seq: AlphaSequence, cap: int) -> SeriesReport:
 def divergence_report(
     seq: AlphaSequence,
     k_range=None,
-    region_detail_cap: int = 4096,
     cap: int = GRID_CAP,
 ) -> DivergenceReport:
     """Evaluate the whole argument for the requested blocks.
@@ -975,7 +970,7 @@ def divergence_report(
     ledgers = []
     rows = []
     for k in ks:
-        ledger = bound_chain_evaluate(seq, k, region_detail_cap)
+        ledger = bound_chain_evaluate(seq, k)
         ledgers.append(ledger)
         res = direct = pw = dom = None
         depth = 2 * ledger.alpha + 1

@@ -218,9 +218,16 @@ class GroupPattern:
 
     def group(self, resolution: int, cap: int = GRID_CAP) -> GroupSpec:
         """The depth-``resolution`` grid; :class:`CapExceededError` if its
-        exact size ``M_resolution`` exceeds ``cap``, before anything is built."""
+        exact size ``M_resolution`` exceeds ``cap``, before anything is built.
+
+        Every base is at least 2, so ``M_N >= 2^N``: a depth beyond
+        ``cap.bit_length()`` is refused without computing ``M_N``."""
         if resolution < 1:
             raise DomainError(f"resolution must be >= 1, got {resolution}")
+        if resolution > cap.bit_length():
+            raise CapExceededError(
+                f"a depth-{resolution} grid has at least 2^{resolution} points, cap is {cap}"
+            )
         size = self.scale(resolution)
         if size > cap:
             raise CapExceededError(

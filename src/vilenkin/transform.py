@@ -157,17 +157,20 @@ def inverse_transform(s: Spectrum) -> CylinderFunction:
     return CylinderFunction(s.group, arr)
 
 
-def naive_transform_oracle(f: CylinderFunction, cap: int = NAIVE_ORACLE_CAP) -> Spectrum:
+def naive_transform_oracle(f: CylinderFunction) -> Spectrum:
     """Literal ``O(M_N^2)`` transform used only to cross-check the fast path.
+
+    Refused with :class:`CapExceededError` on a grid of more than
+    ``NAIVE_ORACLE_CAP`` points, before any sum is taken.
 
     Characters are rebuilt here from scratch (digit grids plus one complex
     exponential per row), deliberately sharing nothing with the per-axis
     contraction above.
     """
     g = f.group
-    if g.size > cap:
+    if g.size > NAIVE_ORACLE_CAP:
         raise CapExceededError(
-            f"naive transform is capped at M_N <= {cap}, group has {g.size} points"
+            f"naive transform is capped at M_N <= {NAIVE_ORACLE_CAP}, group has {g.size} points"
         )
     idx = np.arange(g.size)
     frac = [
@@ -259,13 +262,13 @@ def coarsen(f: CylinderFunction, level: int) -> CylinderFunction:
     return CylinderFunction(g.truncate(level), block)
 
 
-def random_cylinder_function(group: GroupSpec, seed: int = 0, complex_parts: bool = True) -> CylinderFunction:
+def random_cylinder_function(group: GroupSpec, seed: int = 0) -> CylinderFunction:
     """Standard normal values (real and imaginary parts) from ``seed >= 0``."""
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     re = rng.standard_normal(group.size)
-    im = rng.standard_normal(group.size) if complex_parts else 0.0
+    im = rng.standard_normal(group.size)
     return CylinderFunction(group, re + 1j * im)
 
 

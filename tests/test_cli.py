@@ -1,7 +1,10 @@
 """CLI behavior: flags, exit codes, output formats, determinism."""
 import json
+import shlex
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,14 +158,16 @@ def test_lemma2_report_and_exit_codes(tmp_path, capsys):
     assert run_cli("lemma2", "--group", "const:3", "--A", "3") == 0
     capsys.readouterr()
     assert run_cli("lemma2", "--group", "const:2", "--A", "2") == 2
-    assert run_cli("lemma2", "--group", "const:2", "--A", "6", "--cap", "100") == 3
+
+
+def test_fixed_caps_exit_3(capsys):
+    assert run_cli("lemma2", "--group", "const:2", "--A", "11") == 3
+    assert "a depth-22 grid has at least 2^22 points, cap is 1048576" in capsys.readouterr().err
+    assert run_cli("transform", "--group", "const:2^13", "--random", "--check-oracle") == 3
+    assert "M_N <= 4096, group has 8192 points" in capsys.readouterr().err
 
 
 def test_zero_caps_are_refused(capsys):
-    assert run_cli("lemma2", "--group", "const:2", "--A", "4", "--cap", "0") == 3
-    assert "cap is 0" in capsys.readouterr().err
-    assert run_cli("transform", "--group", "2,3,2", "--random", "--check-oracle", "--oracle-cap", "0") == 3
-    assert "M_N <= 0" in capsys.readouterr().err
     for cap in ("0", "-7", "1"):  # below 2 every grid audit would be skipped
         assert run_cli("counterexample", "--group", "const:2", "--kmax", "1", "--materialize-cap", cap) == 2
         assert f"must be >= 2, got {cap}" in capsys.readouterr().err
@@ -176,6 +181,25 @@ def test_zero_caps_are_refused(capsys):
 def test_grid_over_the_default_cap_exits_3(argv, capsys):
     assert run_cli(*argv) == 3
     assert "cap is 16777216" in capsys.readouterr().err
+
+
+def test_huge_depth_exits_3_without_computing_the_grid_size(capsys):
+    start = time.perf_counter()
+    assert run_cli("kernel", "--kind", "dirichlet", "--n", "1", "--group", "const:3^100000000") == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "cap exceeded: a depth-100000000 grid has at least 2^100000000 points, cap is 16777216\n"
+    )
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("vilenkin ")]
+    assert commands
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from vilenkin import counterexample
 from vilenkin.counterexample import (
+    LEMMA2_CAP,
     MIN_ALPHA0,
     RegionBound,
     _region,
@@ -49,7 +50,6 @@ def test_greedy_sequence_known_values():
     seq = build_alpha_sequence(PAT2, 8)
     assert seq.alphas == KNOWN_ALPHAS_BASE2
     assert seq.certified
-    assert seq.growth_rule == "greedy-minimal"
     for cert in seq.certificates:
         assert cert.all_ok
     # doubling is a recorded consequence of the greedy step, not an input
@@ -258,7 +258,7 @@ def test_materialize_respects_cap():
     with pytest.raises(CapExceededError):
         materialize_f(seq, 13, PAT2.group(13, cap=100))
     # refused from the exact size alone, before any grid is built
-    with pytest.raises(CapExceededError, match="<int of 40001 bits>"):
+    with pytest.raises(CapExceededError, match="has at least 2\\^40000 points"):
         materialize_f(seq, 13, PAT2.group(40000))
 
 
@@ -384,7 +384,7 @@ def test_kernel_floor_brute_force(pattern, level):
     for region in report.regions:
         assert region.point_count > 0
         assert region.min_ratio >= 0.25
-        assert region.measure == _region_measure(pattern, region.eta, region.s)
+        assert region.measure == _region_measure(pattern, region.eta, region.s, pattern.scale)
         assert region.point_count == region.measure * report.group.size
 
 
@@ -397,9 +397,9 @@ def test_kernel_floor_region_family_shape():
 def test_kernel_floor_preconditions():
     with pytest.raises(DomainError):
         lemma2_verify(PAT2, 2)
-    with pytest.raises(CapExceededError):
-        lemma2_verify(PAT2, 6, cap=100)
-    with pytest.raises(CapExceededError, match="<int of 40001 bits>"):
+    with pytest.raises(CapExceededError, match=f"a depth-22 grid has at least 2\\^22 points, cap is {LEMMA2_CAP}$"):
+        lemma2_verify(PAT2, 11)
+    with pytest.raises(CapExceededError, match="has at least 2\\^40000 points"):
         lemma2_verify(PAT2, 20000)
 
 
@@ -424,7 +424,8 @@ def test_region_view_matches_digit_pattern(digits, data):
     want = [x for x in range(g.size) if in_region(digit_decompose(x, g))]
     view = _region(np.arange(g.size), g, eta, s)
     assert view.ravel().tolist() == want
-    assert Fraction(view.size, g.size) == _region_measure(GroupPattern(g.digits), eta, s)
+    pattern = GroupPattern(g.digits)
+    assert Fraction(view.size, g.size) == _region_measure(pattern, eta, s, pattern.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +491,20 @@ def test_ledger_verdicts_reproducible_from_stored_values():
 
 def test_ledger_detail_cap_switches_to_corner_certificate():
     seq = build_alpha_sequence(PAT2, 4)
-    led = bound_chain_evaluate(seq, 3, region_detail_cap=10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counterexample, "REGION_DETAIL_CAP", 10)
+        led = bound_chain_evaluate(seq, 3)
     assert led.monotone_certified
     assert led.regions is None
     assert led.region_sum_squared is None
     assert led.corner.eta == led.eta_lo and led.corner.s == led.eta_lo + 2
     assert led.all_ok
-    detailed = bound_chain_evaluate(seq, 3, region_detail_cap=10**9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counterexample, "REGION_DETAIL_CAP", 10**9)
+        detailed = bound_chain_evaluate(seq, 3)
     assert not detailed.monotone_certified
     assert detailed.regions is not None
+    assert detailed.corner == detailed.regions[0]
     assert detailed.separation_all_ok == led.separation_all_ok
 
 
@@ -511,13 +517,17 @@ def test_ledger_detail_cap_switches_to_corner_certificate():
 def test_ledger_scales_match_group_pattern_scale(base, k, detail_cap):
     # the block's running product of M_j against GroupPattern.scale, term by term
     pattern = GroupPattern(tuple(base))
-    led = bound_chain_evaluate(build_alpha_sequence(pattern, 3), k, region_detail_cap=detail_cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counterexample, "REGION_DETAIL_CAP", detail_cap)
+        led = bound_chain_evaluate(build_alpha_sequence(pattern, 3), k)
+    if led.regions is not None:
+        assert led.corner == led.regions[0]
     assert led.m_alpha == pattern.scale(led.alpha)
     assert led.threshold == Fraction(pattern.scale(led.alpha), 16 * led.bound * led.alpha)
     for region in (led.corner, *(led.regions or ())):
         eta, s = region.eta, region.s
         assert region.product == pattern.scale(2 * eta) * pattern.scale(2 * s)
-        assert region.measure == _region_measure(pattern, eta, s)
+        assert region.measure == _region_measure(pattern, eta, s, pattern.scale)
         assert region.separation_ok == (
             (led.bound - 1) * region.product >= led.bound * pattern.scale(led.alpha)
         )

@@ -153,8 +153,17 @@ def test_group_builds_up_to_its_cap_and_no_further(resolution):
 
 
 def test_group_refuses_a_huge_depth_from_its_exact_size():
-    with pytest.raises(CapExceededError, match=f"<int of 1000001 bits> points, cap is {GRID_CAP}"):
+    with pytest.raises(CapExceededError, match=f"at least 2\\^1000000 points, cap is {GRID_CAP}$"):
         GroupPattern((2,)).group(10**6)
+
+
+def test_group_refuses_a_huge_depth_without_computing_its_size(monkeypatch):
+    def refuse(self, j):
+        raise AssertionError(f"M_{j} was computed")
+
+    monkeypatch.setattr(GroupPattern, "scale", refuse)
+    with pytest.raises(CapExceededError, match=f"depth-100000000 grid has at least 2\\^100000000 points, cap is {GRID_CAP}$"):
+        GroupPattern((3,)).group(10**8)
 
 
 def test_build_group_spec_refuses_past_the_cap_before_building(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vilenkin.errors import CapExceededError, DomainError
 from vilenkin.group import build_group_spec, digit_decompose
 from vilenkin.transform import (
+    NAIVE_ORACLE_CAP,
     CylinderFunction,
     Spectrum,
     _root_matrix,
@@ -102,9 +103,8 @@ def test_characters_take_unit_modulus_values():
 @given(digit_lists, st.data())
 def test_real_input_gives_real_mean_coefficient(digits, data):
     g = build_group_spec(digits)
-    f = random_cylinder_function(
-        g, seed=data.draw(st.integers(0, 2**16)), complex_parts=False
-    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    f = CylinderFunction(g, rng.standard_normal(g.size))
     s = forward_transform(f)
     assert abs(s.coeffs[0].imag) < 1e-12
     assert abs(s.coeffs[0].real - float(np.mean(f.values.real))) < 1e-12
@@ -120,10 +120,10 @@ def test_fast_path_matches_naive_oracle(digits):
 
 
 def test_naive_oracle_refuses_large_groups():
-    g = build_group_spec([2] * 6)
+    g = build_group_spec([2] * 13)
     f = random_cylinder_function(g, seed=1)
-    with pytest.raises(CapExceededError):
-        naive_transform_oracle(f, cap=32)
+    with pytest.raises(CapExceededError, match=f"M_N <= {NAIVE_ORACLE_CAP}, group has 8192 points$"):
+        naive_transform_oracle(f)
 
 
 def test_root_table_over_the_cap_is_refused_before_it_is_built():
