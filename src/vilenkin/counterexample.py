@@ -822,12 +822,15 @@ class DivergenceReport:
 
     pattern: GroupPattern
     alpha0: int
-    k_range: tuple[int, ...]
+    k_range: tuple[int, ...] = dataclasses.field(init=False)  # the ledgers' block indices
     ledgers: tuple[BoundLedger, ...]
     rows: tuple[DivergenceRow, ...]
     lb_strictly_increasing: bool
     rate_certified_from: int | None  # first k with c_certified there and beyond
     series: SeriesReport
+
+    def __post_init__(self):
+        object.__setattr__(self, "k_range", tuple(led.k for led in self.ledgers))
 
     @property
     def passed(self) -> bool:
@@ -878,28 +881,32 @@ class DivergenceReport:
 
 def _materialized_checks(
     seq: AlphaSequence, ledger: BoundLedger, group: GroupSpec
-) -> tuple[int, float, bool, bool | None]:
+) -> tuple[float, bool, bool]:
     """Grid-side audit of one block on its depth-``2 alpha + 1`` grid: direct
-    integral, per-region floors, and domination of the exact region sum."""
+    integral, per-region floors, and domination of the exact region sum.
+
+    The regions and their products come from the ledger, which lists them
+    one by one whenever the block fits on a grid: the cap is at most
+    ``GRID_CAP = 2^24`` and every base is at least 2, so ``M_{2 alpha + 1}
+    <= 2^24`` gives ``alpha <= 11``, hence at most 10 region pairs, far
+    under ``REGION_DETAIL_CAP``.
+    """
     alpha = ledger.alpha
     sigma = fejer_mean_direct(oracle_spectrum(seq, group), ledger.q_index).values
     direct = float(np.mean(np.sqrt(np.abs(sigma))))
     pointwise_ok = True
-    bound = seq.pattern.bound
-    for eta in range(ledger.eta_lo, ledger.eta_hi + 1):
-        for s in range(eta + 2, alpha):
-            floor = float(
-                Fraction(group.scales[2 * eta] * group.scales[2 * s], 8 * bound**2 * alpha)
-            )
-            if float(np.abs(_region(sigma, group, eta, s)).min()) < floor * (1 - 1e-9):
-                pointwise_ok = False
-    dominates = None
-    if ledger.region_sum_squared is not None:
-        dominates = direct * direct >= float(ledger.region_sum_squared) * (1 - 1e-9)
-    return group.resolution, direct, pointwise_ok, dominates
+    for rb in ledger.regions:
+        floor = float(Fraction(rb.product, 8 * ledger.bound**2 * alpha))
+        if float(np.abs(_region(sigma, group, rb.eta, rb.s)).min()) < floor * (1 - 1e-9):
+            pointwise_ok = False
+    dominates = direct * direct >= float(ledger.region_sum_squared) * (1 - 1e-9)
+    return direct, pointwise_ok, dominates
 
 
-def _series_report(seq: AlphaSequence, cap: int) -> SeriesReport:
+def _series_report(seq: AlphaSequence, grids: list[GroupSpec]) -> SeriesReport:
+    """The membership side; ``grids[k]`` is block ``k``'s depth-``2 alpha_k
+    + 1`` grid, for the blocks that fit, so atom ``k`` is validated there
+    and ``f`` is built on the last of them."""
     alphas = seq.alphas
     total = Fraction(0)
     for a in alphas:
@@ -913,23 +920,18 @@ def _series_report(seq: AlphaSequence, cap: int) -> SeriesReport:
     atom_maximal_ok = None
     grid_estimate = None
     grid_ok = None
-    validated = 0
-    materializable = [
-        k for k, a in enumerate(alphas) if seq.pattern.scale(2 * a + 1) <= cap
-    ]
-    if materializable:
+    if grids:
         atoms_ok = True
         atom_maximal_ok = True
-        for k in materializable:
-            atom, interval = atom_function(seq, k, seq.pattern.group(2 * alphas[k] + 1, cap))
+        for k, group in enumerate(grids):
+            atom, interval = atom_function(seq, k, group)
             report = validate_p_atom(atom, interval, Fraction(1, 2))
             atoms_ok &= report.is_atom
             star = maximal_function(atom)
             root_integral = float(np.mean(np.sqrt(np.abs(star.values))))
             atom_maximal_ok &= root_integral <= 1 + 1e-9
-            validated += 1
-        depth = 2 * alphas[max(materializable)] + 1
-        f = materialize_f(seq, depth, seq.pattern.group(depth, cap))
+        depth = grids[-1].resolution
+        f = materialize_f(seq, depth, grids[-1])
         levels = [coarsen(f, r) for r in range(depth)] + [f]
         grid_estimate = hardy_quasinorm_estimate(levels, Fraction(1, 2))
         grid_ok = grid_estimate <= hardy_upper * (1 + 1e-9)
@@ -938,7 +940,7 @@ def _series_report(seq: AlphaSequence, cap: int) -> SeriesReport:
         geometric_majorant=majorant,
         doubling_ok=doubling_ok,
         hardy_upper=hardy_upper,
-        atoms_validated=validated,
+        atoms_validated=len(grids),
         atoms_ok=atoms_ok,
         atom_maximal_ok=atom_maximal_ok,
         hardy_estimate_on_grid=grid_estimate,
@@ -946,37 +948,34 @@ def _series_report(seq: AlphaSequence, cap: int) -> SeriesReport:
     )
 
 
-def divergence_report(
-    seq: AlphaSequence,
-    k_range=None,
-    cap: int = GRID_CAP,
-) -> DivergenceReport:
-    """Evaluate the whole argument for the requested blocks.
+def divergence_report(seq: AlphaSequence, cap: int = GRID_CAP) -> DivergenceReport:
+    """Evaluate the whole argument, block by block.
 
-    Exact ledgers are produced for every block in ``k_range`` (default:
-    all of them).  Blocks whose natural grid ``M_{2 alpha_k + 1}`` fits
-    under ``cap`` points additionally get a desk-scale audit: the Cesaro
-    mean is computed outright and checked against the per-region floors
-    and the exact region sum.  A ``cap`` below 2 would skip every audit.
+    Every block gets its exact ledger.  A block whose natural grid of
+    ``M_{2 alpha_k + 1}`` points fits under ``cap`` also gets a desk-scale
+    audit on that grid, built once: the Cesaro mean is computed outright
+    and checked against the per-region floors and the exact region sum,
+    and the same grid then serves the membership side.  ``cap`` must lie in
+    ``[2, GRID_CAP]``: below 2 every audit would be skipped, and above
+    ``GRID_CAP`` a grid would pass that every other command refuses.
     """
     seq.require_certified("divergence_report")
     if cap < 2:
-        raise DomainError(f"materialization cap must be >= 2, got {cap}")
-    if k_range is None:
-        k_range = range(len(seq.alphas))
-    ks = tuple(int(k) for k in k_range)
-    if any(not 0 <= k < len(seq.alphas) for k in ks):
-        raise DomainError(f"k_range entries must lie in [0, {len(seq.alphas)})")
+        raise DomainError(f"materialization cap must be >= 2, got {brief(cap)}")
+    if cap > GRID_CAP:
+        raise DomainError(f"materialization cap must be <= {GRID_CAP}, got {brief(cap)}")
     ledgers = []
     rows = []
-    for k in ks:
+    grids = []
+    for k in range(len(seq.alphas)):
         ledger = bound_chain_evaluate(seq, k)
         ledgers.append(ledger)
         res = direct = pw = dom = None
         depth = 2 * ledger.alpha + 1
         if seq.pattern.scale(depth) <= cap:
-            group = seq.pattern.group(depth, cap)
-            res, direct, pw, dom = _materialized_checks(seq, ledger, group)
+            grids.append(seq.pattern.group(depth, cap))
+            res = depth
+            direct, pw, dom = _materialized_checks(seq, ledger, grids[-1])
         rows.append(
             DivergenceRow(
                 k=k,
@@ -998,14 +997,12 @@ def divergence_report(
         if all(led.c_certified for led in ledgers[i:]):
             certified_from = ledgers[i].k
             break
-    series = _series_report(seq, cap)
     return DivergenceReport(
         pattern=seq.pattern,
         alpha0=seq.alphas[0],
-        k_range=ks,
         ledgers=tuple(ledgers),
         rows=tuple(rows),
         lb_strictly_increasing=increasing,
         rate_certified_from=certified_from,
-        series=series,
+        series=_series_report(seq, grids),
     )

@@ -16,7 +16,6 @@ point only enters in the transform layer.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,9 +30,7 @@ __all__ = [
     "build_group_spec",
     "digit_decompose",
     "digit_compose",
-    "cylinder_of",
     "parse_group_text",
-    "all_cylinders",
 ]
 
 GRID_CAP = 1 << 24  # points in the largest grid GroupPattern.group builds by default
@@ -78,10 +75,6 @@ class GroupSpec:
                 f"cannot truncate resolution-{self.resolution} group to {resolution}"
             )
         return GroupSpec(self.digits[:resolution])
-
-    def haar_weight(self) -> Fraction:
-        """Mass of a single point, ``1 / M_resolution``."""
-        return Fraction(1, self.size)
 
 
 def build_group_spec(digits) -> GroupSpec:
@@ -152,27 +145,6 @@ class Cylinder:
         for j in reversed(range(self.depth)):
             n = n * self.group.digits[j] + self.prefix[j]
         return n
-
-    def contains_index(self, idx: int) -> bool:
-        return digit_decompose(idx, self.group)[: self.depth] == self.prefix
-
-
-def cylinder_of(x: tuple[int, ...], n: int, group: GroupSpec) -> Cylinder:
-    """Depth-``n`` cylinder through the point ``x`` (its digit tuple)."""
-    n = int(n)
-    if not 0 <= n <= group.resolution:
-        raise DomainError(f"cylinder depth {n} outside [0, {group.resolution}]")
-    if len(x) != group.resolution:
-        raise DomainError("point has the wrong number of coordinates")
-    return Cylinder(group, tuple(x[:n]))
-
-
-def all_cylinders(group: GroupSpec, depth: int):
-    """Iterate over every depth-``depth`` cylinder (small groups only)."""
-    if not 0 <= depth <= group.resolution:
-        raise DomainError(f"depth {depth} outside [0, {group.resolution}]")
-    for prefix in itertools.product(*(range(m) for m in group.digits[:depth])):
-        yield Cylinder(group, prefix)
 
 
 @dataclass(frozen=True)

@@ -193,24 +193,20 @@ class CharacterBasis:
 
     ``row(n)`` is ``psi_n`` on all points.  ``unit_step(a)`` is
     ``exp(2*pi*i * x_a / m_a)`` on all points: the factor by which a row
-    changes when digit ``a`` of its frequency goes up by one.
+    changes when digit ``a`` of its frequency goes up by one.  Neither is
+    kept: each call builds a new full-grid vector, which lives as long as
+    its caller holds it.
     """
 
     def __init__(self, group: GroupSpec):
         self.group = group
-        self._steps: dict[int, np.ndarray] = {}
 
     def unit_step(self, axis: int) -> np.ndarray:
-        """``exp(2*pi*i * x_axis / m_axis)`` on every point; lazily cached,
-        so a caller that reads the cache from threads fetches it first."""
-        step = self._steps.get(axis)
-        if step is None:
-            g = self.group
-            m, low = g.digits[axis], g.scales[axis]
-            roots = np.exp(2j * np.pi * np.arange(m) / m)
-            step = np.tile(np.repeat(roots, low), g.size // (m * low))
-            self._steps[axis] = step
-        return step
+        """``exp(2*pi*i * x_axis / m_axis)`` on every point."""
+        g = self.group
+        m, low = g.digits[axis], g.scales[axis]
+        roots = np.exp(2j * np.pi * np.arange(m) / m)
+        return np.tile(np.repeat(roots, low), g.size // (m * low))
 
     def row(self, n: int) -> np.ndarray:
         """``psi_n`` on all points, via a single phase accumulation."""

@@ -11,7 +11,7 @@ import pytest
 
 from vilenkin import cli
 from vilenkin.cli import main
-from vilenkin.group import build_group_spec
+from vilenkin.group import GRID_CAP, GroupPattern, build_group_spec
 from vilenkin.serialize import doc_to_function, dumps_canonical, function_to_doc
 from vilenkin.kernels import fejer_kernel
 from vilenkin.transform import CylinderFunction, Spectrum, sup_abs
@@ -167,11 +167,41 @@ def test_fixed_caps_exit_3(capsys):
     assert "M_N <= 4096, group has 8192 points" in capsys.readouterr().err
 
 
+def test_oracle_cap_is_checked_before_the_transform(monkeypatch, capsys):
+    def refuse(f):
+        raise AssertionError("the fast transform ran before the oracle's cap was checked")
+
+    monkeypatch.setattr(cli, "forward_transform", refuse)
+    assert run_cli("transform", "--group", "const:2^13", "--random", "--check-oracle") == 3
+    assert "M_N <= 4096, group has 8192 points" in capsys.readouterr().err
+
+
 def test_zero_caps_are_refused(capsys):
     for cap in ("0", "-7", "1"):  # below 2 every grid audit would be skipped
         assert run_cli("counterexample", "--group", "const:2", "--kmax", "1", "--materialize-cap", cap) == 2
         assert f"must be >= 2, got {cap}" in capsys.readouterr().err
     assert run_cli("counterexample", "--group", "const:2", "--kmax", "1", "--materialize-cap", "2") == 0
+
+
+@pytest.mark.parametrize("cap", ["16777217", "1180591620717411303424"])
+def test_caps_above_the_grid_cap_are_refused(cap, capsys):
+    # above 2^24 the audit would build a grid that every other command refuses
+    assert run_cli("counterexample", "--group", "const:2", "--kmax", "2", "--materialize-cap", cap) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: materialization cap must be <= 16777216, got {cap}\n"
+
+
+def test_counterexample_builds_each_audited_grid_once(monkeypatch, capsys):
+    built = []
+    group = GroupPattern.group
+
+    def counted(self, resolution, cap=GRID_CAP):
+        built.append(resolution)
+        return group(self, resolution, cap)
+
+    monkeypatch.setattr(GroupPattern, "group", counted)
+    assert run_cli("counterexample", "--group", "2,2,3", "--kmax", "2") == 0
+    assert built == [13]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Unit tests: level sequences, atoms, decomposition, exact ledgers."""
 import dataclasses
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -575,15 +576,6 @@ def test_divergence_report_full_run():
     assert series.weight_sqrt_sum <= series.geometric_majorant
 
 
-def test_divergence_report_k_range():
-    seq = build_alpha_sequence(PAT2, 8)
-    report = divergence_report(seq, k_range=[0, 2, 4])
-    assert report.k_range == (0, 2, 4)
-    assert [led.k for led in report.ledgers] == [0, 2, 4]
-    with pytest.raises(DomainError):
-        divergence_report(seq, k_range=[9])
-
-
 @pytest.fixture(scope="module")
 def passing_report():
     report = divergence_report(build_alpha_sequence(PAT2, 2))
@@ -591,17 +583,19 @@ def passing_report():
     return report
 
 
-def _replace_first(items, **changes):
-    return (dataclasses.replace(items[0], **changes),) + tuple(items[1:])
+def _replace_at(items, index, **changes):
+    items = list(items)
+    items[index] = dataclasses.replace(items[index], **changes)
+    return tuple(items)
 
 
 @pytest.mark.parametrize(
     "break_report",
     [
-        lambda r: dataclasses.replace(r, ledgers=_replace_first(r.ledgers, history_ok=False)),
+        lambda r: dataclasses.replace(r, ledgers=_replace_at(r.ledgers, 0, history_ok=False)),
         lambda r: dataclasses.replace(r, lb_strictly_increasing=False),
         lambda r: dataclasses.replace(r, series=dataclasses.replace(r.series, doubling_ok=False)),
-        lambda r: dataclasses.replace(r, rows=_replace_first(r.rows, pointwise_ok=False)),
+        lambda r: dataclasses.replace(r, rows=_replace_at(r.rows, 0, pointwise_ok=False)),
         lambda r: dataclasses.replace(r, rate_certified_from=None),
     ],
     ids=["ledger-verdict", "lb-order", "series", "row-flag", "rate-certificate"],
@@ -625,10 +619,10 @@ def test_brief_shortens_only_long_numbers():
 @pytest.mark.parametrize("flag", ["q_doubling_ok", "history_ok", "separation_all_ok"])
 def test_first_failure_message_on_huge_ledger_stays_short(flag):
     # q_index has ~295k bits at k = 7: str() of it raises at the default limit
-    report = divergence_report(build_alpha_sequence(PAT2, 8), k_range=[7])
-    ledger = report.ledgers[0]
+    report = divergence_report(build_alpha_sequence(PAT2, 8))
+    ledger = report.ledgers[7]
     assert ledger.q_index.bit_length() > 250_000
-    broken = dataclasses.replace(report, ledgers=_replace_first(report.ledgers, **{flag: False}))
+    broken = dataclasses.replace(report, ledgers=_replace_at(report.ledgers, 7, **{flag: False}))
     message = broken.first_failure()
     assert message.startswith("k=7: ")
     assert "bits>" in message
@@ -646,14 +640,19 @@ def test_report_reprs_survive_the_digit_limit(default_digit_limit):
     assert text.startswith("RegionBound(eta=0, s=2, product=<int of 16610 bits>, ")
     assert "separation_ok=True, measure=1/3, sqrt_term=<int of 16610 bits>/7)" in text
     seq = build_alpha_sequence(PAT2, 8)
-    report = divergence_report(seq, k_range=[7])
-    assert report.ledgers[0].q_index.bit_length() > 250_000
-    heads = ("BoundLedger(k=7, ", "DivergenceRow(k=7, ", "DivergenceReport(pattern=")
-    for obj, head in zip((report.ledgers[0], report.rows[0], report), heads):
+    report = divergence_report(seq)
+    assert report.ledgers[7].q_index.bit_length() > 250_000
+    heads = ("BoundLedger(k=7, ", "DivergenceRow(k=7, ")
+    for obj, head in zip((report.ledgers[7], report.rows[7]), heads):
         text = repr(obj)
         assert text.startswith(head)
         assert "q_index=<int of " in text
         assert len(text) < sys.int_info.default_max_str_digits
+    # detailed ledgers list their regions, so the whole report runs to about
+    # a million characters; no number in it is longer than brief() lets through
+    text = repr(report)
+    assert text.startswith("DivergenceReport(pattern=") and "q_index=<int of " in text
+    assert max(map(len, re.findall(r"\d+", text))) <= len(str(2**SAFE_STR_BITS - 1))  # 603
     # the level certificates behind the ledgers hold integers as large
     text = repr(seq)
     assert "LevelCertificate(k=7, " in text and "bits>/147453" in text

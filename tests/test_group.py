@@ -1,6 +1,7 @@
 """Unit tests: group structure, digits, cylinders, sparse orders, and the
 package's exported names."""
 import importlib
+import itertools
 import pkgutil
 from fractions import Fraction
 
@@ -14,9 +15,7 @@ from vilenkin.group import (
     Cylinder,
     GroupPattern,
     GroupSpec,
-    all_cylinders,
     build_group_spec,
-    cylinder_of,
     digit_compose,
     digit_decompose,
     parse_group_text,
@@ -75,7 +74,8 @@ def test_digit_round_trip(digits, data):
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_cylinder_measures_sum_to_one_exactly(digits, depth):
     g = build_group_spec(digits)
-    cells = list(all_cylinders(g, depth))
+    prefixes = itertools.product(*(range(m) for m in g.digits[:depth]))
+    cells = [Cylinder(g, prefix) for prefix in prefixes]
     assert len(cells) == g.scales[depth]
     assert sum((c.measure for c in cells), Fraction(0)) == 1
 
@@ -84,17 +84,17 @@ def test_cylinder_of_membership():
     g = build_group_spec([2, 3, 2])
     x = digit_decompose(7, g)
     for n in range(g.resolution + 1):
-        c = cylinder_of(x, n, g)
+        c = Cylinder(g, x[:n])
         assert c.depth == n
         assert c.measure == Fraction(1, g.scales[n])
-        assert c.contains_index(7)
+        assert digit_decompose(c.base_index, g)[:n] == c.prefix
         assert c.base_index == 7 % g.scales[n]
 
 
 def test_cylinder_base_index_counts_members():
     g = build_group_spec([2, 3, 2])
     c = Cylinder(g, (1, 2))
-    members = [i for i in range(g.size) if c.contains_index(i)]
+    members = [i for i in range(g.size) if digit_decompose(i, g)[:2] == c.prefix]
     assert len(members) == g.size // g.scales[2]
     assert all(i % g.scales[2] == c.base_index for i in members)
 
@@ -195,9 +195,12 @@ def test_parse_group_text_variants():
 
 
 def test_haar_weight():
+    # a point is the full-depth cylinder through it
     g = build_group_spec([2, 3, 2])
-    assert g.haar_weight() == Fraction(1, 12)
-    assert g.truncate(2).haar_weight() == Fraction(1, 6)
+    assert Cylinder(g, (1, 2, 1)).measure == Fraction(1, 12)
+    head = g.truncate(2)
+    assert head.digits == (2, 3)
+    assert Cylinder(head, (1, 2)).measure == Fraction(1, 6)
 
 
 def test_group_spec_scales_and_bound_are_derived_only():
