@@ -48,6 +48,7 @@ from .counterexample import (
     LEMMA2_CAP,
     atom_function,
     build_alpha_sequence,
+    check_materialize_cap,
     lemma2_verify,
     divergence_report,
 )
@@ -219,6 +220,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
             "--json and a bare --emit-plot-data both claim the primary output; "
             "give --emit-plot-data a PATH"
         )
+    check_materialize_cap(args.materialize_cap)  # before planning, which can take seconds
     seq = build_alpha_sequence(_load_pattern(args.group), args.kmax, alpha0=args.alpha0)
     report = divergence_report(seq, cap=args.materialize_cap)
     plot_target = args.emit_plot_data

@@ -91,6 +91,7 @@ __all__ = [
     "sigma_decomposition",
     "lemma2_verify",
     "bound_chain_evaluate",
+    "check_materialize_cap",
     "divergence_report",
 ]
 
@@ -567,7 +568,8 @@ def lemma2_verify(pattern: GroupPattern, level: int) -> KernelBoundReport:
         raise DomainError(f"need level >= 3 for a nonempty region family, got {level}")
     group = pattern.group(2 * level, LEMMA2_CAP)
     q_inner = pattern.q_number(level - 1)
-    kernel = np.abs(fejer_kernel(q_inner, group).values) * q_inner
+    kernel = np.abs(fejer_kernel(q_inner, group).values)
+    kernel *= q_inner
     regions = []
     for eta in range(0, level - 2):
         for s in range(eta + 2, level):
@@ -948,6 +950,16 @@ def _series_report(seq: AlphaSequence, grids: list[GroupSpec]) -> SeriesReport:
     )
 
 
+def check_materialize_cap(cap: int) -> None:
+    """:class:`DomainError` unless the audit cap lies in ``[2, GRID_CAP]``:
+    below 2 every audit would be skipped, and above ``GRID_CAP`` a grid
+    would pass that every other command refuses."""
+    if cap < 2:
+        raise DomainError(f"materialization cap must be >= 2, got {brief(cap)}")
+    if cap > GRID_CAP:
+        raise DomainError(f"materialization cap must be <= {GRID_CAP}, got {brief(cap)}")
+
+
 def divergence_report(seq: AlphaSequence, cap: int = GRID_CAP) -> DivergenceReport:
     """Evaluate the whole argument, block by block.
 
@@ -955,15 +967,11 @@ def divergence_report(seq: AlphaSequence, cap: int = GRID_CAP) -> DivergenceRepo
     ``M_{2 alpha_k + 1}`` points fits under ``cap`` also gets a desk-scale
     audit on that grid, built once: the Cesaro mean is computed outright
     and checked against the per-region floors and the exact region sum,
-    and the same grid then serves the membership side.  ``cap`` must lie in
-    ``[2, GRID_CAP]``: below 2 every audit would be skipped, and above
-    ``GRID_CAP`` a grid would pass that every other command refuses.
+    and the same grid then serves the membership side.  ``cap`` is checked
+    by :func:`check_materialize_cap`.
     """
     seq.require_certified("divergence_report")
-    if cap < 2:
-        raise DomainError(f"materialization cap must be >= 2, got {brief(cap)}")
-    if cap > GRID_CAP:
-        raise DomainError(f"materialization cap must be <= {GRID_CAP}, got {brief(cap)}")
+    check_materialize_cap(cap)
     ledgers = []
     rows = []
     grids = []

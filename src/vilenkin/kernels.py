@@ -86,9 +86,9 @@ def fejer_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
     if n < 1:
         raise DomainError(f"Fejer kernel order must be >= 1, got {n}")
     _check_order(n, grp)
-    v = np.arange(grp.size)
-    weights = np.maximum(n - 1 - v, 0) / n
-    return inverse_transform(Spectrum(grp, weights.astype(np.complex128)))
+    coeffs = np.zeros(grp.size, dtype=np.complex128)
+    coeffs[:n] = (n - 1 - np.arange(n)) / n
+    return inverse_transform(Spectrum(grp, coeffs))
 
 
 def partial_sum(s: Spectrum, n: int) -> CylinderFunction:

@@ -12,6 +12,14 @@ literal sum is retained as :func:`naive_transform_oracle` (with a hard
 size cap) so the fast path can always be cross-checked against an
 implementation that shares none of its machinery.
 
+The inverse transform runs only over the spectrum's support block: the
+leading ``M_t`` coefficients, with ``t`` the least depth beyond which
+every coefficient is zero.  It tiles that block's transform to the full
+grid, bit for bit what the axes from ``t`` on would have computed (see
+:func:`inverse_transform`).  A partial sum, or a Dirichlet or Fejer
+kernel, of order ``n`` thus transforms at most the least ``M_t >= n``
+points, not all ``M_N``.
+
 Normalization: the forward transform divides by ``M_N`` (coefficients are
 integrals against conjugate characters), the inverse does not.
 """
@@ -116,13 +124,19 @@ def character_eval(n: int, x: tuple[int, ...], group: GroupSpec) -> complex:
     return complex(np.exp(2j * np.pi * float(phase)))
 
 
+def _check_root_table(m: int) -> None:
+    """:class:`CapExceededError` when a base-``m`` root table would have
+    more than ``GRID_CAP`` entries."""
+    if m * m > GRID_CAP:
+        raise CapExceededError(f"a base-{m} root table has {m * m} entries, cap is {GRID_CAP}")
+
+
 def _root_matrix(m: int, conjugate: bool) -> np.ndarray:
     """The ``m x m`` table ``exp(+-2*pi*i * (a*b mod m) / m)``, looked up
     in the m roots of unity; :class:`CapExceededError` before it is built
     if it has more than ``GRID_CAP`` entries.  Built on each call, never
     kept: one table of a large base outweighs its whole grid."""
-    if m * m > GRID_CAP:
-        raise CapExceededError(f"a base-{m} root table has {m * m} entries, cap is {GRID_CAP}")
+    _check_root_table(m)
     sign = -1.0 if conjugate else 1.0
     roots = np.exp(sign * 2j * np.pi * np.arange(m, dtype=np.float64) / m)
     index = np.arange(m, dtype=np.int32)  # a*b < m*m <= GRID_CAP < 2**31
@@ -132,16 +146,21 @@ def _root_matrix(m: int, conjugate: bool) -> np.ndarray:
 
 
 def _axis_dft(flat: np.ndarray, group: GroupSpec, axis: int, conjugate: bool) -> np.ndarray:
+    """One axis's DFT on ``flat``, any whole number of ``M_{axis+1}``-point
+    blocks long: the full grid, or a leading block of it."""
     m = group.digits[axis]
-    low = group.scales[axis]
-    high = group.size // (low * m)
-    cube = flat.reshape(high, m, low)
+    cube = flat.reshape(-1, m, group.scales[axis])
     out = np.einsum("ab,hbl->hal", _root_matrix(m, conjugate), cube)
     return out.reshape(-1)
 
 
 def forward_transform(f: CylinderFunction) -> Spectrum:
-    """All Fourier coefficients of ``f``: ``c_n = integral of f * conj(psi_n)``."""
+    """All Fourier coefficients of ``f``: ``c_n = integral of f * conj(psi_n)``.
+
+    Every base's root table is checked against its cap before any axis runs.
+    """
+    for m in f.group.digits:
+        _check_root_table(m)
     arr = f.values.copy()
     for axis in range(f.group.resolution):
         arr = _axis_dft(arr, f.group, axis, conjugate=True)
@@ -150,11 +169,36 @@ def forward_transform(f: CylinderFunction) -> Spectrum:
 
 
 def inverse_transform(s: Spectrum) -> CylinderFunction:
-    """Synthesize ``sum_n c_n * psi_n`` on the full grid (no normalization)."""
-    arr = s.coeffs.copy()
-    for axis in range(s.group.resolution):
-        arr = _axis_dft(arr, s.group, axis, conjugate=False)
-    return CylinderFunction(s.group, arr)
+    """Synthesize ``sum_n c_n * psi_n`` on the full grid (no normalization).
+
+    Only the support block is transformed: with ``t`` the least depth such
+    that every coefficient from ``M_t`` on is zero, axes ``0..t-1`` run on
+    ``coeffs[:M_t]`` and the block is tiled to the full grid.  For finite
+    coefficients this is bit for bit the transform over every axis:
+
+    - an axis below ``t`` mixes entries only inside blocks of ``M_t``
+      points, so every kept entry gets the same products and sums;
+    - on an axis from ``t`` on only the digit-0 slab is nonzero, and its
+      root-table entry is exactly ``1 + 0j``, so that axis copies the slab
+      to every digit, except that the sum turns ``-0.0`` into ``+0.0``,
+      which ``+= 0.0`` does too.
+
+    Every base's root table is checked against its cap first, the bases
+    of skipped axes included.
+    """
+    g = s.group
+    for m in g.digits:
+        _check_root_table(m)
+    t = g.resolution  # down to the least t with coeffs[M_t:] all zero, of either sign
+    while t and not s.coeffs[g.scales[t - 1] : g.scales[t]].any():
+        t -= 1
+    arr = s.coeffs[: g.scales[t]].copy()
+    for axis in range(t):
+        arr = _axis_dft(arr, g, axis, conjugate=False)
+    if t < g.resolution:
+        arr += 0.0
+        arr = np.tile(arr, g.size // g.scales[t])
+    return CylinderFunction(g, arr)
 
 
 def naive_transform_oracle(f: CylinderFunction) -> Spectrum:

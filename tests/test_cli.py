@@ -191,6 +191,16 @@ def test_caps_above_the_grid_cap_are_refused(cap, capsys):
     assert err == f"error: materialization cap must be <= 16777216, got {cap}\n"
 
 
+@pytest.mark.parametrize("cap, message", [("1", "must be >= 2, got 1"), ("16777217", "must be <= 16777216, got 16777217")])
+def test_out_of_range_caps_are_refused_before_planning(cap, message, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("levels were planned before the cap was checked")
+
+    monkeypatch.setattr(cli, "build_alpha_sequence", refuse)
+    assert run_cli("counterexample", "--group", "const:2", "--kmax", "12", "--materialize-cap", cap) == 2
+    assert capsys.readouterr().err == f"error: materialization cap {message}\n"
+
+
 def test_counterexample_builds_each_audited_grid_once(monkeypatch, capsys):
     built = []
     group = GroupPattern.group

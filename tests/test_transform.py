@@ -147,6 +147,51 @@ def test_root_table_from_the_roots_of_unity_is_the_direct_formula_bit_for_bit(m)
     assert _root_matrix(m, True) is not _root_matrix(m, True)  # never kept
 
 
+def _full_axis_inverse(s: Spectrum) -> np.ndarray:
+    """The inverse transform over every axis of the full grid, each root
+    table from the direct formula: the reference for the support block."""
+    g = s.group
+    arr = s.coeffs.copy()
+    for axis, m in enumerate(g.digits):
+        ab = (np.outer(np.arange(m), np.arange(m)) % m).astype(np.float64)
+        cube = arr.reshape(g.size // g.scales[axis + 1], m, g.scales[axis])
+        arr = np.einsum("ab,hbl->hal", np.exp(2j * np.pi * ab / m), cube).reshape(-1)
+    return arr
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=12), st.data())
+def test_support_block_is_the_full_axis_transform_byte_for_byte(digits, data):
+    while np.prod(digits) > NAIVE_ORACLE_CAP:
+        digits.pop()
+    g = build_group_spec(digits)
+    n = data.draw(st.integers(0, g.size))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    parts = rng.standard_normal((2, g.size))
+    parts[:, n:] = 0.0
+    parts[rng.random(parts.shape) < 0.25] = 0.0  # zeros inside the support too
+    parts[rng.random(parts.shape) < 0.5] *= -1.0  # and both signs of zero
+    s = Spectrum(g, parts[0] + 1j * parts[1])
+    got = inverse_transform(s).values
+    assert got.tobytes() == _full_axis_inverse(s).tobytes()
+    assert sup_rel_error(forward_transform(CylinderFunction(g, got)).coeffs, s.coeffs) < 1e-12
+
+
+@pytest.mark.parametrize("transform, kind", [(inverse_transform, Spectrum), (forward_transform, CylinderFunction)])
+def test_every_root_table_is_checked_before_any_work(transform, kind):
+    # the base-5000 axis comes last, and an all-zero spectrum runs no axis
+    g = build_group_spec([2] * 7 + [5000])
+    data = kind(g, np.zeros(g.size, dtype=np.complex128))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="base-5000 root table has 25000000 entries, cap is 16777216$"):
+            transform(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the grid's 640,000 points would take 10 MB
+
+
 def test_random_function_refuses_a_negative_seed():
     g = build_group_spec([2, 3])
     with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
