@@ -29,6 +29,7 @@ from .group import GRID_CAP, GroupPattern, build_group_spec, digit_compose, digi
 from .transform import (
     NAIVE_ORACLE_CAP,
     Spectrum,
+    check_root_tables,
     forward_transform,
     inverse_transform,
     naive_transform_oracle,
@@ -137,9 +138,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
                 f"--group {args.group!r} disagrees with the input file's group "
                 f"{list(data.group.digits)}"
             )
+        check_root_tables(data.group)
     elif args.random:
         if group is None:
             raise DomainError("--random needs --group")
+        check_root_tables(group)  # before any point is drawn
         data = random_cylinder_function(group, seed=args.seed)
     else:
         raise DomainError("nothing to transform: pass --input FILE or --random")

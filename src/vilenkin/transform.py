@@ -20,6 +20,14 @@ grid, bit for bit what the axes from ``t`` on would have computed (see
 kernel, of order ``n`` thus transforms at most the least ``M_t >= n``
 points, not all ``M_N``.
 
+Both transforms run their axes through :func:`_run_axes`: two buffers,
+allocated once, with the low axes on a transposed layout and each root
+table built in row chunks.  None of this changes a bit.  Every output
+entry of an axis is still ``T[a, b] * x[b]`` added up over ``b`` in
+ascending order, whatever the layout; a transposing copy does no
+arithmetic; and a chunk of table rows splits the output entries, not
+any sum.
+
 Normalization: the forward transform divides by ``M_N`` (coefficients are
 integrals against conjugate characters), the inverse does not.
 """
@@ -49,10 +57,13 @@ __all__ = [
     "random_cylinder_function",
     "sup_abs",
     "sup_rel_error",
+    "check_root_tables",
     "NAIVE_ORACLE_CAP",
 ]
 
 NAIVE_ORACLE_CAP = 4096
+# rows of a root table built at a time: 16 MB of table at m = 4096
+TABLE_ROWS = 256
 
 
 def _as_values(group: GroupSpec, values) -> np.ndarray:
@@ -131,27 +142,73 @@ def _check_root_table(m: int) -> None:
         raise CapExceededError(f"a base-{m} root table has {m * m} entries, cap is {GRID_CAP}")
 
 
-def _root_matrix(m: int, conjugate: bool) -> np.ndarray:
-    """The ``m x m`` table ``exp(+-2*pi*i * (a*b mod m) / m)``, looked up
-    in the m roots of unity; :class:`CapExceededError` before it is built
-    if it has more than ``GRID_CAP`` entries.  Built on each call, never
-    kept: one table of a large base outweighs its whole grid."""
+def check_root_tables(group: GroupSpec) -> None:
+    """:class:`CapExceededError` when any base of ``group`` has a root table
+    over the cap, the first such base in axis order; run before any data
+    work, so a grid that no transform could finish is refused up front."""
+    for m in group.digits:
+        _check_root_table(m)
+
+
+def _root_matrix(m: int, conjugate: bool, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows ``start:stop`` (all by default) of the ``m x m`` table
+    ``exp(+-2*pi*i * (a*b mod m) / m)``, looked up in the m roots of unity;
+    :class:`CapExceededError` before any row is built if the whole table
+    has more than ``GRID_CAP`` entries.  Built on each call, never kept:
+    one table of a large base outweighs its whole grid."""
     _check_root_table(m)
     sign = -1.0 if conjugate else 1.0
     roots = np.exp(sign * 2j * np.pi * np.arange(m, dtype=np.float64) / m)
     index = np.arange(m, dtype=np.int32)  # a*b < m*m <= GRID_CAP < 2**31
-    ab = np.multiply.outer(index, index)
+    ab = np.multiply.outer(index[start:stop], index)
     ab %= m
     return roots[ab]
 
 
-def _axis_dft(flat: np.ndarray, group: GroupSpec, axis: int, conjugate: bool) -> np.ndarray:
-    """One axis's DFT on ``flat``, any whole number of ``M_{axis+1}``-point
-    blocks long: the full grid, or a leading block of it."""
-    m = group.digits[axis]
-    cube = flat.reshape(-1, m, group.scales[axis])
-    out = np.einsum("ab,hbl->hal", _root_matrix(m, conjugate), cube)
-    return out.reshape(-1)
+def _axis(src: np.ndarray, dst: np.ndarray, m: int, run: int, conjugate: bool) -> None:
+    """One base-``m`` axis from ``src`` into ``dst``, both viewed as
+    ``(-1, m, run)`` cubes: ``dst[h, a, l] = sum_b T[a, b] * src[h, b, l]``,
+    the table built ``TABLE_ROWS`` rows at a time."""
+    cube, out = src.reshape(-1, m, run), dst.reshape(-1, m, run)
+    for start in range(0, m, TABLE_ROWS):
+        stop = min(start + TABLE_ROWS, m)
+        np.einsum("ab,hbl->hal", _root_matrix(m, conjugate, start, stop), cube, out=out[:, start:stop])
+
+
+def _run_axes(block: np.ndarray, group: GroupSpec, t: int, conjugate: bool) -> np.ndarray:
+    """Axes ``0..t-1`` of the transform on ``block``, the ``M_t`` points of
+    a leading block of the grid, in a new array; ``block`` is only read.
+
+    Two buffers of ``M_t`` points are allocated once, and each axis runs
+    from one into the other.  With ``k`` the least depth such that
+    ``M_k**2 >= M_t``, the block is first copied from shape
+    ``(M_t/M_k, M_k)`` to its transpose: there axis ``j < k`` is a
+    ``(-1, m_j, M_j * M_t/M_k)`` cube, whose inner runs are long even
+    where ``M_j`` is small, and an einsum over short runs is slow.  After
+    axis ``k-1`` the block is copied back, and axes ``k..t-1`` run on the
+    ``(-1, m_j, M_j)`` cubes of the plain layout, with ``M_j >= M_k``.
+
+    Bit for bit the per-axis transform on the plain layout: every output
+    entry of an axis is ``p = T[a, b] * x[b]`` added into it for ``b`` in
+    ascending order, whatever the layout the einsum reads and writes, and
+    a transposing copy moves bytes without arithmetic.  Splitting the table
+    into row chunks splits the output entries, not any sum.  When this
+    returns, the spare buffer and every view of it are gone.
+    """
+    size = group.scales[t]
+    k = next(j for j in range(t + 1) if group.scales[j] ** 2 >= size)
+    low, high = group.scales[k], size // group.scales[k]
+    cur, spare = np.empty(size, np.complex128), np.empty(size, np.complex128)
+    cur.reshape(low, high)[...] = block.reshape(high, low).T
+    for axis in range(k):
+        _axis(cur, spare, group.digits[axis], group.scales[axis] * high, conjugate)
+        cur, spare = spare, cur
+    spare.reshape(high, low)[...] = cur.reshape(low, high).T
+    cur, spare = spare, cur
+    for axis in range(k, t):
+        _axis(cur, spare, group.digits[axis], group.scales[axis], conjugate)
+        cur, spare = spare, cur
+    return cur
 
 
 def forward_transform(f: CylinderFunction) -> Spectrum:
@@ -159,13 +216,11 @@ def forward_transform(f: CylinderFunction) -> Spectrum:
 
     Every base's root table is checked against its cap before any axis runs.
     """
-    for m in f.group.digits:
-        _check_root_table(m)
-    arr = f.values.copy()
-    for axis in range(f.group.resolution):
-        arr = _axis_dft(arr, f.group, axis, conjugate=True)
-    arr /= f.group.size
-    return Spectrum(f.group, arr)
+    g = f.group
+    check_root_tables(g)
+    arr = _run_axes(f.values, g, g.resolution, conjugate=True)
+    arr /= g.size
+    return Spectrum(g, arr)
 
 
 def inverse_transform(s: Spectrum) -> CylinderFunction:
@@ -187,14 +242,11 @@ def inverse_transform(s: Spectrum) -> CylinderFunction:
     of skipped axes included.
     """
     g = s.group
-    for m in g.digits:
-        _check_root_table(m)
+    check_root_tables(g)
     t = g.resolution  # down to the least t with coeffs[M_t:] all zero, of either sign
     while t and not s.coeffs[g.scales[t - 1] : g.scales[t]].any():
         t -= 1
-    arr = s.coeffs[: g.scales[t]].copy()
-    for axis in range(t):
-        arr = _axis_dft(arr, g, axis, conjugate=False)
+    arr = _run_axes(s.coeffs[: g.scales[t]], g, t, conjugate=False)
     if t < g.resolution:
         arr += 0.0
         arr = np.tile(arr, g.size // g.scales[t])

@@ -253,6 +253,17 @@ def test_base_with_a_root_table_over_the_cap_exits_3(argv, capsys):
     assert captured.err == "cap exceeded: a base-5000 root table has 25000000 entries, cap is 16777216\n"
 
 
+def test_transform_refuses_an_over_cap_base_before_drawing_any_point(monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random points drawn before the root tables were checked")
+
+    monkeypatch.setattr(cli, "random_cylinder_function", no_draw)
+    assert run_cli("transform", "--group", "5000,2,2,2,2,2,2,2,2", "--random") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cap exceeded: a base-5000 root table has 25000000 entries, cap is 16777216\n"
+
+
 def test_environment_sets_no_cap(monkeypatch, capsys):
     argv = ("counterexample", "--group", "const:2", "--kmax", "1")
     assert run_cli(*argv) == 0

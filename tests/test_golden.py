@@ -15,7 +15,10 @@ cases on ``2,3``, ``const:3`` and ``2,3,5`` were written while levels were
 still planned by doubling and bisection, with each level's certificate
 evaluated a second time; the eight-level ``--json`` cases on ``2,3`` and
 ``2,3,5`` were written before decimal text was split at power-of-two
-widths from one power table per document.  ``<name>.stdout`` is
+widths from one power table per document; the ``transform`` case on
+``const:2^14`` and the ``kernel`` case on ``2,3,5,2,3,5,2,3`` were written
+before the transforms ran their low axes on a transposed layout in two
+reused buffers.  ``<name>.stdout`` is
 standard output and ``<name>.file`` the ``--out`` file; an artifact over
 ~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
 """
@@ -94,6 +97,13 @@ CASES = {
     ),
     "kernel_dirichlet6": (
         ["kernel", "--kind", "dirichlet", "--n", "6", "--group", "2,3,2"],
+        True,
+    ),
+    # transforms with many low axes: 14 in the forward, a 1,800-point support
+    # block tiled three times in the inverse
+    "transform_const2_14": (["transform", "--group", "const:2^14", "--random", "--seed", "7"], False),
+    "kernel_fejer1000_mixed": (
+        ["kernel", "--kind", "fejer", "--n", "1000", "--group", "2,3,5,2,3,5,2,3"],
         True,
     ),
     "selftest": (["selftest"], False),

@@ -9,6 +9,7 @@ from vilenkin.errors import CapExceededError, DomainError
 from vilenkin.group import build_group_spec, digit_decompose
 from vilenkin.transform import (
     NAIVE_ORACLE_CAP,
+    TABLE_ROWS,
     CylinderFunction,
     Spectrum,
     _root_matrix,
@@ -147,16 +148,39 @@ def test_root_table_from_the_roots_of_unity_is_the_direct_formula_bit_for_bit(m)
     assert _root_matrix(m, True) is not _root_matrix(m, True)  # never kept
 
 
-def _full_axis_inverse(s: Spectrum) -> np.ndarray:
-    """The inverse transform over every axis of the full grid, each root
-    table from the direct formula: the reference for the support block."""
-    g = s.group
-    arr = s.coeffs.copy()
+def _per_axis(values: np.ndarray, g, conjugate: bool) -> np.ndarray:
+    """The transform over every axis of the full grid, one einsum per axis
+    on the plain ``(-1, m, M_axis)`` layout, each root table whole and from
+    the direct formula: the reference for the support block, the
+    transposed low axes and the row-chunked tables."""
+    sign = -1.0 if conjugate else 1.0
+    arr = values.copy()
     for axis, m in enumerate(g.digits):
         ab = (np.outer(np.arange(m), np.arange(m)) % m).astype(np.float64)
         cube = arr.reshape(g.size // g.scales[axis + 1], m, g.scales[axis])
-        arr = np.einsum("ab,hbl->hal", np.exp(2j * np.pi * ab / m), cube).reshape(-1)
+        arr = np.einsum("ab,hbl->hal", np.exp(sign * 2j * np.pi * ab / m), cube).reshape(-1)
     return arr
+
+
+def _full_axis_inverse(s: Spectrum) -> np.ndarray:
+    return _per_axis(s.coeffs, s.group, conjugate=False)
+
+
+def _full_axis_forward(f: CylinderFunction) -> np.ndarray:
+    arr = _per_axis(f.values, f.group, conjugate=True)
+    arr /= f.group.size
+    return arr
+
+
+def _cut_with_signed_zeros(g, n: int, seed: int) -> np.ndarray:
+    """Random values below index ``n`` and zeros from it on, with zeros
+    inside the support too and both signs of zero in both parts."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, g.size))
+    parts[:, n:] = 0.0
+    parts[rng.random(parts.shape) < 0.25] = 0.0
+    parts[rng.random(parts.shape) < 0.5] *= -1.0
+    return parts[0] + 1j * parts[1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,15 +190,52 @@ def test_support_block_is_the_full_axis_transform_byte_for_byte(digits, data):
         digits.pop()
     g = build_group_spec(digits)
     n = data.draw(st.integers(0, g.size))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    parts = rng.standard_normal((2, g.size))
-    parts[:, n:] = 0.0
-    parts[rng.random(parts.shape) < 0.25] = 0.0  # zeros inside the support too
-    parts[rng.random(parts.shape) < 0.5] *= -1.0  # and both signs of zero
-    s = Spectrum(g, parts[0] + 1j * parts[1])
+    s = Spectrum(g, _cut_with_signed_zeros(g, n, data.draw(st.integers(0, 2**16))))
     got = inverse_transform(s).values
     assert got.tobytes() == _full_axis_inverse(s).tobytes()
     assert sup_rel_error(forward_transform(CylinderFunction(g, got)).coeffs, s.coeffs) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 7), min_size=2, max_size=12), st.data())
+def test_both_transforms_on_the_transposed_low_axes_are_the_per_axis_einsum_byte_for_byte(digits, data):
+    # two axes or more: the low axes then run on a layout of long inner runs
+    while len(digits) > 2 and np.prod(digits) > NAIVE_ORACLE_CAP:
+        digits.pop()
+    g = build_group_spec(digits)
+    values = _cut_with_signed_zeros(g, data.draw(st.integers(0, g.size)), data.draw(st.integers(0, 2**16)))
+    assert inverse_transform(Spectrum(g, values)).values.tobytes() == _full_axis_inverse(Spectrum(g, values)).tobytes()
+    f = CylinderFunction(g, values)
+    assert forward_transform(f).coeffs.tobytes() == _full_axis_forward(f).tobytes()
+
+
+@pytest.mark.parametrize("digits", [[300, 2], [2, 1000], [3, 517]])
+def test_root_tables_built_in_row_chunks_give_the_whole_table_bytes(digits):
+    g = build_group_spec(digits)
+    assert max(digits) > TABLE_ROWS  # the table of the large base comes in chunks
+    for n in (g.size, g.size // 3):
+        values = _cut_with_signed_zeros(g, n, seed=n)
+        got = inverse_transform(Spectrum(g, values)).values
+        assert got.tobytes() == _full_axis_inverse(Spectrum(g, values)).tobytes()
+        f = CylinderFunction(g, values)
+        assert forward_transform(f).coeffs.tobytes() == _full_axis_forward(f).tobytes()
+
+
+def test_inverse_transform_holds_one_support_block_beside_the_tile():
+    # 4,096-point support block tiled 16 times: 64 KB per block buffer, 1 MB of tile
+    g = build_group_spec([2] * 16)
+    s = Spectrum(g, _cut_with_signed_zeros(g, 3000, seed=5))
+    block, tile = 16 * 4096, 16 * g.size
+    inverse_transform(s)  # warm up: numpy's first einsum allocates caches of its own
+    tracemalloc.start()
+    try:
+        got = inverse_transform(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.values.nbytes == tile
+    # the result block and the tile; a spare buffer still alive would add a block
+    assert peak < tile + block + block // 2
 
 
 @pytest.mark.parametrize("transform, kind", [(inverse_transform, Spectrum), (forward_transform, CylinderFunction)])
