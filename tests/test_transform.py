@@ -204,8 +204,8 @@ def test_both_transforms_on_the_transposed_low_axes_are_the_per_axis_einsum_byte
         digits.pop()
     g = build_group_spec(digits)
     values = _cut_with_signed_zeros(g, data.draw(st.integers(0, g.size)), data.draw(st.integers(0, 2**16)))
-    assert inverse_transform(Spectrum(g, values)).values.tobytes() == _full_axis_inverse(Spectrum(g, values)).tobytes()
-    f = CylinderFunction(g, values)
+    s, f = Spectrum(g, values), CylinderFunction(g, values)
+    assert inverse_transform(s).values.tobytes() == _full_axis_inverse(s).tobytes()
     assert forward_transform(f).coeffs.tobytes() == _full_axis_forward(f).tobytes()
 
 
@@ -215,9 +215,8 @@ def test_root_tables_built_in_row_chunks_give_the_whole_table_bytes(digits):
     assert max(digits) > TABLE_ROWS  # the table of the large base comes in chunks
     for n in (g.size, g.size // 3):
         values = _cut_with_signed_zeros(g, n, seed=n)
-        got = inverse_transform(Spectrum(g, values)).values
-        assert got.tobytes() == _full_axis_inverse(Spectrum(g, values)).tobytes()
-        f = CylinderFunction(g, values)
+        s, f = Spectrum(g, values), CylinderFunction(g, values)
+        assert inverse_transform(s).values.tobytes() == _full_axis_inverse(s).tobytes()
         assert forward_transform(f).coeffs.tobytes() == _full_axis_forward(f).tobytes()
 
 
@@ -226,7 +225,6 @@ def test_inverse_transform_holds_one_support_block_beside_the_tile():
     g = build_group_spec([2] * 16)
     s = Spectrum(g, _cut_with_signed_zeros(g, 3000, seed=5))
     block, tile = 16 * 4096, 16 * g.size
-    inverse_transform(s)  # warm up: numpy's first einsum allocates caches of its own
     tracemalloc.start()
     try:
         got = inverse_transform(s)
