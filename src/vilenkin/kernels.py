@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DomainError
 from .group import Cylinder, GroupSpec, digit_decompose
 from .transform import (
+    CharacterBasis,
     CylinderFunction,
     Spectrum,
     character_basis,
@@ -121,7 +122,9 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     point, so ``J`` never falls.  The prefix row is tiled up whenever a
     carry first reaches a new axis, and to the full grid before the first
     rank-one term; a nonzero partial sum at ``start`` gets the full row at
-    once.
+    once.  The prefix row at ``start`` is built on the depth-``J + 1``
+    grid alone: each of its points gets the same phase sum, in the same
+    order, as on the full grid.
 
     The steps are cut into segments at those tile-ups, so the row length
     is fixed inside a segment.  Each step changes a point's row, partial
@@ -133,6 +136,14 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     in the same order whatever the split, so the result is bit for bit
     the same for any thread count, and bit for bit the full-grid sweep
     that does every multiply and add.
+
+    Full-grid unit-step vectors are kept only for the axes whose digit
+    runs are shorter than ``transform._SHORT_RUN`` points; every higher
+    axis keeps its ``m_a`` roots (``CharacterBasis.sweep_steps``).  Each
+    point range starts and ends on a multiple of ``M_K``, the first run
+    that is not short, and is stepped as rows of ``M_K`` points, a higher
+    axis by one root per row.  Every point is still multiplied by its own
+    root, so the row is bit for bit the one full step vectors give.
     """
     g = s.group
     if not 0 <= start <= stop <= g.size:
@@ -151,22 +162,22 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
         first = start + int(hits[0])
     basis = character_basis(g)
     # a carry reaches axis a only on a step to a multiple of M_a below stop
-    steps = [basis.unit_step(a) for a in range(g.resolution) if g.scales[a] < stop]
+    steps = basis.sweep_steps(stop)
     tmp = np.empty(g.size, dtype=np.complex128)
     counter = list(digit_decompose(start, g))
     width = max((k for k, d in enumerate(counter) if d), default=0) + 1
-    psi = basis.row(start)[: g.scales[width]].copy()
+    psi = CharacterBasis(g.truncate(width)).row(start)
     n = start
     while n < first:  # the zero run: only the prefix row moves
         if n + 1 == psi.size:  # this step carries into axis ``width``
             psi = np.tile(psi, g.digits[width])
             width += 1
         end = min(first, psi.size - 1)
-        _sweep_segment(psi, None, total, tmp, steps, counter, g.digits, s.coeffs[n:end])
+        _sweep_segment(psi, None, total, tmp, basis, steps, counter, s.coeffs[n:end])
         n = end
     if psi.size < g.size:
         psi = np.tile(psi, g.size // psi.size)
-    _sweep_segment(psi, cur, total, tmp, steps, counter, g.digits, s.coeffs[first : stop - 1])
+    _sweep_segment(psi, cur, total, tmp, basis, steps, counter, s.coeffs[first : stop - 1])
     total += cur
     return total
 
@@ -178,26 +189,30 @@ _RANGE_POINTS = 8192
 _THREADS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
-def _sweep_segment(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
+def _sweep_segment(psi, cur, total, tmp, basis, steps, counter, coeffs) -> None:
     """Step the row ``psi`` through one coefficient per step, split into
     point ranges on threads when the row is long enough.
 
     ``cur`` None means the partial sum is identically zero.  ``counter``
-    ends advanced past the segment.  A range's exception is raised again
-    here, after every thread has finished.
+    ends advanced past the segment.  Ranges are cut on multiples of
+    ``basis.step_run``, and each is stepped as rows of that many points
+    (see ``CharacterBasis.range_steps``).  A range's exception is raised
+    again here, after every thread has finished.
     """
-    parts = max(1, min(_THREADS, psi.size // _RANGE_POINTS))
-    bounds = [psi.size * i // parts for i in range(parts + 1)]
+    run = basis.step_run(psi.size)
+    rows = psi.size // run
+    parts = max(1, min(_THREADS, psi.size // _RANGE_POINTS, rows))
+    bounds = [run * (rows * i // parts) for i in range(parts + 1)]
     counters = [list(counter) for _ in range(parts)]
     ranges = [
         (
-            psi[lo:hi],
-            None if cur is None else cur[lo:hi],
-            total[lo:hi],
-            tmp[lo:hi],
-            [step[lo:hi] for step in steps],
+            psi[lo:hi].reshape(-1, run),
+            None if cur is None else cur[lo:hi].reshape(-1, run),
+            total[lo:hi].reshape(-1, run),
+            tmp[lo:hi].reshape(-1, run),
+            basis.range_steps(steps, psi.size, lo, hi),
             counters[i],
-            digits,
+            basis.group.digits,
             coeffs,
         )
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))

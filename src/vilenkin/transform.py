@@ -283,6 +283,18 @@ def naive_transform_oracle(f: CylinderFunction) -> Spectrum:
     return Spectrum(g, out / g.size)
 
 
+# A partial-sum sweep keeps a full-grid unit-step vector only for the axes
+# whose digit runs are shorter than _SHORT_RUN points; a higher axis steps
+# the row as rows of M_K points (K the first axis at or over it) by one
+# root per row.  That broadcast multiply measured up to 2x a full-vector
+# one per call (2 shared vCPUs), but only a carry that reaches axis K takes
+# it: about once in M_K steps, at most once in 64 here.  The sweep's time
+# stayed within noise for every value from 8 to 128, and each short axis
+# costs one full vector (6 of 13 on the depth-13 `2,2,3` grid, 4 of 13 on
+# `const:3`).
+_SHORT_RUN = 64
+
+
 class CharacterBasis:
     """Characters on every point of a grid, built from each base's roots
     of unity.
@@ -292,17 +304,69 @@ class CharacterBasis:
     changes when digit ``a`` of its frequency goes up by one.  Neither is
     kept: each call builds a new full-grid vector, which lives as long as
     its caller holds it.
+
+    The unit step of axis ``a`` depends on digit ``a`` alone, so it is
+    constant on runs of ``M_a`` points.  A partial-sum sweep stores, per
+    axis a carry can reach (``sweep_steps``), the full vector only when
+    ``M_a < _SHORT_RUN``, and only the ``m_a`` roots for every higher axis.
+    ``range_steps`` shapes them for a point range seen as rows of
+    ``step_run`` points: a short-run axis as its vector's slice, a higher
+    one as a column of one root per row.  Either way each point is
+    multiplied by the same root ``exp(2*pi*i * x_a / m_a)``, and numpy's
+    complex product of two numbers does not depend on whether one of them
+    is broadcast, so the row is bit for bit the full-vector one.
     """
 
     def __init__(self, group: GroupSpec):
         self.group = group
 
+    def roots(self, axis: int) -> np.ndarray:
+        """The ``m_axis`` values of ``exp(2*pi*i * x_axis / m_axis)``."""
+        m = self.group.digits[axis]
+        return np.exp(2j * np.pi * np.arange(m) / m)
+
     def unit_step(self, axis: int) -> np.ndarray:
         """``exp(2*pi*i * x_axis / m_axis)`` on every point."""
         g = self.group
         m, low = g.digits[axis], g.scales[axis]
-        roots = np.exp(2j * np.pi * np.arange(m) / m)
-        return np.tile(np.repeat(roots, low), g.size // (m * low))
+        return np.tile(np.repeat(self.roots(axis), low), g.size // (m * low))
+
+    def _short_axes(self) -> int:
+        return sum(1 for run in self.group.scales[:-1] if run < _SHORT_RUN)
+
+    def sweep_steps(self, stop: int) -> list[np.ndarray]:
+        """The unit steps of the axes a carry reaches on a step below
+        ``stop``: the full vector of a short-run axis, the roots of any other."""
+        g, short = self.group, self._short_axes()
+        return [
+            self.unit_step(a) if a < short else self.roots(a)
+            for a in range(g.resolution)
+            if g.scales[a] < stop
+        ]
+
+    def step_run(self, points: int) -> int:
+        """The row length for a row of ``points`` leading points: ``M_K``,
+        with ``K`` the first axis whose runs are not short, or ``points``
+        when that is less."""
+        return min(self.group.scales[self._short_axes()], points)
+
+    def range_steps(self, steps: list[np.ndarray], points: int, lo: int, hi: int) -> list[np.ndarray]:
+        """``sweep_steps`` on points ``[lo, hi)`` of a row of ``points``
+        leading points, each shaped against ``row[lo:hi].reshape(-1, run)``
+        with ``run = step_run(points)``; ``lo`` and ``hi`` are multiples of
+        ``run``.  Axes whose runs are not shorter than the row are left out:
+        no carry reaches them while the row has that length."""
+        g, short, run = self.group, self._short_axes(), self.step_run(points)
+        out = []
+        for a, step in enumerate(steps):
+            if g.scales[a] >= points:
+                break
+            if a < short:
+                out.append(step[lo:hi].reshape(-1, run))
+            else:  # row r of the range lies in run (lo // run + r) // (M_a // run) of axis a
+                digit = np.arange(lo // run, hi // run) // (g.scales[a] // run) % g.digits[a]
+                out.append(step[digit, None])
+        return out
 
     def row(self, n: int) -> np.ndarray:
         """``psi_n`` on all points, via a single phase accumulation."""
@@ -320,9 +384,11 @@ def step_character(psi: np.ndarray, counter: list[int], digits, steps) -> None:
     """Multiply ``psi_n`` into ``psi_{n+1}`` in place along the carry chain.
 
     ``counter`` holds n's digits and is advanced too; ``steps[j]`` is the
-    axis-``j`` unit step on the same points as ``psi`` and must exist for
-    every axis the carry reaches.  Only numpy runs here, on ``psi`` and
-    ``steps`` alone, so disjoint point ranges may be stepped at once.
+    axis-``j`` unit step on the same points as ``psi``, in a shape that
+    broadcasts against it (see ``CharacterBasis.range_steps``), and must
+    exist for every axis the carry reaches.  Only numpy runs here, on
+    ``psi`` and ``steps`` alone, so disjoint point ranges may be stepped at
+    once.
     """
     j = 0
     while True:

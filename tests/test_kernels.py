@@ -1,13 +1,14 @@
 """Unit tests: Dirichlet/Fejer kernels, Cesaro means, Hardy-space pieces."""
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vilenkin import kernels
+from vilenkin import kernels, transform
 from vilenkin.errors import DomainError
 from vilenkin.group import Cylinder, GroupPattern, build_group_spec, digit_decompose
 from vilenkin.kernels import (
@@ -38,10 +39,10 @@ digit_lists = st.lists(st.integers(2, 5), min_size=2, max_size=5)
 
 
 @st.composite
-def sweep_groups(draw):
-    """Bases 2-5 on at most 4096 points: the longest prefix of a drawn
-    base list that fits."""
-    digits = draw(st.lists(st.integers(2, 5), min_size=1, max_size=12))
+def sweep_groups(draw, max_base=5):
+    """Bases 2 to ``max_base`` on at most 4096 points: the longest prefix
+    of a drawn base list that fits."""
+    digits = draw(st.lists(st.integers(2, max_base), min_size=1, max_size=12))
     size, kept = 1, []
     for m in digits:
         if size * m > 4096:
@@ -52,10 +53,10 @@ def sweep_groups(draw):
 
 
 @st.composite
-def sweep_spectra(draw):
+def sweep_spectra(draw, max_base=5):
     """Spectra with zero runs: dense with ~60% zeros, one constant block,
     or several constant blocks."""
-    g = draw(sweep_groups())
+    g = draw(sweep_groups(max_base))
     kind = draw(st.sampled_from(["dense", "block", "blocks"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coeffs = np.zeros(g.size, dtype=np.complex128)
@@ -261,6 +262,50 @@ def test_sweep_split_into_tiny_thread_ranges_is_the_full_grid_sweep(s, data):
     finally:
         sys.setswitchinterval(interval)
     assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@given(sweep_spectra(max_base=7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sweep_with_few_full_step_vectors_is_the_full_grid_sweep(threads, s, data):
+    # a low _SHORT_RUN keeps full step vectors for the first axes only, so
+    # the higher axes step by one root per row of a few points; thread
+    # ranges of any row count, and summation ranges that are empty, one
+    # point long, ragged or start past 0
+    g = s.group
+    start = data.draw(st.one_of(st.just(0), st.integers(0, g.size)))
+    stop = data.draw(
+        st.one_of(st.just(start), st.just(min(start + 1, g.size)), st.integers(start, g.size))
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transform, "_SHORT_RUN", data.draw(st.sampled_from([2, 3, 4, 8, 16])))
+        mp.setattr(kernels, "_RANGE_POINTS", data.draw(st.sampled_from([1, 2, 8192])))
+        mp.setattr(kernels, "_THREADS", threads)
+        fast = summed_partial_sums(s, start, stop)
+    assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+
+
+def test_sweep_keeps_full_step_vectors_for_the_short_run_axes_only(monkeypatch):
+    # on const:3^9 a sweep past 3^8 reaches all 9 axes; only axes 0-3,
+    # with runs of 1, 3, 9 and 27 points, are below _SHORT_RUN
+    g = build_group_spec([3] * 9)
+    coeffs = np.zeros(g.size, dtype=np.complex128)
+    coeffs[0] = 1
+    s = Spectrum(g, coeffs)
+    short = sum(1 for run in g.scales[:-1] if run < transform._SHORT_RUN)
+    assert short == 4
+    itemsize = np.dtype(np.complex128).itemsize
+    vector = g.size * itemsize
+    monkeypatch.setattr(kernels, "_THREADS", 1)
+    tracemalloc.start()
+    try:
+        summed_partial_sums(s, 0, g.scales[8] + 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the short-run step vectors, psi, cur, total and tmp, plus the ufunc
+    # buffer numpy takes for a broadcast multiply and a little more
+    assert peak <= (short + 4) * vector + np.getbufsize() * itemsize + vector // 4
 
 
 def test_sweep_raises_a_range_error_in_the_caller_after_every_thread_ends(monkeypatch):
