@@ -314,7 +314,10 @@ class CharacterBasis:
     one as a column of one root per row.  Either way each point is
     multiplied by the same root ``exp(2*pi*i * x_a / m_a)``, and numpy's
     complex product of two numbers does not depend on whether one of them
-    is broadcast, so the row is bit for bit the full-vector one.
+    is broadcast, so the row is bit for bit the full-vector one.  (Only an
+    in-place multiply of a single point takes another loop, which can
+    differ in the last bit; a range holds at least ``step_run`` >= 2
+    points.)
     """
 
     def __init__(self, group: GroupSpec):
@@ -363,7 +366,7 @@ class CharacterBasis:
                 break
             if a < short:
                 out.append(step[lo:hi].reshape(-1, run))
-            else:  # row r of the range lies in run (lo // run + r) // (M_a // run) of axis a
+            else:  # row r of the range has digit (lo // run + r) // (M_a // run) % m_a
                 digit = np.arange(lo // run, hi // run) // (g.scales[a] // run) % g.digits[a]
                 out.append(step[digit, None])
         return out

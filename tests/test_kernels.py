@@ -274,9 +274,8 @@ def test_sweep_with_few_full_step_vectors_is_the_full_grid_sweep(threads, s, dat
     # point long, ragged or start past 0
     g = s.group
     start = data.draw(st.one_of(st.just(0), st.integers(0, g.size)))
-    stop = data.draw(
-        st.one_of(st.just(start), st.just(min(start + 1, g.size)), st.integers(start, g.size))
-    )
+    ragged = st.integers(start, g.size)
+    stop = data.draw(st.one_of(st.just(start), st.just(min(start + 1, g.size)), ragged, ragged))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transform, "_SHORT_RUN", data.draw(st.sampled_from([2, 3, 4, 8, 16])))
         mp.setattr(kernels, "_RANGE_POINTS", data.draw(st.sampled_from([1, 2, 8192])))
