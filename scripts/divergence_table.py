@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 
-from vilenkin.counterexample import build_alpha_sequence, divergence_report
+from vilenkin.exact import build_alpha_sequence, divergence_report
 from vilenkin.group import parse_group_text
 from vilenkin.serialize import int_str
 

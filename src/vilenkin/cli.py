@@ -12,6 +12,8 @@ Exit codes: 0 success, 2 usage or domain precondition, 3 resource cap
 exceeded (a grid over its point cap is refused before it is built), 4
 verification failure, 141 stdout closed by its reader (128 + SIGPIPE).
 Results go to stdout or ``--out``; standard error carries diagnostics only.
+A command imports the grid modules, and numpy with them, only when it
+evaluates on a grid.
 Given the same arguments and seed, every command rewrites byte-identical
 output.
 """
@@ -21,40 +23,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
-
-from .errors import CapExceededError, DomainError, VerificationError
-from .group import GRID_CAP, GroupPattern, build_group_spec, digit_compose, digit_decompose, parse_group_text
-from .transform import (
-    NAIVE_ORACLE_CAP,
-    Spectrum,
-    check_root_tables,
-    forward_transform,
-    inverse_transform,
-    naive_transform_oracle,
-    random_cylinder_function,
-    sup_rel_error,
-)
-from .kernels import (
-    dirichlet_kernel,
-    fejer_kernel,
-    fejer_mean_direct,
-    fejer_mean_multiplier,
-    maximal_function,
-    validate_p_atom,
-    zero_cylinder_indicator,
-)
-from .counterexample import (
-    LEMMA2_CAP,
-    atom_function,
-    build_alpha_sequence,
-    check_materialize_cap,
-    lemma2_verify,
-    divergence_report,
-)
-from . import serialize
 from fractions import Fraction
+
+from . import serialize
+from .errors import CapExceededError, DomainError, VerificationError
+from .exact import LEMMA2_CAP, build_alpha_sequence, check_materialize_cap, divergence_report
+from .group import GRID_CAP, NAIVE_ORACLE_CAP, GroupPattern, build_group_spec, digit_compose, digit_decompose, parse_group_text
 
 __all__ = ["main"]
 
@@ -130,6 +104,9 @@ def _load_pattern(text: str) -> GroupPattern:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
+    from .transform import Spectrum, check_root_tables, forward_transform, inverse_transform
+    from .transform import naive_transform_oracle, random_cylinder_function, sup_rel_error
+
     group = _load_group(args)
     if args.input is not None:
         data = serialize.load_function_file(args.input)
@@ -176,6 +153,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
+    from .kernels import dirichlet_kernel, fejer_kernel
+
     group = _load_group(args)
     kind, n = args.kind, args.n
     if kind == "dirichlet":
@@ -201,6 +180,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma2(args: argparse.Namespace) -> int:
+    from .counterexample import lemma2_verify
+
     report = lemma2_verify(_load_pattern(args.group), args.A)
     _emit_report(serialize.kernel_report_to_doc, report, args.out)
     if not report.passed:
@@ -218,15 +199,19 @@ def cmd_lemma2(args: argparse.Namespace) -> int:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    if args.json and args.emit_plot_data == "-":
+    plot_target = args.emit_plot_data
+    if args.json and plot_target == "-":
         raise DomainError(
             "--json and a bare --emit-plot-data both claim the primary output; "
             "give --emit-plot-data a PATH"
         )
+    if args.out is not None and plot_target not in (None, "-") and os.path.realpath(args.out) == os.path.realpath(plot_target):
+        raise DomainError(
+            f"--out and --emit-plot-data both name {args.out}; the plot data would overwrite the report"
+        )
     check_materialize_cap(args.materialize_cap)  # before planning, which can take seconds
     seq = build_alpha_sequence(_load_pattern(args.group), args.kmax, alpha0=args.alpha0)
     report = divergence_report(seq, cap=args.materialize_cap)
-    plot_target = args.emit_plot_data
     if args.json:
         _emit_report(serialize.divergence_to_doc, report, args.out)
     elif plot_target == "-":
@@ -247,6 +232,14 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _selftest_checks():
+    import numpy as np
+
+    from .counterexample import atom_function, lemma2_verify
+    from .kernels import dirichlet_kernel, fejer_kernel, fejer_mean_direct, fejer_mean_multiplier
+    from .kernels import maximal_function, validate_p_atom, zero_cylinder_indicator
+    from .transform import forward_transform, inverse_transform, naive_transform_oracle
+    from .transform import random_cylinder_function, sup_rel_error
+
     def digits_round_trip():
         g = build_group_spec([2, 3, 2, 4, 5])
         assert all(digit_compose(digit_decompose(n, g), g) == n for n in range(g.size))

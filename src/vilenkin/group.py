@@ -24,6 +24,7 @@ from .errors import CapExceededError, DomainError, brief
 
 __all__ = [
     "GRID_CAP",
+    "NAIVE_ORACLE_CAP",
     "GroupSpec",
     "GroupPattern",
     "Cylinder",
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 GRID_CAP = 1 << 24  # points in the largest grid GroupPattern.group builds by default
+NAIVE_ORACLE_CAP = 4096  # points in the largest grid the naive transform oracle sums over
 
 
 @dataclass(frozen=True)

@@ -35,14 +35,14 @@ import dataclasses
 import decimal
 import json
 from fractions import Fraction
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .errors import SAFE_STR_BITS, DomainError
 from .group import Cylinder, GroupPattern, GroupSpec, parse_group_text
-from .transform import CylinderFunction, Spectrum
-from .counterexample import DivergenceReport, KernelBoundReport
+
+if TYPE_CHECKING:
+    from .counterexample import KernelBoundReport
+    from .exact import DivergenceReport
 
 __all__ = [
     "EXACT_INT_FIELDS",
@@ -154,11 +154,9 @@ def _emit(obj: Any, out: list[str], text: DecimalText) -> None:
             out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, Fraction):
         out += ('{"num":"', text(obj.numerator), '","den":"', text(obj.denominator), '"}')
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         out.append(float_str(obj))
     elif isinstance(obj, dict):
         out.append("{")
@@ -178,6 +176,8 @@ def _emit(obj: Any, out: list[str], text: DecimalText) -> None:
                 out.append(",")
             _emit(val, out, text)
         out.append("]")
+    elif type(obj).__module__ == "numpy" and obj.ndim == 0:  # a numpy scalar, seen without importing numpy
+        _emit(obj.item(), out, text)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -242,6 +242,8 @@ def decode_group(raw) -> GroupSpec:
 
 
 def function_to_doc(obj) -> dict:
+    from .transform import CylinderFunction, Spectrum
+
     if isinstance(obj, CylinderFunction):
         kind, data = "values", obj.values
     elif isinstance(obj, Spectrum):
@@ -257,6 +259,10 @@ def function_to_doc(obj) -> dict:
 
 
 def doc_to_function(doc):
+    import numpy as np
+
+    from .transform import CylinderFunction, Spectrum
+
     if not isinstance(doc, dict):
         raise DomainError("function file must contain a JSON object")
     try:

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, DomainError
-from .group import GRID_CAP, GroupSpec, digit_decompose
+from .group import GRID_CAP, NAIVE_ORACLE_CAP, GroupSpec, digit_decompose
 
 __all__ = [
     "CylinderFunction",
@@ -58,10 +58,8 @@ __all__ = [
     "sup_abs",
     "sup_rel_error",
     "check_root_tables",
-    "NAIVE_ORACLE_CAP",
 ]
 
-NAIVE_ORACLE_CAP = 4096
 # rows of a root table built at a time: 16 MB of table at m = 4096
 TABLE_ROWS = 256
 

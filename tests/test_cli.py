@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vilenkin import cli
+from vilenkin import cli, counterexample, kernels, transform
 from vilenkin.cli import main
 from vilenkin.group import GRID_CAP, GroupPattern, build_group_spec
 from vilenkin.serialize import doc_to_function, dumps_canonical, function_to_doc
@@ -130,7 +130,7 @@ def test_kernel_value_at_zero_mismatch_exits_4(monkeypatch, tmp_path, capsys):
         kernel = fejer_kernel(n, group)
         return CylinderFunction(group, kernel.values + 1.0)
 
-    monkeypatch.setattr(cli, "fejer_kernel", wrong_at_zero)
+    monkeypatch.setattr(kernels, "fejer_kernel", wrong_at_zero)
     out = tmp_path / "k21.json"
     assert run_cli("kernel", "--kind", "fejer", "--n", "21", "--group", "const:2^6", "--out", str(out)) == 4
     assert capsys.readouterr().out == "K_21(0) = 11 (expected 10): MISMATCH\n"
@@ -171,7 +171,7 @@ def test_oracle_cap_is_checked_before_the_transform(monkeypatch, capsys):
     def refuse(f):
         raise AssertionError("the fast transform ran before the oracle's cap was checked")
 
-    monkeypatch.setattr(cli, "forward_transform", refuse)
+    monkeypatch.setattr(transform, "forward_transform", refuse)
     assert run_cli("transform", "--group", "const:2^13", "--random", "--check-oracle") == 3
     assert "M_N <= 4096, group has 8192 points" in capsys.readouterr().err
 
@@ -257,7 +257,7 @@ def test_transform_refuses_an_over_cap_base_before_drawing_any_point(monkeypatch
     def no_draw(*args, **kwargs):
         raise AssertionError("random points drawn before the root tables were checked")
 
-    monkeypatch.setattr(cli, "random_cylinder_function", no_draw)
+    monkeypatch.setattr(transform, "random_cylinder_function", no_draw)
     assert run_cli("transform", "--group", "5000,2,2,2,2,2,2,2,2", "--random") == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -325,6 +325,25 @@ def test_counterexample_json_with_bare_plot_flag_exits_2_before_planning(monkeyp
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_counterexample_out_and_plot_data_on_one_file_exit_2_before_planning(json_flag, monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_alpha_sequence ran before the paths were compared")
+
+    monkeypatch.setattr(cli, "build_alpha_sequence", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    report = tmp_path / "report.txt"
+    # the same file under two spellings: the plot data would overwrite the report
+    argv = ("counterexample", "--group", "const:2", "--kmax", "2", *json_flag,
+            "--out", str(report), "--emit-plot-data", "sub/../report.txt")
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out and --emit-plot-data both name {report}; the plot data would overwrite the report\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -346,20 +365,20 @@ def test_unwritable_output_path_exits_2_with_one_line(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, work",
+    "argv, home, work",
     [
-        (["counterexample", "--group", "const:2", "--kmax", "10", "--json", "--out"], "build_alpha_sequence"),
-        (["counterexample", "--group", "const:2", "--kmax", "10", "--emit-plot-data"], "build_alpha_sequence"),
-        (["lemma2", "--group", "const:2", "--A", "10", "--out"], "lemma2_verify"),
-        (["kernel", "--kind", "fejer", "--n", "5", "--group", "const:2^20", "--out"], "_load_group"),
-        (["transform", "--group", "const:2^20", "--random", "--out"], "_load_group"),
+        (["counterexample", "--group", "const:2", "--kmax", "10", "--json", "--out"], cli, "build_alpha_sequence"),
+        (["counterexample", "--group", "const:2", "--kmax", "10", "--emit-plot-data"], cli, "build_alpha_sequence"),
+        (["lemma2", "--group", "const:2", "--A", "10", "--out"], counterexample, "lemma2_verify"),
+        (["kernel", "--kind", "fejer", "--n", "5", "--group", "const:2^20", "--out"], cli, "_load_group"),
+        (["transform", "--group", "const:2^20", "--random", "--out"], cli, "_load_group"),
     ],
 )
-def test_unwritable_output_path_is_refused_before_any_work(argv, work, monkeypatch, tmp_path, capsys):
+def test_unwritable_output_path_is_refused_before_any_work(argv, home, work, monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{work} ran before the output path was checked")
 
-    monkeypatch.setattr(cli, work, refuse)
+    monkeypatch.setattr(home, work, refuse)
     target = tmp_path / "missing" / "out.txt"
     assert run_cli(*argv, str(target)) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")

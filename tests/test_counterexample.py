@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vilenkin import counterexample
+from vilenkin import exact
 from vilenkin.counterexample import (
     LEMMA2_CAP,
     MIN_ALPHA0,
     RegionBound,
     _region,
-    _region_measure,
     atom_function,
     bound_chain_evaluate,
     build_alpha_sequence,
@@ -30,6 +29,7 @@ from vilenkin.counterexample import (
     sequence_from_levels,
     sigma_decomposition,
 )
+from vilenkin.exact import _region_measure
 from vilenkin.errors import SAFE_STR_BITS, CapExceededError, DomainError, VerificationError, brief
 from vilenkin.group import GroupPattern, build_group_spec, digit_decompose
 from vilenkin.kernels import fejer_mean_direct, partial_sum, validate_p_atom
@@ -180,13 +180,13 @@ def test_predict_and_verify_equals_the_bisection(base, alpha0, count):
 )
 def test_planning_probes_each_level_at_most_three_times(base, count, monkeypatch):
     probes = []
-    certificate = counterexample._certificate
+    certificate = exact._certificate
 
     def counted(pattern, k, t, prev, history):
         probes.append(k)
         return certificate(pattern, k, t, prev, history)
 
-    monkeypatch.setattr(counterexample, "_certificate", counted)
+    monkeypatch.setattr(exact, "_certificate", counted)
     seq = build_alpha_sequence(GroupPattern(base), count)
     assert seq.certified
     assert set(probes) == set(range(count))
@@ -493,7 +493,7 @@ def test_ledger_verdicts_reproducible_from_stored_values():
 def test_ledger_detail_cap_switches_to_corner_certificate():
     seq = build_alpha_sequence(PAT2, 4)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counterexample, "REGION_DETAIL_CAP", 10)
+        mp.setattr(exact, "REGION_DETAIL_CAP", 10)
         led = bound_chain_evaluate(seq, 3)
     assert led.monotone_certified
     assert led.regions is None
@@ -501,7 +501,7 @@ def test_ledger_detail_cap_switches_to_corner_certificate():
     assert led.corner.eta == led.eta_lo and led.corner.s == led.eta_lo + 2
     assert led.all_ok
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counterexample, "REGION_DETAIL_CAP", 10**9)
+        mp.setattr(exact, "REGION_DETAIL_CAP", 10**9)
         detailed = bound_chain_evaluate(seq, 3)
     assert not detailed.monotone_certified
     assert detailed.regions is not None
@@ -519,7 +519,7 @@ def test_ledger_scales_match_group_pattern_scale(base, k, detail_cap):
     # the block's running product of M_j against GroupPattern.scale, term by term
     pattern = GroupPattern(tuple(base))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counterexample, "REGION_DETAIL_CAP", detail_cap)
+        mp.setattr(exact, "REGION_DETAIL_CAP", detail_cap)
         led = bound_chain_evaluate(build_alpha_sequence(pattern, 3), k)
     if led.regions is not None:
         assert led.corner == led.regions[0]
