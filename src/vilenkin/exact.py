@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, VerificationError, brief
-from .group import GRID_CAP, GroupPattern
+from .group import GRID_CAP, GroupPattern, GroupSpec
 
 __all__ = [
     "LevelCertificate",
@@ -585,7 +585,7 @@ class DivergenceReport:
         return None
 
 
-def _series_report(seq: AlphaSequence, grids: list) -> SeriesReport:
+def _series_report(seq: AlphaSequence, grids: list[GroupSpec]) -> SeriesReport:
     """The membership side.  The weight sums are exact and shown rounded to
     floats (``weight_sqrt_sum``, ``geometric_majorant``, ``hardy_upper``);
     ``grids[k]`` is block ``k``'s depth-``2 alpha_k + 1`` grid, for the
