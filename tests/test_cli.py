@@ -365,20 +365,21 @@ def test_unwritable_output_path_exits_2_with_one_line(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, home, work",
+    "argv, work",
     [
-        (["counterexample", "--group", "const:2", "--kmax", "10", "--json", "--out"], cli, "build_alpha_sequence"),
-        (["counterexample", "--group", "const:2", "--kmax", "10", "--emit-plot-data"], cli, "build_alpha_sequence"),
-        (["lemma2", "--group", "const:2", "--A", "10", "--out"], counterexample, "lemma2_verify"),
-        (["kernel", "--kind", "fejer", "--n", "5", "--group", "const:2^20", "--out"], cli, "_load_group"),
-        (["transform", "--group", "const:2^20", "--random", "--out"], cli, "_load_group"),
+        (["counterexample", "--group", "const:2", "--kmax", "10", "--json", "--out"], "build_alpha_sequence"),
+        (["counterexample", "--group", "const:2", "--kmax", "10", "--emit-plot-data"], "build_alpha_sequence"),
+        (["lemma2", "--group", "const:2", "--A", "10", "--out"], "lemma2_verify"),
+        (["kernel", "--kind", "fejer", "--n", "5", "--group", "const:2^20", "--out"], "_load_group"),
+        (["transform", "--group", "const:2^20", "--random", "--out"], "_load_group"),
     ],
 )
-def test_unwritable_output_path_is_refused_before_any_work(argv, home, work, monkeypatch, tmp_path, capsys):
+def test_unwritable_output_path_is_refused_before_any_work(argv, work, monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{work} ran before the output path was checked")
 
-    monkeypatch.setattr(home, work, refuse)
+    # lemma2_verify is on the grid side, which cli imports when lemma2 runs
+    monkeypatch.setattr(counterexample if work == "lemma2_verify" else cli, work, refuse)
     target = tmp_path / "missing" / "out.txt"
     assert run_cli(*argv, str(target)) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
