@@ -11,7 +11,8 @@ Subcommands::
 Exit codes: 0 success, 2 usage or domain precondition, 3 resource cap
 exceeded (a grid over its point cap is refused before it is built), 4
 verification failure, 141 stdout closed by its reader (128 + SIGPIPE).
-Results go to stdout or ``--out``; standard error carries diagnostics only.
+Results go to stdout or ``--out`` (``--out -`` is stdout too); standard
+error carries diagnostics only.
 A command imports the grid modules, and numpy with them, only when it
 evaluates on a grid.
 Given the same arguments and seed, every command rewrites byte-identical
@@ -36,11 +37,16 @@ ORACLE_TOLERANCE = 1e-9
 ZERO_CHECK_TOLERANCE = 1e-10
 
 
+def _names_file(path: str | None) -> bool:
+    """Whether an output path names a file: ``None`` and ``-`` are stdout."""
+    return path not in (None, "-")
+
+
 def _emit_output(parts: list[str], out: str | None) -> None:
     """Write ``parts`` in order, without joining them, to the file ``out``
     or to stdout; stdout output always ends in a newline.  A file that
     cannot be written is a usage error (exit 2)."""
-    if out is None:
+    if not _names_file(out):
         sys.stdout.writelines(parts)
         if not (parts and parts[-1].endswith("\n")):
             sys.stdout.write("\n")
@@ -205,7 +211,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
             "--json and a bare --emit-plot-data both claim the primary output; "
             "give --emit-plot-data a PATH"
         )
-    if args.out is not None and plot_target not in (None, "-") and os.path.realpath(args.out) == os.path.realpath(plot_target):
+    if _names_file(args.out) and _names_file(plot_target) and os.path.realpath(args.out) == os.path.realpath(plot_target):
         raise DomainError(
             f"--out and --emit-plot-data both name {args.out}; the plot data would overwrite the report"
         )
@@ -218,7 +224,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         _emit_output([serialize.plot_csv(report)], args.out)
     else:
         _emit_output([serialize.summary_csv(report)], args.out)
-    if plot_target and plot_target != "-":
+    if _names_file(plot_target):
         _emit_output([serialize.plot_csv(report)], plot_target)
     if not report.passed:
         print(f"verification failed: {report.first_failure()}", file=sys.stderr)
@@ -392,8 +398,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     plot_target = getattr(args, "emit_plot_data", None)
     try:
-        for path in (getattr(args, "out", None), None if plot_target == "-" else plot_target):
-            if path is not None:
+        for path in (getattr(args, "out", None), plot_target):
+            if _names_file(path):
                 _check_writable(path)
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

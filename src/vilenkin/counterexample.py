@@ -309,29 +309,43 @@ def lemma2_verify(pattern: GroupPattern, level: int) -> KernelBoundReport:
     ``0 <= eta <= level - 3``, ``eta + 2 <= s <= level - 1``.  Every point
     of every region on the depth-``2 level`` grid is checked; the report
     carries per-region minima of the ratio and the global minimum.  Region
-    point counts and measures come from the grid itself (the tests check
-    them against the closed form ``(m_{2 eta} - 1)(m_{2 s} - 1) / M_{2 s + 1}``).
-    Refused with :class:`CapExceededError` when the grid would exceed
-    ``LEMMA2_CAP`` points (on ``const:2``, past level 10).
+    point counts and measures are those of the depth-``2 level`` grid (the
+    tests check them against the closed form
+    ``(m_{2 eta} - 1)(m_{2 s} - 1) / M_{2 s + 1}``).  Refused with
+    :class:`CapExceededError` when that grid would exceed ``LEMMA2_CAP``
+    points (on ``const:2``, past level 10).
+
+    The kernel is evaluated once on the depth-``2 level - 1`` grid, its
+    support grid.  ``q_a = M_{2a} + q_{a-1}`` gives ``q' > M_{2 level - 2}``,
+    and every base is at least 2, so ``q_a < (4/3) M_{2a}`` gives
+    ``q' <= M_{2 level - 1}``: ``K_{q'}`` ignores digit ``2 level - 1``.
+    On the depth-``2 level`` grid :func:`inverse_transform` would run the
+    same axes on this same block and only tile it, turning ``-0.0`` into
+    ``+0.0``, which ``np.abs`` erases.  Every region has ``s <= level - 1``,
+    so it leaves digit ``2 level - 1`` free: its minimum is the same float
+    on either grid, and its point count is the support-grid count times
+    ``m_{2 level - 1}``.
     """
     level = int(level)
     if level < 3:
         raise DomainError(f"need level >= 3 for a nonempty region family, got {level}")
     group = pattern.group(2 * level, LEMMA2_CAP)
+    support = group.truncate(2 * level - 1)
+    copies = group.digits[2 * level - 1]
     q_inner = pattern.q_number(level - 1)
-    kernel = np.abs(fejer_kernel(q_inner, group).values)
+    kernel = np.abs(fejer_kernel(q_inner, support).values)
     kernel *= q_inner
     regions = []
     for eta in range(0, level - 2):
         for s in range(eta + 2, level):
-            view = _region(kernel, group, eta, s)
+            view = _region(kernel, support, eta, s)
             prod = group.scales[2 * eta] * group.scales[2 * s]
             regions.append(
                 RegionKernelMinimum(
                     eta=eta,
                     s=s,
-                    point_count=view.size,
-                    measure=Fraction(view.size, group.size),
+                    point_count=view.size * copies,
+                    measure=Fraction(view.size * copies, group.size),
                     min_ratio=float(view.min()) / prod,
                 )
             )

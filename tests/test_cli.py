@@ -395,6 +395,26 @@ def test_output_path_check_leaves_existing_files_alone_and_new_ones_unmade(tmp_p
     assert not new.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--group", "const:2", "--kmax", "2"],
+        ["counterexample", "--group", "const:2", "--kmax", "2", "--json"],
+        ["lemma2", "--group", "const:2", "--A", "3"],
+        ["kernel", "--kind", "fejer", "--n", "5", "--group", "const:2^4"],
+        ["transform", "--group", "2,3", "--random", "--check-oracle"],
+    ],
+)
+def test_dash_out_is_stdout(argv, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--out", "-") == 0
+    dashed = capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(*argv, "--out", "file") == 0
+    text = (tmp_path / "file").read_text(encoding="utf-8")
+    assert dashed == capsys.readouterr().out + text + ("" if text.endswith("\n") else "\n")
+
+
 def test_counterexample_json_report(capsys):
     assert run_cli("counterexample", "--group", "const:2", "--kmax", "2", "--json") == 0
     doc = json.loads(capsys.readouterr().out)

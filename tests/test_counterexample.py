@@ -3,17 +3,19 @@ import dataclasses
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vilenkin import exact
 from vilenkin.counterexample import (
     LEMMA2_CAP,
     MIN_ALPHA0,
     RegionBound,
+    RegionKernelMinimum,
     _region,
     atom_function,
     bound_chain_evaluate,
@@ -32,7 +34,7 @@ from vilenkin.counterexample import (
 from vilenkin.exact import _region_measure
 from vilenkin.errors import SAFE_STR_BITS, CapExceededError, DomainError, VerificationError, brief
 from vilenkin.group import GroupPattern, build_group_spec, digit_decompose
-from vilenkin.kernels import fejer_mean_direct, partial_sum, validate_p_atom
+from vilenkin.kernels import fejer_kernel, fejer_mean_direct, partial_sum, validate_p_atom
 from vilenkin.transform import forward_transform, sup_abs
 
 PAT2 = GroupPattern((2,))
@@ -402,6 +404,53 @@ def test_kernel_floor_preconditions():
         lemma2_verify(PAT2, 11)
     with pytest.raises(CapExceededError, match="has at least 2\\^40000 points"):
         lemma2_verify(PAT2, 20000)
+
+
+def _full_grid_lemma2(pattern, level):
+    """The kernel floor with ``K_{q'}`` on the whole depth-``2 level`` grid."""
+    group = pattern.group(2 * level)
+    q_inner = pattern.q_number(level - 1)
+    kernel = np.abs(fejer_kernel(q_inner, group).values)
+    kernel *= q_inner
+    regions = []
+    for eta in range(0, level - 2):
+        for s in range(eta + 2, level):
+            view = _region(kernel, group, eta, s)
+            prod = group.scales[2 * eta] * group.scales[2 * s]
+            regions.append(
+                RegionKernelMinimum(eta, s, view.size, Fraction(view.size, group.size), float(view.min()) / prod)
+            )
+    return tuple(regions), min(r.min_ratio for r in regions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=3))
+def test_kernel_floor_on_the_support_grid_matches_the_full_grid(bases):
+    pattern = GroupPattern(tuple(bases))
+    # every base is at least 2, so no level past 7 fits in 2^14 points
+    levels = [level for level in range(3, 8) if pattern.scale(2 * level) <= 1 << 14]
+    assume(levels)
+    for level in levels:
+        report = lemma2_verify(pattern, level)
+        regions, global_min = _full_grid_lemma2(pattern, level)
+        assert report.regions == regions
+        assert repr(report.regions) == repr(regions)
+        assert report.global_min_ratio == global_min
+        assert repr(report.global_min_ratio) == repr(global_min)
+
+
+@pytest.mark.parametrize("pattern,level", [(PAT2, 8), (PAT3, 5)])
+def test_kernel_floor_peak_memory_is_three_support_grid_vectors(pattern, level):
+    # the coefficient block and the transform's two buffers, all on the
+    # depth-(2 level - 1) grid; a depth-2 level kernel would take 5 or 7
+    vector = pattern.scale(2 * level - 1) * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        lemma2_verify(pattern, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * vector + vector // 4
 
 
 @settings(max_examples=60, deadline=None)
