@@ -110,7 +110,7 @@ def _load_pattern(text: str) -> GroupPattern:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    from .transform import Spectrum, check_root_tables, forward_transform, inverse_transform
+    from .transform import Spectrum, _synthesize, check_root_tables, forward_transform
     from .transform import naive_transform_oracle, random_cylinder_function, sup_rel_error
 
     group = _load_group(args)
@@ -136,8 +136,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
             raise DomainError("--check-oracle applies to value-side input only")
         oracle = naive_transform_oracle(data)
 
-    if isinstance(data, Spectrum):
-        result = inverse_transform(data)
+    if isinstance(data, Spectrum):  # the loaded spectrum is never read again
+        result = _synthesize(data.group, data.coeffs)
     else:
         result = forward_transform(data)
 

@@ -31,9 +31,9 @@ from .transform import (
     CharacterBasis,
     CylinderFunction,
     Spectrum,
+    _synthesize,
     character_basis,
     coarsen,
-    inverse_transform,
     step_character,
     sup_abs,
 )
@@ -70,6 +70,16 @@ def _check_order(n: int, grp: GroupSpec) -> None:
         )
 
 
+def _fejer_weights(n: int, size: int) -> np.ndarray:
+    """The Fejer multiplier ``max(n - 1 - v, 0) / n`` for ``v < size``, in
+    one float buffer: every ``n - 1 - v`` is an integer float, exact, so
+    each weight is the same float division as from integers."""
+    weights = np.arange(n - 1, n - 1 - size, -1, dtype=np.float64)
+    np.maximum(weights, 0.0, out=weights)
+    weights /= n
+    return weights
+
+
 def dirichlet_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
     """``D_n`` on the full grid (``D_0`` is identically zero)."""
     n = int(n)
@@ -78,7 +88,7 @@ def dirichlet_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
     _check_order(n, grp)
     coeffs = np.zeros(grp.size, dtype=np.complex128)
     coeffs[:n] = 1.0
-    return inverse_transform(Spectrum(grp, coeffs))
+    return _synthesize(grp, coeffs)
 
 
 def fejer_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
@@ -88,8 +98,8 @@ def fejer_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
         raise DomainError(f"Fejer kernel order must be >= 1, got {n}")
     _check_order(n, grp)
     coeffs = np.zeros(grp.size, dtype=np.complex128)
-    coeffs[:n] = (n - 1 - np.arange(n)) / n
-    return inverse_transform(Spectrum(grp, coeffs))
+    coeffs[:n] = _fejer_weights(n, n)
+    return _synthesize(grp, coeffs)
 
 
 def partial_sum(s: Spectrum, n: int) -> CylinderFunction:
@@ -99,7 +109,7 @@ def partial_sum(s: Spectrum, n: int) -> CylinderFunction:
         raise DomainError(f"partial-sum order {n} outside [0, {s.group.size}]")
     coeffs = np.zeros(s.group.size, dtype=np.complex128)
     coeffs[:n] = s.coeffs[:n]
-    return inverse_transform(Spectrum(s.group, coeffs))
+    return _synthesize(s.group, coeffs)
 
 
 def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
@@ -267,9 +277,10 @@ def fejer_mean_multiplier(s: Spectrum, n: int) -> CylinderFunction:
     n = int(n)
     if not 1 <= n <= s.group.size:
         raise DomainError(f"Cesaro order {n} outside [1, {s.group.size}]")
-    v = np.arange(s.group.size)
-    weights = np.maximum(n - 1 - v, 0) / n
-    return inverse_transform(Spectrum(s.group, s.coeffs * weights))
+    weights = _fejer_weights(n, s.group.size)
+    coeffs = s.coeffs * weights
+    del weights  # before the transform: two grid vectors at its peak
+    return _synthesize(s.group, coeffs)
 
 
 def lp_quasinorm(f: CylinderFunction, p) -> float:

@@ -20,13 +20,21 @@ grid, bit for bit what the axes from ``t`` on would have computed (see
 kernel, of order ``n`` thus transforms at most the least ``M_t >= n``
 points, not all ``M_N``.
 
-Both transforms run their axes through :func:`_run_axes`: two buffers,
-allocated once, with the low axes on a transposed layout and each root
-table built in row chunks.  None of this changes a bit.  Every output
-entry of an axis is still ``T[a, b] * x[b]`` added up over ``b`` in
-ascending order, whatever the layout; a transposing copy does no
-arithmetic; and a chunk of table rows splits the output entries, not
-any sum.
+Both transforms run their axes through :func:`_run_axes`, from one
+``M_t``-point buffer into another, with the low axes on a transposed
+layout and each root table built in row chunks.  None of this changes a
+bit.  Every output entry of an axis is still ``T[a, b] * x[b]`` added up
+over ``b`` in ascending order, whatever the layout; a transposing copy
+does no arithmetic; and a chunk of table rows splits the output entries,
+not any sum.
+
+The public transforms only read their argument, so beside it they hold
+two new ``M_t``-point buffers, then the tile: three grid vectors at the
+peak when ``t = N``.  The kernels and partial sums build a coefficient
+array of their own and hand it over to :func:`_synthesize`, whose spare
+buffer is that array's support block and whose tile is written into the
+array itself: two grid vectors at the peak, or one plus ``M_t`` points
+when ``t < N``.
 
 Normalization: the forward transform divides by ``M_N`` (coefficients are
 integrals against conjugate characters), the inverse does not.
@@ -173,13 +181,19 @@ def _axis(src: np.ndarray, dst: np.ndarray, m: int, run: int, conjugate: bool) -
         np.einsum("ab,hbl->hal", _root_matrix(m, conjugate, start, stop), cube, out=out[:, start:stop])
 
 
-def _run_axes(block: np.ndarray, group: GroupSpec, t: int, conjugate: bool) -> np.ndarray:
+def _run_axes(block: np.ndarray, spare: np.ndarray, group: GroupSpec, t: int, conjugate: bool) -> np.ndarray:
     """Axes ``0..t-1`` of the transform on ``block``, the ``M_t`` points of
-    a leading block of the grid, in a new array; ``block`` is only read.
+    a leading block of the grid; returns the buffer that holds them, which
+    is one new ``M_t``-point array or ``spare``.
 
-    Two buffers of ``M_t`` points are allocated once, and each axis runs
-    from one into the other.  With ``k`` the least depth such that
-    ``M_k**2 >= M_t``, the block is first copied from shape
+    ``spare`` is an ``M_t``-point buffer that is written before it is read.
+    It may be ``block`` itself, which the first copy below has finished
+    reading by then: a caller that owns its block thus runs in one new
+    buffer, and a caller that passes a fresh spare leaves ``block`` as it
+    was.
+
+    Each axis runs from one buffer into the other.  With ``k`` the least
+    depth such that ``M_k**2 >= M_t``, the block is first copied from shape
     ``(M_t/M_k, M_k)`` to its transpose: there axis ``j < k`` is a
     ``(-1, m_j, M_j * M_t/M_k)`` cube, whose inner runs are long even
     where ``M_j`` is small, and an einsum over short runs is slow.  After
@@ -191,12 +205,12 @@ def _run_axes(block: np.ndarray, group: GroupSpec, t: int, conjugate: bool) -> n
     ascending order, whatever the layout the einsum reads and writes, and
     a transposing copy moves bytes without arithmetic.  Splitting the table
     into row chunks splits the output entries, not any sum.  When this
-    returns, the spare buffer and every view of it are gone.
+    returns, the buffer it does not return is garbage to the caller.
     """
     size = group.scales[t]
     k = next(j for j in range(t + 1) if group.scales[j] ** 2 >= size)
     low, high = group.scales[k], size // group.scales[k]
-    cur, spare = np.empty(size, np.complex128), np.empty(size, np.complex128)
+    cur = np.empty(size, np.complex128)
     cur.reshape(low, high)[...] = block.reshape(high, low).T
     for axis in range(k):
         _axis(cur, spare, group.digits[axis], group.scales[axis] * high, conjugate)
@@ -212,13 +226,36 @@ def _run_axes(block: np.ndarray, group: GroupSpec, t: int, conjugate: bool) -> n
 def forward_transform(f: CylinderFunction) -> Spectrum:
     """All Fourier coefficients of ``f``: ``c_n = integral of f * conj(psi_n)``.
 
-    Every base's root table is checked against its cap before any axis runs.
+    Every base's root table is checked against its cap before any axis
+    runs.  ``f.values`` is only read.
     """
     g = f.group
     check_root_tables(g)
-    arr = _run_axes(f.values, g, g.resolution, conjugate=True)
+    arr = _run_axes(f.values, np.empty(g.size, np.complex128), g, g.resolution, conjugate=True)
     arr /= g.size
     return Spectrum(g, arr)
+
+
+def _inverse(group: GroupSpec, coeffs: np.ndarray, owned: bool) -> np.ndarray:
+    """The inverse transform of ``coeffs`` on the full grid.  ``owned``:
+    ``coeffs`` is the spare buffer of the support block and the tile's
+    array, so it is overwritten; otherwise both are new and ``coeffs`` is
+    only read."""
+    check_root_tables(group)
+    t = group.resolution  # down to the least t with coeffs[M_t:] all zero, of either sign
+    while t and not coeffs[group.scales[t - 1] : group.scales[t]].any():
+        t -= 1
+    size = group.scales[t]
+    block = coeffs[:size]
+    arr = _run_axes(block, block if owned else np.empty(size, np.complex128), group, t, conjugate=False)
+    if t == group.resolution:
+        return arr
+    arr += 0.0
+    rows = (coeffs if owned else np.empty(group.size, np.complex128)).reshape(-1, size)
+    if arr is not block:
+        rows[0] = arr
+    rows[1:] = rows[0]  # np.tile's bytes, in the array the block may already be in
+    return rows.reshape(-1)
 
 
 def inverse_transform(s: Spectrum) -> CylinderFunction:
@@ -237,18 +274,24 @@ def inverse_transform(s: Spectrum) -> CylinderFunction:
       which ``+= 0.0`` does too.
 
     Every base's root table is checked against its cap first, the bases
-    of skipped axes included.
+    of skipped axes included.  ``s.coeffs`` is only read: beside it the
+    transform holds two new ``M_t``-point buffers, and then the tile.
     """
-    g = s.group
-    check_root_tables(g)
-    t = g.resolution  # down to the least t with coeffs[M_t:] all zero, of either sign
-    while t and not s.coeffs[g.scales[t - 1] : g.scales[t]].any():
-        t -= 1
-    arr = _run_axes(s.coeffs[: g.scales[t]], g, t, conjugate=False)
-    if t < g.resolution:
-        arr += 0.0
-        arr = np.tile(arr, g.size // g.scales[t])
-    return CylinderFunction(g, arr)
+    return CylinderFunction(s.group, _inverse(s.group, s.coeffs, owned=False))
+
+
+def _synthesize(group: GroupSpec, coeffs: np.ndarray) -> CylinderFunction:
+    """:func:`inverse_transform` of ``Spectrum(group, coeffs)``, bit for
+    bit, that takes over ``coeffs``, a contiguous complex128 array of
+    ``group.size`` points, and overwrites it.
+
+    For a caller that built ``coeffs`` and never reads it again: the
+    support block serves as the transform's spare buffer and the full
+    array as its tile, so one new ``M_t``-point buffer is all it adds
+    (two grid vectors at the peak when ``t = N``, where the public entry
+    holds three).  The result may be ``coeffs`` itself.
+    """
+    return CylinderFunction(group, _inverse(group, coeffs, owned=True))
 
 
 def naive_transform_oracle(f: CylinderFunction) -> Spectrum:

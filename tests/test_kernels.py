@@ -31,6 +31,7 @@ from vilenkin.transform import (
     character_basis,
     coarsen,
     forward_transform,
+    inverse_transform,
     random_cylinder_function,
     sup_abs,
 )
@@ -398,6 +399,53 @@ def test_fejer_mean_of_kernel_spectrum_is_kernel():
     s = Spectrum(g, coeffs)
     n = 21
     assert sup_abs(fejer_mean_direct(s, n).values - fejer_kernel(n, g).values) <= 1e-10
+
+
+def _spectrum_head(g, n, head) -> Spectrum:
+    coeffs = np.zeros(g.size, dtype=np.complex128)
+    coeffs[:n] = head
+    return Spectrum(g, coeffs)
+
+
+# each builder, and the spectrum of order n whose public inverse it must
+# equal byte for byte, by the formulas it used before it owned its block
+BUILDERS = {
+    "dirichlet_kernel": (
+        lambda s, n: dirichlet_kernel(n, s.group),
+        lambda s, n: _spectrum_head(s.group, n, 1.0),
+    ),
+    "fejer_kernel": (
+        lambda s, n: fejer_kernel(n, s.group),
+        lambda s, n: _spectrum_head(s.group, n, (n - 1 - np.arange(n)) / n),
+    ),
+    "partial_sum": (
+        lambda s, n: partial_sum(s, n),
+        lambda s, n: _spectrum_head(s.group, n, s.coeffs[:n]),
+    ),
+    "fejer_mean_multiplier": (
+        lambda s, n: fejer_mean_multiplier(s, n),
+        lambda s, n: Spectrum(s.group, s.coeffs * (np.maximum(n - 1 - np.arange(s.group.size), 0) / n)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builders_transform_their_own_block_in_two_grid_vectors(name):
+    build, spectrum = BUILDERS[name]
+    g = build_group_spec([3, 2, 5, 2, 3] + [2] * 9)  # 92,160 points
+    s = forward_transform(random_cylinder_function(g, seed=6))
+    vector = g.size * np.dtype(np.complex128).itemsize
+    for n in (g.size, g.size // 2 + 1, g.size // 5):  # t = N twice, then t < N
+        tracemalloc.start()
+        try:
+            got = build(s, n).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the coefficient array the builder made and one transform buffer,
+        # beside the spectrum held here; the public inverse would add a third
+        assert peak <= 2 * vector + vector // 4, n
+        assert got.tobytes() == inverse_transform(spectrum(s, n)).values.tobytes(), n
 
 
 def test_lp_quasinorm_matches_parseval_at_p2():

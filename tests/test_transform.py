@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vilenkin.errors import CapExceededError, DomainError
 from vilenkin.group import build_group_spec, digit_decompose
@@ -13,6 +13,7 @@ from vilenkin.transform import (
     CylinderFunction,
     Spectrum,
     _root_matrix,
+    _synthesize,
     character_basis,
     character_eval,
     coarsen,
@@ -234,6 +235,30 @@ def test_inverse_transform_holds_one_support_block_beside_the_tile():
     assert got.values.nbytes == tile
     # the result block and the tile; a spare buffer still alive would add a block
     assert peak < tile + block + block // 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=10), st.integers(0, 10), st.integers(0, 2**16))
+@example([3, 5, 2], 0, 0)  # an all-zero spectrum of both signs: t = 0, no axis runs
+@example([2, 7, 3, 2], 1, 1)  # t = 1 < N: odd axis count, the block ends in the new buffer
+@example([4, 2, 6, 3, 2], 2, 2)  # t = 2 < N: even axis count, the block ends in the spare
+@example([2, 3, 2, 5, 2], 5, 3)  # t = N odd
+@example([7, 2, 3, 2], 4, 4)  # t = N even
+def test_owned_inverse_is_the_public_inverse_byte_for_byte(digits, depth, seed):
+    digits = list(digits)
+    while np.prod(digits) > 1 << 14:
+        digits.pop()
+    g = build_group_spec(digits)
+    t = min(depth, g.resolution)  # the support depth: coefficient M_t - 1 is nonzero
+    values = _cut_with_signed_zeros(g, g.scales[t], seed)
+    if t:
+        values[g.scales[t] - 1] = 1.0 - 2.0j
+    s, f = Spectrum(g, values), CylinderFunction(g, values)
+    want = inverse_transform(s).values
+    assert s.coeffs.tobytes() == values.tobytes()  # the public entries only read
+    forward_transform(f)
+    assert f.values.tobytes() == values.tobytes()
+    assert _synthesize(g, values.copy()).values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("transform, kind", [(inverse_transform, Spectrum), (forward_transform, CylinderFunction)])
