@@ -277,10 +277,8 @@ def fejer_mean_multiplier(s: Spectrum, n: int) -> CylinderFunction:
     n = int(n)
     if not 1 <= n <= s.group.size:
         raise DomainError(f"Cesaro order {n} outside [1, {s.group.size}]")
-    weights = _fejer_weights(n, s.group.size)
-    coeffs = s.coeffs * weights
-    del weights  # before the transform: two grid vectors at its peak
-    return _synthesize(s.group, coeffs)
+    # the weights are freed before the transform: two grid vectors at its peak
+    return _synthesize(s.group, s.coeffs * _fejer_weights(n, s.group.size))
 
 
 def lp_quasinorm(f: CylinderFunction, p) -> float:
