@@ -18,7 +18,9 @@ evaluated a second time; the eight-level ``--json`` cases on ``2,3`` and
 widths from one power table per document; the ``transform`` case on
 ``const:2^14`` and the ``kernel`` case on ``2,3,5,2,3,5,2,3`` were written
 before the transforms ran their low axes on a transposed layout in two
-reused buffers.  ``<name>.stdout`` is
+reused buffers; the ``transform`` case on ``const:2^17`` and the
+``kernel`` case on ``2,3,5,2,3,5,2,3,5,2`` were written before every
+axis ran in place through a scratch tile.  ``<name>.stdout`` is
 standard output and ``<name>.file`` the ``--out`` file; an artifact over
 ~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
 """
@@ -104,6 +106,13 @@ CASES = {
     "transform_const2_14": (["transform", "--group", "const:2^14", "--random", "--seed", "7"], False),
     "kernel_fejer1000_mixed": (
         ["kernel", "--kind", "fejer", "--n", "1000", "--group", "2,3,5,2,3,5,2,3"],
+        True,
+    ),
+    # transforms over more than one scratch tile: 128K points forward, and
+    # a 27,000-point support block tiled twice in the inverse
+    "transform_const2_17": (["transform", "--group", "const:2^17", "--random", "--seed", "7"], False),
+    "kernel_fejer20000_mixed": (
+        ["kernel", "--kind", "fejer", "--n", "20000", "--group", "2,3,5,2,3,5,2,3,5,2"],
         True,
     ),
     "selftest": (["selftest"], False),
