@@ -324,7 +324,9 @@ def lemma2_verify(pattern: GroupPattern, level: int) -> KernelBoundReport:
     ``+0.0``, which ``np.abs`` erases.  Every region has ``s <= level - 1``,
     so it leaves digit ``2 level - 1`` free: its minimum is the same float
     on either grid, and its point count is the support-grid count times
-    ``m_{2 level - 1}``.
+    ``m_{2 level - 1}``.  Only a region's own ``|K|`` is made, never the
+    whole grid's, and its least value is scaled by ``q'``: rounding is
+    monotone, so that is the least of the scaled values.
     """
     level = int(level)
     if level < 3:
@@ -333,20 +335,20 @@ def lemma2_verify(pattern: GroupPattern, level: int) -> KernelBoundReport:
     support = group.truncate(2 * level - 1)
     copies = group.digits[2 * level - 1]
     q_inner = pattern.q_number(level - 1)
-    kernel = np.abs(fejer_kernel(q_inner, support).values)
-    kernel *= q_inner
+    kernel = fejer_kernel(q_inner, support).values
     regions = []
     for eta in range(0, level - 2):
         for s in range(eta + 2, level):
             view = _region(kernel, support, eta, s)
             prod = group.scales[2 * eta] * group.scales[2 * s]
+            peak = np.abs(view).min() * q_inner
             regions.append(
                 RegionKernelMinimum(
                     eta=eta,
                     s=s,
                     point_count=view.size * copies,
                     measure=Fraction(view.size * copies, group.size),
-                    min_ratio=float(view.min()) / prod,
+                    min_ratio=float(peak) / prod,
                 )
             )
     return KernelBoundReport(

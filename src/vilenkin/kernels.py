@@ -70,14 +70,18 @@ def _check_order(n: int, grp: GroupSpec) -> None:
         )
 
 
-def _fejer_weights(n: int, size: int) -> np.ndarray:
-    """The Fejer multiplier ``max(n - 1 - v, 0) / n`` for ``v < size``, in
-    one float buffer: every ``n - 1 - v`` is an integer float, exact, so
-    each weight is the same float division as from integers."""
-    weights = np.arange(n - 1, n - 1 - size, -1, dtype=np.float64)
-    np.maximum(weights, 0.0, out=weights)
-    weights /= n
-    return weights
+def _fejer_weights(n: int, out: np.ndarray) -> np.ndarray:
+    """The Fejer multiplier ``max(n - 1 - v, 0) / n`` for ``v < len(out)``,
+    written into the float64 array ``out``, which is returned, with no
+    temporary: the running sum of ``n - 1, -1, -1, ...`` is ``n - 1 - v``,
+    an integer float and exact, so each weight is the same float division
+    as from integers."""
+    out.fill(-1.0)
+    out[0] = n - 1
+    np.cumsum(out, out=out)
+    np.maximum(out, 0.0, out=out)
+    out /= n
+    return out
 
 
 def dirichlet_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
@@ -92,13 +96,15 @@ def dirichlet_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
 
 
 def fejer_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
-    """``K_n = (1/n) sum_{k<n} D_k``, through its multiplier ``(n-1-v)/n``."""
+    """``K_n = (1/n) sum_{k<n} D_k``, through its multiplier ``(n-1-v)/n``,
+    written straight into the coefficient array that is then transformed
+    in place: one grid vector and the transform's scratch at the peak."""
     n = int(n)
     if n < 1:
         raise DomainError(f"Fejer kernel order must be >= 1, got {n}")
     _check_order(n, grp)
     coeffs = np.zeros(grp.size, dtype=np.complex128)
-    coeffs[:n] = _fejer_weights(n, n)
+    _fejer_weights(n, coeffs.real[:n])
     return _synthesize(grp, coeffs)
 
 
@@ -277,8 +283,8 @@ def fejer_mean_multiplier(s: Spectrum, n: int) -> CylinderFunction:
     n = int(n)
     if not 1 <= n <= s.group.size:
         raise DomainError(f"Cesaro order {n} outside [1, {s.group.size}]")
-    # the weights are freed before the transform: two grid vectors at its peak
-    return _synthesize(s.group, s.coeffs * _fejer_weights(n, s.group.size))
+    # the weights are freed before the transform: one grid vector and its scratch at the peak
+    return _synthesize(s.group, s.coeffs * _fejer_weights(n, np.empty(s.group.size)))
 
 
 def lp_quasinorm(f: CylinderFunction, p) -> float:

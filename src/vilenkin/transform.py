@@ -20,21 +20,23 @@ grid, bit for bit what the axes from ``t`` on would have computed (see
 kernel, of order ``n`` thus transforms at most the least ``M_t >= n``
 points, not all ``M_N``.
 
-Both transforms run their axes through :func:`_run_axes`, from one
-``M_t``-point buffer into another, with the low axes on a transposed
-layout and each root table built in row chunks.  None of this changes a
-bit.  Every output entry of an axis is still ``T[a, b] * x[b]`` added up
-over ``b`` in ascending order, whatever the layout; a transposing copy
-does no arithmetic; and a chunk of table rows splits the output entries,
-not any sum.
+Both transforms run their axes through :func:`_run_axes`, in place on
+the ``M_t``-point block, through a scratch tile of ``TILE_BYTES``: the low
+axes on a transposed layout a few block rows at a time, the high axes a
+few independent column sets at a time, and each root table built in row
+chunks.  None of this changes a bit.  Every output entry of an axis is
+still ``T[a, b] * x[b]`` added up over ``b`` in ascending order, whatever
+the layout and whichever other columns share its tile; a copy into or out
+of a tile, transposing or not, does no arithmetic; and a chunk of table
+rows splits the output entries, not any sum.
 
-The public transforms only read their argument, so beside it they hold
-two new ``M_t``-point buffers, then the tile: three grid vectors at the
-peak when ``t = N``.  The kernels and partial sums build a coefficient
-array of their own and hand it over to :func:`_synthesize`, whose spare
-buffer is that array's support block and whose tile is written into the
-array itself: two grid vectors at the peak, or one plus ``M_t`` points
-when ``t < N``.
+The public transforms only read their argument: beside it they hold one
+new grid vector, whose head the support block is copied into, transformed
+in and then tiled from, and the scratch.  The kernels and partial sums
+build a coefficient array of their own and hand it over to
+:func:`_synthesize`, which does the same in that array: one grid vector
+and the scratch at the peak.  The scratch is at most two tiles, and never
+more than the block (see :func:`_run_axes`).
 
 Normalization: the forward transform divides by ``M_N`` (coefficients are
 integrals against conjugate characters), the inverse does not.
@@ -70,6 +72,9 @@ __all__ = [
 
 # rows of a root table built at a time: 16 MB of table at m = 4096
 TABLE_ROWS = 256
+# bytes of one scratch tile, through which every axis runs in place: a
+# cache-sized share of the block (16,384 complex points)
+TILE_BYTES = 1 << 18
 
 
 def _as_values(group: GroupSpec, values) -> np.ndarray:
@@ -171,91 +176,133 @@ def _root_matrix(m: int, conjugate: bool, start: int = 0, stop: int | None = Non
     return roots[ab]
 
 
-def _axis(src: np.ndarray, dst: np.ndarray, m: int, run: int, conjugate: bool) -> None:
-    """One base-``m`` axis from ``src`` into ``dst``, both viewed as
-    ``(-1, m, run)`` cubes: ``dst[h, a, l] = sum_b T[a, b] * src[h, b, l]``,
+def _tile_points(size: int, bases) -> int:
+    """Points of a scratch tile for axes of ``bases`` on a ``size``-point
+    block: ``TILE_BYTES`` worth, or ``m * m`` for the largest base ``m`` so
+    that a table rebuilt for each tile costs no more points than the tile
+    holds, and never more than the block."""
+    return min(size, max(TILE_BYTES // 16, max(bases) ** 2))
+
+
+def _axis(cube: np.ndarray, out: np.ndarray, conjugate: bool) -> None:
+    """One base-``m`` axis from the ``(h, m, l)`` array ``cube`` into
+    ``out`` of its shape: ``out[h, a, l] = sum_b T[a, b] * cube[h, b, l]``,
     the table built ``TABLE_ROWS`` rows at a time."""
-    cube, out = src.reshape(-1, m, run), dst.reshape(-1, m, run)
+    m = cube.shape[1]
     for start in range(0, m, TABLE_ROWS):
         stop = min(start + TABLE_ROWS, m)
         np.einsum("ab,hbl->hal", _root_matrix(m, conjugate, start, stop), cube, out=out[:, start:stop])
 
 
-def _run_axes(block: np.ndarray, spare: np.ndarray, group: GroupSpec, t: int, conjugate: bool) -> np.ndarray:
-    """Axes ``0..t-1`` of the transform on ``block``, the ``M_t`` points of
-    a leading block of the grid; returns the buffer that holds them, which
-    is one new ``M_t``-point array or ``spare``.
+def _low_axes(plain: np.ndarray, group: GroupSpec, k: int, conjugate: bool) -> None:
+    """Axes ``0..k-1`` in place on ``plain``, the block as its ``(M_t/M_k,
+    M_k)`` rows: ``c`` rows at a time are transposed into a tile, where
+    axis ``j`` is a ``(-1, m_j, M_j * c)`` cube, run between two tiles and
+    transposed back.  When two tiles would hold the whole block, one tile
+    takes it all and the block itself is the second."""
+    high, low = plain.shape
+    rows = max(1, _tile_points(plain.size, group.digits[:k]) // low)
+    if 2 * rows >= high:
+        rows = high
+    tile = np.empty(rows * low, np.complex128)
+    other = plain.reshape(-1) if rows == high else np.empty(rows * low, np.complex128)
+    for r in range(0, high, rows):
+        n = min(rows, high - r)
+        cur, spare = tile[: n * low], other[: n * low]
+        cur.reshape(low, n)[...] = plain[r : r + n].T
+        for axis in range(k):
+            m, run = group.digits[axis], group.scales[axis] * n
+            _axis(cur.reshape(-1, m, run), spare.reshape(-1, m, run), conjugate)
+            cur, spare = spare, cur
+        if rows == high and k % 2:  # the rows ended in the block, still transposed
+            tile[...] = cur
+            cur = tile
+        plain[r : r + n] = cur.reshape(low, n).T
 
-    ``spare`` is an ``M_t``-point buffer that is written before it is read.
-    It may be ``block`` itself, which the first copy below has finished
-    reading by then: a caller that owns its block thus runs in one new
-    buffer, and a caller that passes a fresh spare leaves ``block`` as it
-    was.
 
-    Each axis runs from one buffer into the other.  With ``k`` the least
-    depth such that ``M_k**2 >= M_t``, the block is first copied from shape
-    ``(M_t/M_k, M_k)`` to its transpose: there axis ``j < k`` is a
-    ``(-1, m_j, M_j * M_t/M_k)`` cube, whose inner runs are long even
-    where ``M_j`` is small, and an einsum over short runs is slow.  After
-    axis ``k-1`` the block is copied back, and axes ``k..t-1`` run on the
-    ``(-1, m_j, M_j)`` cubes of the plain layout, with ``M_j >= M_k``.
+def _high_axes(block: np.ndarray, group: GroupSpec, k: int, t: int, conjugate: bool) -> None:
+    """Axes ``k..t-1`` in place on ``block``: each ``(H, m_j, M_j)`` cube
+    is cut into sets of whole ``(m_j, M_j)`` slabs, or of ``M_j``-columns
+    when one slab outgrows the tile; each set runs into the tile and is
+    copied back."""
+    tile = np.empty(_tile_points(block.size, group.digits[k:t]), np.complex128)
+    for axis in range(k, t):
+        m, run = group.digits[axis], group.scales[axis]
+        cube = block.reshape(-1, m, run)
+        slabs, cols = max(1, tile.size // (m * run)), min(run, tile.size // m)
+        for h in range(0, len(cube), slabs):
+            for col in range(0, run, cols):
+                part = cube[h : h + slabs, :, col : col + cols]
+                out = tile[: part.size].reshape(part.shape)
+                _axis(part, out, conjugate)
+                part[...] = out
 
-    Bit for bit the per-axis transform on the plain layout: every output
-    entry of an axis is ``p = T[a, b] * x[b]`` added into it for ``b`` in
-    ascending order, whatever the layout the einsum reads and writes, and
-    a transposing copy moves bytes without arithmetic.  Splitting the table
-    into row chunks splits the output entries, not any sum.  When this
-    returns, the buffer it does not return is garbage to the caller.
+
+def _run_axes(block: np.ndarray, group: GroupSpec, t: int, conjugate: bool) -> None:
+    """Axes ``0..t-1`` of the transform, in place on ``block``, the
+    contiguous ``M_t`` points of a leading block of the grid.
+
+    The scratch is one or two tiles of :func:`_tile_points` each, so a
+    root table is built about once per axis, and never more than the
+    block: where two tiles would hold it all, one tile and the block
+    itself take turns.
+
+    With ``k`` the least depth such that ``M_k**2`` is at least ``M_t`` or
+    a tile of ``TILE_BYTES``, whichever is less, axes ``j < k`` run on the
+    transposed layout of ``(M_t/M_k, M_k)`` rows: there axis ``j`` has
+    inner runs of ``M_j`` times the rows in a tile, long even where ``M_j``
+    is small, and an einsum over short runs is slow (see
+    :func:`_low_axes`).  Axes ``k..t-1`` run on the ``(-1, m_j, M_j)``
+    cubes of the plain layout, with ``M_j >= M_k`` (see :func:`_high_axes`).
+
+    Bit for bit the per-axis transform on the plain layout of the whole
+    block: every output entry of an axis is ``p = T[a, b] * x[b]`` added
+    into it for ``b`` in ascending order, whatever the layout the einsum
+    reads and writes and whichever independent columns it is given at
+    once, and a copy into or out of a tile, transposing or not, moves
+    bytes without arithmetic.  Splitting the table into row chunks splits
+    the output entries, not any sum.
     """
     size = group.scales[t]
-    k = next(j for j in range(t + 1) if group.scales[j] ** 2 >= size)
-    low, high = group.scales[k], size // group.scales[k]
-    cur = np.empty(size, np.complex128)
-    cur.reshape(low, high)[...] = block.reshape(high, low).T
-    for axis in range(k):
-        _axis(cur, spare, group.digits[axis], group.scales[axis] * high, conjugate)
-        cur, spare = spare, cur
-    spare.reshape(high, low)[...] = cur.reshape(low, high).T
-    cur, spare = spare, cur
-    for axis in range(k, t):
-        _axis(cur, spare, group.digits[axis], group.scales[axis], conjugate)
-        cur, spare = spare, cur
-    return cur
+    k = next(j for j in range(t + 1) if group.scales[j] ** 2 >= min(size, TILE_BYTES // 16))
+    if k:
+        _low_axes(block.reshape(size // group.scales[k], group.scales[k]), group, k, conjugate)
+    if k < t:
+        _high_axes(block, group, k, t, conjugate)
 
 
 def forward_transform(f: CylinderFunction) -> Spectrum:
     """All Fourier coefficients of ``f``: ``c_n = integral of f * conj(psi_n)``.
 
     Every base's root table is checked against its cap before any axis
-    runs.  ``f.values`` is only read.
+    runs.  ``f.values`` is only read: the transform runs in a copy.
     """
     g = f.group
     check_root_tables(g)
-    arr = _run_axes(f.values, np.empty(g.size, np.complex128), g, g.resolution, conjugate=True)
+    arr = f.values.copy()
+    _run_axes(arr, g, g.resolution, conjugate=True)
     arr /= g.size
     return Spectrum(g, arr)
 
 
 def _inverse(group: GroupSpec, coeffs: np.ndarray, owned: bool) -> np.ndarray:
-    """The inverse transform of ``coeffs`` on the full grid.  ``owned``:
-    ``coeffs`` is the spare buffer of the support block and the tile's
-    array, so it is overwritten; otherwise both are new and ``coeffs`` is
-    only read."""
+    """The inverse transform of ``coeffs`` on the full grid, run in the
+    array it returns.  ``owned``: that array is ``coeffs``, overwritten;
+    otherwise it is new, and ``coeffs`` is only read."""
     check_root_tables(group)
     t = group.resolution  # down to the least t with coeffs[M_t:] all zero, of either sign
     while t and not coeffs[group.scales[t - 1] : group.scales[t]].any():
         t -= 1
     size = group.scales[t]
-    block = coeffs[:size]
-    arr = _run_axes(block, block if owned else np.empty(size, np.complex128), group, t, conjugate=False)
-    if t == group.resolution:
-        return arr
-    arr += 0.0
-    rows = (coeffs if owned else np.empty(group.size, np.complex128)).reshape(-1, size)
-    if arr is not block:
-        rows[0] = arr
-    rows[1:] = rows[0]  # np.tile's bytes, in the array the block may already be in
-    return rows.reshape(-1)
+    out = coeffs if owned else np.empty(group.size, np.complex128)
+    if not owned:
+        out[:size] = coeffs[:size]
+    _run_axes(out[:size], group, t, conjugate=False)
+    if t < group.resolution:
+        rows = out.reshape(-1, size)
+        rows[0] += 0.0
+        rows[1:] = rows[0]  # np.tile's bytes, in the array the block is in
+    return out
 
 
 def inverse_transform(s: Spectrum) -> CylinderFunction:
@@ -274,8 +321,10 @@ def inverse_transform(s: Spectrum) -> CylinderFunction:
       which ``+= 0.0`` does too.
 
     Every base's root table is checked against its cap first, the bases
-    of skipped axes included.  ``s.coeffs`` is only read: beside it the
-    transform holds two new ``M_t``-point buffers, and then the tile.
+    of skipped axes included.  ``s.coeffs`` is only read: the block is
+    copied into the head of the result, transformed there and tiled, so
+    beside the argument the transform holds one grid vector and the
+    scratch.
     """
     return CylinderFunction(s.group, _inverse(s.group, s.coeffs, owned=False))
 
@@ -286,10 +335,9 @@ def _synthesize(group: GroupSpec, coeffs: np.ndarray) -> CylinderFunction:
     ``group.size`` points, and overwrites it.
 
     For a caller that built ``coeffs`` and never reads it again: the
-    support block serves as the transform's spare buffer and the full
-    array as its tile, so one new ``M_t``-point buffer is all it adds
-    (two grid vectors at the peak when ``t = N``, where the public entry
-    holds three).  The result may be ``coeffs`` itself.
+    support block is transformed in place and tiled into the rest of the
+    array, so the scratch is all the transform adds.  The result's values
+    are ``coeffs`` itself.
     """
     return CylinderFunction(group, _inverse(group, coeffs, owned=True))
 
@@ -469,9 +517,10 @@ def random_cylinder_function(group: GroupSpec, seed: int = 0) -> CylinderFunctio
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal(group.size)
-    im = rng.standard_normal(group.size)
-    return CylinderFunction(group, re + 1j * im)
+    values = np.empty(group.size, np.complex128)
+    values.real = rng.standard_normal(group.size)
+    values.imag = rng.standard_normal(group.size)
+    return CylinderFunction(group, values)
 
 
 def sup_abs(values: np.ndarray) -> float:

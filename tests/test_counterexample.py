@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vilenkin import exact
+from vilenkin import exact, transform
 from vilenkin.counterexample import (
     LEMMA2_CAP,
     MIN_ALPHA0,
@@ -439,11 +439,11 @@ def test_kernel_floor_on_the_support_grid_matches_the_full_grid(bases):
         assert repr(report.global_min_ratio) == repr(global_min)
 
 
-@pytest.mark.parametrize("pattern,level", [(PAT2, 8), (PAT3, 5)])
-def test_kernel_floor_peak_memory_is_two_support_grid_vectors(pattern, level):
-    # the coefficient block, which the transform takes over as its spare
-    # buffer, and one transform buffer, both on the depth-(2 level - 1)
-    # grid; a depth-2 level kernel would take 5 or 7
+@pytest.mark.parametrize("pattern,level", [(PAT2, 8), (PAT3, 5), (PAT2, 10)])
+def test_kernel_floor_peak_memory_is_one_support_grid_vector_and_scratch(pattern, level):
+    # the coefficient block, transformed in place, and the transform's
+    # scratch, at most two tiles and never more than the block, all on the
+    # depth-(2 level - 1) grid; a depth-2 level kernel would take 5 or 7
     vector = pattern.scale(2 * level - 1) * np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
@@ -451,7 +451,7 @@ def test_kernel_floor_peak_memory_is_two_support_grid_vectors(pattern, level):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * vector + vector // 4
+    assert peak <= vector + min(vector, 2 * transform.TILE_BYTES) + vector // 8
 
 
 @settings(max_examples=60, deadline=None)

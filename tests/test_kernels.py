@@ -429,23 +429,48 @@ BUILDERS = {
 }
 
 
+def _peak(call):
+    tracemalloc.start()
+    try:
+        got = call()
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_builders_transform_their_own_block_in_two_grid_vectors(name):
+def test_builders_transform_their_own_block_in_one_grid_vector_and_scratch(name):
     build, spectrum = BUILDERS[name]
-    g = build_group_spec([3, 2, 5, 2, 3] + [2] * 9)  # 92,160 points
+    g = build_group_spec([3, 2, 5, 2, 3] + [2] * 9)  # 92,160 points, over five tiles
     s = forward_transform(random_cylinder_function(g, seed=6))
-    vector = g.size * np.dtype(np.complex128).itemsize
+    itemsize = np.dtype(np.complex128).itemsize
+    vector, scratch = g.size * itemsize, 2 * transform.TILE_BYTES
+    assert scratch < vector
+    # the multiplier holds its float weights and the ufunc's cast buffer
+    # beside its product, before the transform
+    if name == "fejer_mean_multiplier":
+        scratch = max(scratch, vector // 2 + np.getbufsize() * itemsize)
     for n in (g.size, g.size // 2 + 1, g.size // 5):  # t = N twice, then t < N
-        tracemalloc.start()
-        try:
-            got = build(s, n).values
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the coefficient array the builder made and one transform buffer,
-        # beside the spectrum held here; the public inverse would add a third
-        assert peak <= 2 * vector + vector // 4, n
+        got, peak = _peak(lambda: build(s, n).values)
+        # the coefficient array the builder made, transformed in place, and
+        # at most two tiles, beside the spectrum held here
+        assert peak <= vector + scratch + vector // 8, n
         assert got.tobytes() == inverse_transform(spectrum(s, n)).values.tobytes(), n
+
+
+def test_transforms_below_one_tile_hold_no_more_than_two_grid_vectors():
+    # below one tile the scratch is the size of the block: the peak a
+    # transform had when it ran between two buffers, never more
+    g = build_group_spec([3, 2, 5, 2, 3, 2, 2, 2, 2, 2])  # 5,760 points
+    vector = g.size * np.dtype(np.complex128).itemsize
+    assert vector < transform.TILE_BYTES
+    s = forward_transform(random_cylinder_function(g, seed=6))
+    f = random_cylinder_function(g, seed=7)
+    calls = [lambda: inverse_transform(s), lambda: forward_transform(f)]
+    for n in (g.size, g.size // 5):
+        calls += [lambda n=n: dirichlet_kernel(n, g), lambda n=n: fejer_kernel(n, g), lambda n=n: partial_sum(s, n)]
+    for call in calls:
+        assert _peak(call)[1] <= 2 * vector + vector // 8
 
 
 def test_lp_quasinorm_matches_parseval_at_p2():

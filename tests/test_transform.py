@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from vilenkin import transform
 from vilenkin.errors import CapExceededError, DomainError
 from vilenkin.group import build_group_spec, digit_decompose
 from vilenkin.transform import (
@@ -221,6 +222,29 @@ def test_root_tables_built_in_row_chunks_give_the_whole_table_bytes(digits):
         assert forward_transform(f).coeffs.tobytes() == _full_axis_forward(f).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=12), st.integers(0, 2**24), st.integers(0, 2**16))
+@example([2] * 9 + [TABLE_ROWS + 1], 100_000, 1)  # a high axis cut along its runs
+@example([TABLE_ROWS + 1] + [3] * 6, 187_353, 2)  # a low axis in two-tile row sets
+def test_both_transforms_through_small_tiles_are_the_per_axis_einsum_byte_for_byte(digits, cut, seed):
+    # tiles of a few dozen points: every axis of base at most 7 crosses
+    # tile boundaries, and an axis of base m > TABLE_ROWS gets m * m points
+    if max(digits) <= 7:
+        while np.prod(digits) > NAIVE_ORACLE_CAP:
+            digits.pop()
+    g = build_group_spec(digits)
+    values = _cut_with_signed_zeros(g, cut % (g.size + 1), seed)
+    s, f = Spectrum(g, values), CylinderFunction(g, values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "TILE_BYTES", 16 * 40)
+        inverse = inverse_transform(s).values
+        owned = _synthesize(g, values.copy()).values
+        forward = forward_transform(f).coeffs
+    want = _full_axis_inverse(s).tobytes()
+    assert inverse.tobytes() == want and owned.tobytes() == want
+    assert forward.tobytes() == _full_axis_forward(f).tobytes()
+
+
 def test_inverse_transform_holds_one_support_block_beside_the_tile():
     # 4,096-point support block tiled 16 times: 64 KB per block buffer, 1 MB of tile
     g = build_group_spec([2] * 16)
@@ -235,6 +259,21 @@ def test_inverse_transform_holds_one_support_block_beside_the_tile():
     assert got.values.nbytes == tile
     # the result block and the tile; a spare buffer still alive would add a block
     assert peak < tile + block + block // 2
+
+
+@pytest.mark.parametrize("entry, kind", [(inverse_transform, Spectrum), (forward_transform, CylinderFunction)])
+def test_public_transforms_hold_one_grid_vector_and_scratch_beside_their_argument(entry, kind):
+    g = build_group_spec([3, 2, 5, 2, 3] + [2] * 9)  # 92,160 points, over five tiles
+    arg = kind(g, _cut_with_signed_zeros(g, g.size, seed=8))
+    vector, scratch = g.size * np.dtype(np.complex128).itemsize, 2 * transform.TILE_BYTES
+    tracemalloc.start()
+    try:
+        entry(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result, which the transform runs in, and at most two tiles
+    assert peak <= vector + scratch + vector // 8
 
 
 @settings(max_examples=80, deadline=None)
