@@ -341,14 +341,14 @@ def lemma2_verify(pattern: GroupPattern, level: int) -> KernelBoundReport:
         for s in range(eta + 2, level):
             view = _region(kernel, support, eta, s)
             prod = group.scales[2 * eta] * group.scales[2 * s]
-            peak = np.abs(view).min() * q_inner
+            least = np.abs(view).min() * q_inner
             regions.append(
                 RegionKernelMinimum(
                     eta=eta,
                     s=s,
                     point_count=view.size * copies,
                     measure=Fraction(view.size * copies, group.size),
-                    min_ratio=float(peak) / prod,
+                    min_ratio=float(least) / prod,
                 )
             )
     return KernelBoundReport(

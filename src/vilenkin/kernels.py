@@ -283,7 +283,7 @@ def fejer_mean_multiplier(s: Spectrum, n: int) -> CylinderFunction:
     n = int(n)
     if not 1 <= n <= s.group.size:
         raise DomainError(f"Cesaro order {n} outside [1, {s.group.size}]")
-    # the weights are freed before the transform: one grid vector and its scratch at the peak
+    # the weights are freed before the transform, which adds only its scratch
     return _synthesize(s.group, s.coeffs * _fejer_weights(n, np.empty(s.group.size)))
 
 

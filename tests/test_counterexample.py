@@ -440,7 +440,7 @@ def test_kernel_floor_on_the_support_grid_matches_the_full_grid(bases):
 
 
 @pytest.mark.parametrize("pattern,level", [(PAT2, 8), (PAT3, 5), (PAT2, 10)])
-def test_kernel_floor_peak_memory_is_one_support_grid_vector_and_scratch(pattern, level):
+def test_lemma2_peaks_at_one_support_grid_vector_and_scratch(pattern, level):
     # the coefficient block, transformed in place, and the transform's
     # scratch, at most two tiles and never more than the block, all on the
     # depth-(2 level - 1) grid; a depth-2 level kernel would take 5 or 7

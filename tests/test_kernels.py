@@ -439,7 +439,7 @@ def _peak(call):
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_builders_transform_their_own_block_in_one_grid_vector_and_scratch(name):
+def test_builders_peak_at_one_grid_vector_and_scratch(name):
     build, spectrum = BUILDERS[name]
     g = build_group_spec([3, 2, 5, 2, 3] + [2] * 9)  # 92,160 points, over five tiles
     s = forward_transform(random_cylinder_function(g, seed=6))

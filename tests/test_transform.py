@@ -226,7 +226,7 @@ def test_root_tables_built_in_row_chunks_give_the_whole_table_bytes(digits):
 @given(st.lists(st.integers(2, 7), min_size=1, max_size=12), st.integers(0, 2**24), st.integers(0, 2**16))
 @example([2] * 9 + [TABLE_ROWS + 1], 100_000, 1)  # a high axis cut along its runs
 @example([TABLE_ROWS + 1] + [3] * 6, 187_353, 2)  # a low axis in two-tile row sets
-def test_both_transforms_through_small_tiles_are_the_per_axis_einsum_byte_for_byte(digits, cut, seed):
+def test_transforms_through_small_tiles_are_the_per_axis_einsum_byte_for_byte(digits, cut, seed):
     # tiles of a few dozen points: every axis of base at most 7 crosses
     # tile boundaries, and an axis of base m > TABLE_ROWS gets m * m points
     if max(digits) <= 7:
@@ -261,8 +261,10 @@ def test_inverse_transform_holds_one_support_block_beside_the_tile():
     assert peak < tile + block + block // 2
 
 
-@pytest.mark.parametrize("entry, kind", [(inverse_transform, Spectrum), (forward_transform, CylinderFunction)])
-def test_public_transforms_hold_one_grid_vector_and_scratch_beside_their_argument(entry, kind):
+@pytest.mark.parametrize(
+    "entry, kind", [(inverse_transform, Spectrum), (forward_transform, CylinderFunction)], ids=["inverse", "forward"]
+)
+def test_public_transforms_peak_at_one_grid_vector_and_scratch(entry, kind):
     g = build_group_spec([3, 2, 5, 2, 3] + [2] * 9)  # 92,160 points, over five tiles
     arg = kind(g, _cut_with_signed_zeros(g, g.size, seed=8))
     vector, scratch = g.size * np.dtype(np.complex128).itemsize, 2 * transform.TILE_BYTES
