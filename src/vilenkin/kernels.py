@@ -34,7 +34,6 @@ from .transform import (
     _synthesize,
     character_basis,
     coarsen,
-    step_character,
     sup_abs,
 )
 
@@ -70,18 +69,19 @@ def _check_order(n: int, grp: GroupSpec) -> None:
         )
 
 
-def _fejer_weights(n: int, out: np.ndarray) -> np.ndarray:
-    """The Fejer multiplier ``max(n - 1 - v, 0) / n`` for ``v < len(out)``,
-    written into the float64 array ``out``, which is returned, with no
-    temporary: the running sum of ``n - 1, -1, -1, ...`` is ``n - 1 - v``,
-    an integer float and exact, so each weight is the same float division
-    as from integers."""
-    out.fill(-1.0)
-    out[0] = n - 1
-    np.cumsum(out, out=out)
-    np.maximum(out, 0.0, out=out)
-    out /= n
-    return out
+def _fejer_coeffs(n: int, size: int) -> np.ndarray:
+    """A zero complex array of ``size`` points with the Fejer multiplier
+    ``(n - 1 - v) / n`` in the real parts of its first ``n``, written in
+    place with no temporary: the running sum of ``n - 1, -1, -1, ...`` is
+    ``n - 1 - v``, an integer float and exact, so each weight is the same
+    float division as from integers."""
+    coeffs = np.zeros(size, dtype=np.complex128)
+    weights = coeffs.real[:n]
+    weights.fill(-1.0)
+    weights[0] = n - 1
+    np.cumsum(weights, out=weights)
+    weights /= n
+    return coeffs
 
 
 def dirichlet_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
@@ -103,9 +103,7 @@ def fejer_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
     if n < 1:
         raise DomainError(f"Fejer kernel order must be >= 1, got {n}")
     _check_order(n, grp)
-    coeffs = np.zeros(grp.size, dtype=np.complex128)
-    _fejer_weights(n, coeffs.real[:n])
-    return _synthesize(grp, coeffs)
+    return _synthesize(grp, _fejer_coeffs(n, grp.size))
 
 
 def partial_sum(s: Spectrum, n: int) -> CylinderFunction:
@@ -154,12 +152,12 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     that does every multiply and add.
 
     Full-grid unit-step vectors are kept only for the axes whose digit
-    runs are shorter than ``transform._SHORT_RUN`` points; every higher
-    axis keeps its ``m_a`` roots (``CharacterBasis.sweep_steps``).  Each
-    point range starts and ends on a multiple of ``M_K``, the first run
-    that is not short, and is stepped as rows of ``M_K`` points, a higher
-    axis by one root per row.  Every point is still multiplied by its own
-    root, so the row is bit for bit the one full step vectors give.
+    runs are shorter than ``_SHORT_RUN`` points; every higher axis keeps
+    its ``m_a`` roots (:func:`_sweep_steps`).  Each point range starts and
+    ends on a multiple of ``M_K``, the first run that is not short, and is
+    stepped as rows of ``M_K`` points, a higher axis by one root per row.
+    Every point is still multiplied by its own root, so the row is bit for
+    bit the one full step vectors give.
     """
     g = s.group
     if not 0 <= start <= stop <= g.size:
@@ -176,9 +174,8 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
         if not hits.size:
             return total
         first = start + int(hits[0])
-    basis = character_basis(g)
     # a carry reaches axis a only on a step to a multiple of M_a below stop
-    steps = basis.sweep_steps(stop)
+    steps = _sweep_steps(character_basis(g), stop)
     tmp = np.empty(g.size, dtype=np.complex128)
     counter = list(digit_decompose(start, g))
     width = max((k for k, d in enumerate(counter) if d), default=0) + 1
@@ -189,14 +186,25 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
             psi = np.tile(psi, g.digits[width])
             width += 1
         end = min(first, psi.size - 1)
-        _sweep_segment(psi, None, total, tmp, basis, steps, counter, s.coeffs[n:end])
+        _sweep_segment(psi, None, total, tmp, g, steps, counter, s.coeffs[n:end])
         n = end
     if psi.size < g.size:
         psi = np.tile(psi, g.size // psi.size)
-    _sweep_segment(psi, cur, total, tmp, basis, steps, counter, s.coeffs[first : stop - 1])
+    _sweep_segment(psi, cur, total, tmp, g, steps, counter, s.coeffs[first : stop - 1])
     total += cur
     return total
 
+
+# A partial-sum sweep keeps a full-grid unit-step vector only for the axes
+# whose digit runs are shorter than _SHORT_RUN points; a higher axis steps
+# the row as rows of M_K points (K the first axis at or over it) by one
+# root per row.  That broadcast multiply measured up to 2x a full-vector
+# one per call (2 shared vCPUs), but only a carry that reaches axis K takes
+# it: about once in M_K steps, at most once in 64 here.  The sweep's time
+# stayed within noise for every value from 8 to 128, and each short axis
+# costs one full vector (6 of 13 on the depth-13 `2,2,3` grid, 4 of 13 on
+# `const:3`).
+_SHORT_RUN = 64
 
 # A sweep segment is split into contiguous point ranges of at least
 # _RANGE_POINTS points, on at most _THREADS threads; shorter ranges cost
@@ -205,17 +213,63 @@ _RANGE_POINTS = 8192
 _THREADS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
-def _sweep_segment(psi, cur, total, tmp, basis, steps, counter, coeffs) -> None:
+def _short_axes(g: GroupSpec) -> int:
+    """How many leading axes have digit runs ``M_a`` shorter than ``_SHORT_RUN``."""
+    return sum(1 for run in g.scales[:-1] if run < _SHORT_RUN)
+
+
+def _sweep_steps(basis: CharacterBasis, stop: int) -> list[np.ndarray]:
+    """The unit steps of the axes a carry reaches on a step below
+    ``stop``: the full vector of a short-run axis, the roots of any other.
+
+    The unit step of axis ``a`` is constant on runs of ``M_a`` points, so
+    :func:`_range_steps` can give every point its root from the ``m_a``
+    roots alone."""
+    g, short = basis.group, _short_axes(basis.group)
+    axes = [a for a in range(g.resolution) if g.scales[a] < stop]
+    return [basis.unit_step(a) if a < short else basis.roots(a) for a in axes]
+
+
+def _range_steps(g: GroupSpec, steps: list[np.ndarray], points: int, run: int, lo: int, hi: int) -> list[np.ndarray]:
+    """:func:`_sweep_steps` on points ``[lo, hi)`` of a row of ``points``
+    leading points, each shaped against ``row[lo:hi].reshape(-1, run)``,
+    with ``run`` the row length :func:`_sweep_segment` picks; ``lo`` and
+    ``hi`` are multiples of ``run``.  Axes whose runs are not shorter than
+    the row are left out: no carry reaches them while the row has that
+    length.
+
+    A short-run axis is its vector's slice, a higher one a column of one
+    root per row.  Either way each point is multiplied by the same root
+    ``exp(2*pi*i * x_a / m_a)``, and numpy's complex product of two numbers
+    does not depend on whether one of them is broadcast, so the row is bit
+    for bit the full-vector one.  (Only an in-place multiply of a single
+    point takes another loop, which can differ in the last bit; a range
+    holds at least ``run`` >= 2 points.)"""
+    short = _short_axes(g)
+    out = []
+    for a, step in enumerate(steps):
+        if g.scales[a] >= points:
+            break
+        if a < short:
+            out.append(step[lo:hi].reshape(-1, run))
+        else:  # row r of the range has digit (lo // run + r) // (M_a // run) % m_a
+            digit = np.arange(lo // run, hi // run) // (g.scales[a] // run) % g.digits[a]
+            out.append(step[digit, None])
+    return out
+
+
+def _sweep_segment(psi, cur, total, tmp, g, steps, counter, coeffs) -> None:
     """Step the row ``psi`` through one coefficient per step, split into
     point ranges on threads when the row is long enough.
 
     ``cur`` None means the partial sum is identically zero.  ``counter``
     ends advanced past the segment.  Ranges are cut on multiples of
-    ``basis.step_run``, and each is stepped as rows of that many points
-    (see ``CharacterBasis.range_steps``).  A range's exception is raised
-    again here, after every thread has finished.
+    ``run``: ``M_K``, with ``K`` the first axis whose runs are not short,
+    or the whole row when that is less.  Each range is stepped as rows of
+    ``run`` points (see :func:`_range_steps`).  A range's exception is
+    raised again here, after every thread has finished.
     """
-    run = basis.step_run(psi.size)
+    run = min(g.scales[_short_axes(g)], psi.size)
     rows = psi.size // run
     parts = max(1, min(_THREADS, psi.size // _RANGE_POINTS, rows))
     bounds = [run * (rows * i // parts) for i in range(parts + 1)]
@@ -226,9 +280,9 @@ def _sweep_segment(psi, cur, total, tmp, basis, steps, counter, coeffs) -> None:
             None if cur is None else cur[lo:hi].reshape(-1, run),
             total[lo:hi].reshape(-1, run),
             tmp[lo:hi].reshape(-1, run),
-            basis.range_steps(steps, psi.size, lo, hi),
+            _range_steps(g, steps, psi.size, run, lo, hi),
             counters[i],
-            basis.group.digits,
+            g.digits,
             coeffs,
         )
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
@@ -270,6 +324,27 @@ def _sweep_range(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
         step_character(psi, counter, digits, steps)
 
 
+def step_character(psi: np.ndarray, counter: list[int], digits, steps) -> None:
+    """Multiply ``psi_n`` into ``psi_{n+1}`` in place along the carry chain.
+
+    ``counter`` holds n's digits and is advanced too; ``steps[j]`` is the
+    axis-``j`` unit step on the same points as ``psi``, in a shape that
+    broadcasts against it (see :func:`_range_steps`), and must exist for
+    every axis the carry reaches.  Only numpy runs here, on ``psi`` and
+    ``steps`` alone, so disjoint point ranges may be stepped at once.
+    """
+    j = 0
+    while True:
+        psi *= steps[j]
+        counter[j] += 1
+        if counter[j] < digits[j]:
+            return
+        counter[j] = 0
+        j += 1
+        if j == len(digits):
+            return  # counter wrapped all the way around
+
+
 def fejer_mean_direct(s: Spectrum, n: int) -> CylinderFunction:
     """The n-th Cesaro mean as an honest average of ``n`` partial sums."""
     n = int(n)
@@ -279,12 +354,17 @@ def fejer_mean_direct(s: Spectrum, n: int) -> CylinderFunction:
 
 
 def fejer_mean_multiplier(s: Spectrum, n: int) -> CylinderFunction:
-    """The same mean as one inverse transform of ``c_v * (n - 1 - v)/n``."""
+    """The same mean as one inverse transform of ``c_v * (n - 1 - v)/n``,
+    built in its own array as :func:`fejer_kernel` is: the weights, times
+    the coefficients in place, then transformed there.  ``(w + 0j) * c``
+    runs the same IEEE operations as ``c * (w + 0j)``, so the product has
+    the bits of ``s.coeffs * weights``."""
     n = int(n)
     if not 1 <= n <= s.group.size:
         raise DomainError(f"Cesaro order {n} outside [1, {s.group.size}]")
-    # the weights are freed before the transform, which adds only its scratch
-    return _synthesize(s.group, s.coeffs * _fejer_weights(n, np.empty(s.group.size)))
+    coeffs = _fejer_coeffs(n, s.group.size)
+    coeffs *= s.coeffs
+    return _synthesize(s.group, coeffs)
 
 
 def lp_quasinorm(f: CylinderFunction, p) -> float:

@@ -140,6 +140,9 @@ def float_str(x: float) -> str:
     return format(x, ".17g")
 
 
+_ARRAY_PART = 4096  # values of a float array joined into one part
+
+
 def _emit(obj: Any, out: list[str], text: DecimalText) -> None:
     if obj is None:
         out.append("null")
@@ -178,6 +181,15 @@ def _emit(obj: Any, out: list[str], text: DecimalText) -> None:
         out.append("]")
     elif type(obj).__module__ == "numpy" and obj.ndim == 0:  # a numpy scalar, seen without importing numpy
         _emit(obj.item(), out, text)
+    elif type(obj).__module__ == "numpy" and obj.ndim == 1 and obj.dtype.kind == "f":
+        # a float array, written a part of _ARRAY_PART values at a time,
+        # never as one Python float object per value
+        out.append("[")
+        for i in range(0, len(obj), _ARRAY_PART):
+            if i:
+                out.append(",")
+            out.append(",".join(map(float_str, obj[i : i + _ARRAY_PART].tolist())))
+        out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -242,6 +254,9 @@ def decode_group(raw) -> GroupSpec:
 
 
 def function_to_doc(obj) -> dict:
+    """The function file document of ``obj``.  ``"re"`` and ``"im"`` are
+    float64 views of its values, not lists: :func:`canonical_parts` writes
+    them a part at a time, and :func:`doc_to_function` reads them back."""
     from .transform import CylinderFunction, Spectrum
 
     if isinstance(obj, CylinderFunction):
@@ -253,8 +268,8 @@ def function_to_doc(obj) -> dict:
     return {
         "group": encode_group(obj.group),
         "kind": kind,
-        "re": [float(v) for v in data.real],
-        "im": [float(v) for v in data.imag],
+        "re": data.real,
+        "im": data.imag,
     }
 
 
@@ -285,7 +300,7 @@ def doc_to_function(doc):
 def function_to_csv(obj) -> str:
     doc = function_to_doc(obj)
     lines = ["index,re,im"]
-    for i, (re, im) in enumerate(zip(doc["re"], doc["im"])):
+    for i, (re, im) in enumerate(zip(doc["re"].tolist(), doc["im"].tolist())):
         lines.append(f"{i},{float_str(re)},{float_str(im)}")
     return "\n".join(lines) + "\n"
 

@@ -16,7 +16,7 @@ The inverse transform runs only over the spectrum's support block: the
 leading ``M_t`` coefficients, with ``t`` the least depth beyond which
 every coefficient is zero.  It tiles that block's transform to the full
 grid, bit for bit what the axes from ``t`` on would have computed (see
-:func:`inverse_transform`).  A partial sum, or a Dirichlet or Fejer
+:func:`_synthesize`).  A partial sum, or a Dirichlet or Fejer
 kernel, of order ``n`` thus transforms at most the least ``M_t >= n``
 points, not all ``M_N``.
 
@@ -30,13 +30,12 @@ the layout and whichever other columns share its tile; a copy into or out
 of a tile, transposing or not, does no arithmetic; and a chunk of table
 rows splits the output entries, not any sum.
 
-The public transforms only read their argument: beside it they hold one
-new grid vector, whose head the support block is copied into, transformed
-in and then tiled from, and the scratch.  The kernels and partial sums
-build a coefficient array of their own and hand it over to
-:func:`_synthesize`, which does the same in that array: one grid vector
-and the scratch at the peak.  The scratch is at most two tiles, and never
-more than the block (see :func:`_run_axes`).
+Every transform runs in an array it owns, and holds only the scratch
+beside it: at most two tiles, and never more than the block (see
+:func:`_run_axes`).  The public transforms copy their argument and run in
+the copy; the kernels and partial sums build a coefficient array of their
+own and hand it over to :func:`_synthesize`, the one inverse core, which
+:func:`inverse_transform` runs too.
 
 Normalization: the forward transform divides by ``M_N`` (coefficients are
 integrals against conjugate characters), the inverse does not.
@@ -59,7 +58,6 @@ __all__ = [
     "CharacterBasis",
     "character_eval",
     "character_basis",
-    "step_character",
     "forward_transform",
     "inverse_transform",
     "naive_transform_oracle",
@@ -285,33 +283,28 @@ def forward_transform(f: CylinderFunction) -> Spectrum:
     return Spectrum(g, arr)
 
 
-def _inverse(group: GroupSpec, coeffs: np.ndarray, owned: bool) -> np.ndarray:
-    """The inverse transform of ``coeffs`` on the full grid, run in the
-    array it returns.  ``owned``: that array is ``coeffs``, overwritten;
-    otherwise it is new, and ``coeffs`` is only read."""
-    check_root_tables(group)
-    t = group.resolution  # down to the least t with coeffs[M_t:] all zero, of either sign
-    while t and not coeffs[group.scales[t - 1] : group.scales[t]].any():
-        t -= 1
-    size = group.scales[t]
-    out = coeffs if owned else np.empty(group.size, np.complex128)
-    if not owned:
-        out[:size] = coeffs[:size]
-    _run_axes(out[:size], group, t, conjugate=False)
-    if t < group.resolution:
-        rows = out.reshape(-1, size)
-        rows[0] += 0.0
-        rows[1:] = rows[0]  # np.tile's bytes, in the array the block is in
-    return out
-
-
 def inverse_transform(s: Spectrum) -> CylinderFunction:
     """Synthesize ``sum_n c_n * psi_n`` on the full grid (no normalization).
 
+    Every base's root table is checked against its cap first, before the
+    argument is copied.  ``s.coeffs`` is only read: the transform runs in
+    a copy, through :func:`_synthesize`, so beside the argument it holds
+    one grid vector and the scratch.
+    """
+    check_root_tables(s.group)
+    return _synthesize(s.group, s.coeffs.copy())
+
+
+def _synthesize(group: GroupSpec, coeffs: np.ndarray) -> CylinderFunction:
+    """The inverse transform of ``coeffs``, a contiguous complex128 array
+    of ``group.size`` points that the caller owns and never reads again:
+    it is overwritten, and the result's values are ``coeffs`` itself.
+
     Only the support block is transformed: with ``t`` the least depth such
-    that every coefficient from ``M_t`` on is zero, axes ``0..t-1`` run on
-    ``coeffs[:M_t]`` and the block is tiled to the full grid.  For finite
-    coefficients this is bit for bit the transform over every axis:
+    that every coefficient from ``M_t`` on is zero, axes ``0..t-1`` run in
+    place on ``coeffs[:M_t]`` and the block is tiled into the rest of the
+    array.  For finite coefficients this is bit for bit the transform over
+    every axis:
 
     - an axis below ``t`` mixes entries only inside blocks of ``M_t``
       points, so every kept entry gets the same products and sums;
@@ -321,25 +314,19 @@ def inverse_transform(s: Spectrum) -> CylinderFunction:
       which ``+= 0.0`` does too.
 
     Every base's root table is checked against its cap first, the bases
-    of skipped axes included.  ``s.coeffs`` is only read: the block is
-    copied into the head of the result, transformed there and tiled, so
-    beside the argument the transform holds one grid vector and the
-    scratch.
+    of skipped axes included.  The scratch is all the transform adds.
     """
-    return CylinderFunction(s.group, _inverse(s.group, s.coeffs, owned=False))
-
-
-def _synthesize(group: GroupSpec, coeffs: np.ndarray) -> CylinderFunction:
-    """:func:`inverse_transform` of ``Spectrum(group, coeffs)``, bit for
-    bit, that takes over ``coeffs``, a contiguous complex128 array of
-    ``group.size`` points, and overwrites it.
-
-    For a caller that built ``coeffs`` and never reads it again: the
-    support block is transformed in place and tiled into the rest of the
-    array, so the scratch is all the transform adds.  The result's values
-    are ``coeffs`` itself.
-    """
-    return CylinderFunction(group, _inverse(group, coeffs, owned=True))
+    check_root_tables(group)
+    t = group.resolution  # down to the least t with coeffs[M_t:] all zero, of either sign
+    while t and not coeffs[group.scales[t - 1] : group.scales[t]].any():
+        t -= 1
+    size = group.scales[t]
+    _run_axes(coeffs[:size], group, t, conjugate=False)
+    if t < group.resolution:
+        rows = coeffs.reshape(-1, size)
+        rows[0] += 0.0
+        rows[1:] = rows[0]  # np.tile's bytes, in the array the block is in
+    return CylinderFunction(group, coeffs)
 
 
 def naive_transform_oracle(f: CylinderFunction) -> Spectrum:
@@ -372,18 +359,6 @@ def naive_transform_oracle(f: CylinderFunction) -> Spectrum:
     return Spectrum(g, out / g.size)
 
 
-# A partial-sum sweep keeps a full-grid unit-step vector only for the axes
-# whose digit runs are shorter than _SHORT_RUN points; a higher axis steps
-# the row as rows of M_K points (K the first axis at or over it) by one
-# root per row.  That broadcast multiply measured up to 2x a full-vector
-# one per call (2 shared vCPUs), but only a carry that reaches axis K takes
-# it: about once in M_K steps, at most once in 64 here.  The sweep's time
-# stayed within noise for every value from 8 to 128, and each short axis
-# costs one full vector (6 of 13 on the depth-13 `2,2,3` grid, 4 of 13 on
-# `const:3`).
-_SHORT_RUN = 64
-
-
 class CharacterBasis:
     """Characters on every point of a grid, built from each base's roots
     of unity.
@@ -392,21 +367,8 @@ class CharacterBasis:
     ``exp(2*pi*i * x_a / m_a)`` on all points: the factor by which a row
     changes when digit ``a`` of its frequency goes up by one.  Neither is
     kept: each call builds a new full-grid vector, which lives as long as
-    its caller holds it.
-
-    The unit step of axis ``a`` depends on digit ``a`` alone, so it is
-    constant on runs of ``M_a`` points.  A partial-sum sweep stores, per
-    axis a carry can reach (``sweep_steps``), the full vector only when
-    ``M_a < _SHORT_RUN``, and only the ``m_a`` roots for every higher axis.
-    ``range_steps`` shapes them for a point range seen as rows of
-    ``step_run`` points: a short-run axis as its vector's slice, a higher
-    one as a column of one root per row.  Either way each point is
-    multiplied by the same root ``exp(2*pi*i * x_a / m_a)``, and numpy's
-    complex product of two numbers does not depend on whether one of them
-    is broadcast, so the row is bit for bit the full-vector one.  (Only an
-    in-place multiply of a single point takes another loop, which can
-    differ in the last bit; a range holds at least ``step_run`` >= 2
-    points.)
+    its caller holds it.  ``roots(a)`` are the ``m_a`` values that unit
+    step takes, each on runs of ``M_a`` points.
     """
 
     def __init__(self, group: GroupSpec):
@@ -423,43 +385,6 @@ class CharacterBasis:
         m, low = g.digits[axis], g.scales[axis]
         return np.tile(np.repeat(self.roots(axis), low), g.size // (m * low))
 
-    def _short_axes(self) -> int:
-        return sum(1 for run in self.group.scales[:-1] if run < _SHORT_RUN)
-
-    def sweep_steps(self, stop: int) -> list[np.ndarray]:
-        """The unit steps of the axes a carry reaches on a step below
-        ``stop``: the full vector of a short-run axis, the roots of any other."""
-        g, short = self.group, self._short_axes()
-        return [
-            self.unit_step(a) if a < short else self.roots(a)
-            for a in range(g.resolution)
-            if g.scales[a] < stop
-        ]
-
-    def step_run(self, points: int) -> int:
-        """The row length for a row of ``points`` leading points: ``M_K``,
-        with ``K`` the first axis whose runs are not short, or ``points``
-        when that is less."""
-        return min(self.group.scales[self._short_axes()], points)
-
-    def range_steps(self, steps: list[np.ndarray], points: int, lo: int, hi: int) -> list[np.ndarray]:
-        """``sweep_steps`` on points ``[lo, hi)`` of a row of ``points``
-        leading points, each shaped against ``row[lo:hi].reshape(-1, run)``
-        with ``run = step_run(points)``; ``lo`` and ``hi`` are multiples of
-        ``run``.  Axes whose runs are not shorter than the row are left out:
-        no carry reaches them while the row has that length."""
-        g, short, run = self.group, self._short_axes(), self.step_run(points)
-        out = []
-        for a, step in enumerate(steps):
-            if g.scales[a] >= points:
-                break
-            if a < short:
-                out.append(step[lo:hi].reshape(-1, run))
-            else:  # row r of the range has digit (lo // run + r) // (M_a // run) % m_a
-                digit = np.arange(lo // run, hi // run) // (g.scales[a] // run) % g.digits[a]
-                out.append(step[digit, None])
-        return out
-
     def row(self, n: int) -> np.ndarray:
         """``psi_n`` on all points, via a single phase accumulation."""
         g = self.group
@@ -470,28 +395,6 @@ class CharacterBasis:
                 by_digit = phase.reshape(-1, m, g.scales[k])
                 by_digit += ((nk / m) * np.arange(m))[:, None]
         return np.exp(2j * np.pi * phase)
-
-
-def step_character(psi: np.ndarray, counter: list[int], digits, steps) -> None:
-    """Multiply ``psi_n`` into ``psi_{n+1}`` in place along the carry chain.
-
-    ``counter`` holds n's digits and is advanced too; ``steps[j]`` is the
-    axis-``j`` unit step on the same points as ``psi``, in a shape that
-    broadcasts against it (see ``CharacterBasis.range_steps``), and must
-    exist for every axis the carry reaches.  Only numpy runs here, on
-    ``psi`` and ``steps`` alone, so disjoint point ranges may be stepped at
-    once.
-    """
-    j = 0
-    while True:
-        psi *= steps[j]
-        counter[j] += 1
-        if counter[j] < digits[j]:
-            return
-        counter[j] = 0
-        j += 1
-        if j == len(digits):
-            return  # counter wrapped all the way around
 
 
 @lru_cache(maxsize=8)

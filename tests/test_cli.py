@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,19 @@ def test_transform_csv_format(tmp_path):
     lines = out.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "index,re,im"
     assert len(lines) == 7
+
+
+def test_transform_json_writer_holds_no_python_copy_of_the_document(tmp_path):
+    # 2^17 points: a 2 MiB grid vector and 5.7 MiB of JSON; one Python
+    # float per value and one string per number would take over 40 MiB
+    out = tmp_path / "f.json"
+    tracemalloc.start()
+    try:
+        assert run_cli("transform", "--group", "const:2^17", "--random", "--seed", "7", "--out", str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 << 20
 
 
 def test_kernel_dirichlet_self_check_and_values(tmp_path, capsys):

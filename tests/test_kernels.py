@@ -278,7 +278,7 @@ def test_sweep_with_few_full_step_vectors_is_the_full_grid_sweep(threads, s, dat
     ragged = st.integers(start, g.size)
     stop = data.draw(st.one_of(st.just(start), st.just(min(start + 1, g.size)), ragged, ragged))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transform, "_SHORT_RUN", data.draw(st.sampled_from([2, 3, 4, 8, 16])))
+        mp.setattr(kernels, "_SHORT_RUN", data.draw(st.sampled_from([2, 3, 4, 8, 16])))
         mp.setattr(kernels, "_RANGE_POINTS", data.draw(st.sampled_from([1, 2, 8192])))
         mp.setattr(kernels, "_THREADS", threads)
         fast = summed_partial_sums(s, start, stop)
@@ -292,7 +292,7 @@ def test_sweep_keeps_full_step_vectors_for_the_short_run_axes_only(monkeypatch):
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[0] = 1
     s = Spectrum(g, coeffs)
-    short = sum(1 for run in g.scales[:-1] if run < transform._SHORT_RUN)
+    short = sum(1 for run in g.scales[:-1] if run < kernels._SHORT_RUN)
     assert short == 4
     itemsize = np.dtype(np.complex128).itemsize
     vector = g.size * itemsize
@@ -446,10 +446,6 @@ def test_builders_peak_at_one_grid_vector_and_scratch(name):
     itemsize = np.dtype(np.complex128).itemsize
     vector, scratch = g.size * itemsize, 2 * transform.TILE_BYTES
     assert scratch < vector
-    # the multiplier holds its float weights and the ufunc's cast buffer
-    # beside its product, before the transform
-    if name == "fejer_mean_multiplier":
-        scratch = max(scratch, vector // 2 + np.getbufsize() * itemsize)
     for n in (g.size, g.size // 2 + 1, g.size // 5):  # t = N twice, then t < N
         got, peak = _peak(lambda: build(s, n).values)
         # the coefficient array the builder made, transformed in place, and
