@@ -22,7 +22,9 @@ output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -42,20 +44,45 @@ def _names_file(path: str | None) -> bool:
     return path not in (None, "-")
 
 
-def _emit_output(parts: list[str], out: str | None) -> None:
-    """Write ``parts`` in order, without joining them, to the file ``out``
+@contextlib.contextmanager
+def _output(out: str | None):
+    """A ``writelines`` for one output written in parts, to the file ``out``
     or to stdout; stdout output always ends in a newline.  A file that
-    cannot be written is a usage error (exit 2)."""
+    cannot be written is a usage error (exit 2), and a file that an error
+    leaves unfinished is removed before the error goes on."""
     if not _names_file(out):
-        sys.stdout.writelines(parts)
-        if not (parts and parts[-1].endswith("\n")):
+        last = [""]
+
+        def writelines(parts: list[str]) -> None:
+            if parts:
+                sys.stdout.writelines(parts)
+                last[0] = parts[-1]
+
+        yield writelines
+        if not last[0].endswith("\n"):
             sys.stdout.write("\n")
         return
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+        fh = open(out, "w", encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc}") from exc
+    try:
+        with fh:
+            yield fh.writelines
+    except OSError as exc:
+        _remove_unfinished(out)
+        raise DomainError(f"cannot write {out}: {exc}") from exc
+    except BaseException:
+        _remove_unfinished(out)
+        raise
+
+
+def _remove_unfinished(path: str) -> None:
+    """Remove a regular file left half written; a device, pipe or symlink
+    named as the output stays."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
 
 
 def _check_writable(path: str) -> None:
@@ -74,18 +101,22 @@ def _check_writable(path: str) -> None:
         raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit_report(to_doc, report, out: str | None) -> None:
-    """Write a report as canonical JSON, converting each of its exact
-    integers to decimal text once, with one power table."""
-    text = serialize.DecimalText()
-    _emit_output(serialize.canonical_parts(to_doc(report, text), text), out)
+def _write_json(obj, out: str | None) -> None:
+    with _output(out) as writelines:
+        serialize.write_json(obj, writelines)
 
 
 def _write_function(obj, out: str | None, fmt: str) -> None:
     if fmt == "csv":
-        _emit_output([serialize.function_to_csv(obj)], out)
+        with _output(out) as writelines:
+            serialize.write_function_csv(obj, writelines)
     else:
-        _emit_output(serialize.canonical_parts(serialize.function_to_doc(obj)), out)
+        _write_json(serialize.function_to_doc(obj), out)
+
+
+def _write_text(text: str, out: str | None) -> None:
+    with _output(out) as writelines:
+        writelines([text])
 
 
 def _load_group(args: argparse.Namespace):
@@ -189,7 +220,7 @@ def cmd_lemma2(args: argparse.Namespace) -> int:
     from .counterexample import lemma2_verify
 
     report = lemma2_verify(_load_pattern(args.group), args.A)
-    _emit_report(serialize.kernel_report_to_doc, report, args.out)
+    _write_json(report, args.out)
     if not report.passed:
         print(
             f"kernel floor fails: global min ratio {report.global_min_ratio} < 0.25",
@@ -219,13 +250,13 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     seq = build_alpha_sequence(_load_pattern(args.group), args.kmax, alpha0=args.alpha0)
     report = divergence_report(seq, cap=args.materialize_cap)
     if args.json:
-        _emit_report(serialize.divergence_to_doc, report, args.out)
+        _write_json(report, args.out)
     elif plot_target == "-":
-        _emit_output([serialize.plot_csv(report)], args.out)
+        _write_text(serialize.plot_csv(report), args.out)
     else:
-        _emit_output([serialize.summary_csv(report)], args.out)
+        _write_text(serialize.summary_csv(report), args.out)
     if _names_file(plot_target):
-        _emit_output([serialize.plot_csv(report)], plot_target)
+        _write_text(serialize.plot_csv(report), plot_target)
     if not report.passed:
         print(f"verification failed: {report.first_failure()}", file=sys.stderr)
         return 4

@@ -2,14 +2,23 @@
 
 Numbers are rendered with fixed 17-significant-digit formatting, so
 rerunning a command byte-reproduces its output.  Object keys are never
-sorted: a report is written by one dataclass walker, :func:`report_to_doc`,
-with fields in declaration order followed by the class's verdict properties
-(``all_ok``, ``ok``, ``passed``, ``is_atom``).  The exact integers named in
-:data:`EXACT_INT_FIELDS` (``alpha``, ``m_alpha``, ``q_index``, ``q_inner``,
-``region_pair_count``, ``product``, ``kernel_order``) and the numerators and
-denominators of rationals are decimal strings; every other integer is a
-JSON number.  Exact integers in the ledgers can run to hundreds of
-thousands of digits; they never pass through floats.
+sorted: a report dataclass is written with its fields in declaration order
+followed by the class's verdict properties (``all_ok``, ``ok``, ``passed``,
+``is_atom``), and a kernel report's ``regions`` last.  The exact integers
+named in :data:`EXACT_INT_FIELDS` (``alpha``, ``m_alpha``, ``q_index``,
+``q_inner``, ``region_pair_count``, ``product``, ``kernel_order``) and the
+numerators and denominators of rationals are decimal strings; every other
+integer is a JSON number.  Exact integers in the ledgers can run to
+hundreds of thousands of digits; they never pass through floats.
+
+:func:`write_json` is the one JSON writer.  It walks a report in one pass,
+each dataclass by a plan built once per class (its keys already encoded),
+and hands the parts of the text to a ``writelines`` a few thousand at a
+time without joining them, so no document tree and no list of the
+document's parts is ever built.  :func:`dumps_canonical` joins what it
+writes, and :func:`report_to_doc` parses that back; the CLI writes to its
+destination directly.  :func:`write_function_csv` writes a function's CSV
+the same way.
 
 Decimal text is exact and subquadratic: :func:`int_str` converts a large
 integer by divide and conquer on :mod:`decimal` numbers instead of the
@@ -18,22 +27,21 @@ of ``2 ** 2 ** j`` serves every integer of a document; a zero low chunk
 costs no addition, and a low chunk equal to its high chunk is converted
 once, which makes powers of two and the 0101...01 q-numbers cheap.  A
 :class:`DecimalText` holds that table and converts each distinct value
-once per document; it is made per document (one :func:`report_to_doc`
-with its :func:`canonical_parts`, or one :func:`summary_csv`) and kept by
-nothing in this module.  The library never changes the interpreter's
-integer digit limit, so a reader on Python >= 3.11 that turns the longest
-decimal strings back into ``int`` must raise that limit itself.  Every
-verdict stays re-derivable from the stored numbers.
-
-:func:`canonical_parts` is the one emitter: the CLI streams its parts to
-the destination, and :func:`dumps_canonical` joins them.
+once per document; it is made per document (one :func:`write_json`, or one
+:func:`summary_csv`) and kept by nothing in this module.  Its memo is the
+only state a document's writer keeps.  The library never changes the
+interpreter's integer digit limit, so a reader on Python >= 3.11 that
+turns the longest decimal strings back into ``int`` must raise that limit
+itself.  Every verdict stays re-derivable from the stored numbers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import decimal
+import functools
 import json
+from collections.abc import Callable
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
@@ -41,7 +49,6 @@ from .errors import SAFE_STR_BITS, DomainError
 from .group import Cylinder, GroupPattern, GroupSpec, parse_group_text
 
 if TYPE_CHECKING:
-    from .counterexample import KernelBoundReport
     from .exact import DivergenceReport
 
 __all__ = [
@@ -49,13 +56,13 @@ __all__ = [
     "DecimalText",
     "int_str",
     "float_str",
-    "canonical_parts",
+    "write_json",
     "dumps_canonical",
     "encode_group",
     "decode_group",
     "function_to_doc",
     "doc_to_function",
-    "function_to_csv",
+    "write_function_csv",
     "load_function_file",
     "report_to_doc",
     "kernel_report_to_doc",
@@ -141,9 +148,58 @@ def float_str(x: float) -> str:
 
 
 _ARRAY_PART = 4096  # values of a float array joined into one part
+_FLUSH_PARTS = 4096  # parts handed to a writer's writelines at a time
 
 
-def _emit(obj: Any, out: list[str], text: DecimalText) -> None:
+class _Parts(list):
+    """The parts of one output on their way to its ``writelines``: handed
+    over :data:`_FLUSH_PARTS` at a time and never joined, so no part is
+    copied and only the parts since the last hand-over are held."""
+
+    __slots__ = ("writelines", "every")
+
+    def __init__(self, writelines: Callable[[list[str]], object]) -> None:
+        super().__init__()
+        self.writelines = writelines
+        self.every = _FLUSH_PARTS
+
+    def spill(self) -> None:
+        if len(self) >= self.every:
+            self.flush()
+
+    def flush(self) -> None:
+        if self:
+            self.writelines(self)
+            self.clear()
+
+
+# (class name, field) written after the verdicts: a kernel report's long
+# region list comes last
+_WRITTEN_LAST = {"KernelBoundReport": "regions"}
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[tuple[str, str, bool], ...]:
+    """How :func:`_emit` writes a dataclass: for each entry its key, encoded
+    with the ``{`` or ``,`` before it, the attribute it reads, and whether
+    that attribute is an exact integer written as a decimal string.  Fields
+    come in declaration order, then the class's properties."""
+    fields = [f.name for f in dataclasses.fields(cls)]
+    names = fields + [name for name, attr in vars(cls).items() if isinstance(attr, property)]
+    last = _WRITTEN_LAST.get(cls.__name__)
+    if last in names:
+        names.remove(last)
+        names.append(last)
+    exact = EXACT_INT_FIELDS.intersection(fields)
+    return tuple(
+        (("," if i else "{") + json.dumps(name, ensure_ascii=False) + ":", name, name in exact)
+        for i, name in enumerate(names)
+    )
+
+
+def _emit(obj: Any, out: _Parts, text: DecimalText) -> None:
+    """Append the canonical JSON text of ``obj`` to ``out``, spilling it to
+    the writer after each element of a container."""
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -161,6 +217,14 @@ def _emit(obj: Any, out: list[str], text: DecimalText) -> None:
         out.append(str(int(obj)))
     elif isinstance(obj, float):
         out.append(float_str(obj))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, val in enumerate(obj):
+            if i:
+                out.append(",")
+            _emit(val, out, text)
+            out.spill()
+        out.append("]")
     elif isinstance(obj, dict):
         out.append("{")
         for i, (key, val) in enumerate(obj.items()):
@@ -171,40 +235,57 @@ def _emit(obj: Any, out: list[str], text: DecimalText) -> None:
             out.append(json.dumps(key, ensure_ascii=False))
             out.append(":")
             _emit(val, out, text)
+            out.spill()
         out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, val in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(val, out, text)
-        out.append("]")
+    elif isinstance(obj, GroupSpec):
+        _emit(encode_group(obj), out, text)
+    elif isinstance(obj, GroupPattern):
+        _emit(obj.base, out, text)
+    elif isinstance(obj, Cylinder):
+        _emit({"prefix": obj.prefix, "measure": obj.measure}, out, text)
+    elif dataclasses.is_dataclass(obj):
+        plan = _plan(type(obj))
+        for key, name, exact in plan:
+            out.append(key)
+            if exact:
+                out += ('"', text(getattr(obj, name)), '"')
+            else:
+                _emit(getattr(obj, name), out, text)
+            out.spill()
+        out.append("}" if plan else "{}")
     elif type(obj).__module__ == "numpy" and obj.ndim == 0:  # a numpy scalar, seen without importing numpy
         _emit(obj.item(), out, text)
     elif type(obj).__module__ == "numpy" and obj.ndim == 1 and obj.dtype.kind == "f":
         # a float array, written a part of _ARRAY_PART values at a time,
-        # never as one Python float object per value
+        # never as one Python float object per value; each part is handed
+        # over at once, as it holds thousands of numbers
         out.append("[")
         for i in range(0, len(obj), _ARRAY_PART):
             if i:
                 out.append(",")
             out.append(",".join(map(float_str, obj[i : i + _ARRAY_PART].tolist())))
+            out.flush()
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def canonical_parts(obj: Any, text: DecimalText | None = None) -> list[str]:
-    """The canonical JSON text of ``obj`` as a list of parts, to be written
-    in order (``writelines``) without joining them first.  ``text`` is the
-    document's decimal text, shared with :func:`report_to_doc`."""
-    out: list[str] = []
-    _emit(obj, out, DecimalText() if text is None else text)
-    return out
+def write_json(obj: Any, writelines: Callable[[list[str]], object]) -> None:
+    """Write the canonical JSON text of ``obj`` (a report dataclass, or any
+    JSON value) in one pass: its parts go to ``writelines`` in order, a list
+    of about :data:`_FLUSH_PARTS` at a time that is reused after each call,
+    and are never joined.  The document's exact integers are converted by
+    one :class:`DecimalText`, whose memo is the only state kept for the
+    whole document."""
+    out = _Parts(writelines)
+    _emit(obj, out, DecimalText())
+    out.flush()
 
 
 def dumps_canonical(obj: Any) -> str:
-    return "".join(canonical_parts(obj))
+    parts: list[str] = []
+    write_json(obj, parts.extend)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +336,8 @@ def decode_group(raw) -> GroupSpec:
 
 def function_to_doc(obj) -> dict:
     """The function file document of ``obj``.  ``"re"`` and ``"im"`` are
-    float64 views of its values, not lists: :func:`canonical_parts` writes
-    them a part at a time, and :func:`doc_to_function` reads them back."""
+    float64 views of its values, not lists: :func:`write_json` writes them
+    a part at a time, and :func:`doc_to_function` reads them back."""
     from .transform import CylinderFunction, Spectrum
 
     if isinstance(obj, CylinderFunction):
@@ -297,12 +378,20 @@ def doc_to_function(doc):
     return CylinderFunction(group, data) if kind == "values" else Spectrum(group, data)
 
 
-def function_to_csv(obj) -> str:
+def write_function_csv(obj, writelines: Callable[[list[str]], object]) -> None:
+    """Write ``obj`` as CSV (``index,re,im``, one line per point) to
+    ``writelines`` as :func:`write_json` does, converting the values a
+    hand-over's worth of lines at a time."""
     doc = function_to_doc(obj)
-    lines = ["index,re,im"]
-    for i, (re, im) in enumerate(zip(doc["re"].tolist(), doc["im"].tolist())):
-        lines.append(f"{i},{float_str(re)},{float_str(im)}")
-    return "\n".join(lines) + "\n"
+    re, im = doc["re"], doc["im"]
+    out = _Parts(writelines)
+    out.append("index,re,im\n")
+    step = out.every
+    for lo in range(0, len(re), step):
+        pairs = zip(re[lo : lo + step].tolist(), im[lo : lo + step].tolist())
+        out += [f"{i},{float_str(a)},{float_str(b)}\n" for i, (a, b) in enumerate(pairs, lo)]
+        out.spill()
+    out.flush()
 
 
 def load_function_file(path: str):
@@ -328,46 +417,19 @@ EXACT_INT_FIELDS = frozenset(
 )
 
 
-def report_to_doc(obj: Any, text: DecimalText | None = None) -> Any:
-    """A report dataclass as a JSON-ready document.
-
-    Fields come in declaration order, then the class's properties (the
-    verdicts ``all_ok``, ``ok``, ``passed``, ``is_atom``).  Fields named in
-    :data:`EXACT_INT_FIELDS` become decimal strings, converted by ``text``
-    (pass the same one to :func:`canonical_parts`); ``Fraction`` values are
-    left for :func:`canonical_parts`.  Groups, patterns and cylinders are
-    written in their short forms.
-    """
-    if text is None:
-        text = DecimalText()
-    if isinstance(obj, GroupSpec):
-        return encode_group(obj)
-    if isinstance(obj, GroupPattern):
-        return list(obj.base)
-    if isinstance(obj, Cylinder):
-        return {"prefix": list(obj.prefix), "measure": obj.measure}
-    if dataclasses.is_dataclass(obj):
-        doc = {}
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            doc[f.name] = text(value) if f.name in EXACT_INT_FIELDS else report_to_doc(value, text)
-        for name, attr in vars(type(obj)).items():
-            if isinstance(attr, property):
-                doc[name] = report_to_doc(getattr(obj, name), text)
-        return doc
-    if isinstance(obj, (list, tuple)):
-        return [report_to_doc(v, text) for v in obj]
-    return obj
+def report_to_doc(obj: Any) -> Any:
+    """A report dataclass as a JSON document: its canonical text (see
+    :func:`write_json`) parsed back.  Fields come in declaration order, then
+    the class's properties (the verdicts ``all_ok``, ``ok``, ``passed``,
+    ``is_atom``); fields named in :data:`EXACT_INT_FIELDS` and the numerators
+    and denominators of ``Fraction`` values are decimal strings; groups,
+    patterns and cylinders are in their short forms."""
+    return json.loads(dumps_canonical(obj))
 
 
-def kernel_report_to_doc(report: KernelBoundReport, text: DecimalText | None = None) -> dict:
-    doc = report_to_doc(report, text)
-    doc["regions"] = doc.pop("regions")  # after the verdict
-    return doc
-
-
-def divergence_to_doc(report: DivergenceReport, text: DecimalText | None = None) -> dict:
-    return report_to_doc(report, text)
+# the names perfbench/spans.py traces: the CLI builds no document, so a
+# traced run reads no call of either
+divergence_to_doc = kernel_report_to_doc = report_to_doc
 
 
 def summary_csv(report: DivergenceReport) -> str:

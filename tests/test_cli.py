@@ -120,6 +120,64 @@ def test_transform_json_writer_holds_no_python_copy_of_the_document(tmp_path):
     assert peak <= 20 << 20
 
 
+def test_transform_csv_writer_holds_no_python_copy_of_the_document(tmp_path):
+    # 2^17 points: the whole CSV as one list of lines and one joined
+    # string took 30 MiB; lines of 4,096 points at a time take a fraction
+    out = tmp_path / "f.csv"
+    argv = ["transform", "--group", "const:2^17", "--random", "--seed", "7", "--format", "csv", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20
+    with open(out, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + (1 << 17)
+
+
+def _poison(monkeypatch, argv):
+    """Make the report of ``argv`` carry a NaN, which its writer refuses."""
+    import dataclasses
+
+    nan = float("nan")
+    if argv[0] == "lemma2":
+        real = counterexample.lemma2_verify
+        monkeypatch.setattr(
+            counterexample, "lemma2_verify",
+            lambda *a: dataclasses.replace(real(*a), global_min_ratio=nan),
+        )
+    else:
+        real = cli.divergence_report
+
+        def poisoned(*a, **k):
+            report = real(*a, **k)
+            series = dataclasses.replace(report.series, hardy_upper=nan)  # written after the ledgers
+            return dataclasses.replace(report, series=series)
+
+        monkeypatch.setattr(cli, "divergence_report", poisoned)
+
+
+@pytest.mark.parametrize("flush", [2, 4096])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--group", "const:2", "--kmax", "6", "--json"],
+        ["lemma2", "--group", "const:2", "--A", "4"],
+    ],
+)
+def test_a_report_that_fails_while_written_leaves_no_out_file(argv, flush, monkeypatch, tmp_path, capsys):
+    from vilenkin import serialize
+
+    monkeypatch.setattr(serialize, "_FLUSH_PARTS", flush, raising=False)  # 2: bytes reach the file first
+    _poison(monkeypatch, argv)
+    out = tmp_path / "report.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: refusing to serialize non-finite value nan\n"
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_kernel_dirichlet_self_check_and_values(tmp_path, capsys):
     out = tmp_path / "d6.json"
     assert run_cli(

@@ -20,7 +20,9 @@ widths from one power table per document; the ``transform`` case on
 before the transforms ran their low axes on a transposed layout in two
 reused buffers; the ``transform`` case on ``const:2^17`` and the
 ``kernel`` case on ``2,3,5,2,3,5,2,3,5,2`` were written before every
-axis ran in place through a scratch tile.  ``<name>.stdout`` is
+axis ran in place through a scratch tile; the ``counterexample`` case at
+``--kmax 9 --json`` was written while a report was still turned into a
+document and a list of parts before its first byte was written.  ``<name>.stdout`` is
 standard output and ``<name>.file`` the ``--out`` file; an artifact over
 ~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
 """
@@ -51,6 +53,11 @@ CASES = {
     # integers up to ~295k bits: the divide-and-conquer decimal path
     "counterexample_const2_k8_json": (
         ["counterexample", "--group", "const:2", "--kmax", "8", "--json"],
+        False,
+    ),
+    # integers up to ~1.18M bits: the command of perfbench's exact-json workload
+    "counterexample_const2_k9_json": (
+        ["counterexample", "--group", "const:2", "--kmax", "9", "--json"],
         False,
     ),
     "counterexample_const2_k6_json_out": (

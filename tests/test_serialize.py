@@ -4,6 +4,7 @@ import gc
 import json
 import random
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -23,21 +24,19 @@ from vilenkin.kernels import validate_p_atom
 from vilenkin.serialize import (
     EXACT_INT_FIELDS,
     DecimalText,
-    canonical_parts,
     decode_group,
-    divergence_to_doc,
     doc_to_function,
     dumps_canonical,
     encode_group,
     float_str,
-    function_to_csv,
     function_to_doc,
     int_str,
-    kernel_report_to_doc,
     load_function_file,
     plot_csv,
     report_to_doc,
     summary_csv,
+    write_function_csv,
+    write_json,
 )
 from vilenkin.transform import (
     CylinderFunction,
@@ -228,8 +227,9 @@ def test_function_doc_validation():
 def test_function_csv_shape():
     g = build_group_spec([2, 2])
     f = CylinderFunction(g, np.array([1, 2j, -1, 0.5 + 0.5j]))
-    text = function_to_csv(f)
-    lines = text.strip().split("\n")
+    parts = []
+    write_function_csv(f, parts.extend)
+    lines = "".join(parts).strip().split("\n")
     assert lines[0] == "index,re,im"
     assert len(lines) == 1 + g.size
     assert lines[1] == "0,1,0"
@@ -259,7 +259,7 @@ def test_atom_report_doc_has_three_verdicts():
     from vilenkin.group import Cylinder
 
     report = validate_p_atom(CylinderFunction(g, vals), Cylinder(g, (0, 0)), Fraction(1, 2))
-    doc = json.loads(dumps_canonical(report_to_doc(report)))
+    doc = report_to_doc(report)
     assert set(doc) >= {"mean_ok", "support_ok", "size_ok", "is_atom", "sup_norm"}
     assert doc["interval"] == {"prefix": [0, 0], "measure": {"num": "1", "den": "4"}}
     assert doc["is_atom"] == (doc["mean_ok"] and doc["support_ok"] and doc["size_ok"])
@@ -283,7 +283,7 @@ def test_report_doc_key_order_and_exact_ints():
 
 def test_kernel_report_doc():
     report = lemma2_verify(PAT2, 3)
-    doc = json.loads(dumps_canonical(kernel_report_to_doc(report)))
+    doc = report_to_doc(report)
     assert list(doc) == [
         "group", "level", "kernel_order", "threshold", "global_min_ratio", "passed", "regions",
     ]
@@ -297,7 +297,7 @@ def test_kernel_report_doc():
 def test_ledger_doc_verdicts_reproducible_after_parse(big_int_text):
     seq = build_alpha_sequence(PAT2, 8)
     for k in (1, 7):
-        doc = json.loads(dumps_canonical(report_to_doc(bound_chain_evaluate(seq, k))))
+        doc = report_to_doc(bound_chain_evaluate(seq, k))
         q = int(doc["q_index"])
         q_inner = int(doc["q_inner"])
         m2a = q - q_inner
@@ -317,7 +317,7 @@ def test_ledger_doc_verdicts_reproducible_after_parse(big_int_text):
 def test_divergence_doc_and_csv():
     seq = build_alpha_sequence(PAT2, 8)
     report = divergence_report(seq)
-    doc = json.loads(dumps_canonical(divergence_to_doc(report)))
+    doc = report_to_doc(report)
     assert doc["passed"] is True
     assert len(doc["ledgers"]) == 8
     assert doc["rate_certified_from"] == 1
@@ -358,11 +358,23 @@ def _record_int_str(monkeypatch):
 
 
 def test_a_document_converts_each_big_value_once_with_one_power_table(monkeypatch):
+    from vilenkin import serialize
+
     report = divergence_report(build_alpha_sequence(PAT2, 6), cap=2)
-    want = dumps_canonical(divergence_to_doc(report))
+    want = dumps_canonical(report)
     calls = _record_int_str(monkeypatch)
-    text = DecimalText()
-    assert "".join(canonical_parts(divergence_to_doc(report, text), text)) == want
+    texts = []
+
+    class Tracked(DecimalText):
+        def __init__(self):
+            super().__init__()
+            texts.append(self)
+
+    monkeypatch.setattr(serialize, "DecimalText", Tracked)
+    parts = []
+    write_json(report, parts.extend)
+    assert "".join(parts) == want
+    [text] = texts
     big = [(n, powers) for n, powers in calls if n.bit_length() > SAFE_STR_BITS]
     values = [n for n, _ in big]
     assert len(values) == len(set(values)) > 0
@@ -401,9 +413,49 @@ def test_no_decimal_text_outlives_its_document(monkeypatch, capsys):
     assert all(ref() is None for ref in alive)
 
 
+def test_json_writer_holds_only_the_decimal_text_of_the_document():
+    # integers up to 1.18M bits, 2.26 MiB of distinct decimal text; a
+    # document tree and the list of its 93,235 parts took 7.0 MiB
+    report = divergence_report(build_alpha_sequence(PAT2, 9), cap=2)
+    tracemalloc.start()
+    try:
+        write_json(report, lambda parts: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
+
+
+def _hand_overs(write, obj):
+    chunks = []
+    write(obj, lambda parts: chunks.append(list(parts)))  # the list is reused
+    return chunks
+
+
+@pytest.mark.parametrize("every", [1, 2, 7])
+def test_flush_size_does_not_change_the_bytes(every, monkeypatch):
+    from vilenkin import serialize
+
+    g = build_group_spec([2] * 13)  # two float-array parts per axis
+    f = random_cylinder_function(g, seed=3)
+    cases = [
+        (write_json, divergence_report(build_alpha_sequence(PAT2, 6), cap=2)),
+        (write_json, lemma2_verify(PAT2, 3)),
+        (write_json, function_to_doc(f)),
+        (write_function_csv, f),
+    ]
+    want = ["".join(map("".join, _hand_overs(write, obj))) for write, obj in cases]
+    monkeypatch.setattr(serialize, "_FLUSH_PARTS", every)
+    for (write, obj), text in zip(cases, want):
+        chunks = _hand_overs(write, obj)
+        assert "".join(map("".join, chunks)) == text
+        assert len(chunks) > 1
+        assert max(map(len, chunks)) <= every + 8  # a hand-over ends after the entry that fills it
+
+
 def test_serialization_is_deterministic_across_runs():
     seq1 = build_alpha_sequence(PAT2, 4)
     seq2 = build_alpha_sequence(PAT2, 4)
-    doc1 = dumps_canonical(divergence_to_doc(divergence_report(seq1)))
-    doc2 = dumps_canonical(divergence_to_doc(divergence_report(seq2)))
+    doc1 = dumps_canonical(divergence_report(seq1))
+    doc2 = dumps_canonical(divergence_report(seq2))
     assert doc1 == doc2
