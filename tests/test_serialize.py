@@ -436,7 +436,7 @@ def _hand_overs(write, obj):
 def test_flush_size_does_not_change_the_bytes(every, monkeypatch):
     from vilenkin import serialize
 
-    g = build_group_spec([2] * 13)  # two float-array parts per axis
+    g = build_group_spec([2] * 13)  # two 4,096-value parts in each float array
     f = random_cylinder_function(g, seed=3)
     cases = [
         (write_json, divergence_report(build_alpha_sequence(PAT2, 6), cap=2)),
