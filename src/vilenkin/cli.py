@@ -126,13 +126,15 @@ def _load_group(args: argparse.Namespace):
 
 
 def _load_pattern(text: str) -> GroupPattern:
-    """The base pattern of a command that picks its own depth; ``^N`` is refused."""
+    """The base pattern of a command that picks its own depth; ``^N`` is
+    refused, after the text has parsed: only valid text fixes a depth."""
+    pattern = parse_group_text(text)[0]
     if "^" in text:
         raise DomainError(
             f"group {text!r} fixes a depth, but this command picks its own; "
             "pass a base pattern such as const:2 or 2,3"
         )
-    return parse_group_text(text)[0]
+    return pattern
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, VerificationError, brief
+from .errors import CapExceededError, DomainError, VerificationError, brief
 from .group import GRID_CAP, GroupPattern, GroupSpec
 
 __all__ = [
@@ -644,14 +644,16 @@ def divergence_report(seq: AlphaSequence, cap: int = GRID_CAP) -> DivergenceRepo
         ledgers.append(ledger)
         res = direct = pw = dom = None
         depth = 2 * ledger.alpha + 1
-        # every base is >= 2, so M_depth >= 2^depth: a depth past the cap's
-        # bit length cannot fit, and M_depth is not computed
-        if depth <= cap.bit_length() and seq.pattern.scale(depth) <= cap:
+        try:
+            grid = seq.pattern.group(depth, cap)
+        except CapExceededError:  # no audit on a grid over the cap
+            pass
+        else:
             from .counterexample import _materialized_checks
 
-            grids.append(seq.pattern.group(depth, cap))
+            grids.append(grid)
             res = depth
-            direct, pw, dom = _materialized_checks(seq, ledger, grids[-1])
+            direct, pw, dom = _materialized_checks(seq, ledger, grid)
         rows.append(
             DivergenceRow(
                 k=k,

@@ -124,40 +124,37 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     row along the carry chain, so the whole sweep is a small constant
     number of vector operations per index.
 
+    Every vector is stepped as rows of ``M_K`` points, with ``K`` the
+    number of leading axes whose digit runs ``M_a`` are shorter than
+    ``_SHORT_RUN``; the unit steps are built once in that layout
+    (:func:`_sweep_steps`).
+
     Work that cannot change a bit is skipped: a zero coefficient adds no
     rank-one term, and while the running partial sum is still identically
     zero it is not added to the total and only the character row moves.
     Until the first rank-one term the row is a *prefix row*: its first
-    ``M_{J+1}`` points, where ``J`` is the highest axis on which the
-    counter has ever had a nonzero digit.  The row depends on no digit
-    above ``J``, so ``np.tile`` of the prefix is the full row, bit for bit.
-    A digit that wraps from ``m - 1`` to ``0`` has multiplied the row by
-    its unit step ``m`` times, a product only close to 1 in floating
-    point, so ``J`` never falls.  The prefix row is tiled up whenever a
-    carry first reaches a new axis, and to the full grid before the first
-    rank-one term; a nonzero partial sum at ``start`` gets the full row at
-    once.  The prefix row at ``start`` is built on the depth-``J + 1``
-    grid alone: each of its points gets the same phase sum, in the same
-    order, as on the full grid.
+    ``M_W`` points, with ``W`` at least ``K`` and above every axis on
+    which the counter has ever had a nonzero digit.  The row depends on
+    no digit at or above ``W``, so ``np.tile`` of the prefix is the full
+    row, bit for bit.  A digit that wraps from ``m - 1`` to ``0`` has
+    multiplied the row by its unit step ``m`` times, a product only close
+    to 1 in floating point, so ``W`` never falls.  The prefix row is tiled
+    up whenever a carry first reaches axis ``W``, and to the full grid
+    before the first rank-one term; a nonzero partial sum at ``start``
+    gets the full row at once.  The prefix row at ``start`` is built on
+    the depth-``W`` grid alone: each of its points gets the same phase
+    sum, in the same order, as on any deeper grid.
 
     The steps are cut into segments at those tile-ups, so the row length
     is fixed inside a segment.  Each step changes a point's row, partial
     sum and total from that point's own values alone, so a segment whose
     row has at least ``2 * _RANGE_POINTS`` points is stepped as up to
-    ``_THREADS`` contiguous point ranges, each on its own thread with its
-    own copy of the counter; numpy releases the interpreter lock inside
-    each vector operation.  Every point gets the same multiplies and adds
-    in the same order whatever the split, so the result is bit for bit
-    the same for any thread count, and bit for bit the full-grid sweep
-    that does every multiply and add.
-
-    Full-grid unit-step vectors are kept only for the axes whose digit
-    runs are shorter than ``_SHORT_RUN`` points; every higher axis keeps
-    its ``m_a`` roots (:func:`_sweep_steps`).  Each point range starts and
-    ends on a multiple of ``M_K``, the first run that is not short, and is
-    stepped as rows of ``M_K`` points, a higher axis by one root per row.
-    Every point is still multiplied by its own root, so the row is bit for
-    bit the one full step vectors give.
+    ``_THREADS`` ranges of whole rows, each on its own thread with its own
+    copy of the counter; numpy releases the interpreter lock inside each
+    vector operation.  Every point gets the same multiplies and adds in
+    the same order whatever the split, so the result is bit for bit the
+    same for any thread count, and bit for bit the full-grid sweep that
+    does every multiply and add.
     """
     g = s.group
     if not 0 <= start <= stop <= g.size:
@@ -174,115 +171,98 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
         if not hits.size:
             return total
         first = start + int(hits[0])
+    short = sum(1 for run in g.scales[:-1] if run < _SHORT_RUN)
+    run = g.scales[short]
     # a carry reaches axis a only on a step to a multiple of M_a below stop
-    steps = _sweep_steps(character_basis(g), stop)
-    tmp = np.empty(g.size, dtype=np.complex128)
+    steps = _sweep_steps(character_basis(g), short, stop)
+    totals = total.reshape(-1, run)
+    tmp = np.empty_like(totals)
     counter = list(digit_decompose(start, g))
-    width = max((k for k, d in enumerate(counter) if d), default=0) + 1
-    psi = CharacterBasis(g.truncate(width)).row(start)
+    width = max(short, max((k for k, d in enumerate(counter) if d), default=0) + 1)
+    psi = CharacterBasis(g.truncate(width)).row(start).reshape(-1, run)
     n = start
     while n < first:  # the zero run: only the prefix row moves
         if n + 1 == psi.size:  # this step carries into axis ``width``
-            psi = np.tile(psi, g.digits[width])
+            psi = np.tile(psi, (g.digits[width], 1))
             width += 1
         end = min(first, psi.size - 1)
-        _sweep_segment(psi, None, total, tmp, g, steps, counter, s.coeffs[n:end])
+        _sweep_segment(psi, None, totals, tmp, steps[:width], counter, g.digits, s.coeffs[n:end])
         n = end
     if psi.size < g.size:
-        psi = np.tile(psi, g.size // psi.size)
-    _sweep_segment(psi, cur, total, tmp, g, steps, counter, s.coeffs[first : stop - 1])
+        psi = np.tile(psi, (g.size // psi.size, 1))
+    _sweep_segment(psi, cur.reshape(-1, run), totals, tmp, steps, counter, g.digits, s.coeffs[first : stop - 1])
     total += cur
     return total
 
 
-# A partial-sum sweep keeps a full-grid unit-step vector only for the axes
-# whose digit runs are shorter than _SHORT_RUN points; a higher axis steps
-# the row as rows of M_K points (K the first axis at or over it) by one
-# root per row.  That broadcast multiply measured up to 2x a full-vector
-# one per call (2 shared vCPUs), but only a carry that reaches axis K takes
-# it: about once in M_K steps, at most once in 64 here.  The sweep's time
-# stayed within noise for every value from 8 to 128, and each short axis
-# costs one full vector (6 of 13 on the depth-13 `2,2,3` grid, 4 of 13 on
-# `const:3`).
+# A partial-sum sweep steps every vector as rows of M_K points, K the first
+# axis whose digit runs are at least _SHORT_RUN points long: a lower axis
+# keeps its full-grid unit step, a higher one a column of one root per row.
+# That broadcast multiply measured up to 2x a full-vector one per call
+# (2 shared vCPUs), but only a carry that reaches axis K takes it: about
+# once in M_K steps, at most once in 64 here.  The sweep's time stayed
+# within noise for every value from 8 to 128, and each short axis costs one
+# full vector (6 of 13 on the depth-13 `2,2,3` grid, 4 of 13 on `const:3`).
 _SHORT_RUN = 64
 
-# A sweep segment is split into contiguous point ranges of at least
+# A sweep segment is split into ranges of whole rows of at least
 # _RANGE_POINTS points, on at most _THREADS threads; shorter ranges cost
 # more in per-step interpreter work than the threads save.
 _RANGE_POINTS = 8192
 _THREADS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
-def _short_axes(g: GroupSpec) -> int:
-    """How many leading axes have digit runs ``M_a`` shorter than ``_SHORT_RUN``."""
-    return sum(1 for run in g.scales[:-1] if run < _SHORT_RUN)
-
-
-def _sweep_steps(basis: CharacterBasis, stop: int) -> list[np.ndarray]:
+def _sweep_steps(basis: CharacterBasis, short: int, stop: int) -> list[np.ndarray]:
     """The unit steps of the axes a carry reaches on a step below
-    ``stop``: the full vector of a short-run axis, the roots of any other.
+    ``stop``, each as rows of ``M_K`` points with ``K = short``: a short-run
+    axis is its full vector reshaped to ``(N / M_K, M_K)``, any higher axis
+    an ``(N / M_K, 1)`` column of one root per row.
 
-    The unit step of axis ``a`` is constant on runs of ``M_a`` points, so
-    :func:`_range_steps` can give every point its root from the ``m_a``
-    roots alone."""
-    g, short = basis.group, _short_axes(basis.group)
-    axes = [a for a in range(g.resolution) if g.scales[a] < stop]
-    return [basis.unit_step(a) if a < short else basis.roots(a) for a in axes]
-
-
-def _range_steps(g: GroupSpec, steps: list[np.ndarray], points: int, run: int, lo: int, hi: int) -> list[np.ndarray]:
-    """:func:`_sweep_steps` on points ``[lo, hi)`` of a row of ``points``
-    leading points, each shaped against ``row[lo:hi].reshape(-1, run)``,
-    with ``run`` the row length :func:`_sweep_segment` picks; ``lo`` and
-    ``hi`` are multiples of ``run``.  Axes whose runs are not shorter than
-    the row are left out: no carry reaches them while the row has that
-    length.
-
-    A short-run axis is its vector's slice, a higher one a column of one
-    root per row.  Either way each point is multiplied by the same root
-    ``exp(2*pi*i * x_a / m_a)``, and numpy's complex product of two numbers
-    does not depend on whether one of them is broadcast, so the row is bit
-    for bit the full-vector one.  (Only an in-place multiply of a single
-    point takes another loop, which can differ in the last bit; a range
-    holds at least ``run`` >= 2 points.)"""
-    short = _short_axes(g)
-    out = []
-    for a, step in enumerate(steps):
-        if g.scales[a] >= points:
-            break
-        if a < short:
-            out.append(step[lo:hi].reshape(-1, run))
-        else:  # row r of the range has digit (lo // run + r) // (M_a // run) % m_a
-            digit = np.arange(lo // run, hi // run) // (g.scales[a] // run) % g.digits[a]
-            out.append(step[digit, None])
-    return out
+    The unit step of a higher axis is constant on runs of ``M_a`` points,
+    a multiple of ``M_K``, so each point is multiplied by its own root
+    ``exp(2*pi*i * x_a / m_a)`` either way, and numpy's complex product of
+    two numbers does not depend on whether one of them is broadcast: the
+    row is bit for bit the full-vector one.  (Only an in-place multiply of
+    a single point takes another loop, which can differ in the last bit; a
+    range holds two points or more unless ``M_K`` and ``_RANGE_POINTS``
+    are both 1.)  The first rows of a step are the step on a prefix row of
+    as many rows, so a prefix row needs no steps of its own."""
+    g = basis.group
+    run = g.scales[short]
+    return [
+        basis.unit_step(a).reshape(-1, run)
+        if a < short
+        else np.tile(np.repeat(basis.roots(a), g.scales[a] // run), g.size // g.scales[a + 1])[:, None]
+        for a in range(g.resolution)
+        if g.scales[a] < stop
+    ]
 
 
-def _sweep_segment(psi, cur, total, tmp, g, steps, counter, coeffs) -> None:
-    """Step the row ``psi`` through one coefficient per step, split into
-    point ranges on threads when the row is long enough.
+def _sweep_segment(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
+    """Step the row ``psi``, and ``cur`` and ``total`` with it, through one
+    coefficient per step, split into ranges of whole rows on threads when
+    the row is long enough.
 
-    ``cur`` None means the partial sum is identically zero.  ``counter``
-    ends advanced past the segment.  Ranges are cut on multiples of
-    ``run``: ``M_K``, with ``K`` the first axis whose runs are not short,
-    or the whole row when that is less.  Each range is stepped as rows of
-    ``run`` points (see :func:`_range_steps`).  A range's exception is
-    raised again here, after every thread has finished.
+    Every vector and step is in the row layout of :func:`_sweep_steps`;
+    ``psi`` may be a prefix of the rows, and only that prefix of ``total``
+    and ``tmp`` is touched.  ``cur`` None means the partial sum is
+    identically zero.  ``counter`` ends advanced past the segment.
+    A range's exception is raised again here, after every thread has
+    finished.
     """
-    run = min(g.scales[_short_axes(g)], psi.size)
-    rows = psi.size // run
+    rows = len(psi)
     parts = max(1, min(_THREADS, psi.size // _RANGE_POINTS, rows))
-    bounds = [run * (rows * i // parts) for i in range(parts + 1)]
+    bounds = [rows * i // parts for i in range(parts + 1)]
     counters = [list(counter) for _ in range(parts)]
     ranges = [
         (
-            psi[lo:hi].reshape(-1, run),
-            None if cur is None else cur[lo:hi].reshape(-1, run),
-            total[lo:hi].reshape(-1, run),
-            tmp[lo:hi].reshape(-1, run),
-            _range_steps(g, steps, psi.size, run, lo, hi),
+            psi[lo:hi],
+            None if cur is None else cur[lo:hi],
+            total[lo:hi],
+            tmp[lo:hi],
+            [step[lo:hi] for step in steps],
             counters[i],
-            g.digits,
+            digits,
             coeffs,
         )
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
@@ -329,7 +309,7 @@ def step_character(psi: np.ndarray, counter: list[int], digits, steps) -> None:
 
     ``counter`` holds n's digits and is advanced too; ``steps[j]`` is the
     axis-``j`` unit step on the same points as ``psi``, in a shape that
-    broadcasts against it (see :func:`_range_steps`), and must exist for
+    broadcasts against it (see :func:`_sweep_steps`), and must exist for
     every axis the carry reaches.  Only numpy runs here, on ``psi`` and
     ``steps`` alone, so disjoint point ranges may be stepped at once.
     """

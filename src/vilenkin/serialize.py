@@ -156,15 +156,14 @@ class _Parts(list):
     over :data:`_FLUSH_PARTS` at a time and never joined, so no part is
     copied and only the parts since the last hand-over are held."""
 
-    __slots__ = ("writelines", "every")
+    __slots__ = ("writelines",)
 
     def __init__(self, writelines: Callable[[list[str]], object]) -> None:
         super().__init__()
         self.writelines = writelines
-        self.every = _FLUSH_PARTS
 
     def spill(self) -> None:
-        if len(self) >= self.every:
+        if len(self) >= _FLUSH_PARTS:
             self.flush()
 
     def flush(self) -> None:
@@ -207,10 +206,7 @@ def _emit(obj: Any, out: _Parts, text: DecimalText) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        if obj.isdecimal():  # digits need no escaping: skip json.dumps's copy
-            out += ('"', obj, '"')
-        else:
-            out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, Fraction):
         out += ('{"num":"', text(obj.numerator), '","den":"', text(obj.denominator), '"}')
     elif isinstance(obj, int):
@@ -303,7 +299,9 @@ def decode_group(raw) -> GroupSpec:
 
     Group text carries its own depth: a digit list's length, or ``^N``;
     ``"const:b"`` alone has none and raises :class:`DomainError`.  A dict
-    without ``"resolution"`` has the depth of its digit list.  A digit list
+    without ``"resolution"`` has the depth of its digit list.  Its digits
+    and resolution must be JSON integers: a float, a string or a boolean
+    raises :class:`DomainError` rather than being coerced.  A digit list
     shorter than the resolution repeats cyclically; one longer than the
     resolution raises :class:`DomainError` rather than being cut.  The grid
     comes from :meth:`GroupPattern.group`, so one over ``GRID_CAP`` points
@@ -315,12 +313,13 @@ def decode_group(raw) -> GroupSpec:
             raise DomainError(f"group {raw!r} carries no depth; add one as ^N (e.g. {raw}^8)")
         return pattern.group(res)
     if isinstance(raw, dict):
-        try:
-            digits = [int(d) for d in raw["digits"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad group object: {raw!r}") from exc
-        res = raw.get("resolution")
-        res = len(digits) if res is None else int(res)
+        digits = raw.get("digits")
+        # bool is an int to Python, but not to JSON
+        if not (isinstance(digits, list) and set(map(type, digits)) <= {int}):
+            raise DomainError(f"bad group object: {raw!r}")
+        res = raw.get("resolution", len(digits))
+        if type(res) is not int:
+            raise DomainError(f"resolution must be an integer, got {res!r}")
         if res < 1:
             raise DomainError(f"resolution must be >= 1, got {res}")
         if res < len(digits):
@@ -355,8 +354,6 @@ def function_to_doc(obj) -> dict:
 
 
 def doc_to_function(doc):
-    import numpy as np
-
     from .transform import CylinderFunction, Spectrum
 
     if not isinstance(doc, dict):
@@ -364,9 +361,8 @@ def doc_to_function(doc):
     try:
         group = decode_group(doc["group"])
         kind = doc["kind"]
-        re = np.asarray(doc["re"], dtype=np.float64)
-        im = np.asarray(doc["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        re, im = _reals(doc["re"], "re"), _reals(doc["im"], "im")
+    except KeyError as exc:
         raise DomainError(f"malformed function file: {exc}") from exc
     if kind not in ("values", "coeffs"):
         raise DomainError(f'kind must be "values" or "coeffs", got {kind!r}')
@@ -378,6 +374,21 @@ def doc_to_function(doc):
     return CylinderFunction(group, data) if kind == "values" else Spectrum(group, data)
 
 
+def _reals(values, name: str):
+    """``values`` as a float64 array: a list of JSON numbers (not booleans,
+    not numeric strings), or a float array as :func:`function_to_doc` gives."""
+    import numpy as np
+
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return values
+    if isinstance(values, list) and set(map(type, values)) <= {int, float}:
+        try:
+            return np.asarray(values, dtype=np.float64)
+        except OverflowError as exc:  # an integer past the float range
+            raise DomainError(f"malformed function file: {name!r} {exc}") from exc
+    raise DomainError(f"malformed function file: {name!r} must be a list of numbers")
+
+
 def write_function_csv(obj, writelines: Callable[[list[str]], object]) -> None:
     """Write ``obj`` as CSV (``index,re,im``, one line per point) to
     ``writelines`` as :func:`write_json` does, converting the values a
@@ -386,7 +397,7 @@ def write_function_csv(obj, writelines: Callable[[list[str]], object]) -> None:
     re, im = doc["re"], doc["im"]
     out = _Parts(writelines)
     out.append("index,re,im\n")
-    step = out.every
+    step = _FLUSH_PARTS
     for lo in range(0, len(re), step):
         pairs = zip(re[lo : lo + step].tolist(), im[lo : lo + step].tolist())
         out += [f"{i},{float_str(a)},{float_str(b)}\n" for i, (a, b) in enumerate(pairs, lo)]

@@ -84,6 +84,15 @@ def test_transform_input_resolution_below_one_exits_2(tmp_path, capsys):
     assert "resolution must be >= 1" in capsys.readouterr().err
 
 
+def test_transform_input_with_float_digits_exits_2(tmp_path, capsys):
+    bad = tmp_path / "floats.json"
+    doc = {"group": {"digits": [2.9, 3.2], "resolution": 2}, "kind": "values",
+           "re": [0.0] * 6, "im": [0.0] * 6}
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("transform", "--input", str(bad)) == 2
+    assert "bad group object" in capsys.readouterr().err
+
+
 def test_transform_input_longer_than_its_resolution_exits_2(tmp_path, capsys):
     bad = tmp_path / "long.json"
     doc = {"group": {"digits": [2, 3, 4], "resolution": 2}, "kind": "values",
@@ -278,8 +287,9 @@ def test_counterexample_builds_each_audited_grid_once(monkeypatch, capsys):
     group = GroupPattern.group
 
     def counted(self, resolution, cap=GRID_CAP):
+        grid = group(self, resolution, cap)  # a grid over the cap is refused, not built
         built.append(resolution)
-        return group(self, resolution, cap)
+        return grid
 
     monkeypatch.setattr(GroupPattern, "group", counted)
     assert run_cli("counterexample", "--group", "2,2,3", "--kmax", "2") == 0
@@ -351,6 +361,11 @@ def test_commands_that_pick_their_depth_refuse_a_fixed_one(capsys):
     assert "picks its own" in capsys.readouterr().err
     assert run_cli("counterexample", "--group", "const:2^40", "--kmax", "2") == 2
     assert "picks its own" in capsys.readouterr().err
+    # text that does not parse fixes no depth
+    assert run_cli("lemma2", "--group", "2^3", "--A", "4") == 2
+    assert "cannot parse" in capsys.readouterr().err
+    assert run_cli("counterexample", "--group", "2,3^4", "--kmax", "2") == 2
+    assert "cannot parse" in capsys.readouterr().err
     # a digit list stays a base pattern
     assert run_cli("lemma2", "--group", "2,3", "--A", "3") == 0
     assert run_cli("counterexample", "--group", "2,2", "--kmax", "1") == 0

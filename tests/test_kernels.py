@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vilenkin import kernels, transform
 from vilenkin.errors import DomainError
@@ -242,6 +242,20 @@ def test_summed_partial_sums_is_the_full_grid_sweep_bit_for_bit(from_zero, s, da
     slow = full_grid_sweep(s, start, stop)
     assert np.array_equal(fast, slow)
     assert fast.tobytes() == slow.tobytes()  # signed zeros too
+
+
+@example(build_group_spec([2] * 12), 5, 150, 200)  # start's top digit on axis 2 < K = 6, stop past M_K = 64
+@given(sweep_groups(), st.integers(0, 4096), st.integers(0, 4096), st.integers(0, 4096))
+@settings(max_examples=50, deadline=None)
+def test_a_zero_run_from_any_start_is_the_full_grid_sweep(g, start, first, stop):
+    # coefficients zero from 0 up to ``first``: the sweep steps a prefix row
+    # from ``start``, however few axes ``start``'s digits use
+    start, first, stop = sorted(min(x, g.size) for x in (start, first, stop))
+    rng = np.random.default_rng(start)
+    coeffs = np.zeros(g.size, dtype=np.complex128)
+    coeffs[first:] = rng.standard_normal(g.size - first) + 1j * rng.standard_normal(g.size - first)
+    s = Spectrum(g, coeffs)
+    assert summed_partial_sums(s, start, stop).tobytes() == full_grid_sweep(s, start, stop).tobytes()
 
 
 @given(sweep_spectra(), st.data())

@@ -251,6 +251,25 @@ def test_load_function_file(tmp_path):
         load_function_file(str(tmp_path / "missing.json"))
 
 
+@pytest.mark.parametrize(
+    "group, re, im",
+    [
+        ({"digits": [2.9, 3.2], "resolution": 2}, [0.5] * 6, [0.0] * 6),
+        ({"digits": "23", "resolution": 2}, [0.5] * 6, [0.0] * 6),
+        ({"digits": [2, 3], "resolution": "2"}, [0.5] * 6, [0.0] * 6),
+        ({"digits": [2, 3], "resolution": 2.0}, [0.5] * 6, [0.0] * 6),
+        ({"digits": [2], "resolution": True}, [0.5] * 2, [0.0] * 2),
+        ({"digits": [2, 3], "resolution": 2}, ["1.5"] * 6, [0.0] * 6),
+        ({"digits": [2, 3], "resolution": 2}, [0.5] * 6, [True] * 6),
+    ],
+)
+def test_function_file_values_are_never_coerced(group, re, im):
+    # each document once read as a function on a grid it does not name
+    doc = {"group": group, "kind": "values", "re": re, "im": im}
+    with pytest.raises(DomainError):
+        doc_to_function(json.loads(json.dumps(doc)))
+
+
 def test_atom_report_doc_has_three_verdicts():
     g = build_group_spec([2] * 4)
     vals = np.zeros(g.size, dtype=np.complex128)

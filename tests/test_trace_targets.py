@@ -3,6 +3,7 @@ each of them must still exist, so that deleting a traced function fails
 here and not only in the benchmark's own tests."""
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from vilenkin import transform
@@ -32,3 +33,20 @@ def test_every_trace_target_resolves():
                 break
     assert missing == []
     assert callable(transform.character_basis.cache_info)
+
+
+# the names a trace hook binds arguments by (``spans._bind``), leading
+# positional parameters in this order: a call passes them either way
+BOUND_ARGUMENTS = {
+    "kernels.summed_partial_sums": ("s", "start", "stop"),
+    "serialize.int_str": ("n",),
+}
+
+
+def test_every_argument_a_trace_hook_binds_is_still_a_parameter():
+    spans = load_spans()
+    targets = {name: attr for name, attr, _ in spans.TARGETS}
+    for name, names in BOUND_ARGUMENTS.items():
+        fn = vars(importlib.import_module(f"vilenkin.{name.split('.')[0]}"))[targets[name]]
+        params = list(inspect.signature(fn).parameters)
+        assert params[: len(names)] == list(names), name
