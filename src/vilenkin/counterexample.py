@@ -107,8 +107,11 @@ def atom_function(
         )
     lo = group.scales[2 * alpha]
     hi = group.scales[2 * alpha + 1]
-    vals = hi * zero_cylinder_indicator(group, 2 * alpha + 1).values
-    vals -= lo * zero_cylinder_indicator(group, 2 * alpha).values
+    # the depth-(2a+1) indicator scaled in place, then the depth-2a
+    # cylinder's points (every M_{2a}-th) lowered by M_{2a}: one grid vector
+    vals = zero_cylinder_indicator(group, 2 * alpha + 1).values
+    vals *= hi
+    vals[::lo] -= lo
     vals *= lo / seq.pattern.bound
     interval = Cylinder(group, (0,) * (2 * alpha))
     return CylinderFunction(group, vals), interval
@@ -119,8 +122,10 @@ def _atom_history(seq: AlphaSequence, count: int, group: GroupSpec) -> np.ndarra
     closed forms."""
     vals = np.zeros(group.size, dtype=np.complex128)
     for eta in range(count):
-        atom, _ = atom_function(seq, eta, group)
-        vals += atom.values / seq.alphas[eta]
+        atom = atom_function(seq, eta, group)[0].values
+        atom /= seq.alphas[eta]
+        vals += atom
+        del atom  # freed before the next atom is built
     return vals
 
 

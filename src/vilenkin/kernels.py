@@ -124,37 +124,44 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     row along the carry chain, so the whole sweep is a small constant
     number of vector operations per index.
 
-    Every vector is stepped as rows of ``M_K`` points, with ``K`` the
-    number of leading axes whose digit runs ``M_a`` are shorter than
-    ``_SHORT_RUN``; the unit steps are built once in that layout
-    (:func:`_sweep_steps`).
+    Every vector is stepped as rows of ``M_K`` points, ``M_K`` the first
+    scale above ``_SHORT_RUN`` (or ``N`` on a grid no larger) and ``K``
+    the number of axes below it.  Besides its four grid vectors (the row
+    ``psi``, the partial sum ``cur``, ``total`` and the scratch ``tmp``)
+    the sweep holds only its unit steps, built once in that layout
+    (:func:`_sweep_steps`): one ``M_K``-point row per axis below ``K``,
+    one ``N / M_K``-entry column per higher axis.
 
     Work that cannot change a bit is skipped: a zero coefficient adds no
     rank-one term, and while the running partial sum is still identically
     zero it is not added to the total and only the character row moves.
     Until the first rank-one term the row is a *prefix row*: its first
-    ``M_W`` points, with ``W`` at least ``K`` and above every axis on
-    which the counter has ever had a nonzero digit.  The row depends on
-    no digit at or above ``W``, so ``np.tile`` of the prefix is the full
-    row, bit for bit.  A digit that wraps from ``m - 1`` to ``0`` has
-    multiplied the row by its unit step ``m`` times, a product only close
-    to 1 in floating point, so ``W`` never falls.  The prefix row is tiled
-    up whenever a carry first reaches axis ``W``, and to the full grid
-    before the first rank-one term; a nonzero partial sum at ``start``
-    gets the full row at once.  The prefix row at ``start`` is built on
-    the depth-``W`` grid alone: each of its points gets the same phase
-    sum, in the same order, as on any deeper grid.
+    ``M_W`` points, with ``W`` above every axis on which the counter has
+    ever had a nonzero digit.  The row depends on no digit at or above
+    ``W``, so copies of the prefix are the full row, bit for bit.  A digit
+    that wraps from ``m - 1`` to ``0`` has multiplied the row by its unit
+    step ``m`` times, a product only close to 1 in floating point, so
+    ``W`` never falls.  The prefix row lives at the start of ``psi``,
+    which is allocated once at full size: in part of its first row while
+    ``M_W < M_K``, stepped by as much of each row step, then in its first
+    rows.  It is tiled up in place: copied into the next ``m_W - 1``
+    blocks of ``M_W`` points whenever a carry first reaches axis ``W``,
+    and into the rest of ``psi`` before the first rank-one term; a
+    nonzero partial sum at ``start`` gets the full row at once.  The
+    prefix row at ``start`` is built on the depth-``W`` grid alone: each
+    of its points gets the same phase sum, in the same order, as on any
+    deeper grid.
 
-    The steps are cut into segments at those tile-ups, so the row length
-    is fixed inside a segment.  Each step changes a point's row, partial
-    sum and total from that point's own values alone, so a segment whose
-    row has at least ``2 * _RANGE_POINTS`` points is stepped as up to
-    ``_THREADS`` ranges of whole rows, each on its own thread with its own
-    copy of the counter; numpy releases the interpreter lock inside each
-    vector operation.  Every point gets the same multiplies and adds in
-    the same order whatever the split, so the result is bit for bit the
-    same for any thread count, and bit for bit the full-grid sweep that
-    does every multiply and add.
+    The steps are cut into segments at those tile-ups, so the prefix is
+    fixed inside a segment.  Each step changes a point's row, partial
+    sum and total from that point's own values alone, so a segment of at
+    least ``2 * _RANGE_POINTS`` points is stepped as up to ``_THREADS``
+    ranges of whole rows, each on its own thread with its own copy of the
+    counter; numpy releases the interpreter lock inside each vector
+    operation.  Every point gets the same multiplies and adds in the same
+    order whatever the split, so the result is bit for bit the same for
+    any thread count, and bit for bit the full-grid sweep that does every
+    multiply and add.
     """
     g = s.group
     if not 0 <= start <= stop <= g.size:
@@ -167,43 +174,51 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
         first = start
     else:
         # adding a zero partial sum to the zero total changes no bit
-        hits = np.flatnonzero(s.coeffs[start : stop - 1])
-        if not hits.size:
+        nonzero = s.coeffs[start : stop - 1] != 0
+        if not nonzero.any():
             return total
-        first = start + int(hits[0])
-    short = sum(1 for run in g.scales[:-1] if run < _SHORT_RUN)
+        first = start + int(nonzero.argmax())
+        del nonzero  # N bytes, not held through the sweep
+    short = sum(1 for run in g.scales[:-1] if run <= _SHORT_RUN)
     run = g.scales[short]
     # a carry reaches axis a only on a step to a multiple of M_a below stop
     steps = _sweep_steps(character_basis(g), short, stop)
     totals = total.reshape(-1, run)
-    tmp = np.empty_like(totals)
     counter = list(digit_decompose(start, g))
-    width = max(short, max((k for k, d in enumerate(counter) if d), default=0) + 1)
-    psi = CharacterBasis(g.truncate(width)).row(start).reshape(-1, run)
+    width = max((k for k, d in enumerate(counter) if d), default=0) + 1
+    size = g.scales[width]
+    psi = np.empty_like(totals)
+    flat = psi.reshape(-1)
+    flat[:size] = CharacterBasis(g.truncate(width)).row(start)
+    tmp = np.empty_like(totals)  # only once the prefix row's temporaries are gone
     n = start
     while n < first:  # the zero run: only the prefix row moves
-        if n + 1 == psi.size:  # this step carries into axis ``width``
-            psi = np.tile(psi, (g.digits[width], 1))
+        if n + 1 == size:  # this step carries into axis ``width``
+            m = g.digits[width]
+            flat[: size * m].reshape(m, size)[1:] = flat[:size]
+            size *= m
             width += 1
-        end = min(first, psi.size - 1)
-        _sweep_segment(psi, None, totals, tmp, steps[:width], counter, g.digits, s.coeffs[n:end])
+        end = min(first, size - 1)
+        cols = min(size, run)  # part of one row, or whole rows
+        prefix, prefix_steps = flat[:size].reshape(-1, cols), [step[:, :cols] for step in steps[:width]]
+        _sweep_segment(prefix, None, totals, tmp, prefix_steps, counter, g.digits, s.coeffs[n:end])
         n = end
-    if psi.size < g.size:
-        psi = np.tile(psi, (g.size // psi.size, 1))
+    flat.reshape(-1, size)[1:] = flat[:size]
     _sweep_segment(psi, cur.reshape(-1, run), totals, tmp, steps, counter, g.digits, s.coeffs[first : stop - 1])
     total += cur
     return total
 
 
-# A partial-sum sweep steps every vector as rows of M_K points, K the first
-# axis whose digit runs are at least _SHORT_RUN points long: a lower axis
-# keeps its full-grid unit step, a higher one a column of one root per row.
-# That broadcast multiply measured up to 2x a full-vector one per call
-# (2 shared vCPUs), but only a carry that reaches axis K takes it: about
-# once in M_K steps, at most once in 64 here.  The sweep's time stayed
-# within noise for every value from 8 to 128, and each short axis costs one
-# full vector (6 of 13 on the depth-13 `2,2,3` grid, 4 of 13 on `const:3`).
-_SHORT_RUN = 64
+# A partial-sum sweep steps every vector as rows of M_K points, M_K the first
+# scale above _SHORT_RUN: each axis below K by one M_K-point row of its unit
+# step, broadcast down the rows, and each higher axis by a column of one root
+# per row.  The floor is where those broadcast multiplies stop being slow: in
+# place on a (rows, L) array of about 40,000 points, numpy 2.4 took 1.6-2.0x
+# as long with a (1, L) row or a (rows, 1) column as with a contiguous
+# operand for L from 1,728 to 4,096 points, and from L = 4,608 up the row
+# multiply ran at parity and the column one 25-30 % faster (2 shared vCPUs).
+# The steps then take K * M_K points, however large the grid.
+_SHORT_RUN = 4096
 
 # A sweep segment is split into ranges of whole rows of at least
 # _RANGE_POINTS points, on at most _THREADS threads; shorter ranges cost
@@ -214,23 +229,29 @@ _THREADS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 
 def _sweep_steps(basis: CharacterBasis, short: int, stop: int) -> list[np.ndarray]:
     """The unit steps of the axes a carry reaches on a step below
-    ``stop``, each as rows of ``M_K`` points with ``K = short``: a short-run
-    axis is its full vector reshaped to ``(N / M_K, M_K)``, any higher axis
-    an ``(N / M_K, 1)`` column of one root per row.
+    ``stop``, each in the layout of rows of ``M_K`` points with
+    ``K = short``: an axis below ``K`` as a ``(1, M_K)`` row that every
+    row of the grid shares, any higher axis as an ``(N / M_K, 1)`` column
+    of one root per row.
 
-    The unit step of a higher axis is constant on runs of ``M_a`` points,
-    a multiple of ``M_K``, so each point is multiplied by its own root
-    ``exp(2*pi*i * x_a / m_a)`` either way, and numpy's complex product of
-    two numbers does not depend on whether one of them is broadcast: the
-    row is bit for bit the full-vector one.  (Only an in-place multiply of
+    The unit step of an axis below ``K`` depends on ``x mod M_K`` alone,
+    so its row is the unit step on the depth-``K`` grid; that of a higher
+    axis is constant on runs of ``M_a`` points, a multiple of ``M_K``.
+    Either way each point is multiplied by its own root
+    ``exp(2*pi*i * x_a / m_a)``, and numpy's complex product of two
+    numbers does not depend on whether one of them is broadcast: the row
+    is bit for bit the full-vector one.  (Only an in-place multiply of
     a single point takes another loop, which can differ in the last bit; a
-    range holds two points or more unless ``M_K`` and ``_RANGE_POINTS``
-    are both 1.)  The first rows of a step are the step on a prefix row of
-    as many rows, so a prefix row needs no steps of its own."""
+    row holds one point only on a one-point grid, and a prefix row at
+    least ``m_0``.)  The first ``M_W`` points of a row are
+    the unit step on a shorter prefix, the row serves any number of rows,
+    and the first rows of a column are the column on a prefix of as many
+    rows, so a prefix row needs no steps of its own."""
     g = basis.group
     run = g.scales[short]
+    short_grid = CharacterBasis(g.truncate(short))
     return [
-        basis.unit_step(a).reshape(-1, run)
+        short_grid.unit_step(a)[None, :]
         if a < short
         else np.tile(np.repeat(basis.roots(a), g.scales[a] // run), g.size // g.scales[a + 1])[:, None]
         for a in range(g.resolution)
@@ -245,10 +266,11 @@ def _sweep_segment(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None
 
     Every vector and step is in the row layout of :func:`_sweep_steps`;
     ``psi`` may be a prefix of the rows, and only that prefix of ``total``
-    and ``tmp`` is touched.  ``cur`` None means the partial sum is
-    identically zero.  ``counter`` ends advanced past the segment.
-    A range's exception is raised again here, after every thread has
-    finished.
+    and ``tmp`` is touched.  A range takes its own rows of each column
+    step and the whole of each one-row step.  ``cur`` None means the
+    partial sum is identically zero.  ``counter`` ends advanced past the
+    segment.  A range's exception is raised again here, after every
+    thread has finished.
     """
     rows = len(psi)
     parts = max(1, min(_THREADS, psi.size // _RANGE_POINTS, rows))
@@ -260,7 +282,7 @@ def _sweep_segment(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None
             None if cur is None else cur[lo:hi],
             total[lo:hi],
             tmp[lo:hi],
-            [step[lo:hi] for step in steps],
+            [step if len(step) == 1 else step[lo:hi] for step in steps],
             counters[i],
             digits,
             coeffs,
@@ -330,7 +352,9 @@ def fejer_mean_direct(s: Spectrum, n: int) -> CylinderFunction:
     n = int(n)
     if not 1 <= n <= s.group.size:
         raise DomainError(f"Cesaro order {n} outside [1, {s.group.size}]")
-    return CylinderFunction(s.group, summed_partial_sums(s, 0, n) / n)
+    total = summed_partial_sums(s, 0, n)
+    total /= n
+    return CylinderFunction(s.group, total)
 
 
 def fejer_mean_multiplier(s: Spectrum, n: int) -> CylinderFunction:
@@ -349,10 +373,16 @@ def fejer_mean_multiplier(s: Spectrum, n: int) -> CylinderFunction:
 
 def lp_quasinorm(f: CylinderFunction, p) -> float:
     """``(integral of |f|^p)^(1/p)`` for ``p > 0`` (a quasinorm when p < 1)."""
+    return _mean_power_root(np.abs(f.values), p)
+
+
+def _mean_power_root(mags: np.ndarray, p) -> float:
+    """``mean(mags^p)^(1/p)`` of nonnegative reals, raised to ``p`` in place."""
     p = float(p)
     if p <= 0:
         raise DomainError(f"exponent must be positive, got {p}")
-    return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
+    mags **= p
+    return float(np.mean(mags) ** (1.0 / p))
 
 
 def maximal_function(f: CylinderFunction) -> CylinderFunction:
@@ -404,7 +434,7 @@ def hardy_quasinorm_estimate(levels, p) -> float:
     for lev in levels:
         rows = best.reshape(-1, lev.group.size)
         np.maximum(rows, np.abs(lev.values), out=rows)
-    return lp_quasinorm(CylinderFunction(g, best.astype(np.complex128)), p)
+    return _mean_power_root(best, p)
 
 
 @dataclass
@@ -444,8 +474,10 @@ def validate_p_atom(a: CylinderFunction, interval: Cylinder, p) -> AtomReport:
     sup_norm = sup_abs(a.values)
     slack = 1e-12 * max(1.0, sup_norm)
     mean_abs = abs(a.values[interval.base_index :: md].sum()) / g.size
-    outside = np.delete(a.values.reshape(-1, md), interval.base_index, axis=1)
-    outside_sup = sup_abs(outside) if outside.size else 0.0
+    # the columns on either side of the interval's, as views
+    by_cylinder = a.values.reshape(-1, md)
+    sides = (by_cylinder[:, : interval.base_index], by_cylinder[:, interval.base_index + 1 :])
+    outside_sup = max((float(np.max(np.abs(side))) for side in sides if side.size), default=0.0)
     inv_p = 1 / p
     if inv_p.denominator == 1:
         sup_allowed = float(md ** int(inv_p))

@@ -406,9 +406,13 @@ def write_function_csv(obj, writelines: Callable[[list[str]], object]) -> None:
 
 
 def load_function_file(path: str):
+    def refuse(token: str):
+        # json reads the non-JSON tokens NaN, Infinity and -Infinity as floats
+        raise DomainError(f"{path} is not valid JSON: {token} is not a finite number")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=refuse)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -93,6 +93,20 @@ def test_transform_input_with_float_digits_exits_2(tmp_path, capsys):
     assert "bad group object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_transform_input_with_a_non_finite_number_exits_2_naming_the_file(token, tmp_path, capsys):
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(
+        '{"group": {"digits": [2, 3], "resolution": 2}, "kind": "values", '
+        f'"re": [{token}, 0, 0, 0, 0, 0], "im": [0, 0, 0, 0, 0, 0]}}',
+        encoding="utf-8",
+    )
+    assert run_cli("transform", "--input", str(bad)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(bad) in err and token in err
+
+
 def test_transform_input_longer_than_its_resolution_exits_2(tmp_path, capsys):
     bad = tmp_path / "long.json"
     doc = {"group": {"digits": [2, 3, 4], "resolution": 2}, "kind": "values",

@@ -34,7 +34,7 @@ from vilenkin.counterexample import (
 from vilenkin.exact import _region_measure
 from vilenkin.errors import SAFE_STR_BITS, CapExceededError, DomainError, VerificationError, brief
 from vilenkin.group import GroupPattern, build_group_spec, digit_decompose
-from vilenkin.kernels import fejer_kernel, fejer_mean_direct, partial_sum, validate_p_atom
+from vilenkin.kernels import fejer_kernel, fejer_mean_direct, partial_sum, validate_p_atom, zero_cylinder_indicator
 from vilenkin.transform import forward_transform, sup_abs
 
 PAT2 = GroupPattern((2,))
@@ -276,6 +276,43 @@ def test_atom_shape_and_validation():
     assert report.is_atom
     # the sup cap mu(I)^{-2} = 4096^2 is met with room: sup = 2^23
     assert report.sup_norm <= report.sup_allowed / 2
+
+
+def _atom_through_temporaries(seq, k, group):
+    """``atom_function``'s values by its formula before it built them in place."""
+    alpha = seq.alphas[k]
+    lo, hi = group.scales[2 * alpha], group.scales[2 * alpha + 1]
+    vals = hi * zero_cylinder_indicator(group, 2 * alpha + 1).values
+    vals -= lo * zero_cylinder_indicator(group, 2 * alpha).values
+    vals *= lo / seq.pattern.bound
+    return vals
+
+
+def _traced(call):
+    tracemalloc.start()
+    try:
+        got = call()
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_atoms_and_their_sum_are_built_in_place_with_the_same_bits():
+    # 93,312 points and three atoms below depth 13: an atom holds its own
+    # grid vector, materialize_f the sum and one atom
+    seq = sequence_from_levels(PAT23, (2, 3, 5))
+    g = PAT23.group(13)
+    vector = g.size * np.dtype(np.complex128).itemsize
+    for k in range(len(seq.alphas)):
+        atom, peak = _traced(lambda: atom_function(seq, k, g)[0].values)
+        assert peak <= vector + vector // 8, k
+        assert atom.tobytes() == _atom_through_temporaries(seq, k, g).tobytes(), k
+    f, peak = _traced(lambda: materialize_f(seq, 13, g).values)
+    assert peak <= 2 * vector + vector // 8
+    want = np.zeros(g.size, dtype=np.complex128)
+    for k, alpha in enumerate(seq.alphas):
+        want += _atom_through_temporaries(seq, k, g) / alpha
+    assert f.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

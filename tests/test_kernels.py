@@ -244,33 +244,43 @@ def test_summed_partial_sums_is_the_full_grid_sweep_bit_for_bit(from_zero, s, da
     assert fast.tobytes() == slow.tobytes()  # signed zeros too
 
 
-@example(build_group_spec([2] * 12), 5, 150, 200)  # start's top digit on axis 2 < K = 6, stop past M_K = 64
+@example(build_group_spec([2] * 12), 5, 150, 200)  # start's top digit on axis 2, one row
+@example(build_group_spec([2] * 12), 0, 100, 4096)  # N = 4,096, at the floor: one row
+@example(build_group_spec([2] * 14), 0, 8200, 8250)  # two rows of 8,192; the prefix tiles up to both
+@example(build_group_spec([2] * 15), 0, 9000, 9050)  # a prefix of 2 rows on 2 threads, then 4 rows on 4
 @given(sweep_groups(), st.integers(0, 4096), st.integers(0, 4096), st.integers(0, 4096))
 @settings(max_examples=50, deadline=None)
 def test_a_zero_run_from_any_start_is_the_full_grid_sweep(g, start, first, stop):
     # coefficients zero from 0 up to ``first``: the sweep steps a prefix row
-    # from ``start``, however few axes ``start``'s digits use
+    # from ``start``, however few axes ``start``'s digits use; up to 4
+    # threads whatever the host, so a segment of 16,384 points or more splits
     start, first, stop = sorted(min(x, g.size) for x in (start, first, stop))
     rng = np.random.default_rng(start)
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[first:] = rng.standard_normal(g.size - first) + 1j * rng.standard_normal(g.size - first)
     s = Spectrum(g, coeffs)
-    assert summed_partial_sums(s, start, stop).tobytes() == full_grid_sweep(s, start, stop).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_THREADS", 4)
+        fast = summed_partial_sums(s, start, stop)
+    assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
 
 
 @given(sweep_spectra(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_sweep_split_into_tiny_thread_ranges_is_the_full_grid_sweep(s, data):
-    # ranges of 1 or 2 points on 3 threads: every row of 2 or 4 points or
-    # more is split, into ranges of one point too; a short switch interval
-    # makes the threads interleave between steps
+    # rows of a few points under a floor of 1 to 4, and ranges of 1 or 2
+    # points on 3 threads: every segment of 2 rows or more is split, into
+    # ranges of one row too; a short switch interval makes the threads
+    # interleave between steps
     start = data.draw(st.integers(0, s.group.size))
     stop = data.draw(st.integers(start, s.group.size))
     range_points = data.draw(st.sampled_from([1, 2]))
+    floor = data.draw(st.sampled_from([1, 2, 4]))
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_SHORT_RUN", floor)
             mp.setattr(kernels, "_RANGE_POINTS", range_points)
             mp.setattr(kernels, "_THREADS", 3)
             fast = summed_partial_sums(s, start, stop)
@@ -283,10 +293,10 @@ def test_sweep_split_into_tiny_thread_ranges_is_the_full_grid_sweep(s, data):
 @given(sweep_spectra(max_base=7), st.data())
 @settings(max_examples=150, deadline=None)
 def test_sweep_with_few_full_step_vectors_is_the_full_grid_sweep(threads, s, data):
-    # a low _SHORT_RUN keeps full step vectors for the first axes only, so
-    # the higher axes step by one root per row of a few points; thread
-    # ranges of any row count, and summation ranges that are empty, one
-    # point long, ragged or start past 0
+    # a low _SHORT_RUN floor makes rows of a few points, so the first axes
+    # step by a short row that every row shares and the higher axes by one
+    # root per row; thread ranges of any row count, and summation ranges
+    # that are empty, one point long, ragged or start past 0
     g = s.group
     start = data.draw(st.one_of(st.just(0), st.integers(0, g.size)))
     ragged = st.integers(start, g.size)
@@ -299,27 +309,25 @@ def test_sweep_with_few_full_step_vectors_is_the_full_grid_sweep(threads, s, dat
     assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
 
 
-def test_sweep_keeps_full_step_vectors_for_the_short_run_axes_only(monkeypatch):
-    # on const:3^9 a sweep past 3^8 reaches all 9 axes; only axes 0-3,
-    # with runs of 1, 3, 9 and 27 points, are below _SHORT_RUN
-    g = build_group_spec([3] * 9)
+def test_sweep_holds_four_grid_vectors_beside_its_step_rows_and_columns(monkeypatch):
+    # 92,160 points in 16 rows of M_K = 5,760 (K = 10): a sweep past M_13
+    # reaches all 14 axes, and its zero run tiles the prefix row up from
+    # one row to 2, 4, 8 and all 16 in place
+    g = build_group_spec([3, 2, 5, 2, 3] + [2] * 9)
+    short = sum(1 for run in g.scales[:-1] if run <= kernels._SHORT_RUN)
+    run = g.scales[short]
+    assert g.size >= 2**16 and (short, run) == (10, 5760)
     coeffs = np.zeros(g.size, dtype=np.complex128)
-    coeffs[0] = 1
+    coeffs[g.scales[13]] = 1
     s = Spectrum(g, coeffs)
-    short = sum(1 for run in g.scales[:-1] if run < kernels._SHORT_RUN)
-    assert short == 4
-    itemsize = np.dtype(np.complex128).itemsize
-    vector = g.size * itemsize
     monkeypatch.setattr(kernels, "_THREADS", 1)
-    tracemalloc.start()
-    try:
-        summed_partial_sums(s, 0, g.scales[8] + 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the short-run step vectors, psi, cur, total and tmp, plus the ufunc
-    # buffer numpy takes for a broadcast multiply and a little more
-    assert peak <= (short + 4) * vector + np.getbufsize() * itemsize + vector // 4
+    _, peak = _peak(lambda: summed_partial_sums(s, 0, g.scales[13] + 2))
+    # psi, cur, total and tmp; one M_K-point row per axis below K and one
+    # N/M_K-entry column per higher axis; the ufunc buffer numpy may take
+    # for a broadcast multiply
+    columns = (g.resolution - short) * (g.size // run)
+    items = 4 * g.size + short * run + columns + np.getbufsize()
+    assert peak <= items * np.dtype(np.complex128).itemsize
 
 
 def test_sweep_raises_a_range_error_in_the_caller_after_every_thread_ends(monkeypatch):
@@ -534,6 +542,29 @@ def test_hardy_estimate_rejects_non_martingale():
     broken.values = broken.values + 1.0
     with pytest.raises(DomainError, match="level 1"):
         hardy_quasinorm_estimate([levels[0], broken, f], Fraction(1, 2))
+
+
+@given(digit_lists, st.data())
+@settings(max_examples=40, deadline=None)
+def test_membership_checks_are_byte_equal_to_their_copying_formulas(digits, data):
+    # the formulas before the checks read views and powered in place: the
+    # maximal function's L_p size through a complex copy, and the sup
+    # outside the interval through np.delete
+    g = build_group_spec(digits)
+    f = random_cylinder_function(g, seed=data.draw(st.integers(0, 99)))
+    p = data.draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)]))
+    levels = [coarsen(f, r) for r in range(g.resolution)] + [f]
+    best = np.zeros(g.size)
+    for lev in levels:
+        rows = best.reshape(-1, lev.group.size)
+        np.maximum(rows, np.abs(lev.values), out=rows)
+    want = float(np.mean(np.abs(best.astype(np.complex128)) ** float(p)) ** (1.0 / float(p)))
+    assert hardy_quasinorm_estimate(levels, p).hex() == want.hex()
+    depth = data.draw(st.integers(0, g.resolution))
+    interval = Cylinder(g, tuple(data.draw(st.integers(0, m - 1)) for m in g.digits[:depth]))
+    outside = np.delete(f.values.reshape(-1, g.scales[depth]), interval.base_index, axis=1)
+    want = sup_abs(outside) if outside.size else 0.0
+    assert validate_p_atom(f, interval, min(p, 1)).outside_sup.hex() == want.hex()
 
 
 def test_partial_sums_at_scale_orders_are_conditional_expectations():
