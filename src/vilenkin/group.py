@@ -218,15 +218,32 @@ class GroupPattern:
         the Cesaro-mean lower bounds.  Satisfies ``q_a = M_{2a} + q_{a-1}``
         and, with all bases at least 2, ``q_a <= 2 M_{2a}``.
 
-        Evaluated in closed form: group the terms by ``j`` modulo the
-        pattern's half-period, where each class is a geometric series in
-        the per-period product.  This keeps ``q_a`` affordable for the
-        enormous ``a`` the growth conditions force (the naive sum would
-        add hundreds of thousands of huge integers).
+        Evaluated in closed form by :meth:`_q_pair`, over ``int``.  This
+        keeps ``q_a`` affordable for the enormous ``a`` the growth
+        conditions force (the naive sum would add hundreds of thousands of
+        huge integers).
         """
         a = int(a)
         if a < 0:
             raise DomainError(f"sparse-index level must be >= 0, got {a}")
+        return self._q_pair(a)[0]
+
+    def _q_pair(self, a: int, one=1):
+        """``(q_a, q_{a-1})`` for ``a >= 0`` (``q_{-1} = 0``), in the
+        arithmetic of ``one``: ``1`` for ``int``, or ``Decimal(1)`` under a
+        decimal context exact at any size, where the results are exact
+        integral decimals (how :mod:`vilenkin.serialize` writes their text
+        without converting a big ``int``).
+
+        The terms ``M_{2j}`` are grouped by ``j`` modulo the pattern's
+        half-period ``L2``: each class is a geometric series in
+        ``ratio``, the growth of ``M_{2j}`` per hop of ``L2``.  With
+        ``a = count * L2 + last``, the classes up to ``last`` have
+        ``count + 1`` terms and the others ``count``, so one power
+        ``ratio**count`` gives both sums, and ``q_{a-1}`` is ``q_a``
+        less its top term ``M_{2a}``.  Only that power, one exact division
+        by ``ratio - 1`` and steps linear in its length touch a big
+        number."""
         length = len(self.base)
         period = self.scale(length)
         # j and j + L2 give digit positions 2j and 2j + 2*L2 that agree mod
@@ -235,13 +252,18 @@ class GroupPattern:
         l2 = length // g
         step = 2 // g
         ratio = period**step
+        count, last = divmod(a, l2)
+        power = (one * ratio) ** count
+        shorter = (power - 1) // (ratio - 1)  # a class of count terms
+        longer = shorter * ratio + 1  # one of count + 1
         total = 0
-        for r in range(min(l2, a + 1)):
-            count = (a - r) // l2 + 1
+        for r in range(min(l2, a + 1)):  # a class beyond a has no term
             e0, c = divmod(2 * r, length)
-            geometric = (ratio**count - 1) // (ratio - 1)
-            total += self.scale(c) * period**e0 * geometric
-        return total
+            weight = self.scale(c) * period**e0  # M_{2r}
+            if r == last:
+                top = weight * power  # M_{2a}
+            total += weight * (longer if r <= last else shorter)
+        return total, total - top
 
 
 def parse_group_text(text: str) -> tuple[GroupPattern, int | None]:

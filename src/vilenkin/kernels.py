@@ -129,8 +129,10 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     the number of axes below it.  Besides its four grid vectors (the row
     ``psi``, the partial sum ``cur``, ``total`` and the scratch ``tmp``)
     the sweep holds only its unit steps, built once in that layout
-    (:func:`_sweep_steps`): one ``M_K``-point row per axis below ``K``,
-    one ``N / M_K``-entry column per higher axis.
+    (:func:`_sweep_steps`): one ``M_K``-point row per axis below ``K``
+    whose run ``M_a`` is under ``_VIEW_RUN``, the ``m_a`` roots of any
+    other axis below ``K``, and one ``N / M_K``-entry column per higher
+    axis.
 
     Work that cannot change a bit is skipped: a zero coefficient adds no
     rank-one term, and while the running partial sum is still identically
@@ -200,7 +202,8 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
             width += 1
         end = min(first, size - 1)
         cols = min(size, run)  # part of one row, or whole rows
-        prefix, prefix_steps = flat[:size].reshape(-1, cols), [step[:, :cols] for step in steps[:width]]
+        prefix = flat[:size].reshape(-1, cols)
+        prefix_steps = [step if step.ndim == 3 else step[:, :cols] for step in steps[:width]]
         _sweep_segment(prefix, None, totals, tmp, prefix_steps, counter, g.digits, s.coeffs[n:end])
         n = end
     flat.reshape(-1, size)[1:] = flat[:size]
@@ -217,8 +220,14 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
 # as long with a (1, L) row or a (rows, 1) column as with a contiguous
 # operand for L from 1,728 to 4,096 points, and from L = 4,608 up the row
 # multiply ran at parity and the column one 25-30 % faster (2 shared vCPUs).
-# The steps then take K * M_K points, however large the grid.
 _SHORT_RUN = 4096
+
+# An axis below K whose run M_a is at least _VIEW_RUN points steps by its m_a
+# roots over a (..., m_a, M_a) view instead of an M_K-point row.  It is
+# stepped once in M_a steps, so a slower broadcast costs little there, and
+# at most log2(_VIEW_RUN) axes keep a row however large M_K is: on a grid of
+# one row, 5 grid vectors of steps instead of one per axis.
+_VIEW_RUN = 32
 
 # A sweep segment is split into ranges of whole rows of at least
 # _RANGE_POINTS points, on at most _THREADS threads; shorter ranges cost
@@ -230,33 +239,51 @@ _THREADS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 def _sweep_steps(basis: CharacterBasis, short: int, stop: int) -> list[np.ndarray]:
     """The unit steps of the axes a carry reaches on a step below
     ``stop``, each in the layout of rows of ``M_K`` points with
-    ``K = short``: an axis below ``K`` as a ``(1, M_K)`` row that every
-    row of the grid shares, any higher axis as an ``(N / M_K, 1)`` column
-    of one root per row.
+    ``K = short``: an axis below ``K`` with ``M_a < _VIEW_RUN`` as a
+    ``(1, M_K)`` row that every row of the grid shares, any other axis
+    below ``K`` as its ``m_a`` roots broadcast to ``(1, m_a, M_a)``, for
+    rows seen as ``(..., m_a, M_a)`` (:func:`_step_views`), and any
+    higher axis as an ``(N / M_K, 1)`` column of one root per row.
 
     The unit step of an axis below ``K`` depends on ``x mod M_K`` alone,
-    so its row is the unit step on the depth-``K`` grid; that of a higher
-    axis is constant on runs of ``M_a`` points, a multiple of ``M_K``.
-    Either way each point is multiplied by its own root
+    so its row is the unit step on the depth-``K`` grid, and ``M_{a+1}``
+    divides the points of any whole rows, so they have the view; that of
+    a higher axis is constant on runs of ``M_a`` points, a multiple of
+    ``M_K``.  Either way each point is multiplied by its own root
     ``exp(2*pi*i * x_a / m_a)``, and numpy's complex product of two
-    numbers does not depend on whether one of them is broadcast: the row
-    is bit for bit the full-vector one.  (Only an in-place multiply of
-    a single point takes another loop, which can differ in the last bit; a
-    row holds one point only on a one-point grid, and a prefix row at
-    least ``m_0``.)  The first ``M_W`` points of a row are
-    the unit step on a shorter prefix, the row serves any number of rows,
-    and the first rows of a column are the column on a prefix of as many
-    rows, so a prefix row needs no steps of its own."""
+    numbers does not depend on whether one of them is broadcast: every
+    step is bit for bit the full-vector one.  (Only an in-place multiply
+    over a single point takes another loop, which can differ in the last
+    bit; a row holds one point only on a one-point grid, a prefix row at
+    least ``m_0``, and a view's runs ``M_a >= _VIEW_RUN >= 2``.)  The first
+    ``M_W`` points of a row are the unit step on a shorter prefix, the
+    row and the roots serve any number of rows, and the first rows of a
+    column are the column on a prefix of as many rows, so a prefix row
+    needs no steps of its own."""
     g = basis.group
     run = g.scales[short]
     short_grid = CharacterBasis(g.truncate(short))
-    return [
-        short_grid.unit_step(a)[None, :]
-        if a < short
-        else np.tile(np.repeat(basis.roots(a), g.scales[a] // run), g.size // g.scales[a + 1])[:, None]
-        for a in range(g.resolution)
-        if g.scales[a] < stop
-    ]
+    steps = []
+    for a in range(g.resolution):
+        m, low = g.digits[a], g.scales[a]
+        if low >= stop:
+            break
+        if a >= short:
+            step = np.tile(np.repeat(basis.roots(a), low // run), g.size // g.scales[a + 1])[:, None]
+        elif low >= _VIEW_RUN:
+            step = np.broadcast_to(basis.roots(a)[None, :, None], (1, m, low))
+        else:
+            step = short_grid.unit_step(a)[None, :]
+        steps.append(step)
+    return steps
+
+
+def _step_views(psi: np.ndarray, steps) -> list[np.ndarray]:
+    """``psi``, whole rows in the layout of :func:`_sweep_steps`, once per
+    step in the shape that step broadcasts against: as ``(..., m_a, M_a)``
+    for a step of roots, as itself for a row or a column.  Each is a view;
+    none copies a point."""
+    return [np.reshape(psi, (-1, *step.shape[1:]), copy=False) if step.ndim == 3 else psi for step in steps]
 
 
 def _sweep_segment(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
@@ -317,27 +344,29 @@ def _sweep_segment(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None
 def _sweep_range(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
     """The sweep's loop body on one point range, one step per coefficient;
     it calls only numpy, so it may run on any thread."""
+    views = _step_views(psi, steps)
     for c in coeffs:
         if cur is not None:
             total += cur
             if c:
                 np.multiply(psi, c, out=tmp)
                 cur += tmp
-        step_character(psi, counter, digits, steps)
+        step_character(views, counter, digits, steps)
 
 
-def step_character(psi: np.ndarray, counter: list[int], digits, steps) -> None:
+def step_character(views: list[np.ndarray], counter: list[int], digits, steps) -> None:
     """Multiply ``psi_n`` into ``psi_{n+1}`` in place along the carry chain.
 
     ``counter`` holds n's digits and is advanced too; ``steps[j]`` is the
-    axis-``j`` unit step on the same points as ``psi``, in a shape that
-    broadcasts against it (see :func:`_sweep_steps`), and must exist for
+    axis-``j`` unit step on the points of ``psi``, and ``views[j]`` is
+    ``psi`` in the shape that step broadcasts against (see
+    :func:`_sweep_steps` and :func:`_step_views`); both must exist for
     every axis the carry reaches.  Only numpy runs here, on ``psi`` and
     ``steps`` alone, so disjoint point ranges may be stepped at once.
     """
     j = 0
     while True:
-        psi *= steps[j]
+        views[j] *= steps[j]
         counter[j] += 1
         if counter[j] < digits[j]:
             return

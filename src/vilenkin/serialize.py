@@ -25,11 +25,17 @@ integer by divide and conquer on :mod:`decimal` numbers instead of the
 quadratic ``str(int)``.  It splits at power-of-two bit widths, so one table
 of ``2 ** 2 ** j`` serves every integer of a document; a zero low chunk
 costs no addition, and a low chunk equal to its high chunk is converted
-once, which makes powers of two and the 0101...01 q-numbers cheap.  A
-:class:`DecimalText` holds that table and converts each distinct value
-once per document; it is made per document (one :func:`write_json`, or one
-:func:`summary_csv`) and kept by nothing in this module.  Its memo is the
-only state a document's writer keeps.  The library never changes the
+once, which makes powers of two cheap.  A :class:`DecimalText` holds that
+table and converts each distinct value once per document; it is made per
+document (one :func:`write_json`, or one :func:`summary_csv`) and kept by
+nothing in this module.  Its memo, and the pattern of a divergence report
+while it is written, are the only state a document's writer keeps.  The
+sparse orders ``q_index`` and ``q_inner`` of a divergence report's ledgers
+never reach :func:`int_str`: as :func:`write_json` comes to each ledger,
+the closed form of :meth:`GroupPattern.q_number`, evaluated in exact
+decimal arithmetic, puts both texts in the memo from one decimal power,
+each checked against its integer (last 18 digits and length) before it
+can be written.  The library never changes the
 interpreter's integer digit limit, so a reader on Python >= 3.11 that
 turns the longest decimal strings back into ``int`` must raise that limit
 itself.  Every verdict stays re-derivable from the stored numbers.
@@ -37,15 +43,17 @@ itself.  Every verdict stays re-derivable from the stored numbers.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import decimal
 import functools
 import json
+import math
 from collections.abc import Callable
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .errors import SAFE_STR_BITS, DomainError
+from .errors import SAFE_STR_BITS, DomainError, VerificationError
 from .group import Cylinder, GroupPattern, GroupSpec, parse_group_text
 
 if TYPE_CHECKING:
@@ -111,24 +119,37 @@ def _int_to_decimal(n: int, powers: list[decimal.Decimal]) -> decimal.Decimal:
         high = inner(hi) * powers[j]
         return high + inner(lo) if lo else high
 
+    with _exact_decimal():
+        result = inner(abs(n))
+        return -result if n < 0 else result
+
+
+@contextlib.contextmanager
+def _exact_decimal():
+    """A local :mod:`decimal` context in which integer arithmetic is exact
+    at any size: unbounded precision and exponents, and any rounding
+    traps."""
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.Emin = decimal.MIN_EMIN
         ctx.traps[decimal.Inexact] = 1
-        result = inner(abs(n))
-        return -result if n < 0 else result
+        yield
 
 
 class DecimalText:
     """The decimal text of the exact integers of one document: each value
     over ``SAFE_STR_BITS`` bits is converted once, by :func:`int_str`, and
-    every conversion shares one power table.  Make one per document and
-    drop it afterwards; nothing here outlives it."""
+    every conversion shares one power table; the q-numbers of a
+    divergence report's ledgers are put in the memo from their closed form
+    instead (:meth:`add_q_pair`).  Make one per document and drop it
+    afterwards; nothing here outlives it.  ``pattern`` is the digit
+    pattern of the divergence report being written, if any."""
 
     def __init__(self) -> None:
         self.powers: list[decimal.Decimal] = []
         self.memo: dict[int, str] = {}
+        self.pattern: GroupPattern | None = None
 
     def __call__(self, n: int) -> str:
         n = int(n)
@@ -138,6 +159,39 @@ class DecimalText:
         if text is None:
             text = self.memo[n] = int_str(n, self.powers)
         return text
+
+    def add_q_pair(self, alpha: int, q: int, q_inner: int) -> None:
+        """Put the text of ``q = q_alpha`` and ``q_inner = q_{alpha-1}`` of
+        :attr:`pattern` in the memo, from the closed form of
+        :meth:`GroupPattern.q_number` evaluated in exact decimal
+        arithmetic: one decimal power of the pattern's ratio for both, in
+        place of splitting each integer into bits.  Each text is checked
+        against its integer (:func:`_checked_text`) before it enters the
+        memo."""
+        if q_inner.bit_length() <= SAFE_STR_BITS:
+            return
+        with _exact_decimal():
+            pair = self.pattern._q_pair(alpha, decimal.Decimal(1))
+        for n, value in zip((q, q_inner), pair):
+            self.memo[n] = _checked_text(n, str(value))
+
+
+_LOG10_2 = math.log10(2)
+
+
+def _checked_text(n: int, text: str) -> str:
+    """``text``, if it can be the decimal text of ``n > 0``: digits only,
+    as many as ``n``'s bit length allows, and the last 18 those of ``n``.
+    Anything else raises :class:`VerificationError`, so that a text from
+    another route than :func:`int_str` never prints a wrong digit."""
+    bits = n.bit_length()
+    if not (
+        text.isdigit()
+        and (bits - 1) * _LOG10_2 < len(text) < bits * _LOG10_2 + 1
+        and text[-18:] == f"{n % 10**18:018d}"
+    ):
+        raise VerificationError(f"decimal text disagrees with the {bits}-bit integer it writes")
+    return text
 
 
 def float_str(x: float) -> str:
@@ -240,6 +294,11 @@ def _emit(obj: Any, out: _Parts, text: DecimalText) -> None:
     elif isinstance(obj, Cylinder):
         _emit({"prefix": obj.prefix, "measure": obj.measure}, out, text)
     elif dataclasses.is_dataclass(obj):
+        cls_name = type(obj).__name__
+        if cls_name == "DivergenceReport":
+            text.pattern = obj.pattern  # its ledgers' pattern, while it is written
+        elif cls_name == "BoundLedger" and text.pattern is not None:
+            text.add_q_pair(obj.alpha, obj.q_index, obj.q_inner)
         plan = _plan(type(obj))
         for key, name, exact in plan:
             out.append(key)
@@ -249,6 +308,8 @@ def _emit(obj: Any, out: _Parts, text: DecimalText) -> None:
                 _emit(getattr(obj, name), out, text)
             out.spill()
         out.append("}" if plan else "{}")
+        if cls_name == "DivergenceReport":
+            text.pattern = None
     elif type(obj).__module__ == "numpy" and obj.ndim == 0:  # a numpy scalar, seen without importing numpy
         _emit(obj.item(), out, text)
     elif type(obj).__module__ == "numpy" and obj.ndim == 1 and obj.dtype.kind == "f":
@@ -272,7 +333,8 @@ def write_json(obj: Any, writelines: Callable[[list[str]], object]) -> None:
     of about :data:`_FLUSH_PARTS` at a time that is reused after each call,
     and are never joined.  The document's exact integers are converted by
     one :class:`DecimalText`, whose memo is the only state kept for the
-    whole document."""
+    whole document; a divergence report's ledgers add the text of their
+    q-numbers to it one ledger at a time (:meth:`DecimalText.add_q_pair`)."""
     out = _Parts(writelines)
     _emit(obj, out, DecimalText())
     out.flush()
@@ -410,9 +472,16 @@ def load_function_file(path: str):
         # json reads the non-JSON tokens NaN, Infinity and -Infinity as floats
         raise DomainError(f"{path} is not valid JSON: {token} is not a finite number")
 
+    def finite(token: str) -> float:
+        # a literal past the float range, such as 1e400, reads as infinity
+        x = float(token)
+        if not math.isfinite(x):
+            raise DomainError(f"{path}: number {token} is beyond the float range")
+        return x
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=refuse)
+            doc = json.load(fh, parse_constant=refuse, parse_float=finite)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -107,6 +107,25 @@ def test_transform_input_with_a_non_finite_number_exits_2_naming_the_file(token,
     assert str(bad) in err and token in err
 
 
+@pytest.mark.parametrize("field, literal", [("re", "1e400"), ("im", "-1e400")])
+def test_transform_input_beyond_the_float_range_exits_2_naming_the_file(field, literal, tmp_path, capsys):
+    bad = tmp_path / "overflow.json"
+    re = im = "0, 0, 0, 0, 0, 0"
+    if field == "re":
+        re = f"{literal}, 0, 0, 0, 0, 0"
+    else:
+        im = f"{literal}, 0, 0, 0, 0, 0"
+    bad.write_text(
+        '{"group": {"digits": [2, 3], "resolution": 2}, "kind": "values", '
+        f'"re": [{re}], "im": [{im}]}}',
+        encoding="utf-8",
+    )
+    assert run_cli("transform", "--input", str(bad)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(bad) in err and literal in err
+
+
 def test_transform_input_longer_than_its_resolution_exits_2(tmp_path, capsys):
     bad = tmp_path / "long.json"
     doc = {"group": {"digits": [2, 3, 4], "resolution": 2}, "kind": "values",

@@ -22,7 +22,10 @@ reused buffers; the ``transform`` case on ``const:2^17`` and the
 ``kernel`` case on ``2,3,5,2,3,5,2,3,5,2`` were written before every
 axis ran in place through a scratch tile; the ``counterexample`` case at
 ``--kmax 9 --json`` was written while a report was still turned into a
-document and a list of parts before its first byte was written.  ``<name>.stdout`` is
+document and a list of parts before its first byte was written; the one
+at ``--kmax 10 --json`` was written while every ``q_index`` and
+``q_inner`` was still converted to decimal text by splitting it into
+bits.  ``<name>.stdout`` is
 standard output and ``<name>.file`` the ``--out`` file; an artifact over
 ~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
 """
@@ -58,6 +61,12 @@ CASES = {
     # integers up to ~1.18M bits: the command of perfbench's exact-json workload
     "counterexample_const2_k9_json": (
         ["counterexample", "--group", "const:2", "--kmax", "9", "--json"],
+        False,
+    ),
+    # integers up to ~4.7M bits, q-numbers among them: the deepest
+    # closed-form decimal text, 13.5 MB of JSON
+    "counterexample_const2_k10_json": (
+        ["counterexample", "--group", "const:2", "--kmax", "10", "--json"],
         False,
     ),
     "counterexample_const2_k6_json_out": (

@@ -330,6 +330,40 @@ def test_sweep_holds_four_grid_vectors_beside_its_step_rows_and_columns(monkeypa
     assert peak <= items * np.dtype(np.complex128).itemsize
 
 
+@given(sweep_spectra(max_base=7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sweep_stepping_long_runs_by_their_roots_is_the_full_grid_sweep(s, data):
+    # a low _VIEW_RUN makes the axes from a run of 2 to 8 points up step by
+    # their roots over a (..., m_a, M_a) view, on rows of any length, on
+    # prefix rows, and on thread ranges of one row or more
+    g = s.group
+    start = data.draw(st.one_of(st.just(0), st.integers(0, g.size)))
+    stop = data.draw(st.integers(start, g.size))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_VIEW_RUN", data.draw(st.sampled_from([2, 3, 4, 8])))
+        mp.setattr(kernels, "_SHORT_RUN", data.draw(st.sampled_from([4, 16, 64, 4096])))
+        mp.setattr(kernels, "_RANGE_POINTS", data.draw(st.sampled_from([1, 8, 8192])))
+        mp.setattr(kernels, "_THREADS", data.draw(st.sampled_from([1, 3])))
+        fast = summed_partial_sums(s, start, stop)
+    assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+
+
+def test_a_one_row_sweep_holds_few_step_vectors(monkeypatch):
+    # const:2^13, exact-json's block-0 grid, is one row of M_K = N points:
+    # an M_K-point row of steps per axis took 17.1 grid vectors at the
+    # peak; the axes with a run of _VIEW_RUN points or more step by their
+    # roots instead
+    g = build_group_spec([2] * 13)
+    short = sum(1 for run in g.scales[:-1] if run <= kernels._SHORT_RUN)
+    assert g.scales[short] == g.size
+    coeffs = np.zeros(g.size, dtype=np.complex128)
+    coeffs[g.scales[12] :] = 1
+    s = Spectrum(g, coeffs)
+    monkeypatch.setattr(kernels, "_THREADS", 1)
+    _, peak = _peak(lambda: summed_partial_sums(s, 0, g.size))
+    assert peak <= 11.2 * g.size * np.dtype(np.complex128).itemsize
+
+
 def test_sweep_raises_a_range_error_in_the_caller_after_every_thread_ends(monkeypatch):
     def fail(*args):
         raise ValueError("range failed")

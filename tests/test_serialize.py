@@ -1,5 +1,6 @@
 """Unit tests: canonical JSON/CSV encoding and decoding."""
 import dataclasses
+import decimal
 import gc
 import json
 import random
@@ -18,7 +19,7 @@ from vilenkin.counterexample import (
     divergence_report,
     lemma2_verify,
 )
-from vilenkin.errors import SAFE_STR_BITS, DomainError
+from vilenkin.errors import SAFE_STR_BITS, DomainError, VerificationError
 from vilenkin.group import GroupPattern, build_group_spec
 from vilenkin.kernels import validate_p_atom
 from vilenkin.serialize import (
@@ -398,10 +399,12 @@ def test_a_document_converts_each_big_value_once_with_one_power_table(monkeypatc
     values = [n for n, _ in big]
     assert len(values) == len(set(values)) > 0
     assert all(powers is text.powers for _, powers in big)
-    # q_index is written in its ledger and again in its row, converted once
+    # q_index is written in its ledger and again in its row, from the one
+    # text its closed form put in the memo
     q = report.rows[-1].q_index
     assert q == report.ledgers[-1].q_index and q.bit_length() > SAFE_STR_BITS
-    assert values.count(q) == 1
+    assert values.count(q) == 0
+    assert text.memo[q] == int_str(q)
 
 
 def test_summary_csv_converts_each_big_value_once(monkeypatch):
@@ -430,6 +433,82 @@ def test_no_decimal_text_outlives_its_document(monkeypatch, capsys):
     gc.collect()
     assert len(alive) == 2
     assert all(ref() is None for ref in alive)
+
+
+def _closed_form_texts(pattern, a):
+    """The decimal text of ``(q_a, q_{a-1})`` from the closed form, in the
+    writer's exact decimal context."""
+    from vilenkin import serialize
+
+    with serialize._exact_decimal():
+        return tuple(map(str, pattern._q_pair(a, decimal.Decimal(1))))
+
+
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=4), st.integers(0, 2000))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_text_of_q_numbers_is_int_str(bases, a):
+    pattern = GroupPattern(tuple(bases))
+    q, q_inner = _closed_form_texts(pattern, a)
+    assert q == int_str(pattern.q_number(a))
+    assert q_inner == (int_str(pattern.q_number(a - 1)) if a else "0")
+
+
+@pytest.mark.parametrize(
+    "bases, a",
+    [((2,), 100_000), ((7,), 123_457), ((2, 3), 100_001), ((5, 2), 150_000), ((3, 3), 100_002)],
+)
+def test_closed_form_text_of_deep_q_numbers_is_int_str(bases, a):
+    # periods 1 and 2 at a >= 10**5: integers of 0.4 to 1.2 million bits
+    pattern = GroupPattern(bases)
+    q, q_inner = pattern.q_number(a), pattern.q_number(a - 1)
+    assert _closed_form_texts(pattern, a) == (int_str(q), int_str(q_inner))
+    text = DecimalText()
+    text.pattern = pattern
+    text.add_q_pair(a, q, q_inner)
+    assert text.memo == {q: int_str(q), q_inner: int_str(q_inner)}
+
+
+def test_writing_a_report_converts_no_ledger_q_number_by_int_str(monkeypatch):
+    report = divergence_report(build_alpha_sequence(PAT2, 9))
+    want = dumps_canonical(report)
+    calls = _record_int_str(monkeypatch)
+    assert dumps_canonical(report) == want
+    # the q-numbers over SAFE_STR_BITS bits, of ledgers 4 to 8; the short
+    # ones are str(n) inside int_str, as is every short integer
+    converted = {n for n, _ in calls if n.bit_length() > SAFE_STR_BITS}
+    q_numbers = {n for led in report.ledgers for n in (led.q_index, led.q_inner)}
+    assert max(q_numbers).bit_length() > 10**6
+    assert sum(n.bit_length() > SAFE_STR_BITS for n in q_numbers) == 10
+    assert converted and not converted & q_numbers  # m_alpha and the rest still go through it
+
+
+def test_a_ledger_outside_a_divergence_report_is_written_by_int_str():
+    # after a report on const:2, a ledger of 2,3 takes no closed form of
+    # const:2's q-numbers
+    report = divergence_report(build_alpha_sequence(PAT2, 5), cap=2)
+    ledger = bound_chain_evaluate(build_alpha_sequence(GroupPattern((2, 3)), 5), 4)
+    assert ledger.q_inner.bit_length() > SAFE_STR_BITS
+    doc = json.loads(dumps_canonical([report, ledger]))
+    assert doc[1] == json.loads(dumps_canonical(ledger))
+    assert doc[1]["q_inner"] == int_str(ledger.q_inner)
+
+
+def test_a_closed_form_text_that_disagrees_with_its_integer_raises():
+    # the closed form of another pattern, and texts a digit or a length off
+    q, q_inner = PAT2.q_number(2000), PAT2.q_number(1999)
+    text = DecimalText()
+    text.pattern = GroupPattern((2, 3))
+    with pytest.raises(VerificationError):
+        text.add_q_pair(2000, q, q_inner)
+    assert text.memo == {}
+    from vilenkin.serialize import _checked_text
+
+    right = int_str(q)
+    assert _checked_text(q, right) == right
+    last = str((int(right[-1]) + 1) % 10)
+    for wrong in (right[:-1] + last, right + "0", right[:-2], "1" + right[1:-1] + "E1", "-" + right):
+        with pytest.raises(VerificationError):
+            _checked_text(q, wrong)
 
 
 def test_json_writer_holds_only_the_decimal_text_of_the_document():
