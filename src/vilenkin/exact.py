@@ -369,10 +369,13 @@ def _region_bound(
     prod = scale(2 * eta) * scale(2 * s)
     ok = (bound - 1) * prod >= bound * m_alpha
     measure = _region_measure(pattern, eta, s, scale)
-    sqrt_term = Fraction(0)
     if detailed:
-        per_point = Fraction(prod, 8 * bound**2 * alpha)
-        sqrt_term = measure * rational_sqrt_lower(per_point)
+        # rational_sqrt_lower(prod / (8 M^2 alpha)), whose floor is the same
+        # for the unreduced fraction, times the measure
+        root = math.isqrt((prod << 80) // (8 * bound**2 * alpha))
+        sqrt_term = Fraction(measure.numerator * root, measure.denominator << 40)
+    else:
+        sqrt_term = Fraction(0)
     return RegionBound(
         eta=eta, s=s, product=prod, separation_ok=ok, measure=measure, sqrt_term=sqrt_term
     )
@@ -396,9 +399,8 @@ def bound_chain_evaluate(seq: AlphaSequence, k: int) -> BoundLedger:
     pattern = seq.pattern
     bound = pattern.bound
     alpha = seq.alphas[k]
-    q = pattern.q_number(alpha)
-    q_inner = pattern.q_number(alpha - 1)
-    q_doubling_ok = q <= 2 * pattern.scale(2 * alpha)
+    q, q_inner = pattern._q_pair(alpha)
+    q_doubling_ok = q <= 2 * (q - q_inner)  # q_alpha = M_{2 alpha} + q_{alpha-1}
 
     eta_lo = alpha // 2
     eta_hi = alpha - 3
@@ -435,7 +437,11 @@ def bound_chain_evaluate(seq: AlphaSequence, k: int) -> BoundLedger:
             for s in range(eta + 2, alpha)
         )
         corner = regions[0]
-        region_sum_squared = sum((rb.sqrt_term for rb in regions), Fraction(0)) ** 2
+        # each sqrt_term's denominator divides M_{2 s + 1} << 40, and so
+        # the common denominator M_{2 alpha - 1} << 40
+        common = scale(2 * alpha - 1) << 40
+        total = sum(rb.sqrt_term.numerator * (common // rb.sqrt_term.denominator) for rb in regions)
+        region_sum_squared = Fraction(total, common) ** 2
         separation_all_ok = all(rb.separation_ok for rb in regions)
     else:
         corner = _region_bound(pattern, alpha, m_alpha, eta_lo, eta_lo + 2, scale, False)

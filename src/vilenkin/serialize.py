@@ -29,13 +29,19 @@ once, which makes powers of two cheap.  A :class:`DecimalText` holds that
 table and converts each distinct value once per document; it is made per
 document (one :func:`write_json`, or one :func:`summary_csv`) and kept by
 nothing in this module.  Its memo, and the pattern of a divergence report
-while it is written, are the only state a document's writer keeps.  The
-sparse orders ``q_index`` and ``q_inner`` of a divergence report's ledgers
-never reach :func:`int_str`: as :func:`write_json` comes to each ledger,
-the closed form of :meth:`GroupPattern.q_number`, evaluated in exact
-decimal arithmetic, puts both texts in the memo from one decimal power,
-each checked against its integer (last 18 digits and length) before it
-can be written.  The library never changes the
+and the current ledger's ``M_{2 alpha}`` while it is written, are the only
+state a document's writer keeps.  The sparse orders ``q_index`` and
+``q_inner`` of a divergence report's ledgers never reach :func:`int_str`:
+as :func:`write_json` or :func:`summary_csv` comes to each ledger, the
+closed form of :meth:`GroupPattern.q_number`, evaluated in exact decimal
+arithmetic, puts both texts in the memo from one decimal power.  Most of a
+ledger's other integers (``m_alpha``, the products, the parts of its
+fractions) are a word-sized factor from one already written or from
+``M_{2 alpha}``, so their text is that neighbour's times or divided by the
+factor, in one exact decimal operation; a ledger sends about one integer
+to :func:`int_str`.  Each text that does not come from :func:`int_str` is
+checked against its integer (last 18 digits and length) before it can be
+written.  The library never changes the
 interpreter's integer digit limit, so a reader on Python >= 3.11 that
 turns the longest decimal strings back into ``int`` must raise that limit
 itself.  Every verdict stays re-derivable from the stored numbers.
@@ -139,17 +145,37 @@ def _exact_decimal():
 
 class DecimalText:
     """The decimal text of the exact integers of one document: each value
-    over ``SAFE_STR_BITS`` bits is converted once, by :func:`int_str`, and
-    every conversion shares one power table; the q-numbers of a
-    divergence report's ledgers are put in the memo from their closed form
-    instead (:meth:`add_q_pair`).  Make one per document and drop it
-    afterwards; nothing here outlives it.  ``pattern`` is the digit
-    pattern of the divergence report being written, if any."""
+    over ``SAFE_STR_BITS`` bits is written once, from the memo after its
+    first time.  A value that misses the memo takes one of three routes:
+
+    * the q-numbers of a divergence report's ledgers come from their
+      closed form (:meth:`add_q_pair`);
+    * a positive value ``n`` with a *neighbour* ``m``, a positive value
+      already in the memo or the current ledger's anchor ``M_{2 alpha}``,
+      such that ``n = m * r`` or ``m = n * r`` with ``0 < r < 2**64``, is
+      one exact decimal multiplication or division by ``r`` of ``m``'s
+      text.  Candidates are looked up by bit length, at most 64 bits
+      away, never by a scan of the memo;
+    * anything else goes through :func:`int_str`, and every conversion
+      shares one power table.
+
+    The ledgers' integers are products of the scales ``M_j`` a word-sized
+    factor apart, so a ledger converts about one of them by
+    :func:`int_str`.  Every text of the first two routes is checked
+    against its integer (:func:`_checked_text`) before it enters the memo.
+    Make one per document and drop it afterwards; nothing here outlives
+    it.  ``pattern`` is the digit pattern of the divergence report being
+    written, if any, and ``anchor`` the current ledger's ``(q_index,
+    q_inner, M_{2 alpha})``: ``M_{2 alpha} = q_index - q_inner`` is kept
+    only as an exact ``Decimal``, and never written, so it keeps no text
+    and no integer of its own."""
 
     def __init__(self) -> None:
         self.powers: list[decimal.Decimal] = []
         self.memo: dict[int, str] = {}
+        self.by_bits: dict[int, list[int]] = {}  # the memo's positive keys by bit length
         self.pattern: GroupPattern | None = None
+        self.anchor: tuple[int, int, decimal.Decimal] | None = None
 
     def __call__(self, n: int) -> str:
         n = int(n)
@@ -157,8 +183,32 @@ class DecimalText:
             return int_str(n)
         text = self.memo.get(n)
         if text is None:
-            text = self.memo[n] = int_str(n, self.powers)
+            text = self._from_neighbour(n) if n > 0 else None
+            if text is None:
+                text = int_str(n, self.powers)
+            self._remember(n, text)
         return text
+
+    def _remember(self, n: int, text: str) -> None:
+        self.memo[n] = text
+        if n > 0:
+            self.by_bits.setdefault(n.bit_length(), []).append(n)
+
+    def _from_neighbour(self, n: int) -> str | None:
+        """The checked text of ``n > 0`` from a neighbour, or ``None``."""
+        bits = n.bit_length()
+        # q_alpha has the bit length of M_{2 alpha} or one more
+        if self.anchor is not None and abs(self.anchor[0].bit_length() - bits) <= _NEAR_BITS + 1:
+            q, q_inner, top = self.anchor
+            found = _cofactor(n, q - q_inner)
+            if found is not None:
+                return _scaled_text(n, top, *found)
+        for b in range(bits - _NEAR_BITS, bits + _NEAR_BITS + 1):
+            for m in self.by_bits.get(b, ()):
+                found = _cofactor(n, m)
+                if found is not None:
+                    return _scaled_text(n, self.memo[m], *found)
+        return None
 
     def add_q_pair(self, alpha: int, q: int, q_inner: int) -> None:
         """Put the text of ``q = q_alpha`` and ``q_inner = q_{alpha-1}`` of
@@ -167,13 +217,40 @@ class DecimalText:
         arithmetic: one decimal power of the pattern's ratio for both, in
         place of splitting each integer into bits.  Each text is checked
         against its integer (:func:`_checked_text`) before it enters the
-        memo."""
+        memo.  Their difference ``M_{2 alpha}`` becomes the :attr:`anchor`
+        in place of the last ledger's."""
+        self.anchor = None
         if q_inner.bit_length() <= SAFE_STR_BITS:
             return
         with _exact_decimal():
             pair = self.pattern._q_pair(alpha, decimal.Decimal(1))
+            top = pair[0] - pair[1]
         for n, value in zip((q, q_inner), pair):
-            self.memo[n] = _checked_text(n, str(value))
+            self._remember(n, _checked_text(n, str(value)))
+        self.anchor = (q, q_inner, top)
+
+
+_NEAR_BITS = 64  # a neighbour's cofactor is below 2**_NEAR_BITS
+
+
+def _scaled_text(n: int, value: str | decimal.Decimal, r: int, up: bool) -> str:
+    """The checked text of ``n``, which is ``value`` times ``r`` if ``up``,
+    else ``value`` divided by ``r``: one exact decimal operation."""
+    with _exact_decimal():
+        value = decimal.Decimal(value)
+        value = value * r if up else value // r
+    return _checked_text(n, str(value))
+
+
+def _cofactor(n: int, m: int) -> tuple[int, bool] | None:
+    """``(r, True)`` if ``n = m * r``, ``(r, False)`` if ``m = n * r``, for
+    ``0 < r < 2**_NEAR_BITS``; otherwise ``None``.  The quotient is short,
+    so the division takes time linear in the operands' length."""
+    up = n >= m
+    r, rest = divmod(n, m) if up else divmod(m, n)
+    if rest or r >> _NEAR_BITS:
+        return None
+    return r, up
 
 
 _LOG10_2 = math.log10(2)
@@ -309,7 +386,7 @@ def _emit(obj: Any, out: _Parts, text: DecimalText) -> None:
             out.spill()
         out.append("}" if plan else "{}")
         if cls_name == "DivergenceReport":
-            text.pattern = None
+            text.pattern = text.anchor = None
     elif type(obj).__module__ == "numpy" and obj.ndim == 0:  # a numpy scalar, seen without importing numpy
         _emit(obj.item(), out, text)
     elif type(obj).__module__ == "numpy" and obj.ndim == 1 and obj.dtype.kind == "f":
@@ -334,7 +411,8 @@ def write_json(obj: Any, writelines: Callable[[list[str]], object]) -> None:
     and are never joined.  The document's exact integers are converted by
     one :class:`DecimalText`, whose memo is the only state kept for the
     whole document; a divergence report's ledgers add the text of their
-    q-numbers to it one ledger at a time (:meth:`DecimalText.add_q_pair`)."""
+    q-numbers to it, and set its anchor ``M_{2 alpha}``, one ledger at a
+    time (:meth:`DecimalText.add_q_pair`)."""
     out = _Parts(writelines)
     _emit(obj, out, DecimalText())
     out.flush()
@@ -519,7 +597,9 @@ divergence_to_doc = kernel_report_to_doc = report_to_doc
 def summary_csv(report: DivergenceReport) -> str:
     lines = ["k,alpha_k,q_alpha_k,LB_k_squared_num,LB_k_squared_den,direct_integral"]
     text = DecimalText()
-    for row in report.rows:
+    text.pattern = report.pattern
+    for row, ledger in zip(report.rows, report.ledgers):
+        text.add_q_pair(ledger.alpha, ledger.q_index, ledger.q_inner)
         direct = "" if row.direct_integral is None else float_str(row.direct_integral)
         lines.append(
             f"{row.k},{text(row.alpha)},{text(row.q_index)},"

@@ -621,6 +621,25 @@ def test_ledger_scales_match_group_pattern_scale(base, k, detail_cap):
         )
 
 
+@settings(max_examples=25, deadline=None)
+@given(base=st.lists(st.integers(2, 7), min_size=1, max_size=4), count=st.integers(1, 3))
+def test_integer_region_sum_is_the_fraction_sum(base, count):
+    # every detailed ledger's terms and region sum against Fraction arithmetic
+    pattern = GroupPattern(tuple(base))
+    seq = build_alpha_sequence(pattern, count)
+    for k in range(count):
+        led = bound_chain_evaluate(seq, k)
+        assert (led.q_index, led.q_inner) == (pattern.q_number(led.alpha), pattern.q_number(led.alpha - 1))
+        assert led.q_doubling_ok == (led.q_index <= 2 * pattern.scale(2 * led.alpha))
+        if led.regions is None:
+            continue
+        for region in led.regions:
+            per_point = Fraction(region.product, 8 * led.bound**2 * led.alpha)
+            assert region.sqrt_term == region.measure * rational_sqrt_lower(per_point)
+        terms = sum((region.sqrt_term for region in led.regions), Fraction(0))
+        assert led.region_sum_squared == terms**2
+
+
 def test_rational_sqrt_brackets():
     for frac in (Fraction(2), Fraction(341, 48), Fraction(1, 98304), Fraction(7, 5)):
         lo = rational_sqrt_lower(frac)

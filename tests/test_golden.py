@@ -25,7 +25,11 @@ axis ran in place through a scratch tile; the ``counterexample`` case at
 document and a list of parts before its first byte was written; the one
 at ``--kmax 10 --json`` was written while every ``q_index`` and
 ``q_inner`` was still converted to decimal text by splitting it into
-bits.  ``<name>.stdout`` is
+bits; the ``counterexample`` cases on ``2,2 --kmax 9 --json`` and on
+``const:2 --kmax 9`` (the summary CSV) were written while every ledger
+integer other than the q-numbers was converted to decimal text by
+splitting it into bits, and every ``q_alpha_k`` of the CSV too.
+``<name>.stdout`` is
 standard output and ``<name>.file`` the ``--out`` file; an artifact over
 ~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
 """
@@ -63,6 +67,13 @@ CASES = {
         ["counterexample", "--group", "const:2", "--kmax", "9", "--json"],
         False,
     ),
+    # the same levels on the pattern 2,2: another closed form of q
+    "counterexample_22_k9_json": (
+        ["counterexample", "--group", "2,2", "--kmax", "9", "--json"],
+        False,
+    ),
+    # the summary CSV of those levels: q_alpha_k up to ~1.18M bits
+    "counterexample_const2_k9": (["counterexample", "--group", "const:2", "--kmax", "9"], False),
     # integers up to ~4.7M bits, q-numbers among them: the deepest
     # closed-form decimal text, 13.5 MB of JSON
     "counterexample_const2_k10_json": (

@@ -413,7 +413,11 @@ def test_summary_csv_converts_each_big_value_once(monkeypatch):
     calls = _record_int_str(monkeypatch)
     assert summary_csv(report) == want
     big = [n for n, _ in calls if n.bit_length() > SAFE_STR_BITS]
-    assert len(big) == len(set(big)) > 0
+    assert len(big) == len(set(big))
+    # each q_alpha_k comes from its closed form, none through int_str
+    q_numbers = {row.q_index for row in report.rows}
+    assert max(q_numbers).bit_length() > SAFE_STR_BITS
+    assert not set(big) & q_numbers
 
 
 def test_no_decimal_text_outlives_its_document(monkeypatch, capsys):
@@ -480,6 +484,77 @@ def test_writing_a_report_converts_no_ledger_q_number_by_int_str(monkeypatch):
     assert max(q_numbers).bit_length() > 10**6
     assert sum(n.bit_length() > SAFE_STR_BITS for n in q_numbers) == 10
     assert converted and not converted & q_numbers  # m_alpha and the rest still go through it
+
+
+@st.composite
+def ledger_shaped_ints(draw):
+    """Integers shaped like a ledger's: products ``M_i M_j`` of the scales
+    of a random digit pattern, and ``M_{2a}`` of a q-pair added first,
+    times a word-sized cofactor or divided by a short scale; values one
+    off those, of the same bit length; any of them negated."""
+    pattern = GroupPattern(tuple(draw(st.lists(st.integers(2, 7), min_size=1, max_size=4))))
+    a = draw(st.integers(0, 1500))
+    bases = [pattern.scale(2 * a)]
+    for _ in range(draw(st.integers(1, 3))):
+        bases.append(pattern.scale(draw(st.integers(700, 2200))) * pattern.scale(draw(st.integers(0, 2200))))
+    values = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.sampled_from(bases))
+        shape = draw(st.sampled_from(["times", "over", "plain", "off"]))
+        if shape == "times":
+            n *= draw(st.integers(1, 2**64 - 1))
+        elif shape == "over":
+            n //= pattern.scale(draw(st.integers(1, 20)))
+        elif shape == "off":
+            n += draw(st.sampled_from([-1, 1]))
+        values.append(-n if draw(st.integers(0, 4)) == 0 else n)
+    return pattern, a, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(ledger_shaped_ints())
+def test_text_from_a_neighbour_is_int_str(case):
+    pattern, a, values = case
+    text = DecimalText()  # one memo, anchor and power table across the values
+    text.pattern = pattern
+    text.add_q_pair(a, pattern.q_number(a), pattern.q_number(a - 1) if a else 0)
+    for n in values:
+        assert text(n) == int_str(n)
+    assert all(text(n) == int_str(n) for n in values)  # from the memo
+
+
+def test_writing_a_report_converts_one_integer_per_ledger_by_int_str(monkeypatch):
+    # five ledgers hold integers over SAFE_STR_BITS bits, five each besides
+    # their q-numbers; the others are a word-sized factor from the first
+    # converted, or from M_{2 alpha}
+    report = divergence_report(build_alpha_sequence(PAT2, 9))
+    want = dumps_canonical(report)
+    calls = _record_int_str(monkeypatch)
+    assert dumps_canonical(report) == want
+    big = [n for n, _ in calls if n.bit_length() > SAFE_STR_BITS]
+    assert len(big) <= 5
+    assert {led.m_alpha for led in report.ledgers[4:]} == set(big)
+
+
+def test_a_neighbour_text_that_disagrees_with_its_integer_raises(monkeypatch):
+    from vilenkin import serialize
+
+    m = PAT2.scale(3000) * 3**20
+    n = m * 12345
+    original = serialize._cofactor
+
+    def tampered(n, m):
+        found = original(n, m)
+        return found and (found[0] + 1, found[1])
+
+    text = DecimalText()
+    assert text(m) == int_str(m)
+    monkeypatch.setattr(serialize, "_cofactor", tampered)
+    with pytest.raises(VerificationError):
+        text(n)
+    with pytest.raises(VerificationError):
+        text(m // 3)
+    assert list(text.memo) == [m]
 
 
 def test_a_ledger_outside_a_divergence_report_is_written_by_int_str():
