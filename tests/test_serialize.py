@@ -483,7 +483,7 @@ def test_writing_a_report_converts_no_ledger_q_number_by_int_str(monkeypatch):
     q_numbers = {n for led in report.ledgers for n in (led.q_index, led.q_inner)}
     assert max(q_numbers).bit_length() > 10**6
     assert sum(n.bit_length() > SAFE_STR_BITS for n in q_numbers) == 10
-    assert converted and not converted & q_numbers  # m_alpha and the rest still go through it
+    assert converted and not converted & q_numbers  # each m_alpha still goes through it
 
 
 @st.composite
