@@ -154,11 +154,14 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     of its points gets the same phase sum, in the same order, as on any
     deeper grid.
 
-    The steps are cut into segments at those tile-ups, so the prefix is
-    fixed inside a segment.  Each step changes a point's row, partial
-    sum and total from that point's own values alone, so a segment of at
-    least ``2 * _RANGE_POINTS`` points is stepped as up to ``_THREADS``
-    ranges of whole rows, each on its own thread with its own copy of the
+    The zero run is stepped on the calling thread, cut into segments at
+    those tile-ups so the prefix is fixed inside a segment; it moves the
+    row alone, which threads do not speed up.  From the first rank-one
+    term on, each step changes a point's row, partial sum and total from
+    that point's own values alone, so a grid of at least
+    ``2 * _RANGE_POINTS`` points is stepped as up to ``_THREADS`` ranges
+    of whole rows (:func:`_sweep_segment`): the first on the calling
+    thread, each other one on its own thread with its own copy of the
     counter; numpy releases the interpreter lock inside each vector
     operation.  Every point gets the same multiplies and adds in the same
     order whatever the split, so the result is bit for bit the same for
@@ -192,7 +195,6 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     psi = np.empty_like(totals)
     flat = psi.reshape(-1)
     flat[:size] = CharacterBasis(g.truncate(width)).row(start)
-    tmp = np.empty_like(totals)  # only once the prefix row's temporaries are gone
     n = start
     while n < first:  # the zero run: only the prefix row moves
         if n + 1 == size:  # this step carries into axis ``width``
@@ -203,10 +205,13 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
         end = min(first, size - 1)
         cols = min(size, run)  # part of one row, or whole rows
         prefix = flat[:size].reshape(-1, cols)
-        prefix_steps = [step if step.ndim == 3 else step[:, :cols] for step in steps[:width]]
-        _sweep_segment(prefix, None, totals, tmp, prefix_steps, counter, g.digits, s.coeffs[n:end])
+        prefix_steps = [step if step.ndim == 3 else step[: len(prefix), :cols] for step in steps[:width]]
+        views = _step_views(prefix, prefix_steps)
+        for _ in range(n, end):
+            step_character(views, counter, g.digits, prefix_steps)
         n = end
     flat.reshape(-1, size)[1:] = flat[:size]
+    tmp = np.empty_like(totals)  # the zero run adds no rank-one term
     _sweep_segment(psi, cur.reshape(-1, run), totals, tmp, steps, counter, g.digits, s.coeffs[first : stop - 1])
     total += cur
     return total
@@ -287,58 +292,43 @@ def _step_views(psi: np.ndarray, steps) -> list[np.ndarray]:
 
 
 def _sweep_segment(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
-    """Step the row ``psi``, and ``cur`` and ``total`` with it, through one
-    coefficient per step, split into ranges of whole rows on threads when
-    the row is long enough.
+    """Step the row ``psi``, and the partial sum ``cur`` and ``total``
+    with it, through one coefficient per step, as ranges of whole rows,
+    each with its own copy of ``counter``: the first on the calling
+    thread, each other one on a thread of its own.
 
-    Every vector and step is in the row layout of :func:`_sweep_steps`;
-    ``psi`` may be a prefix of the rows, and only that prefix of ``total``
-    and ``tmp`` is touched.  A range takes its own rows of each column
-    step and the whole of each one-row step.  ``cur`` None means the
-    partial sum is identically zero.  ``counter`` ends advanced past the
-    segment.  A range's exception is raised again here, after every
-    thread has finished.
+    Every vector and step is in the row layout of :func:`_sweep_steps`.
+    A range takes its own rows of each column step and the whole of each
+    one-row step.  An exception, the caller's range's too, is raised
+    again here only after every thread has been joined.
     """
     rows = len(psi)
     parts = max(1, min(_THREADS, psi.size // _RANGE_POINTS, rows))
     bounds = [rows * i // parts for i in range(parts + 1)]
-    counters = [list(counter) for _ in range(parts)]
     ranges = [
-        (
-            psi[lo:hi],
-            None if cur is None else cur[lo:hi],
-            total[lo:hi],
-            tmp[lo:hi],
-            [step if len(step) == 1 else step[lo:hi] for step in steps],
-            counters[i],
-            digits,
-            coeffs,
-        )
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        (psi[lo:hi], cur[lo:hi], total[lo:hi], tmp[lo:hi], [step if len(step) == 1 else step[lo:hi] for step in steps])
+        for lo, hi in zip(bounds, bounds[1:])
     ]
-    if parts == 1:
-        _sweep_range(*ranges[0])
-    else:
-        errors: list[Exception] = []
+    errors: list[Exception] = []
 
-        def run(args):
-            try:
-                _sweep_range(*args)
-            except Exception as exc:  # raised again in the caller below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=run, args=(args,)) for args in ranges]
-        started = []
+    def run(part):
         try:
-            for thread in threads:
-                thread.start()
-                started.append(thread)
-        finally:
-            for thread in started:
-                thread.join()
-        if errors:
-            raise errors[0]
-    counter[:] = counters[0]
+            _sweep_range(*part, list(counter), digits, coeffs)
+        except Exception as exc:  # raised again in the caller below
+            errors.append(exc)
+
+    started = []
+    try:
+        for part in ranges[1:]:
+            thread = threading.Thread(target=run, args=(part,))
+            thread.start()
+            started.append(thread)
+        run(ranges[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _sweep_range(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
@@ -346,11 +336,10 @@ def _sweep_range(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
     it calls only numpy, so it may run on any thread."""
     views = _step_views(psi, steps)
     for c in coeffs:
-        if cur is not None:
-            total += cur
-            if c:
-                np.multiply(psi, c, out=tmp)
-                cur += tmp
+        total += cur
+        if c:
+            np.multiply(psi, c, out=tmp)
+            cur += tmp
         step_character(views, counter, digits, steps)
 
 
@@ -361,8 +350,10 @@ def step_character(views: list[np.ndarray], counter: list[int], digits, steps) -
     axis-``j`` unit step on the points of ``psi``, and ``views[j]`` is
     ``psi`` in the shape that step broadcasts against (see
     :func:`_sweep_steps` and :func:`_step_views`); both must exist for
-    every axis the carry reaches.  Only numpy runs here, on ``psi`` and
-    ``steps`` alone, so disjoint point ranges may be stepped at once.
+    every axis the carry reaches, each ``a`` with ``M_a`` dividing
+    ``n + 1``.  ``n + 1`` must be below ``N``, so the carry never runs
+    past the top axis.  Only numpy runs here, on ``psi`` and ``steps``
+    alone, so disjoint point ranges may be stepped at once.
     """
     j = 0
     while True:
@@ -372,8 +363,6 @@ def step_character(views: list[np.ndarray], counter: list[int], digits, steps) -
             return
         counter[j] = 0
         j += 1
-        if j == len(digits):
-            return  # counter wrapped all the way around
 
 
 def fejer_mean_direct(s: Spectrum, n: int) -> CylinderFunction:

@@ -247,13 +247,14 @@ def test_summed_partial_sums_is_the_full_grid_sweep_bit_for_bit(from_zero, s, da
 @example(build_group_spec([2] * 12), 5, 150, 200)  # start's top digit on axis 2, one row
 @example(build_group_spec([2] * 12), 0, 100, 4096)  # N = 4,096, at the floor: one row
 @example(build_group_spec([2] * 14), 0, 8200, 8250)  # two rows of 8,192; the prefix tiles up to both
-@example(build_group_spec([2] * 15), 0, 9000, 9050)  # a prefix of 2 rows on 2 threads, then 4 rows on 4
+@example(build_group_spec([2] * 15), 0, 9000, 9050)  # a prefix tiled up to 2 rows, then 4 rows in 4 ranges
 @given(sweep_groups(), st.integers(0, 4096), st.integers(0, 4096), st.integers(0, 4096))
 @settings(max_examples=50, deadline=None)
 def test_a_zero_run_from_any_start_is_the_full_grid_sweep(g, start, first, stop):
     # coefficients zero from 0 up to ``first``: the sweep steps a prefix row
-    # from ``start``, however few axes ``start``'s digits use; up to 4
-    # threads whatever the host, so a segment of 16,384 points or more splits
+    # from ``start`` on the calling thread, however few axes ``start``'s
+    # digits use; then up to 4 ranges whatever the host, so the summing
+    # phase on a grid of 16,384 points or more splits
     start, first, stop = sorted(min(x, g.size) for x in (start, first, stop))
     rng = np.random.default_rng(start)
     coeffs = np.zeros(g.size, dtype=np.complex128)
@@ -269,7 +270,7 @@ def test_a_zero_run_from_any_start_is_the_full_grid_sweep(g, start, first, stop)
 @settings(max_examples=200, deadline=None)
 def test_sweep_split_into_tiny_thread_ranges_is_the_full_grid_sweep(s, data):
     # rows of a few points under a floor of 1 to 4, and ranges of 1 or 2
-    # points on 3 threads: every segment of 2 rows or more is split, into
+    # points on 3 threads: a summing phase of 2 rows or more is split, into
     # ranges of one row too; a short switch interval makes the threads
     # interleave between steps
     start = data.draw(st.integers(0, s.group.size))
@@ -379,6 +380,37 @@ def test_sweep_raises_a_range_error_in_the_caller_after_every_thread_ends(monkey
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("zero_to", [0, 6])
+def test_sweep_raises_an_error_in_the_callers_own_range_after_every_thread_ends(zero_to, monkeypatch):
+    # step_character fails on the calling thread alone: in the first range
+    # of the summing phase while 2 threads step the others, or, with the
+    # coefficients zero up to the midpoint, in the zero run, which starts
+    # no thread
+    caller = threading.get_ident()
+    step = kernels.step_character
+
+    def fail_on_caller(*args):
+        if threading.get_ident() == caller:
+            raise ValueError("caller's range failed")
+        step(*args)
+
+    g = build_group_spec([2, 3, 2])
+    coeffs = forward_transform(random_cylinder_function(g, seed=4)).coeffs.copy()
+    coeffs[:zero_to] = 0
+    s = Spectrum(g, coeffs)
+    monkeypatch.setattr(kernels, "_SHORT_RUN", 1)  # 6 rows of 2 points
+    monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)
+    monkeypatch.setattr(kernels, "_THREADS", 3)
+    monkeypatch.setattr(kernels, "step_character", fail_on_caller)
+    _CountedThread.started = 0
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="caller's range failed"):
+        summed_partial_sums(s, 0, g.size)
+    assert threading.active_count() == before
+    assert _CountedThread.started == (0 if zero_to else 2)
+
+
 class _CountedThread(threading.Thread):
     started = 0
 
@@ -396,8 +428,9 @@ class _NoThread:
 def split_sweep_case():
     """``const:2`` at depth 15 (32,768 points), zero coefficients below
     16,384 and random ones up to 16,448: the zero run steps a 16,384-point
-    prefix row and the rest the full row, so with 2 CPUs or more both
-    phases split at the default range size."""
+    prefix row on the calling thread, and the summing phase the full row,
+    which with 2 CPUs or more splits into ranges at the default range
+    size, the first on the caller."""
     g = build_group_spec([2] * 15)
     rng = np.random.default_rng(5)
     coeffs = np.zeros(g.size, dtype=np.complex128)
@@ -424,6 +457,19 @@ def test_sweep_on_one_thread_starts_none_and_gives_the_same_bytes(split_sweep_ca
     single = summed_partial_sums(s, start, stop)
     monkeypatch.undo()
     assert single.tobytes() == split.tobytes()
+
+
+def test_sweep_starts_a_thread_per_range_but_the_first_and_none_in_the_zero_run(split_sweep_case, monkeypatch):
+    # the zero run steps on the calling thread; the summing phase is 4
+    # ranges of 8,192 points, the first on the caller
+    s, start, stop = split_sweep_case
+    _CountedThread.started = 0
+    monkeypatch.setattr(kernels, "_THREADS", 4)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    fast = summed_partial_sums(s, start, stop)
+    monkeypatch.undo()
+    assert _CountedThread.started == 3
+    assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
 
 
 @given(sweep_spectra(), st.data())
