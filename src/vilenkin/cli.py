@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from . import serialize
 from .errors import CapExceededError, DomainError, VerificationError
-from .exact import LEMMA2_CAP, build_alpha_sequence, check_materialize_cap, divergence_report
-from .group import GRID_CAP, NAIVE_ORACLE_CAP, GroupPattern, build_group_spec, digit_compose, digit_decompose, parse_group_text
+from .exact import build_alpha_sequence, check_materialize_cap, divergence_report
+from .group import GRID_CAP, LEMMA2_CAP, NAIVE_ORACLE_CAP, GroupPattern, build_group_spec, digit_compose, digit_decompose, parse_group_text
 
 __all__ = ["main"]
 
@@ -143,7 +143,7 @@ def _load_pattern(text: str) -> GroupPattern:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    from .transform import Spectrum, _synthesize, check_root_tables, forward_transform
+    from .transform import Spectrum, _synthesize, forward_transform
     from .transform import naive_transform_oracle, random_cylinder_function, sup_rel_error
 
     group = _load_group(args)
@@ -154,11 +154,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
                 f"--group {args.group!r} disagrees with the input file's group "
                 f"{list(data.group.digits)}"
             )
-        check_root_tables(data.group)
     elif args.random:
         if group is None:
             raise DomainError("--random needs --group")
-        check_root_tables(group)  # before any point is drawn
         data = random_cylinder_function(group, seed=args.seed)
     else:
         raise DomainError("nothing to transform: pass --input FILE or --random")

@@ -21,7 +21,6 @@ from .errors import DomainError, brief
 # the exact core; the names that tests and perfbench's span tracer look up
 # here are bound here too
 from .exact import (
-    LEMMA2_CAP,
     MIN_ALPHA0,
     AlphaSequence,
     BoundLedger,
@@ -34,7 +33,7 @@ from .exact import (
     rational_sqrt_upper,
     sequence_from_levels,
 )
-from .group import Cylinder, GroupPattern, GroupSpec
+from .group import LEMMA2_CAP, Cylinder, GroupPattern, GroupSpec
 from .kernels import (
     dirichlet_kernel,
     fejer_kernel,

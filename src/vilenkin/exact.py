@@ -62,7 +62,6 @@ __all__ = [
     "SeriesReport",
     "DivergenceReport",
     "MIN_ALPHA0",
-    "LEMMA2_CAP",
     "REGION_DETAIL_CAP",
     "rational_sqrt_lower",
     "rational_sqrt_upper",
@@ -75,7 +74,6 @@ __all__ = [
 ]
 
 MIN_ALPHA0 = 6
-LEMMA2_CAP = 1 << 20  # grid points of the Lemma 2 brute force
 REGION_DETAIL_CAP = 4096  # region pairs a ledger evaluates one by one
 
 

@@ -24,6 +24,7 @@ from .errors import CapExceededError, DomainError, brief
 
 __all__ = [
     "GRID_CAP",
+    "LEMMA2_CAP",
     "NAIVE_ORACLE_CAP",
     "GroupSpec",
     "GroupPattern",
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 GRID_CAP = 1 << 24  # points in the largest grid GroupPattern.group builds by default
+LEMMA2_CAP = 1 << 20  # grid points of the Lemma 2 brute force
 NAIVE_ORACLE_CAP = 4096  # points in the largest grid the naive transform oracle sums over
 
 
@@ -191,8 +193,10 @@ class GroupPattern:
         return period**full * tail
 
     def group(self, resolution: int, cap: int = GRID_CAP) -> GroupSpec:
-        """The depth-``resolution`` grid; :class:`CapExceededError` if its
-        exact size ``M_resolution`` exceeds ``cap``, before anything is built.
+        """The depth-``resolution`` grid; :class:`CapExceededError` before
+        anything is built if its exact size ``M_resolution`` exceeds
+        ``cap``, or else if a base ``m`` of it has a root table of
+        ``m * m > GRID_CAP`` entries, the first such base in axis order.
 
         Every base is at least 2, so ``M_N >= 2^N``: a depth beyond
         ``cap.bit_length()`` is refused without computing ``M_N``."""
@@ -207,6 +211,9 @@ class GroupPattern:
             raise CapExceededError(
                 f"a depth-{resolution} grid has {brief(size)} points, cap is {cap}"
             )
+        for m in self.base[:resolution]:
+            if m * m > GRID_CAP:
+                raise CapExceededError(f"a base-{m} root table has {m * m} entries, cap is {GRID_CAP}")
         reps = -(-resolution // len(self.base))
         return GroupSpec((self.base * reps)[:resolution])
 

@@ -34,9 +34,11 @@ state a document's writer keeps.  The sparse orders ``q_index`` and
 ``q_inner`` of a divergence report's ledgers never reach :func:`int_str`:
 as :func:`write_json` or :func:`summary_csv` comes to each ledger, the
 closed form of :meth:`GroupPattern.q_number`, evaluated in exact decimal
-arithmetic, puts both texts in the memo from one decimal power.  Most of a
-ledger's other integers (``m_alpha``, the products, the parts of its
-fractions) are a word-sized factor from one already written or from
+arithmetic, puts both in the memo from one decimal power: ``q_index`` as
+text, ``q_inner`` as an exact decimal whose text is made only if it is
+written.  Most of a ledger's other integers (``m_alpha``, the products,
+the parts of its fractions) are a word-sized factor from one already
+written or from
 ``M_{2 alpha}``, so their text is that neighbour's times or divided by the
 factor, in one exact decimal operation; a ledger sends about one integer
 to :func:`int_str`.  Each text that does not come from :func:`int_str` is
@@ -162,7 +164,7 @@ class DecimalText:
     The ledgers' integers are products of the scales ``M_j`` a word-sized
     factor apart, so a ledger converts about one of them by
     :func:`int_str`.  Every text of the first two routes is checked
-    against its integer (:func:`_checked_text`) before it enters the memo.
+    against its integer (:func:`_checked_text`) before it is written.
     Make one per document and drop it afterwards; nothing here outlives
     it.  ``pattern`` is the digit pattern of the divergence report being
     written, if any, and ``anchor`` the current ledger's ``(q_index,
@@ -172,7 +174,7 @@ class DecimalText:
 
     def __init__(self) -> None:
         self.powers: list[decimal.Decimal] = []
-        self.memo: dict[int, str] = {}
+        self.memo: dict[int, str | decimal.Decimal] = {}  # q_inner's is a Decimal until written
         self.by_bits: dict[int, list[int]] = {}  # the memo's positive keys by bit length
         self.pattern: GroupPattern | None = None
         self.anchor: tuple[int, int, decimal.Decimal] | None = None
@@ -182,14 +184,16 @@ class DecimalText:
         if n.bit_length() <= SAFE_STR_BITS:
             return int_str(n)
         text = self.memo.get(n)
-        if text is None:
+        if isinstance(text, decimal.Decimal):
+            text = self.memo[n] = _checked_text(n, str(text))
+        elif text is None:
             text = self._from_neighbour(n) if n > 0 else None
             if text is None:
                 text = int_str(n, self.powers)
             self._remember(n, text)
         return text
 
-    def _remember(self, n: int, text: str) -> None:
+    def _remember(self, n: int, text: str | decimal.Decimal) -> None:
         self.memo[n] = text
         if n > 0:
             self.by_bits.setdefault(n.bit_length(), []).append(n)
@@ -211,22 +215,25 @@ class DecimalText:
         return None
 
     def add_q_pair(self, alpha: int, q: int, q_inner: int) -> None:
-        """Put the text of ``q = q_alpha`` and ``q_inner = q_{alpha-1}`` of
+        """Put ``q = q_alpha`` and ``q_inner = q_{alpha-1}`` of
         :attr:`pattern` in the memo, from the closed form of
         :meth:`GroupPattern.q_number` evaluated in exact decimal
         arithmetic: one decimal power of the pattern's ratio for both, in
-        place of splitting each integer into bits.  Each text is checked
-        against its integer (:func:`_checked_text`) before it enters the
-        memo.  Their difference ``M_{2 alpha}`` becomes the :attr:`anchor`
-        in place of the last ledger's."""
+        place of splitting each integer into bits.  The text of ``q``,
+        which every ledger and summary row writes, is checked against its
+        integer (:func:`_checked_text`) before it enters the memo;
+        ``q_inner`` enters it as its exact ``Decimal``, and :meth:`__call__`
+        makes and checks its text only if it is written, which a summary
+        CSV never does.  Their difference ``M_{2 alpha}`` becomes the
+        :attr:`anchor` in place of the last ledger's."""
         self.anchor = None
         if q_inner.bit_length() <= SAFE_STR_BITS:
             return
         with _exact_decimal():
             pair = self.pattern._q_pair(alpha, decimal.Decimal(1))
             top = pair[0] - pair[1]
-        for n, value in zip((q, q_inner), pair):
-            self._remember(n, _checked_text(n, str(value)))
+        self._remember(q, _checked_text(q, str(pair[0])))
+        self._remember(q_inner, pair[1])
         self.anchor = (q, q_inner, top)
 
 
@@ -444,8 +451,8 @@ def decode_group(raw) -> GroupSpec:
     raises :class:`DomainError` rather than being coerced.  A digit list
     shorter than the resolution repeats cyclically; one longer than the
     resolution raises :class:`DomainError` rather than being cut.  The grid
-    comes from :meth:`GroupPattern.group`, so one over ``GRID_CAP`` points
-    raises :class:`CapExceededError`.
+    comes from :meth:`GroupPattern.group`, so a grid it refuses raises
+    :class:`CapExceededError`.
     """
     if isinstance(raw, str):
         pattern, res = parse_group_text(raw)

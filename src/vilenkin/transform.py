@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, DomainError
-from .group import GRID_CAP, NAIVE_ORACLE_CAP, GroupSpec, digit_decompose
+from .group import NAIVE_ORACLE_CAP, GroupSpec, digit_decompose
 
 __all__ = [
     "CylinderFunction",
@@ -65,7 +65,6 @@ __all__ = [
     "random_cylinder_function",
     "sup_abs",
     "sup_rel_error",
-    "check_root_tables",
 ]
 
 # rows of a root table built at a time: 16 MB of table at m = 4096
@@ -144,31 +143,14 @@ def character_eval(n: int, x: tuple[int, ...], group: GroupSpec) -> complex:
     return complex(np.exp(2j * np.pi * float(phase)))
 
 
-def _check_root_table(m: int) -> None:
-    """:class:`CapExceededError` when a base-``m`` root table would have
-    more than ``GRID_CAP`` entries."""
-    if m * m > GRID_CAP:
-        raise CapExceededError(f"a base-{m} root table has {m * m} entries, cap is {GRID_CAP}")
-
-
-def check_root_tables(group: GroupSpec) -> None:
-    """:class:`CapExceededError` when any base of ``group`` has a root table
-    over the cap, the first such base in axis order; run before any data
-    work, so a grid that no transform could finish is refused up front."""
-    for m in group.digits:
-        _check_root_table(m)
-
-
 def _root_matrix(m: int, conjugate: bool, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Rows ``start:stop`` (all by default) of the ``m x m`` table
-    ``exp(+-2*pi*i * (a*b mod m) / m)``, looked up in the m roots of unity;
-    :class:`CapExceededError` before any row is built if the whole table
-    has more than ``GRID_CAP`` entries.  Built on each call, never kept:
-    one table of a large base outweighs its whole grid."""
-    _check_root_table(m)
+    ``exp(+-2*pi*i * (a*b mod m) / m)``, looked up in the m roots of
+    unity.  Built on each call, never kept: one table of a large base
+    outweighs its whole grid."""
     sign = -1.0 if conjugate else 1.0
     roots = np.exp(sign * 2j * np.pi * np.arange(m, dtype=np.float64) / m)
-    index = np.arange(m, dtype=np.int32)  # a*b < m*m <= GRID_CAP < 2**31
+    index = np.arange(m, dtype=np.int32)  # a*b < m*m <= GRID_CAP < 2**31: GroupPattern.group refuses a larger base
     ab = np.multiply.outer(index[start:stop], index)
     ab %= m
     return roots[ab]
@@ -272,11 +254,9 @@ def _run_axes(block: np.ndarray, group: GroupSpec, t: int, conjugate: bool) -> N
 def forward_transform(f: CylinderFunction) -> Spectrum:
     """All Fourier coefficients of ``f``: ``c_n = integral of f * conj(psi_n)``.
 
-    Every base's root table is checked against its cap before any axis
-    runs.  ``f.values`` is only read: the transform runs in a copy.
+    ``f.values`` is only read: the transform runs in a copy.
     """
     g = f.group
-    check_root_tables(g)
     arr = f.values.copy()
     _run_axes(arr, g, g.resolution, conjugate=True)
     arr /= g.size
@@ -286,12 +266,10 @@ def forward_transform(f: CylinderFunction) -> Spectrum:
 def inverse_transform(s: Spectrum) -> CylinderFunction:
     """Synthesize ``sum_n c_n * psi_n`` on the full grid (no normalization).
 
-    Every base's root table is checked against its cap first, before the
-    argument is copied.  ``s.coeffs`` is only read: the transform runs in
-    a copy, through :func:`_synthesize`, so beside the argument it holds
-    one grid vector and the scratch.
+    ``s.coeffs`` is only read: the transform runs in a copy, through
+    :func:`_synthesize`, so beside the argument it holds one grid vector
+    and the scratch.
     """
-    check_root_tables(s.group)
     return _synthesize(s.group, s.coeffs.copy())
 
 
@@ -313,10 +291,8 @@ def _synthesize(group: GroupSpec, coeffs: np.ndarray) -> CylinderFunction:
       to every digit, except that the sum turns ``-0.0`` into ``+0.0``,
       which ``+= 0.0`` does too.
 
-    Every base's root table is checked against its cap first, the bases
-    of skipped axes included.  The scratch is all the transform adds.
+    The scratch is all the transform adds.
     """
-    check_root_tables(group)
     t = group.resolution  # down to the least t with coeffs[M_t:] all zero, of either sign
     while t and not coeffs[group.scales[t - 1] : group.scales[t]].any():
         t -= 1

@@ -211,7 +211,7 @@ def _poison(monkeypatch, argv):
 def test_a_report_that_fails_while_written_leaves_no_out_file(argv, flush, monkeypatch, tmp_path, capsys):
     from vilenkin import serialize
 
-    monkeypatch.setattr(serialize, "_FLUSH_PARTS", flush, raising=False)  # 2: bytes reach the file first
+    monkeypatch.setattr(serialize, "_FLUSH_PARTS", flush)  # 2: bytes reach the file first
     _poison(monkeypatch, argv)
     out = tmp_path / "report.json"
     assert run_cli(*argv, "--out", str(out)) == 2
@@ -363,6 +363,15 @@ def test_readme_commands_parse():
 ])
 def test_base_with_a_root_table_over_the_cap_exits_3(argv, capsys):
     assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cap exceeded: a base-5000 root table has 25000000 entries, cap is 16777216\n"
+
+
+def test_a_kernel_order_past_a_grid_with_an_over_cap_base_exits_3(capsys):
+    # both the order and the base are out of range: the grid is refused
+    # first, as one over the point cap is
+    assert run_cli("kernel", "--kind", "dirichlet", "--n", "6000", "--group", "5000") == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "cap exceeded: a base-5000 root table has 25000000 entries, cap is 16777216\n"

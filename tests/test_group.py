@@ -3,10 +3,11 @@ package's exported names."""
 import importlib
 import itertools
 import pkgutil
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import vilenkin
 from vilenkin.errors import CapExceededError, DomainError
@@ -177,6 +178,45 @@ def test_build_group_spec_refuses_past_the_cap_before_building(monkeypatch):
         build_group_spec([2] * 25)
     with pytest.raises(CapExceededError, match=f"cap is {GRID_CAP}$"):
         build_group_spec([3, 5] * 10_000)
+
+
+@st.composite
+def gated_patterns(draw):
+    """A pattern of bases 2 to 5,000, a depth and a cap, with some bases
+    over 4,096 and some grids within the cap."""
+    small, large = st.integers(2, 64), st.integers(2, 5000)
+    base = tuple(draw(st.lists(st.one_of(small, large), min_size=1, max_size=3)))
+    return GroupPattern(base), draw(st.integers(1, 8)), draw(st.integers(2, GRID_CAP))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gated_patterns())
+@example((GroupPattern((5000,)), 1, GRID_CAP))
+@example((GroupPattern((2, 5000, 4097)), 3, GRID_CAP))
+@example((GroupPattern((2, 5000, 4097)), 2, GRID_CAP))
+@example((GroupPattern((5000, 4097)), 2, GRID_CAP))
+@example((GroupPattern((2, 3, 4097)), 2, GRID_CAP))
+def test_group_refuses_exactly_the_grids_over_either_cap(case):
+    pattern, resolution, cap = case
+    size = pattern.scale(resolution)
+    digits = (pattern.base * resolution)[:resolution]
+    over = [m for m in digits if m * m > GRID_CAP]
+    tracemalloc.start()
+    try:
+        if size > cap:
+            with pytest.raises(CapExceededError, match=f" points, cap is {cap}$"):
+                pattern.group(resolution, cap)
+        elif over:
+            m = over[0]
+            with pytest.raises(CapExceededError, match=f"^a base-{m} root table has {m * m} entries, cap is {GRID_CAP}$"):
+                pattern.group(resolution, cap)
+        else:
+            assert pattern.group(resolution, cap).digits == digits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if size > cap or over:
+        assert peak < 1 << 20
 
 
 def test_parse_group_text_variants():

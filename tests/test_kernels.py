@@ -380,18 +380,23 @@ def test_sweep_raises_a_range_error_in_the_caller_after_every_thread_ends(monkey
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("zero_to", [0, 6])
-def test_sweep_raises_an_error_in_the_callers_own_range_after_every_thread_ends(zero_to, monkeypatch):
+@pytest.mark.parametrize("zero_to, failing", [
+    pytest.param(0, "caller", id="0"),
+    pytest.param(6, "caller", id="6"),
+    pytest.param(0, "worker", id="worker"),
+])
+def test_sweep_raises_an_error_in_the_callers_own_range_after_every_thread_ends(zero_to, failing, monkeypatch):
     # step_character fails on the calling thread alone: in the first range
     # of the summing phase while 2 threads step the others, or, with the
     # coefficients zero up to the midpoint, in the zero run, which starts
-    # no thread
+    # no thread; or it fails on the 2 threads alone, while the caller
+    # steps the first range to its end
     caller = threading.get_ident()
     step = kernels.step_character
 
-    def fail_on_caller(*args):
-        if threading.get_ident() == caller:
-            raise ValueError("caller's range failed")
+    def fail_on_one_side(*args):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise ValueError(f"{failing}'s range failed")
         step(*args)
 
     g = build_group_spec([2, 3, 2])
@@ -401,11 +406,11 @@ def test_sweep_raises_an_error_in_the_callers_own_range_after_every_thread_ends(
     monkeypatch.setattr(kernels, "_SHORT_RUN", 1)  # 6 rows of 2 points
     monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)
     monkeypatch.setattr(kernels, "_THREADS", 3)
-    monkeypatch.setattr(kernels, "step_character", fail_on_caller)
+    monkeypatch.setattr(kernels, "step_character", fail_on_one_side)
     _CountedThread.started = 0
     monkeypatch.setattr(threading, "Thread", _CountedThread)
     before = threading.active_count()
-    with pytest.raises(ValueError, match="caller's range failed"):
+    with pytest.raises(ValueError, match=f"{failing}'s range failed"):
         summed_partial_sums(s, 0, g.size)
     assert threading.active_count() == before
     assert _CountedThread.started == (0 if zero_to else 2)

@@ -420,6 +420,26 @@ def test_summary_csv_converts_each_big_value_once(monkeypatch):
     assert not set(big) & q_numbers
 
 
+def test_summary_csv_checks_one_closed_form_text_per_ledger(monkeypatch):
+    # the CSV writes q_alpha_k but never q_inner, whose text is not made
+    from vilenkin import serialize
+
+    report = divergence_report(build_alpha_sequence(PAT2, 9), cap=2)
+    want = summary_csv(report)
+    checked = []
+    original = serialize._checked_text
+
+    def counted(n, text):
+        checked.append(n)
+        return original(n, text)
+
+    monkeypatch.setattr(serialize, "_checked_text", counted)
+    assert summary_csv(report) == want
+    big = [led.q_index for led in report.ledgers if led.q_inner.bit_length() > SAFE_STR_BITS]
+    assert len(checked) == len(big) == 5  # 10 when q_inner's text was made too
+    assert checked == big
+
+
 def test_no_decimal_text_outlives_its_document(monkeypatch, capsys):
     from vilenkin import cli, serialize
 
@@ -469,6 +489,7 @@ def test_closed_form_text_of_deep_q_numbers_is_int_str(bases, a):
     text = DecimalText()
     text.pattern = pattern
     text.add_q_pair(a, q, q_inner)
+    assert text(q_inner) == int_str(q_inner)  # its text is made when first written
     assert text.memo == {q: int_str(q), q_inner: int_str(q_inner)}
 
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import vilenkin.group
 from vilenkin import transform
 from vilenkin.errors import CapExceededError, DomainError
-from vilenkin.group import build_group_spec, digit_decompose
+from vilenkin.group import GroupPattern, build_group_spec, digit_decompose
 from vilenkin.transform import (
     NAIVE_ORACLE_CAP,
     TABLE_ROWS,
@@ -130,10 +131,11 @@ def test_naive_oracle_refuses_large_groups():
 
 
 def test_root_table_over_the_cap_is_refused_before_it_is_built():
+    # no grid with the base exists, so no transform builds its table
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError, match="base-4097 root table has 16785409 entries, cap is 16777216$"):
-            _root_matrix(4097, True)
+            GroupPattern((4097,)).group(1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,15 +305,16 @@ def test_owned_inverse_is_the_public_inverse_byte_for_byte(digits, depth, seed):
     assert _synthesize(g, values.copy()).values.tobytes() == want
 
 
-@pytest.mark.parametrize("transform, kind", [(inverse_transform, Spectrum), (forward_transform, CylinderFunction)])
-def test_every_root_table_is_checked_before_any_work(transform, kind):
-    # the base-5000 axis comes last, and an all-zero spectrum runs no axis
-    g = build_group_spec([2] * 7 + [5000])
-    data = kind(g, np.zeros(g.size, dtype=np.complex128))
+def test_every_root_table_is_checked_before_any_work(monkeypatch):
+    # the base-5000 axis comes last, and the grid itself is never built
+    def refuse(digits):
+        raise AssertionError("a grid was built before its root tables were checked")
+
+    monkeypatch.setattr(vilenkin.group, "GroupSpec", refuse)
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError, match="base-5000 root table has 25000000 entries, cap is 16777216$"):
-            transform(data)
+            build_group_spec([2] * 7 + [5000])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
