@@ -305,8 +305,10 @@ def test_owned_inverse_is_the_public_inverse_byte_for_byte(digits, depth, seed):
     assert _synthesize(g, values.copy()).values.tobytes() == want
 
 
-def test_every_root_table_is_checked_before_any_work(monkeypatch):
-    # the base-5000 axis comes last, and the grid itself is never built
+@pytest.mark.parametrize("transform, kind", [(inverse_transform, Spectrum), (forward_transform, CylinderFunction)])
+def test_every_root_table_is_checked_before_any_work(transform, kind, monkeypatch):
+    # the base-5000 axis comes last; the grid is refused before it is built,
+    # so neither its data nor the transform is ever reached
     def refuse(digits):
         raise AssertionError("a grid was built before its root tables were checked")
 
@@ -314,7 +316,8 @@ def test_every_root_table_is_checked_before_any_work(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError, match="base-5000 root table has 25000000 entries, cap is 16777216$"):
-            build_group_spec([2] * 7 + [5000])
+            g = build_group_spec([2] * 7 + [5000])
+            transform(kind(g, np.zeros(g.size, dtype=np.complex128)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
