@@ -135,24 +135,24 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     axis.
 
     Work that cannot change a bit is skipped: a zero coefficient adds no
-    rank-one term, and while the running partial sum is still identically
-    zero it is not added to the total and only the character row moves.
+    rank-one term, while the running partial sum is still identically zero
+    it is not added to the total and only the character row moves, and no
+    point is multiplied by the root of its digit 0 (:func:`_digit_lanes`).
     Until the first rank-one term the row is a *prefix row*: its first
     ``M_W`` points, with ``W`` above every axis on which the counter has
     ever had a nonzero digit.  The row depends on no digit at or above
     ``W``, so copies of the prefix are the full row, bit for bit.  A digit
     that wraps from ``m - 1`` to ``0`` has multiplied the row by its unit
     step ``m`` times, a product only close to 1 in floating point, so
-    ``W`` never falls.  The prefix row lives at the start of ``psi``,
-    which is allocated once at full size: in part of its first row while
-    ``M_W < M_K``, stepped by as much of each row step, then in its first
-    rows.  It is tiled up in place: copied into the next ``m_W - 1``
-    blocks of ``M_W`` points whenever a carry first reaches axis ``W``,
-    and into the rest of ``psi`` before the first rank-one term; a
-    nonzero partial sum at ``start`` gets the full row at once.  The
-    prefix row at ``start`` is built on the depth-``W`` grid alone: each
-    of its points gets the same phase sum, in the same order, as on any
-    deeper grid.
+    ``W`` never falls.  It lives in ``tmp`` in digit-reversed order
+    (``x_0`` slowest), where the points with ``x_a = d`` are ``M_a``
+    contiguous blocks of ``M_W / M_{a+1}`` points.  When a carry first
+    reaches axis ``W``, the new fastest digit, each point is repeated
+    ``m_W`` times in place, a row at a time from the top down; after the
+    zero run one transpose writes it into ``psi`` and copies fill the rest.
+    The prefix row at ``start`` is built on the depth-``W`` grid alone:
+    each of its points gets the same phase sum, in the same order, as on
+    any deeper grid.
 
     The zero run is stepped on the calling thread, cut into segments at
     those tile-ups so the prefix is fixed inside a segment; it moves the
@@ -186,33 +186,34 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
         del nonzero  # N bytes, not held through the sweep
     short = sum(1 for run in g.scales[:-1] if run <= _SHORT_RUN)
     run = g.scales[short]
-    # a carry reaches axis a only on a step to a multiple of M_a below stop
-    steps = _sweep_steps(character_basis(g), short, stop)
     totals = total.reshape(-1, run)
     counter = list(digit_decompose(start, g))
     width = max((k for k, d in enumerate(counter) if d), default=0) + 1
     size = g.scales[width]
+    rev = np.empty(g.size, dtype=np.complex128)  # tmp; through the zero run, the prefix row digit-reversed
+    rev[:size].reshape(g.digits[:width])[...] = CharacterBasis(g.truncate(width)).row(start).reshape(g.digits[width - 1 :: -1]).T
+    n = start
+    with np.errstate():  # which restores the ufunc buffer size
+        np.setbufsize(_LANE_BUFFER)
+        while n < first:  # the zero run: only the prefix row moves
+            if n + 1 == size:  # this step carries into axis ``width``
+                m = g.digits[width]
+                tiled = rev[: size * m].reshape(size, m)  # each point m times, a copied row at a time from the top
+                for lo in reversed(range(0, size, run)):
+                    tiled[lo : lo + run] = rev[lo : min(lo + run, size), None].copy()
+                size *= m
+                width += 1
+            lanes = [_digit_lanes(rev[:size].reshape(g.scales[a], g.digits[a], -1), character_basis(g).roots(a)) for a in range(width)]
+            for _ in range(n, min(first, size - 1)):
+                step_character(lanes, counter, g.digits)
+            n = min(first, size - 1)
     psi = np.empty_like(totals)
     flat = psi.reshape(-1)
-    flat[:size] = CharacterBasis(g.truncate(width)).row(start)
-    n = start
-    while n < first:  # the zero run: only the prefix row moves
-        if n + 1 == size:  # this step carries into axis ``width``
-            m = g.digits[width]
-            flat[: size * m].reshape(m, size)[1:] = flat[:size]
-            size *= m
-            width += 1
-        end = min(first, size - 1)
-        cols = min(size, run)  # part of one row, or whole rows
-        prefix = flat[:size].reshape(-1, cols)
-        prefix_steps = [step if step.ndim == 3 else step[: len(prefix), :cols] for step in steps[:width]]
-        views = _step_views(prefix, prefix_steps)
-        for _ in range(n, end):
-            step_character(views, counter, g.digits, prefix_steps)
-        n = end
+    flat[:size].reshape(g.digits[width - 1 :: -1])[...] = rev[:size].reshape(g.digits[:width]).T
     flat.reshape(-1, size)[1:] = flat[:size]
-    tmp = np.empty_like(totals)  # the zero run adds no rank-one term
-    _sweep_segment(psi, cur.reshape(-1, run), totals, tmp, steps, counter, g.digits, s.coeffs[first : stop - 1])
+    # a carry reaches axis a only on a step to a multiple of M_a below stop
+    steps = _sweep_steps(character_basis(g), short, stop)  # after the zero run, which needs only roots
+    _sweep_segment(psi, cur.reshape(-1, run), totals, rev.reshape(-1, run), steps, counter, g.digits, s.coeffs[first : stop - 1])
     total += cur
     return total
 
@@ -227,12 +228,17 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
 # multiply ran at parity and the column one 25-30 % faster (2 shared vCPUs).
 _SHORT_RUN = 4096
 
-# An axis below K whose run M_a is at least _VIEW_RUN points steps by its m_a
-# roots over a (..., m_a, M_a) view instead of an M_K-point row.  It is
-# stepped once in M_a steps, so a slower broadcast costs little there, and
-# at most log2(_VIEW_RUN) axes keep a row however large M_K is: on a grid of
+# An axis below K whose run M_a is at least _VIEW_RUN points steps the lanes
+# of a (..., m_a, M_a) view by their roots instead of an M_K-point row.  It
+# is stepped once in M_a steps, so strided lanes cost little there, and at
+# most log2(_VIEW_RUN) axes keep a row however large M_K is: on a grid of
 # one row, 5 grid vectors of steps instead of one per axis.
 _VIEW_RUN = 32
+
+# The sweep steps with numpy's ufunc buffer cut to this many points: at the
+# default 8,192, numpy 2.4 copies a strided lane of (4, 1,728) points through
+# a 222 KB buffer in 14 us, against 7.6 us and no buffer at 16.
+_LANE_BUFFER = 16
 
 # A sweep segment is split into ranges of whole rows of at least
 # _RANGE_POINTS points, on at most _THREADS threads; shorter ranges cost
@@ -247,7 +253,7 @@ def _sweep_steps(basis: CharacterBasis, short: int, stop: int) -> list[np.ndarra
     ``K = short``: an axis below ``K`` with ``M_a < _VIEW_RUN`` as a
     ``(1, M_K)`` row that every row of the grid shares, any other axis
     below ``K`` as its ``m_a`` roots broadcast to ``(1, m_a, M_a)``, for
-    rows seen as ``(..., m_a, M_a)`` (:func:`_step_views`), and any
+    rows seen as ``(..., m_a, M_a)`` (:func:`_digit_lanes`), and any
     higher axis as an ``(N / M_K, 1)`` column of one root per row.
 
     The unit step of an axis below ``K`` depends on ``x mod M_K`` alone,
@@ -257,14 +263,9 @@ def _sweep_steps(basis: CharacterBasis, short: int, stop: int) -> list[np.ndarra
     ``M_K``.  Either way each point is multiplied by its own root
     ``exp(2*pi*i * x_a / m_a)``, and numpy's complex product of two
     numbers does not depend on whether one of them is broadcast: every
-    step is bit for bit the full-vector one.  (Only an in-place multiply
-    over a single point takes another loop, which can differ in the last
-    bit; a row holds one point only on a one-point grid, a prefix row at
-    least ``m_0``, and a view's runs ``M_a >= _VIEW_RUN >= 2``.)  The first
-    ``M_W`` points of a row are the unit step on a shorter prefix, the
-    row and the roots serve any number of rows, and the first rows of a
-    column are the column on a prefix of as many rows, so a prefix row
-    needs no steps of its own."""
+    step is bit for bit the full-vector one (only a multiply over a single
+    point takes another loop; a row holds one only on a one-point grid).
+    The row and the roots serve any number of rows."""
     g = basis.group
     run = g.scales[short]
     short_grid = CharacterBasis(g.truncate(short))
@@ -283,12 +284,18 @@ def _sweep_steps(basis: CharacterBasis, short: int, stop: int) -> list[np.ndarra
     return steps
 
 
-def _step_views(psi: np.ndarray, steps) -> list[np.ndarray]:
-    """``psi``, whole rows in the layout of :func:`_sweep_steps`, once per
-    step in the shape that step broadcasts against: as ``(..., m_a, M_a)``
-    for a step of roots, as itself for a row or a column.  Each is a view;
-    none copies a point."""
-    return [np.reshape(psi, (-1, *step.shape[1:]), copy=False) if step.ndim == 3 else psi for step in steps]
+def _digit_lanes(view: np.ndarray, roots: np.ndarray) -> list[tuple]:
+    """The ``(lane, root)`` pairs that step axis ``a`` of ``view``, the row
+    as ``(..., m_a, L)``: one per nonzero digit.  Digit 0's root is exactly
+    ``1+0j``, and ``z * (1+0j)`` is ``z`` bit for bit unless a component of
+    ``z`` is -0, which no row has: ``row(n)`` is ``exp(2*pi*i * phase)``
+    with ``phase >= 0``, a product of nonzero factors is nonzero, and an
+    exact cancellation rounds to +0.  A one-point lane would take another
+    numpy loop, which can differ in the last bit, so one pair then steps
+    every nonzero digit."""
+    if view[:, 1].size > 1:
+        return [(view[:, d], roots[d]) for d in range(1, len(roots))]
+    return [(view[:, 1:], roots[1:, None])]
 
 
 def _sweep_segment(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
@@ -334,30 +341,33 @@ def _sweep_segment(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None
 def _sweep_range(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
     """The sweep's loop body on one point range, one step per coefficient;
     it calls only numpy, so it may run on any thread."""
-    views = _step_views(psi, steps)
-    for c in coeffs:
-        total += cur
-        if c:
-            np.multiply(psi, c, out=tmp)
-            cur += tmp
-        step_character(views, counter, digits, steps)
+    lanes = [_digit_lanes(np.reshape(psi, (-1, *st.shape[1:]), copy=False), st[0, :, 0]) if st.ndim == 3 else [(psi, st)] for st in steps]
+    with np.errstate():  # which restores the ufunc buffer size
+        np.setbufsize(_LANE_BUFFER)
+        for c in coeffs:
+            total += cur
+            if c:
+                np.multiply(psi, c, out=tmp)
+                cur += tmp
+            step_character(lanes, counter, digits)
 
 
-def step_character(views: list[np.ndarray], counter: list[int], digits, steps) -> None:
+def step_character(lanes: list[list[tuple]], counter: list[int], digits) -> None:
     """Multiply ``psi_n`` into ``psi_{n+1}`` in place along the carry chain.
 
-    ``counter`` holds n's digits and is advanced too; ``steps[j]`` is the
-    axis-``j`` unit step on the points of ``psi``, and ``views[j]`` is
-    ``psi`` in the shape that step broadcasts against (see
-    :func:`_sweep_steps` and :func:`_step_views`); both must exist for
-    every axis the carry reaches, each ``a`` with ``M_a`` dividing
-    ``n + 1``.  ``n + 1`` must be below ``N``, so the carry never runs
-    past the top axis.  Only numpy runs here, on ``psi`` and ``steps``
-    alone, so disjoint point ranges may be stepped at once.
+    ``counter`` holds n's digits and is advanced too; ``lanes[j]`` lists
+    the ``(view, factor)`` pairs that step axis ``j``: each view of
+    ``psi`` is multiplied in place by its factor, a row or column of
+    :func:`_sweep_steps` or a root (:func:`_digit_lanes`).  They must
+    exist for every axis the carry reaches, each ``a`` with ``M_a``
+    dividing ``n + 1``.  ``n + 1`` must be below ``N``, so the carry never
+    runs past the top axis.  Only numpy runs here, on the views and
+    factors alone, so disjoint point ranges may be stepped at once.
     """
     j = 0
     while True:
-        views[j] *= steps[j]
+        for view, factor in lanes[j]:
+            view *= factor
         counter[j] += 1
         if counter[j] < digits[j]:
             return

@@ -147,6 +147,42 @@ def test_characters_on_deep_grids_are_the_digit_grid_characters_bit_for_bit(patt
     assert_characters_match_digit_grids(g, [g.size - 1, *map(int, rng.integers(1, g.size, 4))])
 
 
+@given(sweep_groups(max_base=7), st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_root_of_digit_zero_leaves_every_stepped_row_bit_for_bit(g, data):
+    # the sweep never multiplies a point by the root of its digit 0: that
+    # root is exactly 1+0j, and z * (1+0j) is z bit for bit unless a
+    # component of z is -0, which no row, built or stepped, has
+    basis = CharacterBasis(g)
+    one = basis.roots(0)[0]
+    for a in range(g.resolution):
+        assert basis.roots(a)[0].tobytes() == np.array([1.0, 0.0]).tobytes()
+    start = data.draw(st.integers(0, g.size - 1))
+    row = basis.row(start)
+    parts = row.view(np.float64)
+    assert not np.signbit(parts[parts == 0]).any()
+    counter = list(digit_decompose(start, g))
+    for _ in range(data.draw(st.integers(0, g.size - 1 - start))):
+        axis = 0
+        while True:  # the carry chain of full_grid_sweep
+            row *= basis.unit_step(axis)
+            counter[axis] += 1
+            if counter[axis] < g.digits[axis]:
+                break
+            counter[axis] = 0
+            axis += 1
+    parts = row.view(np.float64)
+    assert not np.signbit(parts[parts == 0]).any()
+    stepped = row.tobytes()
+    row *= one  # contiguous, by a scalar
+    row *= np.full(g.size, one)  # contiguous, by a vector
+    row[1::2] *= one  # strided
+    row[:1] *= one  # one point, which takes another loop
+    by_digit = row.reshape(-1, g.digits[0])
+    by_digit *= np.full((1, g.digits[0]), one)  # broadcast
+    assert row.tobytes() == stepped
+
+
 def test_dirichlet_smallest_orders():
     g = build_group_spec([2, 3, 2])
     assert sup_abs(dirichlet_kernel(0, g).values) == 0
@@ -248,6 +284,13 @@ def test_summed_partial_sums_is_the_full_grid_sweep_bit_for_bit(from_zero, s, da
 @example(build_group_spec([2] * 12), 0, 100, 4096)  # N = 4,096, at the floor: one row
 @example(build_group_spec([2] * 14), 0, 8200, 8250)  # two rows of 8,192; the prefix tiles up to both
 @example(build_group_spec([2] * 15), 0, 9000, 9050)  # a prefix tiled up to 2 rows, then 4 rows in 4 ranges
+# width-1 prefixes, whose lanes of a digit would be one point each
+@example(build_group_spec([3, 2, 2]), 1, 2, 12)
+@example(build_group_spec([5, 2]), 1, 4, 10)
+@example(build_group_spec([5]), 2, 3, 5)
+@example(build_group_spec([3, 5]), 2, 4, 15)
+@example(build_group_spec([2, 5, 3]), 1, 4, 30)
+@example(build_group_spec([2, 3]), 0, 1, 6)
 @given(sweep_groups(), st.integers(0, 4096), st.integers(0, 4096), st.integers(0, 4096))
 @settings(max_examples=50, deadline=None)
 def test_a_zero_run_from_any_start_is_the_full_grid_sweep(g, start, first, stop):
@@ -363,6 +406,54 @@ def test_a_one_row_sweep_holds_few_step_vectors(monkeypatch):
     monkeypatch.setattr(kernels, "_THREADS", 1)
     _, peak = _peak(lambda: summed_partial_sums(s, 0, g.size))
     assert peak <= 11.2 * g.size * np.dtype(np.complex128).itemsize
+
+
+@pytest.mark.parametrize("g, first, multiplied", [
+    pytest.param(GroupPattern((2, 2, 3)).group(13), 20736, 319_004_171, id="2,2,3"),
+    pytest.param(build_group_spec([2] * 13), 4096, 11_233_963, id="const:2"),
+])
+def test_a_zero_run_multiplies_only_the_points_whose_digit_is_nonzero(g, first, multiplied, monkeypatch):
+    # grid-audit's and exact-json's block-0 grids, with coefficients zero
+    # below M_{N-1}: every step of the zero run multiplies the lanes of the
+    # nonzero digits of each axis its carry reaches, (m - 1) / m of the
+    # prefix (608,980,886 and 22,467,926 points when it multiplied all)
+    coeffs = np.zeros(g.size, dtype=np.complex128)
+    coeffs[first:] = 1
+    sizes = []
+    step = kernels.step_character
+
+    def count(lanes, counter, digits):
+        axis = 0
+        while counter[axis] == digits[axis] - 1:
+            axis += 1
+        sizes.append(sum(view.size for pairs in lanes[: axis + 1] for view, _ in pairs))
+        step(lanes, counter, digits)
+
+    monkeypatch.setattr(kernels, "step_character", count)
+    monkeypatch.setattr(kernels, "_THREADS", 1)
+    summed_partial_sums(Spectrum(g, coeffs), 0, first + 2)
+    assert len(sizes) == first + 1  # the zero run, then one summing step
+    assert sum(sizes[:first]) == multiplied
+
+
+def test_sweep_restores_the_callers_ufunc_buffer_size(monkeypatch):
+    # the sweep steps with a small ufunc buffer on every thread it runs on,
+    # and gives the caller's back, after an error too
+    def fail(*args):
+        raise ValueError("step failed")
+
+    s = forward_transform(random_cylinder_function(build_group_spec([2, 3, 2]), seed=4))
+    monkeypatch.setattr(kernels, "_SHORT_RUN", 1)
+    monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)
+    monkeypatch.setattr(kernels, "_THREADS", 3)
+    with np.errstate():
+        np.setbufsize(4096)
+        summed_partial_sums(s, 0, s.group.size)
+        assert np.getbufsize() == 4096
+        monkeypatch.setattr(kernels, "step_character", fail)
+        with pytest.raises(ValueError, match="step failed"):
+            summed_partial_sums(s, 0, s.group.size)
+        assert np.getbufsize() == 4096
 
 
 def test_sweep_raises_a_range_error_in_the_caller_after_every_thread_ends(monkeypatch):
