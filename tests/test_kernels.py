@@ -414,7 +414,7 @@ def test_a_one_row_sweep_holds_few_step_vectors(monkeypatch):
 ])
 def test_a_zero_run_multiplies_only_the_points_whose_digit_is_nonzero(g, first, multiplied, monkeypatch):
     # grid-audit's and exact-json's block-0 grids, with coefficients zero
-    # below M_{N-1}: every step of the zero run multiplies the lanes of the
+    # below M_12: every step of the zero run multiplies the lanes of the
     # nonzero digits of each axis its carry reaches, (m - 1) / m of the
     # prefix (608,980,886 and 22,467,926 points when it multiplied all)
     coeffs = np.zeros(g.size, dtype=np.complex128)
@@ -437,8 +437,8 @@ def test_a_zero_run_multiplies_only_the_points_whose_digit_is_nonzero(g, first, 
 
 
 def test_sweep_restores_the_callers_ufunc_buffer_size(monkeypatch):
-    # the sweep steps with a small ufunc buffer on every thread it runs on,
-    # and gives the caller's back, after an error too
+    # the sweep sets a small ufunc buffer for its own steps, on the caller
+    # and on 2 threads, and gives the caller's back, after an error too
     def fail(*args):
         raise ValueError("step failed")
 
