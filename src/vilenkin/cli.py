@@ -268,6 +268,13 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _require(ok, message: str) -> None:
+    """A selftest check: raise :class:`VerificationError` with ``message``
+    unless ``ok``, so that the check holds under ``python -O`` too."""
+    if not ok:
+        raise VerificationError(message)
+
+
 def _selftest_checks():
     import numpy as np
 
@@ -279,60 +286,68 @@ def _selftest_checks():
 
     def digits_round_trip():
         g = build_group_spec([2, 3, 2, 4, 5])
-        assert all(digit_compose(digit_decompose(n, g), g) == n for n in range(g.size))
+        wrong = [n for n in range(g.size) if digit_compose(digit_decompose(n, g), g) != n]
+        _require(not wrong, f"{len(wrong)} of {g.size} indices change in a digit round trip, first {wrong[:1]}")
 
     def q_recursion():
         for base in ((2,), (3,), (2, 3)):
             pat = GroupPattern(base)
             for a in range(1, 8):
-                assert pat.q_number(a) == pat.scale(2 * a) + pat.q_number(a - 1)
-                assert pat.q_number(a) <= 2 * pat.scale(2 * a)
+                q, scale = pat.q_number(a), pat.scale(2 * a)
+                _require(q == scale + pat.q_number(a - 1), f"{base}: q_{a} = {q}, M_{2 * a} + q_{a - 1} = {scale + pat.q_number(a - 1)}")
+                _require(q <= 2 * scale, f"{base}: q_{a} = {q} > 2 M_{2 * a} = {2 * scale}")
 
     def transform_round_trip():
         g = build_group_spec([2, 3, 2, 4])
         f = random_cylinder_function(g, seed=11)
         spec = forward_transform(f)
         back = inverse_transform(spec)
-        assert sup_rel_error(back.values, f.values) < 1e-12
+        err = sup_rel_error(back.values, f.values)
+        _require(err < 1e-12, f"round-trip error {err} >= 1e-12")
         energy_f = float(np.mean(np.abs(f.values) ** 2))
         energy_c = float(np.sum(np.abs(spec.coeffs) ** 2))
-        assert abs(energy_f - energy_c) <= 1e-9 * max(1.0, energy_f)
+        _require(abs(energy_f - energy_c) <= 1e-9 * max(1.0, energy_f), f"energy {energy_f} on the grid, {energy_c} in the spectrum")
 
     def oracle_agreement():
         g = build_group_spec([2, 3, 2, 4])
         f = random_cylinder_function(g, seed=5)
-        assert sup_rel_error(forward_transform(f).coeffs, naive_transform_oracle(f).coeffs) < 1e-9
+        err = sup_rel_error(forward_transform(f).coeffs, naive_transform_oracle(f).coeffs)
+        _require(err < 1e-9, f"transform differs from the oracle by {err} >= 1e-9")
 
     def dirichlet_block_form():
         g = build_group_spec([2, 3, 2])
         for n in range(g.resolution + 1):
             d = dirichlet_kernel(g.scales[n], g)
             ind = zero_cylinder_indicator(g, n)
-            assert np.max(np.abs(d.values - g.scales[n] * ind.values)) < 1e-10
+            err = np.max(np.abs(d.values - g.scales[n] * ind.values))
+            _require(err < 1e-10, f"D_{g.scales[n]} differs from M_{n} times its cylinder indicator by {err} >= 1e-10")
 
     def fejer_dual_routes():
         g = serialize.decode_group("const:2^6")
         s = forward_transform(random_cylinder_function(g, seed=3))
         a = fejer_mean_direct(s, 21).values
         b = fejer_mean_multiplier(s, 21).values
-        assert np.max(np.abs(a - b)) < 1e-10
-        k = fejer_kernel(21, g)
-        assert abs(k.values[0].real - 10.0) < 1e-10
+        err = np.max(np.abs(a - b))
+        _require(err < 1e-10, f"the two Fejer mean routes differ by {err} >= 1e-10")
+        k0 = fejer_kernel(21, g).values[0].real
+        _require(abs(k0 - 10.0) < 1e-10, f"K_21(0) = {k0}, not 10")
 
     def kernel_floor():
         report = lemma2_verify(GroupPattern((2,)), 3)
-        assert report.passed
+        _require(report.passed, "lemma2 on const:2 at A = 3 did not pass")
 
     def counterexample_ledgers():
         seq = build_alpha_sequence(GroupPattern((2,)), 2)
         report = divergence_report(seq)
-        assert report.passed
+        _require(report.passed, f"the divergence report of alphas {seq.alphas} did not pass")
         atom, interval = atom_function(seq, 0, seq.pattern.group(2 * seq.alphas[0] + 1))
         atom_report = validate_p_atom(atom, interval, Fraction(1, 2))
-        assert atom_report.is_atom
+        _require(atom_report.is_atom, f"block 0 is not a 1/2-atom: {atom_report}")
         star = maximal_function(atom)
-        assert float(np.mean(np.sqrt(np.abs(star.values)))) <= 1 + 1e-9
-        assert seq.pattern.q_number(6) == 5461
+        size = float(np.mean(np.sqrt(np.abs(star.values))))
+        _require(size <= 1 + 1e-9, f"the atom's maximal function has L_1/2 mean {size} > 1")
+        q6 = seq.pattern.q_number(6)
+        _require(q6 == 5461, f"q_6 of const:2 = {q6}, not 5461")
 
     return [
         ("digit round trip", digits_round_trip),

@@ -124,35 +124,30 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     row along the carry chain, so the whole sweep is a small constant
     number of vector operations per index.
 
-    Every vector is stepped as rows of ``M_K`` points, ``M_K`` the first
-    scale above ``_SHORT_RUN`` (or ``N`` on a grid no larger) and ``K``
-    the number of axes below it.  Besides its four grid vectors (the row
+    Every vector is kept in digit-reversed order (``x_0`` slowest), where
+    the points with ``x_a = d`` are ``M_a`` contiguous blocks of
+    ``N / M_{a+1}`` points, and each axis the carry reaches steps only the
+    lanes of its nonzero digits, each by that digit's root
+    (:func:`_digit_lanes`).  The sweep holds four grid vectors (the row
     ``psi``, the partial sum ``cur``, ``total`` and the scratch ``tmp``)
-    the sweep holds only its unit steps, built once in that layout
-    (:func:`_sweep_steps`): one ``M_K``-point row per axis below ``K``
-    whose run ``M_a`` is under ``_VIEW_RUN``, the ``m_a`` roots of any
-    other axis below ``K``, and one ``N / M_K``-entry column per higher
-    axis.
+    and no step table; two copies with no arithmetic move a partial sum at
+    ``start > 0`` into that order and the total back to grid order.
 
     Work that cannot change a bit is skipped: a zero coefficient adds no
     rank-one term, while the running partial sum is still identically zero
     it is not added to the total and only the character row moves, and no
-    point is multiplied by the root of its digit 0 (:func:`_digit_lanes`).
-    Until the first rank-one term the row is a *prefix row*: its first
-    ``M_W`` points, with ``W`` above every axis on which the counter has
+    point is multiplied by the root of its digit 0.  Until the first
+    rank-one term the row is a *prefix row*: its ``M_W`` values on the
+    depth-``W`` grid, with ``W`` above every axis on which the counter has
     ever had a nonzero digit.  The row depends on no digit at or above
-    ``W``, so copies of the prefix are the full row, bit for bit.  A digit
-    that wraps from ``m - 1`` to ``0`` has multiplied the row by its unit
-    step ``m`` times, a product only close to 1 in floating point, so
-    ``W`` never falls.  It lives in ``tmp`` in digit-reversed order
-    (``x_0`` slowest), where the points with ``x_a = d`` are ``M_a``
-    contiguous blocks of ``M_W / M_{a+1}`` points.  When a carry first
-    reaches axis ``W``, the new fastest digit, each point is repeated
-    ``m_W`` times in place, a row at a time from the top down; after the
-    zero run one transpose writes it into ``psi`` and copies fill the rest.
-    The prefix row at ``start`` is built on the depth-``W`` grid alone:
-    each of its points gets the same phase sum, in the same order, as on
-    any deeper grid.
+    ``W``, the fastest ones in this order, so repeating each prefix point
+    ``N / M_W`` times gives the full row, bit for bit.  A digit that wraps from ``m - 1`` to ``0``
+    has multiplied the row by its unit step ``m`` times, a product only
+    close to 1 in floating point, so ``W`` never falls.  When a carry
+    first reaches axis ``W``, each point is repeated ``m_W`` times into
+    the other buffer, which becomes the row.  The prefix row at ``start``
+    is built on the depth-``W`` grid alone: each of its points gets the
+    same phase sum, in the same order, as on any deeper grid.
 
     The zero run is stepped on the calling thread, cut into segments at
     those tile-ups so the prefix is fixed inside a segment; it moves the
@@ -160,13 +155,13 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     term on, each step changes a point's row, partial sum and total from
     that point's own values alone, so a grid of at least
     ``2 * _RANGE_POINTS`` points is stepped as up to ``_THREADS`` ranges
-    of whole rows (:func:`_sweep_segment`): the first on the calling
-    thread, each other one on its own thread with its own copy of the
-    counter; numpy releases the interpreter lock inside each vector
-    operation.  Every point gets the same multiplies and adds in the same
-    order whatever the split, so the result is bit for bit the same for
-    any thread count, and bit for bit the full-grid sweep that does every
-    multiply and add.
+    of whole blocks of the slowest digits (:func:`_sweep_segment`): the
+    first on the calling thread, each other one on its own thread with its
+    own copy of the counter; numpy releases the interpreter lock inside
+    each vector operation.  Every point gets the same multiplies and adds
+    in the same order whatever the split, so the result is bit for bit the
+    same for any thread count, and bit for bit the full-grid sweep that
+    does every multiply and add.
     """
     g = s.group
     if not 0 <= start <= stop <= g.size:
@@ -184,143 +179,105 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
             return total
         first = start + int(nonzero.argmax())
         del nonzero  # N bytes, not held through the sweep
-    short = sum(1 for run in g.scales[:-1] if run <= _SHORT_RUN)
-    run = g.scales[short]
-    totals = total.reshape(-1, run)
+    tmp = np.empty(g.size, dtype=np.complex128)
+    if start:  # the grid-order copy becomes the scratch
+        cur, tmp = _reverse_digits(cur, g.digits[::-1], tmp), cur
     counter = list(digit_decompose(start, g))
     width = max((k for k, d in enumerate(counter) if d), default=0) + 1
     size = g.scales[width]
-    rev = np.empty(g.size, dtype=np.complex128)  # tmp; through the zero run, the prefix row digit-reversed
-    rev[:size].reshape(g.digits[:width])[...] = CharacterBasis(g.truncate(width)).row(start).reshape(g.digits[width - 1 :: -1]).T
+    psi = np.empty(g.size, dtype=np.complex128)
+    _reverse_digits(CharacterBasis(g.truncate(width)).row(start), g.digits[width - 1 :: -1], psi[:size])
+    roots = [character_basis(g).roots(a) for a in range(g.resolution)]
     n = start
     with np.errstate():  # which restores the ufunc buffer size
         np.setbufsize(_LANE_BUFFER)
         while n < first:  # the zero run: only the prefix row moves
             if n + 1 == size:  # this step carries into axis ``width``
-                m = g.digits[width]
-                tiled = rev[: size * m].reshape(size, m)  # each point m times, a copied row at a time from the top
-                for lo in reversed(range(0, size, run)):
-                    tiled[lo : lo + run] = rev[lo : min(lo + run, size), None].copy()
-                size *= m
+                tmp[: size * g.digits[width]].reshape(size, -1)[...] = psi[:size, None]
+                psi, tmp = tmp, psi
+                size *= g.digits[width]
                 width += 1
-            lanes = [_digit_lanes(rev[:size].reshape(g.scales[a], g.digits[a], -1), character_basis(g).roots(a)) for a in range(width)]
+            lanes = [_digit_lanes(psi[:size], 0, size // g.scales[a + 1], roots[a]) for a in range(width)]
             for _ in range(n, min(first, size - 1)):
                 step_character(lanes, counter, g.digits)
             n = min(first, size - 1)
-    psi = np.empty_like(totals)
-    flat = psi.reshape(-1)
-    flat[:size].reshape(g.digits[width - 1 :: -1])[...] = rev[:size].reshape(g.digits[:width]).T
-    flat.reshape(-1, size)[1:] = flat[:size]
-    # a carry reaches axis a only on a step to a multiple of M_a below stop
-    steps = _sweep_steps(character_basis(g), short, stop)  # after the zero run, which needs only roots
-    _sweep_segment(psi, cur.reshape(-1, run), totals, rev.reshape(-1, run), steps, counter, g.digits, s.coeffs[first : stop - 1])
+    tmp.reshape(size, -1)[...] = psi[:size, None]
+    psi, tmp = tmp, psi
+    _sweep_segment(psi, cur, total, tmp, roots, counter, g, s.coeffs[first : stop - 1])
     total += cur
-    return total
+    return _reverse_digits(total, g.digits, psi)
 
-
-# A partial-sum sweep steps every vector as rows of M_K points, M_K the first
-# scale above _SHORT_RUN: each axis below K by one M_K-point row of its unit
-# step, broadcast down the rows, and each higher axis by a column of one root
-# per row.  The floor is where those broadcast multiplies stop being slow: in
-# place on a (rows, L) array of about 40,000 points, numpy 2.4 took 1.6-2.0x
-# as long with a (1, L) row or a (rows, 1) column as with a contiguous
-# operand for L from 1,728 to 4,096 points, and from L = 4,608 up the row
-# multiply ran at parity and the column one 25-30 % faster (2 shared vCPUs).
-_SHORT_RUN = 4096
-
-# An axis below K whose run M_a is at least _VIEW_RUN points steps the lanes
-# of a (..., m_a, M_a) view by their roots instead of an M_K-point row.  It
-# is stepped once in M_a steps, so strided lanes cost little there, and at
-# most log2(_VIEW_RUN) axes keep a row however large M_K is: on a grid of
-# one row, 5 grid vectors of steps instead of one per axis.
-_VIEW_RUN = 32
 
 # The sweep steps with numpy's ufunc buffer cut to this many points: at the
 # default 8,192, numpy 2.4 copies a strided lane of (4, 1,728) points through
 # a 222 KB buffer in 14 us, against 7.6 us and no buffer at 16.
 _LANE_BUFFER = 16
 
-# A sweep segment is split into ranges of whole rows of at least
-# _RANGE_POINTS points, on at most _THREADS threads; shorter ranges cost
-# more in per-step interpreter work than the threads save.
+# A sweep segment is split into ranges of whole blocks of the slowest digits
+# of at least _RANGE_POINTS points, on at most _THREADS threads; shorter
+# ranges cost more in per-step interpreter work than the threads save.
 _RANGE_POINTS = 8192
 _THREADS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
-def _sweep_steps(basis: CharacterBasis, short: int, stop: int) -> list[np.ndarray]:
-    """The unit steps of the axes a carry reaches on a step below
-    ``stop``, each in the layout of rows of ``M_K`` points with
-    ``K = short``: an axis below ``K`` with ``M_a < _VIEW_RUN`` as a
-    ``(1, M_K)`` row that every row of the grid shares, any other axis
-    below ``K`` as its ``m_a`` roots broadcast to ``(1, m_a, M_a)``, for
-    rows seen as ``(..., m_a, M_a)`` (:func:`_digit_lanes`), and any
-    higher axis as an ``(N / M_K, 1)`` column of one root per row.
-
-    The unit step of an axis below ``K`` depends on ``x mod M_K`` alone,
-    so its row is the unit step on the depth-``K`` grid, and ``M_{a+1}``
-    divides the points of any whole rows, so they have the view; that of
-    a higher axis is constant on runs of ``M_a`` points, a multiple of
-    ``M_K``.  Either way each point is multiplied by its own root
-    ``exp(2*pi*i * x_a / m_a)``, and numpy's complex product of two
-    numbers does not depend on whether one of them is broadcast: every
-    step is bit for bit the full-vector one (only a multiply over a single
-    point takes another loop; a row holds one only on a one-point grid).
-    The row and the roots serve any number of rows."""
-    g = basis.group
-    run = g.scales[short]
-    short_grid = CharacterBasis(g.truncate(short))
-    steps = []
-    for a in range(g.resolution):
-        m, low = g.digits[a], g.scales[a]
-        if low >= stop:
-            break
-        if a >= short:
-            step = np.tile(np.repeat(basis.roots(a), low // run), g.size // g.scales[a + 1])[:, None]
-        elif low >= _VIEW_RUN:
-            step = np.broadcast_to(basis.roots(a)[None, :, None], (1, m, low))
-        else:
-            step = short_grid.unit_step(a)[None, :]
-        steps.append(step)
-    return steps
+def _reverse_digits(src: np.ndarray, shape, out: np.ndarray) -> np.ndarray:
+    """``src``, a C-order array of ``shape``, written into ``out`` with its
+    axes in reverse order: grid order (``x_0`` fastest, ``shape`` the
+    bases from the top) into digit-reversed order, or back."""
+    out.reshape(shape[::-1])[...] = src.reshape(shape).T
+    return out
 
 
-def _digit_lanes(view: np.ndarray, roots: np.ndarray) -> list[tuple]:
-    """The ``(lane, root)`` pairs that step axis ``a`` of ``view``, the row
-    as ``(..., m_a, L)``: one per nonzero digit.  Digit 0's root is exactly
-    ``1+0j``, and ``z * (1+0j)`` is ``z`` bit for bit unless a component of
-    ``z`` is -0, which no row has: ``row(n)`` is ``exp(2*pi*i * phase)``
-    with ``phase >= 0``, a product of nonzero factors is nonzero, and an
-    exact cancellation rounds to +0.  A one-point lane would take another
-    numpy loop, which can differ in the last bit, so one pair then steps
-    every nonzero digit."""
-    if view[:, 1].size > 1:
-        return [(view[:, d], roots[d]) for d in range(1, len(roots))]
-    return [(view[:, 1:], roots[1:, None])]
+def _digit_lanes(part: np.ndarray, lo: int, run: int, roots: np.ndarray) -> list[tuple]:
+    """The ``(lane, root)`` pairs that step one axis of ``part``, the
+    points from ``lo`` on of a digit-reversed row in which that axis's
+    digit of point ``x`` is ``(x // run) % m``: one pair per nonzero
+    digit over ``part`` seen as ``(..., m, run)``, or, where ``part`` is
+    not whole periods of ``m * run`` points, one per run of a nonzero
+    digit that it cuts.
+
+    Digit 0's root is exactly ``1+0j``, and ``z * (1+0j)`` is ``z`` bit
+    for bit unless a component of ``z`` is -0, which no row has:
+    ``row(n)`` is ``exp(2*pi*i * phase)`` with ``phase >= 0``, a product
+    of nonzero factors is nonzero, and an exact cancellation rounds to
+    +0.  A one-point lane would take another numpy loop, which can differ
+    in the last bit, so one pair then steps every nonzero digit."""
+    m = len(roots)
+    if lo % (m * run) == 0 == len(part) % (m * run):
+        lanes = part.reshape(-1, m, run)
+        if lanes[:, 1].size > 1:
+            return [(lanes[:, d], roots[d]) for d in range(1, m)]
+        return [(lanes[:, 1:], roots[1:, None])]
+    cuts = [lo, *range(lo + run - lo % run, lo + len(part), run), lo + len(part)]
+    return [(part[a - lo : b - lo], roots[a // run % m]) for a, b in zip(cuts, cuts[1:]) if a // run % m]
 
 
-def _sweep_segment(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
+def _sweep_segment(psi, cur, total, tmp, roots, counter, g, coeffs) -> None:
     """Step the row ``psi``, and the partial sum ``cur`` and ``total``
-    with it, through one coefficient per step, as ranges of whole rows,
-    each with its own copy of ``counter``: the first on the calling
-    thread, each other one on a thread of its own.
+    with it, all digit-reversed, through one coefficient per step, as
+    ranges of whole blocks of the slowest digits ``x_0 .. x_{j-1}``, each
+    with its own copy of ``counter``: the first on the calling thread,
+    each other one on a thread of its own.
 
-    Every vector and step is in the row layout of :func:`_sweep_steps`.
-    A range takes its own rows of each column step and the whole of each
-    one-row step.  An exception, the caller's range's too, is raised
-    again here only after every thread has been joined.
+    Inside a block an axis below ``j`` is one digit, so the range steps
+    it by multiplying whole blocks by their root, and each other axis by
+    its lanes.  ``j`` stops at ``R - 1``, so no block is a single point.
+    An exception, the caller's range's too, is raised again here only
+    after every thread has been joined.
     """
-    rows = len(psi)
-    parts = max(1, min(_THREADS, psi.size // _RANGE_POINTS, rows))
-    bounds = [rows * i // parts for i in range(parts + 1)]
+    parts = max(1, min(_THREADS, psi.size // _RANGE_POINTS))
+    blocks = next((run for run in g.scales[:-1] if run >= parts), g.scales[-2])
+    parts = min(parts, blocks)
+    bounds = [blocks * i // parts * (psi.size // blocks) for i in range(parts + 1)]
     ranges = [
-        (psi[lo:hi], cur[lo:hi], total[lo:hi], tmp[lo:hi], [step if len(step) == 1 else step[lo:hi] for step in steps])
+        (psi[lo:hi], cur[lo:hi], total[lo:hi], tmp[lo:hi], [_digit_lanes(psi[lo:hi], lo, psi.size // g.scales[a + 1], roots[a]) for a in range(g.resolution)])
         for lo, hi in zip(bounds, bounds[1:])
     ]
     errors: list[Exception] = []
 
     def run(part):
         try:
-            _sweep_range(*part, list(counter), digits, coeffs)
+            _sweep_range(*part, list(counter), g.digits, coeffs)
         except Exception as exc:  # raised again in the caller below
             errors.append(exc)
 
@@ -338,10 +295,9 @@ def _sweep_segment(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None
         raise errors[0]
 
 
-def _sweep_range(psi, cur, total, tmp, steps, counter, digits, coeffs) -> None:
+def _sweep_range(psi, cur, total, tmp, lanes, counter, digits, coeffs) -> None:
     """The sweep's loop body on one point range, one step per coefficient;
     it calls only numpy, so it may run on any thread."""
-    lanes = [_digit_lanes(np.reshape(psi, (-1, *st.shape[1:]), copy=False), st[0, :, 0]) if st.ndim == 3 else [(psi, st)] for st in steps]
     with np.errstate():  # which restores the ufunc buffer size
         np.setbufsize(_LANE_BUFFER)
         for c in coeffs:
@@ -356,18 +312,18 @@ def step_character(lanes: list[list[tuple]], counter: list[int], digits) -> None
     """Multiply ``psi_n`` into ``psi_{n+1}`` in place along the carry chain.
 
     ``counter`` holds n's digits and is advanced too; ``lanes[j]`` lists
-    the ``(view, factor)`` pairs that step axis ``j``: each view of
-    ``psi`` is multiplied in place by its factor, a row or column of
-    :func:`_sweep_steps` or a root (:func:`_digit_lanes`).  They must
-    exist for every axis the carry reaches, each ``a`` with ``M_a``
+    the ``(view, root)`` pairs that step axis ``j`` (:func:`_digit_lanes`):
+    each view of the digit-reversed ``psi`` is multiplied in place by the
+    root of its digit on that axis, so each point by its unit step.  They
+    must exist for every axis the carry reaches, each ``a`` with ``M_a``
     dividing ``n + 1``.  ``n + 1`` must be below ``N``, so the carry never
-    runs past the top axis.  Only numpy runs here, on the views and
-    factors alone, so disjoint point ranges may be stepped at once.
+    runs past the top axis.  Only numpy runs here, on the views and roots
+    alone, so disjoint point ranges may be stepped at once.
     """
     j = 0
     while True:
-        for view, factor in lanes[j]:
-            view *= factor
+        for view, root in lanes[j]:
+            view *= root
         counter[j] += 1
         if counter[j] < digits[j]:
             return

@@ -344,7 +344,9 @@ class CharacterBasis:
     changes when digit ``a`` of its frequency goes up by one.  Neither is
     kept: each call builds a new full-grid vector, which lives as long as
     its caller holds it.  ``roots(a)`` are the ``m_a`` values that unit
-    step takes, each on runs of ``M_a`` points.
+    step takes, each on runs of ``M_a`` points.  The partial-sum sweep
+    steps by ``roots`` alone; ``unit_step`` stays for the test suite's
+    oracle sweep, which steps whole rows with it.
     """
 
     def __init__(self, group: GroupSpec):

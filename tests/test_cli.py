@@ -592,3 +592,22 @@ def test_closed_stdout_exits_141_without_a_traceback():
         finally:
             proc.kill()
     assert err == b""
+
+
+def test_selftest_fails_a_check_under_python_O():
+    # -O strips assert statements: a check whose q_number is wrong must
+    # still fail, with its reason, and the selftest exit with 4
+    code = (
+        "import sys\n"
+        "from vilenkin import cli\n"
+        "from vilenkin.group import GroupPattern\n"
+        "q_number = GroupPattern.q_number\n"
+        "GroupPattern.q_number = lambda self, a: 2 * q_number(self, a)\n"
+        "sys.exit(cli.main(['selftest']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4
+    lines = proc.stdout.splitlines()
+    failed = [line for line in lines if line.startswith("fail - sparse order recursion and doubling: ")]
+    assert len(failed) == 1 and failed[0].split(": ", 1)[1].strip()
+    assert "selftest check(s) failed" in proc.stderr

@@ -312,19 +312,16 @@ def test_a_zero_run_from_any_start_is_the_full_grid_sweep(g, start, first, stop)
 @given(sweep_spectra(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_sweep_split_into_tiny_thread_ranges_is_the_full_grid_sweep(s, data):
-    # rows of a few points under a floor of 1 to 4, and ranges of 1 or 2
-    # points on 3 threads: a summing phase of 2 rows or more is split, into
-    # ranges of one row too; a short switch interval makes the threads
-    # interleave between steps
+    # ranges of 1 or 2 points on 3 threads: a summing phase is split into
+    # ranges of as few whole blocks as the grid allows, of one block too; a
+    # short switch interval makes the threads interleave between steps
     start = data.draw(st.integers(0, s.group.size))
     stop = data.draw(st.integers(start, s.group.size))
     range_points = data.draw(st.sampled_from([1, 2]))
-    floor = data.draw(st.sampled_from([1, 2, 4]))
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_SHORT_RUN", floor)
             mp.setattr(kernels, "_RANGE_POINTS", range_points)
             mp.setattr(kernels, "_THREADS", 3)
             fast = summed_partial_sums(s, start, stop)
@@ -333,93 +330,87 @@ def test_sweep_split_into_tiny_thread_ranges_is_the_full_grid_sweep(s, data):
     assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
 
 
+@st.composite
+def sweep_ranges(draw, max_base=5):
+    """A spectrum of :func:`sweep_spectra` and a summation range that is
+    empty, one point long, ragged or starts past 0."""
+    s = draw(sweep_spectra(max_base))
+    start = draw(st.one_of(st.just(0), st.integers(0, s.group.size)))
+    ragged = st.integers(start, s.group.size)
+    stop = draw(st.one_of(st.just(start), st.just(min(start + 1, s.group.size)), ragged, ragged))
+    return s, start, stop
+
+
+def dense_spectrum(digits, seed=0):
+    return forward_transform(random_cylinder_function(build_group_spec(digits), seed=seed))
+
+
 @pytest.mark.parametrize("threads", [1, 4])
-@given(sweep_spectra(max_base=7), st.data())
+# one range point on 4 threads: if the blocks of the slowest digits went
+# down to x_{R-1}, these grids would be cut into one-point blocks
+@example((dense_spectrum([2, 5]), 0, 10), 1)
+@example((dense_spectrum([5], seed=2), 0, 5), 1)
+@example((dense_spectrum([7]), 0, 7), 1)
+@given(sweep_ranges(max_base=7), st.sampled_from([1, 2, 8192]))
 @settings(max_examples=150, deadline=None)
-def test_sweep_with_few_full_step_vectors_is_the_full_grid_sweep(threads, s, data):
-    # a low _SHORT_RUN floor makes rows of a few points, so the first axes
-    # step by a short row that every row shares and the higher axes by one
-    # root per row; thread ranges of any row count, and summation ranges
-    # that are empty, one point long, ragged or start past 0
-    g = s.group
-    start = data.draw(st.one_of(st.just(0), st.integers(0, g.size)))
-    ragged = st.integers(start, g.size)
-    stop = data.draw(st.one_of(st.just(start), st.just(min(start + 1, g.size)), ragged, ragged))
+def test_sweep_with_few_full_step_vectors_is_the_full_grid_sweep(threads, case, range_points):
+    # no step vector at all: every axis steps by its roots; thread ranges
+    # of any block count, and summation ranges that are empty, one point
+    # long, ragged or start past 0
+    s, start, stop = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_SHORT_RUN", data.draw(st.sampled_from([2, 3, 4, 8, 16])))
-        mp.setattr(kernels, "_RANGE_POINTS", data.draw(st.sampled_from([1, 2, 8192])))
+        mp.setattr(kernels, "_RANGE_POINTS", range_points)
         mp.setattr(kernels, "_THREADS", threads)
         fast = summed_partial_sums(s, start, stop)
     assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
 
 
-def test_sweep_holds_four_grid_vectors_beside_its_step_rows_and_columns(monkeypatch):
-    # 92,160 points in 16 rows of M_K = 5,760 (K = 10): a sweep past M_13
-    # reaches all 14 axes, and its zero run tiles the prefix row up from
-    # one row to 2, 4, 8 and all 16 in place
+def test_sweep_holds_four_grid_vectors_and_the_ufunc_buffer(monkeypatch):
+    # 92,160 points: a sweep past M_13 reaches all 14 axes, and its zero
+    # run tiles the prefix row up through every axis from a width of one
     g = build_group_spec([3, 2, 5, 2, 3] + [2] * 9)
-    short = sum(1 for run in g.scales[:-1] if run <= kernels._SHORT_RUN)
-    run = g.scales[short]
-    assert g.size >= 2**16 and (short, run) == (10, 5760)
+    assert g.size >= 2**16
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[g.scales[13]] = 1
     s = Spectrum(g, coeffs)
     monkeypatch.setattr(kernels, "_THREADS", 1)
     _, peak = _peak(lambda: summed_partial_sums(s, 0, g.scales[13] + 2))
-    # psi, cur, total and tmp; one M_K-point row per axis below K and one
-    # N/M_K-entry column per higher axis; the ufunc buffer numpy may take
-    # for a broadcast multiply
-    columns = (g.resolution - short) * (g.size // run)
-    items = 4 * g.size + short * run + columns + np.getbufsize()
-    assert peak <= items * np.dtype(np.complex128).itemsize
+    # psi, cur, total and tmp, and the ufunc buffer numpy may take for a
+    # broadcast multiply
+    assert peak <= (4 * g.size + np.getbufsize()) * np.dtype(np.complex128).itemsize
 
 
 @given(sweep_spectra(max_base=7), st.data())
 @settings(max_examples=150, deadline=None)
 def test_sweep_stepping_long_runs_by_their_roots_is_the_full_grid_sweep(s, data):
-    # a low _VIEW_RUN makes the axes from a run of 2 to 8 points up step by
-    # their roots over a (..., m_a, M_a) view, on rows of any length, on
-    # prefix rows, and on thread ranges of one row or more
+    # every axis, of a run of one point up, steps the lanes of its nonzero
+    # digits by their roots, on prefix rows and on thread ranges of one
+    # block or more
     g = s.group
     start = data.draw(st.one_of(st.just(0), st.integers(0, g.size)))
     stop = data.draw(st.integers(start, g.size))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_VIEW_RUN", data.draw(st.sampled_from([2, 3, 4, 8])))
-        mp.setattr(kernels, "_SHORT_RUN", data.draw(st.sampled_from([4, 16, 64, 4096])))
         mp.setattr(kernels, "_RANGE_POINTS", data.draw(st.sampled_from([1, 8, 8192])))
         mp.setattr(kernels, "_THREADS", data.draw(st.sampled_from([1, 3])))
         fast = summed_partial_sums(s, start, stop)
     assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
 
 
-def test_a_one_row_sweep_holds_few_step_vectors(monkeypatch):
-    # const:2^13, exact-json's block-0 grid, is one row of M_K = N points:
-    # an M_K-point row of steps per axis took 17.1 grid vectors at the
-    # peak; the axes with a run of _VIEW_RUN points or more step by their
-    # roots instead
+def test_a_const_2_sweep_holds_four_grid_vectors_and_the_ufunc_buffer(monkeypatch):
+    # const:2^13, exact-json's block-0 grid, whose zero run tiles the
+    # prefix row up through all 13 axes: every axis steps by its roots
     g = build_group_spec([2] * 13)
-    short = sum(1 for run in g.scales[:-1] if run <= kernels._SHORT_RUN)
-    assert g.scales[short] == g.size
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[g.scales[12] :] = 1
     s = Spectrum(g, coeffs)
     monkeypatch.setattr(kernels, "_THREADS", 1)
     _, peak = _peak(lambda: summed_partial_sums(s, 0, g.size))
-    assert peak <= 11.2 * g.size * np.dtype(np.complex128).itemsize
+    assert peak <= (4 * g.size + np.getbufsize()) * np.dtype(np.complex128).itemsize
 
 
-@pytest.mark.parametrize("g, first, multiplied", [
-    pytest.param(GroupPattern((2, 2, 3)).group(13), 20736, 319_004_171, id="2,2,3"),
-    pytest.param(build_group_spec([2] * 13), 4096, 11_233_963, id="const:2"),
-])
-def test_a_zero_run_multiplies_only_the_points_whose_digit_is_nonzero(g, first, multiplied, monkeypatch):
-    # grid-audit's and exact-json's block-0 grids, with coefficients zero
-    # below M_12: every step of the zero run multiplies the lanes of the
-    # nonzero digits of each axis its carry reaches, (m - 1) / m of the
-    # prefix (608,980,886 and 22,467,926 points when it multiplied all)
-    coeffs = np.zeros(g.size, dtype=np.complex128)
-    coeffs[first:] = 1
-    sizes = []
+def count_multiplies(mp, sizes):
+    """Wrap ``step_character`` under ``mp``: each call appends to ``sizes``
+    the points it multiplies."""
     step = kernels.step_character
 
     def count(lanes, counter, digits):
@@ -429,11 +420,77 @@ def test_a_zero_run_multiplies_only_the_points_whose_digit_is_nonzero(g, first, 
         sizes.append(sum(view.size for pairs in lanes[: axis + 1] for view, _ in pairs))
         step(lanes, counter, digits)
 
-    monkeypatch.setattr(kernels, "step_character", count)
+    mp.setattr(kernels, "step_character", count)
+
+
+def predicted_multiplies(g, start, first, stop):
+    """The points a sweep from ``start`` to ``stop`` with its first
+    rank-one term at ``first`` multiplies, by one closed form: a step
+    n -> n + 1 multiplies (m_a - 1) / m_a of the points it steps on each
+    axis a its carry reaches; before ``first`` those are the prefix of
+    M_W points, W the axes that start's or n + 1's digits use, and from
+    there all N."""
+    def used(x):
+        return next(w for w in range(g.resolution + 1) if g.scales[w] > x)
+
+    count = 0
+    for n in range(start, stop - 1):
+        points = g.scales[max(1, used(start), used(n + 1))] if n < first else g.size
+        axis = 0
+        while True:
+            count += points // g.digits[axis] * (g.digits[axis] - 1)
+            if (n + 1) % g.scales[axis + 1]:
+                break
+            axis += 1
+    return count
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@given(sweep_groups(max_base=7), st.integers(0, 4096), st.integers(0, 4096), st.integers(0, 4096), st.sampled_from([1, 2, 8]))
+@settings(max_examples=100, deadline=None)
+def test_one_closed_form_prices_the_whole_sweep(threads, g, start, first, stop, range_points):
+    # coefficients zero below ``first`` and random from there: the sweep
+    # multiplies exactly the points the closed form predicts, in its zero
+    # run and after it, however its summing phase is split into ranges
+    start, stop = sorted(min(x, g.size) for x in (start, stop))
+    first = min(first, g.size)
+    rng = np.random.default_rng(first)
+    coeffs = np.zeros(g.size, dtype=np.complex128)
+    coeffs[first:] = rng.standard_normal(g.size - first) + 1j * rng.standard_normal(g.size - first)
+    sizes = []
+    with pytest.MonkeyPatch.context() as mp:
+        count_multiplies(mp, sizes)
+        mp.setattr(kernels, "_RANGE_POINTS", range_points)
+        mp.setattr(kernels, "_THREADS", threads)
+        summed_partial_sums(Spectrum(g, coeffs), start, stop)
+    if start > first:  # the partial sum at ``start`` is nonzero: no zero run
+        expected = predicted_multiplies(g, start, start, stop)
+    elif first < stop - 1:
+        expected = predicted_multiplies(g, start, first, stop)
+    else:  # no rank-one term before ``stop - 1``: nothing is stepped
+        expected = 0
+    assert sum(sizes) == expected
+
+
+@pytest.mark.parametrize("g, first, stop, zero_run, summing", [
+    pytest.param(GroupPattern((2, 2, 3)).group(13), 20736, 24941, 319_004_171, 174_258_432, id="2,2,3"),
+    pytest.param(build_group_spec([2] * 13), 4096, 5461, 11_233_963, 11_153_408, id="const:2"),
+])
+def test_a_zero_run_multiplies_only_the_points_whose_digit_is_nonzero(g, first, stop, zero_run, summing, monkeypatch):
+    # grid-audit's and exact-json's block-0 grids up to their q_alpha, with
+    # coefficients zero below M_12: every step multiplies the lanes of the
+    # nonzero digits of each axis its carry reaches, (m - 1) / m of the
+    # prefix in the zero run and of the grid after it
+    coeffs = np.zeros(g.size, dtype=np.complex128)
+    coeffs[first:] = 1
+    sizes = []
+    count_multiplies(monkeypatch, sizes)
     monkeypatch.setattr(kernels, "_THREADS", 1)
-    summed_partial_sums(Spectrum(g, coeffs), 0, first + 2)
-    assert len(sizes) == first + 1  # the zero run, then one summing step
-    assert sum(sizes[:first]) == multiplied
+    summed_partial_sums(Spectrum(g, coeffs), 0, stop)
+    assert len(sizes) == stop - 1  # the zero run, then the summing steps
+    assert sum(sizes[:first]) == zero_run
+    assert sum(sizes[first:]) == summing
+    assert zero_run + summing == predicted_multiplies(g, 0, first, stop)
 
 
 def test_sweep_restores_the_callers_ufunc_buffer_size(monkeypatch):
@@ -443,7 +500,6 @@ def test_sweep_restores_the_callers_ufunc_buffer_size(monkeypatch):
         raise ValueError("step failed")
 
     s = forward_transform(random_cylinder_function(build_group_spec([2, 3, 2]), seed=4))
-    monkeypatch.setattr(kernels, "_SHORT_RUN", 1)
     monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)
     monkeypatch.setattr(kernels, "_THREADS", 3)
     with np.errstate():
@@ -494,8 +550,7 @@ def test_sweep_raises_an_error_in_the_callers_own_range_after_every_thread_ends(
     coeffs = forward_transform(random_cylinder_function(g, seed=4)).coeffs.copy()
     coeffs[:zero_to] = 0
     s = Spectrum(g, coeffs)
-    monkeypatch.setattr(kernels, "_SHORT_RUN", 1)  # 6 rows of 2 points
-    monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)
+    monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)  # 3 ranges of 2 blocks of 2 points
     monkeypatch.setattr(kernels, "_THREADS", 3)
     monkeypatch.setattr(kernels, "step_character", fail_on_one_side)
     _CountedThread.started = 0
