@@ -293,8 +293,8 @@ def _selftest_checks():
         for base in ((2,), (3,), (2, 3)):
             pat = GroupPattern(base)
             for a in range(1, 8):
-                q, scale = pat.q_number(a), pat.scale(2 * a)
-                _require(q == scale + pat.q_number(a - 1), f"{base}: q_{a} = {q}, M_{2 * a} + q_{a - 1} = {scale + pat.q_number(a - 1)}")
+                q, prev, scale = pat.q_number(a), pat.q_number(a - 1), pat.scale(2 * a)
+                _require(q == scale + prev, f"{base}: q_{a} = {q}, M_{2 * a} + q_{a - 1} = {scale + prev}")
                 _require(q <= 2 * scale, f"{base}: q_{a} = {q} > 2 M_{2 * a} = {2 * scale}")
 
     def transform_round_trip():
@@ -345,7 +345,7 @@ def _selftest_checks():
         _require(atom_report.is_atom, f"block 0 is not a 1/2-atom: {atom_report}")
         star = maximal_function(atom)
         size = float(np.mean(np.sqrt(np.abs(star.values))))
-        _require(size <= 1 + 1e-9, f"the atom's maximal function has L_1/2 mean {size} > 1")
+        _require(size <= 1 + 1e-9, f"the mean square root of the atom's maximal function is {size} > 1")
         q6 = seq.pattern.q_number(6)
         _require(q6 == 5461, f"q_6 of const:2 = {q6}, not 5461")
 
