@@ -222,10 +222,7 @@ def cmd_lemma2(args: argparse.Namespace) -> int:
     report = lemma2_verify(_load_pattern(args.group), args.A)
     _write_json(report, args.out)
     if not report.passed:
-        print(
-            f"kernel floor fails: global min ratio {report.global_min_ratio} < 0.25",
-            file=sys.stderr,
-        )
+        print(report.first_failure(), file=sys.stderr)
         return 4
     return 0
 
@@ -334,12 +331,12 @@ def _selftest_checks():
 
     def kernel_floor():
         report = lemma2_verify(GroupPattern((2,)), 3)
-        _require(report.passed, "lemma2 on const:2 at A = 3 did not pass")
+        _require(report.passed, f"lemma2 on const:2 at A = 3 did not pass: {report.first_failure()}")
 
     def counterexample_ledgers():
         seq = build_alpha_sequence(GroupPattern((2,)), 2)
         report = divergence_report(seq)
-        _require(report.passed, f"the divergence report of alphas {seq.alphas} did not pass")
+        _require(report.passed, f"the divergence report of alphas {seq.alphas} did not pass: {report.first_failure()}")
         atom, interval = atom_function(seq, 0, seq.pattern.group(2 * seq.alphas[0] + 1))
         atom_report = validate_p_atom(atom, interval, Fraction(1, 2))
         _require(atom_report.is_atom, f"block 0 is not a 1/2-atom: {atom_report}")

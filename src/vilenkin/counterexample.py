@@ -25,6 +25,8 @@ from .exact import (
     AlphaSequence,
     BoundLedger,
     RegionBound,
+    Verdict,
+    _Verdicts,
     bound_chain_evaluate,
     build_alpha_sequence,
     coefficient_oracle,
@@ -293,7 +295,7 @@ class RegionKernelMinimum:
 
 
 @dataclass(frozen=True)
-class KernelBoundReport:
+class KernelBoundReport(_Verdicts):
     group: GroupSpec
     level: int  # regions live at depth 2 * level
     kernel_order: int  # q_number(level - 1)
@@ -303,7 +305,12 @@ class KernelBoundReport:
 
     @property
     def passed(self) -> bool:
-        return self.global_min_ratio >= self.threshold * (1 - 1e-12)
+        return self.first_failure() is None
+
+    def verdicts(self) -> tuple[Verdict, ...]:
+        ratio = self.global_min_ratio
+        return (Verdict("global_min_ratio", ratio >= self.threshold * (1 - 1e-12),
+                        f"kernel floor fails: global min ratio {ratio} < {self.threshold}"),)
 
 
 def lemma2_verify(pattern: GroupPattern, level: int) -> KernelBoundReport:

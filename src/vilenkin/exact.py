@@ -37,10 +37,10 @@ the function stays in H_{1/2}.
 Everything on the inequality side of that story is here, in exact
 integer/rational arithmetic: this module imports no numpy and computes no
 float, apart from the display fields of :func:`_series_report` and the
-tolerance of ``SeriesReport.ok``.  Grids enter only for desk-scale
-cross-checks of the algebraic identities, in :mod:`vilenkin.counterexample`,
-which :func:`divergence_report` imports only when some block's grid fits
-its cap.
+tolerance of the weight-sum verdict of ``SeriesReport.verdicts``.  Grids
+enter only for desk-scale cross-checks of the algebraic identities, in
+:mod:`vilenkin.counterexample`, which :func:`divergence_report` imports
+only when some block's grid fits its cap.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .errors import CapExceededError, DomainError, VerificationError, brief
 from .group import GRID_CAP, GroupPattern, GroupSpec
 
 __all__ = [
+    "Verdict",
     "LevelCertificate",
     "AlphaSequence",
     "RegionBound",
@@ -105,6 +106,26 @@ def _brief_repr(self) -> str:
         exact = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
         parts.append(f"{f.name}={brief(value) if exact else repr(value)}")
     return f"{type(self).__name__}({', '.join(parts)})"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One check of a report.  ``name`` is the report field that decides it;
+    ``ok`` is ``None`` for a skipped check; ``reason`` is the message the
+    check fails with, or why it was skipped.  A report's ``all_ok``, ``ok``
+    or ``passed`` means that none of its ``verdicts()`` fails."""
+
+    name: str
+    ok: bool | None
+    reason: str
+
+
+class _Verdicts:
+    """A report whose checks are the ordered tuple of its ``verdicts()``."""
+
+    def first_failure(self) -> str | None:
+        """The reason of the first failing verdict, if any."""
+        return next((v.reason for v in self.verdicts() if v.ok is False), None)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +345,7 @@ class RegionBound:
 
 
 @dataclass(frozen=True, repr=False)
-class BoundLedger:
+class BoundLedger(_Verdicts):
     """Everything needed to audit the lower bound for one block, exactly.
 
     Every verdict is reproducible from the stored exact values alone.
@@ -356,7 +377,19 @@ class BoundLedger:
 
     @property
     def all_ok(self) -> bool:
-        return self.q_doubling_ok and self.history_ok and self.separation_all_ok
+        return self.first_failure() is None
+
+    def verdicts(self) -> tuple[Verdict, ...]:
+        k, c, q = self.k, self.corner, self.q_index
+        return (
+            Verdict("q_doubling_ok", self.q_doubling_ok,
+                    f"k={k}: q = {brief(q)} > 2 M_2a = {brief(2 * (q - self.q_inner))}"),
+            Verdict("history_ok", self.history_ok, f"k={k}: history pieces "
+                    f"{brief(self.low_part_bound)} exceed threshold {brief(self.threshold)}"),
+            Verdict("separation_all_ok", self.separation_all_ok,
+                    f"k={k}: region separation fails at corner (eta, s) = ({c.eta}, {c.s}): "
+                    f"(M-1) * {brief(c.product)} < M * {brief(self.m_alpha)}"),
+        )
 
 
 def _region_bound(
@@ -494,7 +527,7 @@ class DivergenceRow:
 
 
 @dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(_Verdicts):
     """The membership side: ``f`` really lives in H_{1/2}.
 
     ``weight_sqrt_sum`` upper-bounds ``sum_k alpha_k^{-1/2}`` (rational
@@ -516,18 +549,27 @@ class SeriesReport:
 
     @property
     def ok(self) -> bool:
-        checks = [
-            self.doubling_ok,
-            self.weight_sqrt_sum <= self.geometric_majorant * (1 + 1e-12),
-        ]
-        for flag in (self.atoms_ok, self.atom_maximal_ok, self.grid_estimate_ok):
-            if flag is not None:
-                checks.append(flag)
-        return all(checks)
+        return self.first_failure() is None
+
+    def verdicts(self) -> tuple[Verdict, ...]:
+        return tuple(
+            Verdict(name, ok, "no block's grid fits the cap" if ok is None
+                    else f"H_{{1/2}} membership side failed: {why}")
+            for name, ok, why in (
+                ("doubling_ok", self.doubling_ok, "alpha_{k+1} >= 2 alpha_k fails"),
+                ("weight_sqrt_sum", self.weight_sqrt_sum <= self.geometric_majorant * (1 + 1e-12),
+                 f"weight sum {self.weight_sqrt_sum} exceeds its majorant {self.geometric_majorant}"),
+                ("atoms_ok", self.atoms_ok, "a block is not a (1/2)-atom on its grid"),
+                ("atom_maximal_ok", self.atom_maximal_ok,
+                 "an atom's maximal function has a root integral above 1"),
+                ("grid_estimate_ok", self.grid_estimate_ok,
+                 f"grid estimate {self.hardy_estimate_on_grid} exceeds hardy_upper {self.hardy_upper}"),
+            )
+        )
 
 
 @dataclass(frozen=True, repr=False)
-class DivergenceReport:
+class DivergenceReport(_Verdicts):
     __repr__ = _brief_repr
 
     pattern: GroupPattern
@@ -546,47 +588,29 @@ class DivergenceReport:
     def passed(self) -> bool:
         return self.first_failure() is None
 
-    def first_failure(self) -> str | None:
-        """Human-readable description of the first failing verdict, if any."""
-        for led in self.ledgers:
-            if not led.q_doubling_ok:
-                return (
-                    f"k={led.k}: q = {brief(led.q_index)} > 2 M_2a = "
-                    f"{brief(2 * (led.q_index - led.q_inner))}"
-                )
-            if not led.history_ok:
-                return (
-                    f"k={led.k}: history pieces {brief(led.low_part_bound)} exceed "
-                    f"threshold {brief(led.threshold)}"
-                )
-            if not led.separation_all_ok:
-                return (
-                    f"k={led.k}: region separation fails at corner "
-                    f"(eta, s) = ({led.corner.eta}, {led.corner.s}): "
-                    f"(M-1) * {brief(led.corner.product)} < M * {brief(led.m_alpha)}"
-                )
-        if not self.lb_strictly_increasing:
-            pairs = list(zip(self.ledgers, self.ledgers[1:]))
-            for a, b in pairs:
-                if b.lb_squared <= a.lb_squared:
-                    return (
-                        f"LB not increasing: LB_{b.k}^2 = {brief(b.lb_squared)} <= "
-                        f"LB_{a.k}^2 = {brief(a.lb_squared)}"
-                    )
-            return "LB not strictly increasing"
-        if not self.series.ok:
-            return "H_{1/2} membership side failed (see series report)"
-        for row in self.rows:
-            if row.pointwise_ok is False:
-                return f"k={row.k}: pointwise region floor violated on the grid"
-            if row.integral_dominates_ok is False:
-                return (
-                    f"k={row.k}: direct integral {row.direct_integral} below "
-                    f"the exact region bound"
-                )
-        if len(self.k_range) > 1 and self.rate_certified_from is None:
-            return "rate certificate 4 count_k >= alpha_k never stabilizes"
-        return None
+    def verdicts(self) -> tuple[Verdict, ...]:
+        """Each ledger's checks, LB order, the series, the grid rows, then the rate."""
+        def named(field: str, report) -> list[Verdict]:
+            return [dataclasses.replace(v, name=f"{field}.{v.name}") for v in report.verdicts()]
+
+        out = [v for i, led in enumerate(self.ledgers) for v in named(f"ledgers[{i}]", led)]
+        drops = ((a, b) for a, b in zip(self.ledgers, self.ledgers[1:]) if b.lb_squared <= a.lb_squared)
+        out.append(Verdict("lb_strictly_increasing", self.lb_strictly_increasing, next(
+            (f"LB not increasing: LB_{b.k}^2 = {brief(b.lb_squared)} <= LB_{a.k}^2 = {brief(a.lb_squared)}"
+             for a, b in drops), "LB not strictly increasing")))
+        out += named("series", self.series)
+        for i, row in enumerate(self.rows):
+            for name, ok, why in (
+                ("pointwise_ok", row.pointwise_ok, "pointwise region floor violated on the grid"),
+                ("integral_dominates_ok", row.integral_dominates_ok,
+                 f"direct integral {row.direct_integral} below the exact region bound"),
+            ):
+                why = "its grid is over the cap" if ok is None else why
+                out.append(Verdict(f"rows[{i}].{name}", ok, f"k={row.k}: {why}"))
+        rate = None if len(self.k_range) == 1 else self.rate_certified_from is not None
+        out.append(Verdict("rate_certified_from", rate, "one block, no rate to certify" if rate is None
+                           else "rate certificate 4 count_k >= alpha_k never stabilizes"))
+        return tuple(out)
 
 
 def _series_report(seq: AlphaSequence, grids: list[GroupSpec]) -> SeriesReport:
@@ -598,7 +622,7 @@ def _series_report(seq: AlphaSequence, grids: list[GroupSpec]) -> SeriesReport:
     total = Fraction(0)
     for a in alphas:
         total += rational_sqrt_upper(Fraction(1, a))
-    doubling_ok = all(b >= 2 * a for a, b in zip(alphas, alphas[1:]))
+    doubling_ok = all(c.doubling_ok for c in seq.certificates[1:])  # alpha_k >= 2 alpha_{k-1}
     # sum_k alpha_k^{-1/2} <= alpha_0^{-1/2} / (1 - 2^{-1/2}) under doubling
     majorant = float(rational_sqrt_upper(Fraction(1, alphas[0]))) / (1 - 2**-0.5)
     hardy_upper = float(total) ** 2

@@ -1,4 +1,5 @@
 """CLI behavior: flags, exit codes, output formats, determinism."""
+import dataclasses
 import json
 import shlex
 import subprocess
@@ -10,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vilenkin import cli, counterexample, kernels, transform
+from vilenkin import cli, counterexample, kernels, serialize, transform
 from vilenkin.cli import main
+from vilenkin.exact import build_alpha_sequence, divergence_report
 from vilenkin.group import GRID_CAP, GroupPattern, build_group_spec
 from vilenkin.serialize import doc_to_function, dumps_canonical, function_to_doc
 from vilenkin.kernels import fejer_kernel
@@ -611,3 +613,155 @@ def test_selftest_fails_a_check_under_python_O():
     failed = [line for line in lines if line.startswith("fail - sparse order recursion and doubling: ")]
     assert len(failed) == 1 and failed[0].split(": ", 1)[1].strip()
     assert "selftest check(s) failed" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# verdicts: each one fails the CLI in turn, and the JSON fields follow them
+# ---------------------------------------------------------------------------
+
+# the verdicts of ``counterexample --group const:2 --kmax 2`` in report order;
+# block 0's grid fits the default cap, block 1's does not
+CONST2_K2_VERDICTS = (
+    "ledgers[0].q_doubling_ok", "ledgers[0].history_ok", "ledgers[0].separation_all_ok",
+    "ledgers[1].q_doubling_ok", "ledgers[1].history_ok", "ledgers[1].separation_all_ok",
+    "lb_strictly_increasing",
+    "series.doubling_ok", "series.weight_sqrt_sum", "series.atoms_ok", "series.atom_maximal_ok",
+    "series.grid_estimate_ok",
+    "rows[0].pointwise_ok", "rows[0].integral_dominates_ok",
+    "rows[1].pointwise_ok", "rows[1].integral_dominates_ok",
+    "rate_certified_from",
+)
+
+
+@pytest.fixture(scope="module")
+def const2_k2_report():
+    return divergence_report(build_alpha_sequence(GroupPattern((2,)), 2))
+
+
+def _steps(name: str):
+    """The attribute names and indices of a verdict name such as ``ledgers[0].history_ok``."""
+    for part in name.split("."):
+        field, _, index = part.rstrip("]").partition("[")
+        yield field
+        if index:
+            yield int(index)
+
+
+def _failing(obj, steps):
+    """``obj`` with only the field at ``steps`` set to a value that fails its verdict."""
+    field, *rest = steps
+    if rest and isinstance(rest[0], int):
+        items = list(getattr(obj, field))
+        items[rest[0]] = _failing(items[rest[0]], rest[1:])
+        value = tuple(items)
+    elif rest:
+        value = _failing(getattr(obj, field), rest)
+    elif field == "weight_sqrt_sum":
+        value = 2 * obj.geometric_majorant
+    elif field == "rate_certified_from":
+        value = None
+    else:
+        value = False
+    return dataclasses.replace(obj, **{field: value})
+
+
+def test_the_const2_k2_report_has_these_verdicts(const2_k2_report):
+    verdicts = const2_k2_report.verdicts()
+    assert tuple(v.name for v in verdicts) == CONST2_K2_VERDICTS
+    assert [v.name for v in verdicts if v.ok is not True] == ["rows[1].pointwise_ok", "rows[1].integral_dominates_ok"]
+    assert [v.ok for v in verdicts if v.ok is not True] == [None, None]
+
+
+@pytest.mark.parametrize("name", CONST2_K2_VERDICTS)
+def test_each_verdict_fails_the_counterexample_command_with_its_reason(name, const2_k2_report, monkeypatch, capsys):
+    broken = _failing(const2_k2_report, list(_steps(name)))
+    failed = [v for v in broken.verdicts() if v.ok is False]
+    assert [v.name for v in failed] == [name]
+    assert failed[0].reason and broken.first_failure() == failed[0].reason
+    monkeypatch.setattr(cli, "divergence_report", lambda seq, cap: broken)
+    assert run_cli("counterexample", "--group", "const:2", "--kmax", "2") == 4
+    out, err = capsys.readouterr()
+    assert err == f"verification failed: {failed[0].reason}\n"
+    assert out == serialize.summary_csv(broken)
+
+
+def test_a_series_failure_names_its_check(const2_k2_report):
+    names = [name for name in CONST2_K2_VERDICTS if name.startswith("series.")]
+    reasons = {_failing(const2_k2_report, list(_steps(name))).first_failure() for name in names}
+    assert len(reasons) == len(names)
+    assert all(reason.startswith("H_{1/2} membership side failed: ") for reason in reasons)
+
+
+def test_a_failing_kernel_floor_fails_lemma2_with_its_reason(monkeypatch, capsys):
+    broken = dataclasses.replace(counterexample.lemma2_verify(GroupPattern((2,)), 4), global_min_ratio=0.1)
+    monkeypatch.setattr(counterexample, "lemma2_verify", lambda pattern, level: broken)
+    assert run_cli("lemma2", "--group", "const:2", "--A", "4") == 4
+    out, err = capsys.readouterr()
+    assert err == "kernel floor fails: global min ratio 0.1 < 0.25\n"
+    assert out == dumps_canonical(broken) + "\n"
+    assert json.loads(out)["passed"] is False
+
+
+def test_selftest_names_the_failing_verdict_of_each_report_check(monkeypatch, capsys):
+    lemma2, report = counterexample.lemma2_verify, cli.divergence_report
+    monkeypatch.setattr(
+        counterexample, "lemma2_verify", lambda *a: dataclasses.replace(lemma2(*a), global_min_ratio=0.1)
+    )
+    monkeypatch.setattr(
+        cli, "divergence_report", lambda *a, **k: dataclasses.replace(report(*a, **k), rate_certified_from=None)
+    )
+    assert run_cli("selftest") == 4
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("fail - ")]
+    alphas = build_alpha_sequence(GroupPattern((2,)), 2).alphas
+    assert failed == [
+        "fail - kernel floor on regions: lemma2 on const:2 at A = 3 did not pass: "
+        "kernel floor fails: global min ratio 0.1 < 0.25",
+        f"fail - counterexample ledgers and atom checks: the divergence report of alphas {alphas} "
+        "did not pass: rate certificate 4 count_k >= alpha_k never stabilizes",
+    ]
+
+
+def _none_failed(verdicts) -> bool:
+    return all(v.ok is not False for v in verdicts)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--group", "const:2", "--kmax", "6"],
+        ["counterexample", "--group", "2,3", "--kmax", "4", "--materialize-cap", "50000"],
+        ["counterexample", "--group", "const:2", "--kmax", "1"],
+        ["lemma2", "--group", "const:2", "--A", "4"],
+    ],
+)
+def test_json_verdict_fields_equal_their_records(argv, monkeypatch, capsys):
+    reports = []
+
+    def recorded(make):
+        def wrapped(*args, **kwargs):
+            reports.append(make(*args, **kwargs))
+            return reports[-1]
+        return wrapped
+
+    monkeypatch.setattr(cli, "divergence_report", recorded(cli.divergence_report))
+    monkeypatch.setattr(counterexample, "lemma2_verify", recorded(counterexample.lemma2_verify))
+    assert run_cli(*argv, *(["--json"] if argv[0] == "counterexample" else [])) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (report,) = reports
+    verdicts = report.verdicts()
+    assert doc["passed"] is _none_failed(verdicts)
+    if argv[0] == "counterexample":
+        assert doc["series"]["ok"] is _none_failed(report.series.verdicts())
+        for led, led_doc in zip(report.ledgers, doc["ledgers"], strict=True):
+            assert led_doc["all_ok"] is _none_failed(led.verdicts())
+    for verdict in verdicts:
+        *head, last = _steps(verdict.name)
+        owner, value = report, doc
+        for step in head:
+            owner = owner[step] if isinstance(step, int) else getattr(owner, step)
+            value = value[step]
+        kind = {f.name: f.type for f in dataclasses.fields(owner)}[last]
+        if kind in ("bool", "bool | None"):
+            assert verdict.ok is value[last], verdict.name
+        if verdict.ok is None:
+            assert verdict.reason, verdict.name

@@ -1,7 +1,8 @@
 """The exact core stays exact and numpy-free: no float enters ``exact``,
 ``group`` or ``errors`` outside two named display spots, an exact-only
 command loads no grid module, and the package namespace loads its names
-lazily from their home modules."""
+lazily from their home modules.  No ``assert`` statement is left in the
+package, so ``python -O`` checks as much as ``python`` does."""
 import ast
 import importlib
 import json
@@ -23,7 +24,7 @@ GRID_MODULES = ("numpy", "vilenkin.counterexample", "vilenkin.kernels", "vilenki
 FLOAT_ALLOWED = {
     "exact._series_report": "rounds the exact weight sums to the display fields "
     "weight_sqrt_sum, geometric_majorant and hardy_upper",
-    "exact.SeriesReport.ok": "a float verdict on those display fields, until an exact "
+    "exact.SeriesReport.verdicts": "a float verdict on those display fields, until an exact "
     "membership certificate replaces it",
 }
 
@@ -71,6 +72,16 @@ def test_exact_modules_hold_no_float_outside_the_allow_list():
     outside = {scope: uses for scope, uses in found.items() if scope not in FLOAT_ALLOWED}
     assert outside == {}
     assert set(found) == set(FLOAT_ALLOWED)  # no stale entry either
+
+
+def test_no_assert_statement_in_the_package():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
