@@ -303,13 +303,11 @@ class KernelBoundReport(_Verdicts):
     regions: tuple[RegionKernelMinimum, ...]
     global_min_ratio: float
 
-    @property
-    def passed(self) -> bool:
-        return self.first_failure() is None
+    passed = property(_Verdicts._none_fails)
 
     def verdicts(self) -> tuple[Verdict, ...]:
         ratio = self.global_min_ratio
-        return (Verdict("global_min_ratio", ratio >= self.threshold * (1 - 1e-12),
+        return (Verdict("global_min_ratio", bool(ratio >= self.threshold * (1 - 1e-12)),
                         f"kernel floor fails: global min ratio {ratio} < {self.threshold}"),)
 
 

@@ -37,10 +37,10 @@ the function stays in H_{1/2}.
 Everything on the inequality side of that story is here, in exact
 integer/rational arithmetic: this module imports no numpy and computes no
 float, apart from the display fields of :func:`_series_report` and the
-tolerance of the weight-sum verdict of ``SeriesReport.verdicts``.  Grids
-enter only for desk-scale cross-checks of the algebraic identities, in
-:mod:`vilenkin.counterexample`, which :func:`divergence_report` imports
-only when some block's grid fits its cap.
+tolerance of ``SeriesReport.verdicts``.  Grids enter only for desk-scale
+cross-checks of the algebraic identities, in :mod:`vilenkin.counterexample`,
+which :func:`divergence_report` imports only when some block's grid fits
+its cap.
 """
 
 from __future__ import annotations
@@ -110,22 +110,28 @@ def _brief_repr(self) -> str:
 
 @dataclass(frozen=True)
 class Verdict:
-    """One check of a report.  ``name`` is the report field that decides it;
-    ``ok`` is ``None`` for a skipped check; ``reason`` is the message the
-    check fails with, or why it was skipped.  A report's ``all_ok``, ``ok``
-    or ``passed`` means that none of its ``verdicts()`` fails."""
+    """One check of a report: the field ``name`` that decides it, ``ok``
+    (``None`` when skipped) and the ``reason`` it fails or is skipped with."""
 
     name: str
     ok: bool | None
     reason: str
 
 
+def _verdicts(at: str, skipped: str, *checks: tuple) -> tuple[Verdict, ...]:
+    """A verdict ``at + name`` per ``(name, ok, why)``: ``ok`` a Python bool, or ``None`` and ``skipped``."""
+    return tuple(Verdict(at + n, None, skipped) if ok is None else Verdict(at + n, bool(ok), why)
+                 for n, ok, why in checks)
+
+
 class _Verdicts:
-    """A report whose checks are the ordered tuple of its ``verdicts()``."""
+    """A report whose ``all_ok``, ``ok`` or ``passed`` means that none of its ``verdicts()`` fails."""
 
     def first_failure(self) -> str | None:
-        """The reason of the first failing verdict, if any."""
-        return next((v.reason for v in self.verdicts() if v.ok is False), None)
+        return next((v.reason for v in self.verdicts() if v.ok is not None and not v.ok), None)
+
+    def _none_fails(self) -> bool:
+        return self.first_failure() is None
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +381,18 @@ class BoundLedger(_Verdicts):
     region_sum_squared: Fraction | None  # exact region-assembled integral bound, squared
     c_certified: bool  # LB_k^2 >= alpha / (32 M^4)^2, i.e. 4 count >= alpha
 
-    @property
-    def all_ok(self) -> bool:
-        return self.first_failure() is None
+    all_ok = property(_Verdicts._none_fails)
 
-    def verdicts(self) -> tuple[Verdict, ...]:
+    def verdicts(self, at: str = "") -> tuple[Verdict, ...]:
         k, c, q = self.k, self.corner, self.q_index
-        return (
-            Verdict("q_doubling_ok", self.q_doubling_ok,
-                    f"k={k}: q = {brief(q)} > 2 M_2a = {brief(2 * (q - self.q_inner))}"),
-            Verdict("history_ok", self.history_ok, f"k={k}: history pieces "
-                    f"{brief(self.low_part_bound)} exceed threshold {brief(self.threshold)}"),
-            Verdict("separation_all_ok", self.separation_all_ok,
-                    f"k={k}: region separation fails at corner (eta, s) = ({c.eta}, {c.s}): "
-                    f"(M-1) * {brief(c.product)} < M * {brief(self.m_alpha)}"),
+        return _verdicts(
+            at, "",
+            ("q_doubling_ok", self.q_doubling_ok,
+             f"k={k}: q = {brief(q)} > 2 M_2a = {brief(2 * (q - self.q_inner))}"),
+            ("history_ok", self.history_ok,
+             f"k={k}: history pieces {brief(self.low_part_bound)} exceed threshold {brief(self.threshold)}"),
+            ("separation_all_ok", self.separation_all_ok, f"k={k}: region separation fails at corner "
+             f"(eta, s) = ({c.eta}, {c.s}): (M-1) * {brief(c.product)} < M * {brief(self.m_alpha)}"),
         )
 
 
@@ -525,6 +529,14 @@ class DivergenceRow:
     pointwise_ok: bool | None  # per-region floor holds at every grid point
     integral_dominates_ok: bool | None  # direct integral >= exact region sum
 
+    def verdicts(self, at: str = "") -> tuple[Verdict, ...]:
+        return _verdicts(
+            at, f"k={self.k}: its grid is over the cap",
+            ("pointwise_ok", self.pointwise_ok, f"k={self.k}: pointwise region floor violated on the grid"),
+            ("integral_dominates_ok", self.integral_dominates_ok,
+             f"k={self.k}: direct integral {self.direct_integral} below the exact region bound"),
+        )
+
 
 @dataclass(frozen=True)
 class SeriesReport(_Verdicts):
@@ -547,24 +559,20 @@ class SeriesReport(_Verdicts):
     hardy_estimate_on_grid: float | None = None
     grid_estimate_ok: bool | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.first_failure() is None
+    ok = property(_Verdicts._none_fails)
 
-    def verdicts(self) -> tuple[Verdict, ...]:
-        return tuple(
-            Verdict(name, ok, "no block's grid fits the cap" if ok is None
-                    else f"H_{{1/2}} membership side failed: {why}")
-            for name, ok, why in (
-                ("doubling_ok", self.doubling_ok, "alpha_{k+1} >= 2 alpha_k fails"),
-                ("weight_sqrt_sum", self.weight_sqrt_sum <= self.geometric_majorant * (1 + 1e-12),
-                 f"weight sum {self.weight_sqrt_sum} exceeds its majorant {self.geometric_majorant}"),
-                ("atoms_ok", self.atoms_ok, "a block is not a (1/2)-atom on its grid"),
-                ("atom_maximal_ok", self.atom_maximal_ok,
-                 "an atom's maximal function has a root integral above 1"),
-                ("grid_estimate_ok", self.grid_estimate_ok,
-                 f"grid estimate {self.hardy_estimate_on_grid} exceeds hardy_upper {self.hardy_upper}"),
-            )
+    def verdicts(self, at: str = "") -> tuple[Verdict, ...]:
+        why = "H_{1/2} membership side failed: "
+        return _verdicts(
+            at, "no block's grid fits the cap",
+            ("doubling_ok", self.doubling_ok, why + "alpha_{k+1} >= 2 alpha_k fails"),
+            ("weight_sqrt_sum", self.weight_sqrt_sum <= self.geometric_majorant * (1 + 1e-12),
+             why + f"weight sum {self.weight_sqrt_sum} exceeds its majorant {self.geometric_majorant}"),
+            ("atoms_ok", self.atoms_ok, why + "a block is not a (1/2)-atom on its grid"),
+            ("atom_maximal_ok", self.atom_maximal_ok,
+             why + "an atom's maximal function has a root integral above 1"),
+            ("grid_estimate_ok", self.grid_estimate_ok,
+             why + f"grid estimate {self.hardy_estimate_on_grid} exceeds hardy_upper {self.hardy_upper}"),
         )
 
 
@@ -584,33 +592,22 @@ class DivergenceReport(_Verdicts):
     def __post_init__(self):
         object.__setattr__(self, "k_range", tuple(led.k for led in self.ledgers))
 
-    @property
-    def passed(self) -> bool:
-        return self.first_failure() is None
+    passed = property(_Verdicts._none_fails)
 
     def verdicts(self) -> tuple[Verdict, ...]:
         """Each ledger's checks, LB order, the series, the grid rows, then the rate."""
-        def named(field: str, report) -> list[Verdict]:
-            return [dataclasses.replace(v, name=f"{field}.{v.name}") for v in report.verdicts()]
-
-        out = [v for i, led in enumerate(self.ledgers) for v in named(f"ledgers[{i}]", led)]
         drops = ((a, b) for a, b in zip(self.ledgers, self.ledgers[1:]) if b.lb_squared <= a.lb_squared)
-        out.append(Verdict("lb_strictly_increasing", self.lb_strictly_increasing, next(
-            (f"LB not increasing: LB_{b.k}^2 = {brief(b.lb_squared)} <= LB_{a.k}^2 = {brief(a.lb_squared)}"
-             for a, b in drops), "LB not strictly increasing")))
-        out += named("series", self.series)
-        for i, row in enumerate(self.rows):
-            for name, ok, why in (
-                ("pointwise_ok", row.pointwise_ok, "pointwise region floor violated on the grid"),
-                ("integral_dominates_ok", row.integral_dominates_ok,
-                 f"direct integral {row.direct_integral} below the exact region bound"),
-            ):
-                why = "its grid is over the cap" if ok is None else why
-                out.append(Verdict(f"rows[{i}].{name}", ok, f"k={row.k}: {why}"))
-        rate = None if len(self.k_range) == 1 else self.rate_certified_from is not None
-        out.append(Verdict("rate_certified_from", rate, "one block, no rate to certify" if rate is None
-                           else "rate certificate 4 count_k >= alpha_k never stabilizes"))
-        return tuple(out)
+        lb_why = next((f"LB not increasing: LB_{b.k}^2 = {brief(b.lb_squared)} <= "
+                       f"LB_{a.k}^2 = {brief(a.lb_squared)}" for a, b in drops), "LB not strictly increasing")
+        rate = ("rate_certified_from", None if len(self.k_range) == 1 else self.rate_certified_from is not None,
+                "rate certificate 4 count_k >= alpha_k never stabilizes")
+        return (
+            *(v for i, led in enumerate(self.ledgers) for v in led.verdicts(f"ledgers[{i}].")),
+            *_verdicts("", "", ("lb_strictly_increasing", self.lb_strictly_increasing, lb_why)),
+            *self.series.verdicts("series."),
+            *(v for i, row in enumerate(self.rows) for v in row.verdicts(f"rows[{i}].")),
+            *_verdicts("", "one block, no rate to certify", rate),
+        )
 
 
 def _series_report(seq: AlphaSequence, grids: list[GroupSpec]) -> SeriesReport:
@@ -622,7 +619,7 @@ def _series_report(seq: AlphaSequence, grids: list[GroupSpec]) -> SeriesReport:
     total = Fraction(0)
     for a in alphas:
         total += rational_sqrt_upper(Fraction(1, a))
-    doubling_ok = all(c.doubling_ok for c in seq.certificates[1:])  # alpha_k >= 2 alpha_{k-1}
+    doubling_ok = all(b >= 2 * a for a, b in zip(alphas, alphas[1:]))
     # sum_k alpha_k^{-1/2} <= alpha_0^{-1/2} / (1 - 2^{-1/2}) under doubling
     majorant = float(rational_sqrt_upper(Fraction(1, alphas[0]))) / (1 - 2**-0.5)
     hardy_upper = float(total) ** 2

@@ -457,7 +457,7 @@ def validate_p_atom(a: CylinderFunction, interval: Cylinder, p) -> AtomReport:
     md = g.scales[d]
     sup_norm = sup_abs(a.values)
     slack = 1e-12 * max(1.0, sup_norm)
-    mean_abs = abs(a.values[interval.base_index :: md].sum()) / g.size
+    mean_abs = float(abs(a.values[interval.base_index :: md].sum())) / g.size
     # the columns on either side of the interval's, as views
     by_cylinder = a.values.reshape(-1, md)
     sides = (by_cylinder[:, : interval.base_index], by_cylinder[:, interval.base_index + 1 :])

@@ -692,6 +692,27 @@ def test_a_series_failure_names_its_check(const2_k2_report):
     assert all(reason.startswith("H_{1/2} membership side failed: ") for reason in reasons)
 
 
+def test_a_numpy_false_atom_check_fails_the_counterexample_command(monkeypatch, capsys):
+    # an atom failing only its mean-zero check, its flag a numpy bool as a float comparison gives
+    validate = counterexample.validate_p_atom
+    monkeypatch.setattr(
+        counterexample, "validate_p_atom", lambda *a: dataclasses.replace(validate(*a), mean_ok=np.False_)
+    )
+    assert run_cli("counterexample", "--group", "const:2", "--kmax", "2") == 4
+    out, err = capsys.readouterr()
+    assert err == "verification failed: H_{1/2} membership side failed: a block is not a (1/2)-atom on its grid\n"
+    assert out.splitlines()[0].startswith("k,")
+
+
+def test_a_numpy_bool_flag_is_a_python_bool_verdict(const2_k2_report):
+    series = dataclasses.replace(const2_k2_report.series, atoms_ok=np.False_, grid_estimate_ok=np.True_)
+    broken = dataclasses.replace(const2_k2_report, series=series)
+    oks = {v.name: v.ok for v in broken.verdicts()}
+    assert oks["series.atoms_ok"] is False and oks["series.grid_estimate_ok"] is True
+    assert not series.ok and not broken.passed
+    assert broken.first_failure() == "H_{1/2} membership side failed: a block is not a (1/2)-atom on its grid"
+
+
 def test_a_failing_kernel_floor_fails_lemma2_with_its_reason(monkeypatch, capsys):
     broken = dataclasses.replace(counterexample.lemma2_verify(GroupPattern((2,)), 4), global_min_ratio=0.1)
     monkeypatch.setattr(counterexample, "lemma2_verify", lambda pattern, level: broken)
@@ -722,7 +743,7 @@ def test_selftest_names_the_failing_verdict_of_each_report_check(monkeypatch, ca
 
 
 def _none_failed(verdicts) -> bool:
-    return all(v.ok is not False for v in verdicts)
+    return all(v.ok is None or v.ok for v in verdicts)
 
 
 @pytest.mark.parametrize(

@@ -825,7 +825,7 @@ def test_validate_p_atom_passes_and_reports():
     g = build_group_spec([2] * 4)
     a, interval = _atom_on(g, 2)
     report = validate_p_atom(a, interval, Fraction(1, 2))
-    assert report.is_atom
+    assert report.is_atom is True
     assert report.mean_ok and report.support_ok and report.size_ok
     assert report.sup_allowed == pytest.approx(16.0)  # (1/4)^(-2)
 
@@ -850,6 +850,13 @@ def test_validate_p_atom_flags_each_violation():
     r = validate_p_atom(tall, interval, Fraction(1, 2))
     assert not r.size_ok
     assert r.mean_ok
+
+    off_mean = a.copy()
+    off_mean.values = off_mean.values.copy()
+    off_mean.values[interval.base_index :: g.scales[2]] += 0.25  # inside the interval only
+    r = validate_p_atom(off_mean, interval, Fraction(1, 2))
+    assert (r.mean_ok, r.support_ok, r.size_ok) == (False, True, True)
+    assert r.is_atom is False  # a Python bool: a numpy False is never `is False`
 
 
 def test_validate_p_atom_on_cylinder_off_zero():
