@@ -28,7 +28,9 @@ at ``--kmax 10 --json`` was written while every ``q_index`` and
 bits; the ``counterexample`` cases on ``2,2 --kmax 9 --json`` and on
 ``const:2 --kmax 9`` (the summary CSV) were written while every ledger
 integer other than the q-numbers was converted to decimal text by
-splitting it into bits, and every ``q_alpha_k`` of the CSV too.
+splitting it into bits, and every ``q_alpha_k`` of the CSV too; the
+``lemma2`` cases on ``const:7`` and ``5,2`` were written while the
+Fejer kernel was still synthesized on its whole support grid.
 ``<name>.stdout`` is
 standard output and ``<name>.file`` the ``--out`` file; an artifact over
 ~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
@@ -115,6 +117,10 @@ CASES = {
     "lemma2_const2_A10": (["lemma2", "--group", "const:2", "--A", "10"], False),
     "lemma2_32_A5": (["lemma2", "--group", "3,2", "--A", "5"], False),
     "lemma2_235_A4": (["lemma2", "--group", "2,3,5", "--A", "4"], False),
+    # a support grid of 16,807 points, on which digit 3 would be a high axis
+    "lemma2_const7_A3": (["lemma2", "--group", "const:7", "--A", "3"], False),
+    # base 2 on digits 1 and 3, base 5 on the digits the regions read
+    "lemma2_52_A4": (["lemma2", "--group", "5,2", "--A", "4"], False),
     "transform_232_json": (["transform", "--group", "2,3,2", "--random", "--seed", "7"], False),
     "transform_232_csv": (
         ["transform", "--group", "2,3,2", "--random", "--seed", "7", "--format", "csv"],
