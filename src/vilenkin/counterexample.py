@@ -275,14 +275,13 @@ def sigma_decomposition(seq: AlphaSequence, k: int, group: GroupSpec) -> SigmaDe
 # ---------------------------------------------------------------------------
 
 
-def _region(values: np.ndarray, group: GroupSpec, eta: int, s: int) -> np.ndarray:
-    """The values on the points with digits ``< 2 eta`` zero, digit ``2 eta``
-    nonzero, digits strictly between ``2 eta`` and ``2 s`` zero, digit
-    ``2 s`` nonzero and everything above ``2 s`` free: a view, in grid order."""
+def _region(values: np.ndarray, group: GroupSpec, lo: int, hi: int) -> np.ndarray:
+    """The values on the points with digits ``< lo`` zero, digit ``lo``
+    nonzero, digits strictly between ``lo`` and ``hi`` zero, digit ``hi``
+    nonzero and everything above ``hi`` free: a view, in grid order.
+    Region ``(eta, s)`` has ``lo = 2 eta`` and ``hi = 2 s``."""
     sc, m = group.scales, group.digits
-    return values.reshape(
-        group.size // sc[2 * s + 1], m[2 * s], sc[2 * s] // sc[2 * eta + 1], m[2 * eta], sc[2 * eta]
-    )[:, 1:, 0, 1:, 0]
+    return values.reshape(group.size // sc[hi + 1], m[hi], sc[hi] // sc[lo + 1], m[lo], sc[lo])[:, 1:, 0, 1:, 0]
 
 
 @dataclass(frozen=True)
@@ -336,6 +335,16 @@ def lemma2_verify(pattern: GroupPattern, level: int) -> KernelBoundReport:
     ``m_{2 level - 1}``.  Only a region's own ``|K|`` is made, never the
     whole grid's, and its least value is scaled by ``q'``: rounding is
     monotone, so that is the least of the scaled values.
+
+    Digits 1 and 3 are zero on every region: ``s >= eta + 2 >= 2`` puts
+    each of them below ``2 eta`` or strictly between ``2 eta`` and ``2 s``.
+    So the kernel is synthesized on the ``x_1 = x_3 = 0`` sub-grid alone,
+    as the grid of the other digits (``fejer_kernel``'s ``zero_digits``),
+    and each region is read there, at the positions its digits ``2 eta``
+    and ``2 s`` take once digits 1 and 3 are left out.  Those two axes
+    run to their digit-0 output alone, which is the same sum, in the same
+    order, as the full axis makes there: every value a region reads is the
+    same float as on the whole support grid.
     """
     level = int(level)
     if level < 3:
@@ -344,11 +353,14 @@ def lemma2_verify(pattern: GroupPattern, level: int) -> KernelBoundReport:
     support = group.truncate(2 * level - 1)
     copies = group.digits[2 * level - 1]
     q_inner = pattern.q_number(level - 1)
-    kernel = fejer_kernel(q_inner, support).values
+    zero = (1, 3)
+    kernel = fejer_kernel(q_inner, support, zero_digits=zero)
     regions = []
     for eta in range(0, level - 2):
         for s in range(eta + 2, level):
-            view = _region(kernel, support, eta, s)
+            # digits 2 eta and 2 s, at their positions once digits 1 and 3 are left out
+            lo, hi = (d - sum(z < d for z in zero) for d in (2 * eta, 2 * s))
+            view = _region(kernel.values, kernel.group, lo, hi)
             prod = group.scales[2 * eta] * group.scales[2 * s]
             least = np.abs(view).min() * q_inner
             regions.append(
@@ -393,7 +405,7 @@ def _materialized_checks(
     pointwise_ok = True
     for rb in ledger.regions:
         floor = float(Fraction(rb.product, 8 * ledger.bound**2 * alpha))
-        if float(np.abs(_region(sigma, group, rb.eta, rb.s)).min()) < floor * (1 - 1e-9):
+        if float(np.abs(_region(sigma, group, 2 * rb.eta, 2 * rb.s)).min()) < floor * (1 - 1e-9):
             pointwise_ok = False
     dominates = direct * direct >= float(ledger.region_sum_squared) * (1 - 1e-9)
     return direct, pointwise_ok, dominates

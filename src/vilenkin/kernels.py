@@ -95,15 +95,19 @@ def dirichlet_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
     return _synthesize(grp, coeffs)
 
 
-def fejer_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
+def fejer_kernel(n: int, grp: GroupSpec, *, zero_digits=()) -> CylinderFunction:
     """``K_n = (1/n) sum_{k<n} D_k``, through its multiplier ``(n-1-v)/n``,
     written straight into the coefficient array that is then transformed
-    in place: one grid vector and the transform's scratch at the peak."""
+    in place: one grid vector and the transform's scratch at the peak.
+
+    With ``zero_digits``, only on the points whose digits there are zero,
+    as a function on the grid of the other digits, with the same floats
+    there (see :func:`~vilenkin.transform._synthesize`)."""
     n = int(n)
     if n < 1:
         raise DomainError(f"Fejer kernel order must be >= 1, got {n}")
     _check_order(n, grp)
-    return _synthesize(grp, _fejer_coeffs(n, grp.size))
+    return _synthesize(grp, _fejer_coeffs(n, grp.size), zero_digits=zero_digits)
 
 
 def partial_sum(s: Spectrum, n: int) -> CylinderFunction:

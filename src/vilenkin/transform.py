@@ -18,7 +18,10 @@ every coefficient is zero.  It tiles that block's transform to the full
 grid, bit for bit what the axes from ``t`` on would have computed (see
 :func:`_synthesize`).  A partial sum, or a Dirichlet or Fejer
 kernel, of order ``n`` thus transforms at most the least ``M_t >= n``
-points, not all ``M_N``.
+points, not all ``M_N``.  It can also be asked for the points where
+chosen digits are zero alone: each such axis then makes only its digit-0
+output, and the rest of the transform runs on the grid of the other
+digits.
 
 Both transforms run their axes through :func:`_run_axes`, in place on
 the ``M_t``-point block, through a scratch tile of ``TILE_BYTES``: the low
@@ -43,6 +46,7 @@ integrals against conjugate characters), the inverse does not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -165,39 +169,50 @@ def _tile_points(size: int, bases) -> int:
 
 
 def _axis(cube: np.ndarray, out: np.ndarray, conjugate: bool) -> None:
-    """One base-``m`` axis from the ``(h, m, l)`` array ``cube`` into
-    ``out`` of its shape: ``out[h, a, l] = sum_b T[a, b] * cube[h, b, l]``,
-    the table built ``TABLE_ROWS`` rows at a time."""
-    m = cube.shape[1]
-    for start in range(0, m, TABLE_ROWS):
-        stop = min(start + TABLE_ROWS, m)
+    """One base-``m`` axis from the ``(h, m, l)`` array ``cube`` into the
+    ``(h, r, l)`` array ``out``, ``r <= m``: ``out[h, a, l] = sum_b T[a, b] *
+    cube[h, b, l]`` for the first ``r`` output digits ``a``, the table built
+    ``TABLE_ROWS`` rows at a time."""
+    m, r = cube.shape[1], out.shape[1]
+    for start in range(0, r, TABLE_ROWS):
+        stop = min(start + TABLE_ROWS, r)
         np.einsum("ab,hbl->hal", _root_matrix(m, conjugate, start, stop), cube, out=out[:, start:stop])
 
 
-def _low_axes(plain: np.ndarray, group: GroupSpec, k: int, conjugate: bool) -> None:
+def _low_axes(plain: np.ndarray, group: GroupSpec, k: int, conjugate: bool, zero=frozenset()) -> None:
     """Axes ``0..k-1`` in place on ``plain``, the block as its ``(M_t/M_k,
     M_k)`` rows: ``c`` rows at a time are transposed into a tile, where
     axis ``j`` is a ``(-1, m_j, M_j * c)`` cube, run between two tiles and
     transposed back.  When two tiles would hold the whole block, one tile
-    takes it all and the block itself is the second."""
+    takes it all and the block itself is the second.
+
+    An axis in ``zero`` makes its digit-0 output alone, so the rows shrink
+    as they go, and each is written back compacted: row ``i`` of the
+    ``M_k / prod(m_j for j in zero)``-point rows at the start of ``plain``.
+    Those points of ``plain`` were all read into a tile before."""
     high, low = plain.shape
     rows = max(1, _tile_points(plain.size, group.digits[:k]) // low)
     if 2 * rows >= high:
         rows = high
     tile = np.empty(rows * low, np.complex128)
     other = plain.reshape(-1) if rows == high else np.empty(rows * low, np.complex128)
+    kept = low // math.prod(group.digits[j] for j in zero)
+    compact = plain.reshape(-1)[: high * kept].reshape(high, kept)
     for r in range(0, high, rows):
         n = min(rows, high - r)
-        cur, spare = tile[: n * low], other[: n * low]
+        pair = tile[: n * low], other[: n * low]
+        cur, run = pair[0], n
         cur.reshape(low, n)[...] = plain[r : r + n].T
         for axis in range(k):
-            m, run = group.digits[axis], group.scales[axis] * n
-            _axis(cur.reshape(-1, m, run), spare.reshape(-1, m, run), conjugate)
-            cur, spare = spare, cur
+            m = group.digits[axis]
+            a = 1 if axis in zero else m
+            out = pair[(axis + 1) % 2][: cur.size // m * a]
+            _axis(cur.reshape(-1, m, run), out.reshape(-1, a, run), conjugate)
+            cur, run = out, run * a
         if rows == high and k % 2:  # the rows ended in the block, still transposed
-            tile[...] = cur
-            cur = tile
-        plain[r : r + n] = cur.reshape(low, n).T
+            tile[: cur.size] = cur
+            cur = tile[: cur.size]
+        compact[r : r + n] = cur.reshape(kept, n).T
 
 
 def _high_axes(block: np.ndarray, group: GroupSpec, k: int, t: int, conjugate: bool) -> None:
@@ -218,7 +233,7 @@ def _high_axes(block: np.ndarray, group: GroupSpec, k: int, t: int, conjugate: b
                 part[...] = out
 
 
-def _run_axes(block: np.ndarray, group: GroupSpec, t: int, conjugate: bool) -> None:
+def _run_axes(block: np.ndarray, group: GroupSpec, t: int, conjugate: bool, zero=frozenset()) -> None:
     """Axes ``0..t-1`` of the transform, in place on ``block``, the
     contiguous ``M_t`` points of a leading block of the grid.
 
@@ -242,13 +257,24 @@ def _run_axes(block: np.ndarray, group: GroupSpec, t: int, conjugate: bool) -> N
     once, and a copy into or out of a tile, transposing or not, moves
     bytes without arithmetic.  Splitting the table into row chunks splits
     the output entries, not any sum.
+
+    Each axis in ``zero``, a set of axes below ``t``, makes only its
+    digit-0 output, with table row 0 alone: the block ends compacted at its
+    start, as the grid of the other digits.  Those axes are low axes, ``k``
+    raised above them where need be, and the high axes run on the
+    compacted block.  Every entry kept gets the same sum as before: a row
+    of the table is the same whichever other rows are built, and an axis
+    sums along its own digit alone, so dropping the points where another
+    digit is nonzero leaves its sums over the kept points as they were.
     """
     size = group.scales[t]
     k = next(j for j in range(t + 1) if group.scales[j] ** 2 >= min(size, TILE_BYTES // 16))
+    k = max(k, max(zero, default=-1) + 1)
     if k:
-        _low_axes(block.reshape(size // group.scales[k], group.scales[k]), group, k, conjugate)
+        _low_axes(block.reshape(size // group.scales[k], group.scales[k]), group, k, conjugate, zero)
     if k < t:
-        _high_axes(block, group, k, t, conjugate)
+        kept = _without(group, zero)
+        _high_axes(block[: kept.scales[t - len(zero)]], kept, k - len(zero), t - len(zero), conjugate)
 
 
 def forward_transform(f: CylinderFunction) -> Spectrum:
@@ -273,10 +299,16 @@ def inverse_transform(s: Spectrum) -> CylinderFunction:
     return _synthesize(s.group, s.coeffs.copy())
 
 
-def _synthesize(group: GroupSpec, coeffs: np.ndarray) -> CylinderFunction:
+def _without(group: GroupSpec, digits) -> GroupSpec:
+    """The grid of ``group``'s digits other than ``digits``."""
+    return GroupSpec(tuple(m for j, m in enumerate(group.digits) if j not in digits))
+
+
+def _synthesize(group: GroupSpec, coeffs: np.ndarray, *, zero_digits=()) -> CylinderFunction:
     """The inverse transform of ``coeffs``, a contiguous complex128 array
     of ``group.size`` points that the caller owns and never reads again:
-    it is overwritten, and the result's values are ``coeffs`` itself.
+    it is overwritten, and the result's values are ``coeffs`` itself, or
+    its start.
 
     Only the support block is transformed: with ``t`` the least depth such
     that every coefficient from ``M_t`` on is zero, axes ``0..t-1`` run in
@@ -291,18 +323,30 @@ def _synthesize(group: GroupSpec, coeffs: np.ndarray) -> CylinderFunction:
       to every digit, except that the sum turns ``-0.0`` into ``+0.0``,
       which ``+= 0.0`` does too.
 
+    ``zero_digits`` synthesizes only the points whose digits there are
+    zero: the result lives on the grid of the other digits, a point of it
+    being the full grid's point with zeros put back in.  Each of those
+    axes below ``t`` runs to its digit-0 output alone (see
+    :func:`_run_axes`), and one from ``t`` on is a copy left out of the
+    tiling.  Every value kept is the same float, zeros' signs included.
+
     The scratch is all the transform adds.
     """
+    zero = frozenset(zero_digits)
+    if not zero <= set(range(group.resolution)):
+        raise DomainError(f"zero digits {sorted(zero)} outside [0, {group.resolution})")
     t = group.resolution  # down to the least t with coeffs[M_t:] all zero, of either sign
     while t and not coeffs[group.scales[t - 1] : group.scales[t]].any():
         t -= 1
-    size = group.scales[t]
-    _run_axes(coeffs[:size], group, t, conjugate=False)
+    low = frozenset(j for j in zero if j < t)
+    _run_axes(coeffs[: group.scales[t]], group, t, conjugate=False, zero=low)
+    kept = _without(group, zero)
+    values = coeffs[: kept.size]
     if t < group.resolution:
-        rows = coeffs.reshape(-1, size)
+        rows = values.reshape(-1, kept.scales[t - len(low)])
         rows[0] += 0.0
         rows[1:] = rows[0]  # np.tile's bytes, in the array the block is in
-    return CylinderFunction(group, coeffs)
+    return CylinderFunction(kept, values)
 
 
 def naive_transform_oracle(f: CylinderFunction) -> Spectrum:

@@ -183,7 +183,7 @@ def test_criterion_7_pointwise_lower_bound(report):
     g = PAT2.group(13)
     sigma = fejer_mean_direct(oracle_spectrum(seq, g), led.q_index).values
     floor = g.scales[6] * g.scales[10] / (8 * 2**2 * 6)
-    pointwise_ok = bool(np.min(np.abs(_region(sigma, g, 3, 5))) >= floor * (1 - 1e-9))
+    pointwise_ok = bool(np.min(np.abs(_region(sigma, g, 6, 10))) >= floor * (1 - 1e-9))
     direct = float(np.mean(np.sqrt(np.abs(sigma))))
     lb0 = 1 / (128 * 6**0.5)
     assembled_sq = led.region_sum_squared

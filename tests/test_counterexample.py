@@ -452,7 +452,7 @@ def _full_grid_lemma2(pattern, level):
     regions = []
     for eta in range(0, level - 2):
         for s in range(eta + 2, level):
-            view = _region(kernel, group, eta, s)
+            view = _region(kernel, group, 2 * eta, 2 * s)
             prod = group.scales[2 * eta] * group.scales[2 * s]
             regions.append(
                 RegionKernelMinimum(eta, s, view.size, Fraction(view.size, group.size), float(view.min()) / prod)
@@ -476,11 +476,12 @@ def test_kernel_floor_on_the_support_grid_matches_the_full_grid(bases):
         assert repr(report.global_min_ratio) == repr(global_min)
 
 
-@pytest.mark.parametrize("pattern,level", [(PAT2, 8), (PAT3, 5), (PAT2, 10)])
+@pytest.mark.parametrize("pattern,level", [(PAT2, 8), (PAT3, 5), (PAT2, 10), (GroupPattern((7,)), 3)])
 def test_lemma2_peaks_at_one_support_grid_vector_and_scratch(pattern, level):
     # the coefficient block, transformed in place, and the transform's
     # scratch, at most two tiles and never more than the block, all on the
-    # depth-(2 level - 1) grid; a depth-2 level kernel would take 5 or 7
+    # depth-(2 level - 1) grid; a depth-2 level kernel would take 5 or 7.
+    # On const:7 the low axes run past digit 3, in one block-sized tile
     vector = pattern.scale(2 * level - 1) * np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
@@ -489,6 +490,22 @@ def test_lemma2_peaks_at_one_support_grid_vector_and_scratch(pattern, level):
     finally:
         tracemalloc.stop()
     assert peak <= vector + min(vector, 2 * transform.TILE_BYTES) + vector // 8
+
+
+def test_lemma2_synthesizes_the_kernel_only_where_digits_1_and_3_are_zero(monkeypatch):
+    # every einsum output entry, counted: on const:2 at A = 10 the 2^19-point
+    # support grid loses half its points after axis 1 and again after axis 3,
+    # so 2^19 + 2 * 2^18 + 16 * 2^17 = 6 * 2^19 entries, not 19 * 2^19
+    outputs = []
+    axis = transform._axis
+
+    def counted(cube, out, conjugate):
+        outputs.append(out.size)
+        axis(cube, out, conjugate)
+
+    monkeypatch.setattr(transform, "_axis", counted)
+    lemma2_verify(PAT2, 10)
+    assert sum(outputs) == 6 << 19
 
 
 @settings(max_examples=60, deadline=None)
@@ -510,7 +527,7 @@ def test_region_view_matches_digit_pattern(digits, data):
         )
 
     want = [x for x in range(g.size) if in_region(digit_decompose(x, g))]
-    view = _region(np.arange(g.size), g, eta, s)
+    view = _region(np.arange(g.size), g, 2 * eta, 2 * s)
     assert view.ravel().tolist() == want
     pattern = GroupPattern(g.digits)
     assert Fraction(view.size, g.size) == _region_measure(pattern, eta, s, pattern.scale)

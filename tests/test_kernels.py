@@ -244,6 +244,24 @@ def test_kernel_index_bounds():
         dirichlet_kernel(g.size + 1, g)
     with pytest.raises(DomainError):
         fejer_kernel(0, g)
+    with pytest.raises(DomainError, match=r"zero digits \[2\] outside \[0, 2\)"):
+        fejer_kernel(3, g, zero_digits=(2,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=4), st.data())
+def test_fejer_kernel_on_a_zero_digit_sub_grid_is_the_full_kernel_there_bit_for_bit(bases, data):
+    # a random pattern's support grid of at most 4,096 points, any order,
+    # any set of digits held at zero
+    pattern = GroupPattern(tuple(bases))
+    depth = data.draw(st.integers(1, max(d for d in range(1, 13) if pattern.scale(d) <= 4096)), label="depth")
+    g = pattern.group(depth)
+    n = data.draw(st.integers(1, g.size), label="order")
+    zero = data.draw(st.sets(st.integers(0, depth - 1)), label="zero digits")
+    got = fejer_kernel(n, g, zero_digits=zero)
+    kept = [x for x in range(g.size) if not any(digit_decompose(x, g)[j] for j in zero)]
+    assert got.group.digits == tuple(m for j, m in enumerate(g.digits) if j not in zero)
+    assert np.array_equal(got.values.view(np.uint64), fejer_kernel(n, g).values[kept].view(np.uint64))
 
 
 def test_partial_sum_at_full_order_reconstructs():

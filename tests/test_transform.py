@@ -247,6 +247,33 @@ def test_transforms_through_small_tiles_are_the_per_axis_einsum_byte_for_byte(di
     assert forward.tobytes() == _full_axis_forward(f).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(2, 7), min_size=1, max_size=12),
+    st.integers(0, 2**24),
+    st.integers(0, 2**16),
+    st.sets(st.integers(0, 11)),
+    st.booleans(),
+)
+@example([7] * 4, 2400, 3, {1, 3}, False)  # digit 3 a high axis at either tile size: k is raised past it
+@example([2] * 12, 1000, 4, {1, 3, 10, 11}, True)  # zero digits past the support depth drop tiles
+def test_synthesis_on_a_zero_digit_sub_grid_is_the_full_axis_inverse_there_byte_for_byte(
+    digits, cut, seed, zero, small_tiles
+):
+    while np.prod(digits) > NAIVE_ORACLE_CAP:
+        digits.pop()
+    g = build_group_spec(digits)
+    zero = {j for j in zero if j < g.resolution}
+    values = _cut_with_signed_zeros(g, cut % (g.size + 1), seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if small_tiles:
+            patch.setattr(transform, "TILE_BYTES", 16 * 40)
+        got = _synthesize(g, values.copy(), zero_digits=zero)
+    kept = [x for x in range(g.size) if not any(digit_decompose(x, g)[j] for j in zero)]
+    assert got.group.digits == tuple(m for j, m in enumerate(g.digits) if j not in zero)
+    assert got.values.tobytes() == _full_axis_inverse(Spectrum(g, values))[kept].tobytes()
+
+
 def test_inverse_transform_holds_one_support_block_beside_the_tile():
     # 4,096-point support block tiled 16 times: 64 KB per block buffer, 1 MB of tile
     g = build_group_spec([2] * 16)
