@@ -187,9 +187,9 @@ def _low_axes(plain: np.ndarray, group: GroupSpec, k: int, conjugate: bool, zero
     takes it all and the block itself is the second.
 
     An axis in ``zero`` makes its digit-0 output alone, so the rows shrink
-    as they go, and each is written back compacted: row ``i`` of the
-    ``M_k / prod(m_j for j in zero)``-point rows at the start of ``plain``.
-    Those points of ``plain`` were all read into a tile before."""
+    as they go and are written back compacted, as the ``(M_t/M_k, M_k /
+    prod(m_j for j in zero))`` array at the start of the block: a row goes
+    to points of rows that were all read into a tile before."""
     high, low = plain.shape
     rows = max(1, _tile_points(plain.size, group.digits[:k]) // low)
     if 2 * rows >= high:
