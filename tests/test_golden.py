@@ -30,7 +30,10 @@ bits; the ``counterexample`` cases on ``2,2 --kmax 9 --json`` and on
 integer other than the q-numbers was converted to decimal text by
 splitting it into bits, and every ``q_alpha_k`` of the CSV too; the
 ``lemma2`` cases on ``const:7`` and ``5,2`` were written while the
-Fejer kernel was still synthesized on its whole support grid.
+Fejer kernel was still synthesized on its whole support grid; the
+``transform --input`` case and the ``kernel`` case of ``K_2`` were written
+while every inverse transform still read its coefficients from an array
+of the whole grid.
 ``<name>.stdout`` is
 standard output and ``<name>.file`` the ``--out`` file; an artifact over
 ~50 KB is stored as the SHA-256 of its bytes (``<name>.<part>.sha256``).
@@ -122,6 +125,9 @@ CASES = {
     # base 2 on digits 1 and 3, base 5 on the digits the regions read
     "lemma2_52_A4": (["lemma2", "--group", "5,2", "--A", "4"], False),
     "transform_232_json": (["transform", "--group", "2,3,2", "--random", "--seed", "7"], False),
+    # the inverse of a loaded spectrum, run in the array it was loaded into:
+    # the committed output of transform_232_json is its input
+    "transform_232_inverse": (["transform", "--input", str(GOLDEN / "transform_232_json.stdout")], True),
     "transform_232_csv": (
         ["transform", "--group", "2,3,2", "--random", "--seed", "7", "--format", "csv"],
         False,
@@ -130,6 +136,8 @@ CASES = {
         ["kernel", "--kind", "fejer", "--n", "21", "--group", "const:2^10"],
         True,
     ),
+    # support depth 0: one coefficient, tiled to every point
+    "kernel_fejer2_232": (["kernel", "--kind", "fejer", "--n", "2", "--group", "2,3,2"], True),
     "kernel_dirichlet6": (
         ["kernel", "--kind", "dirichlet", "--n", "6", "--group", "2,3,2"],
         True,
