@@ -31,6 +31,8 @@ from .transform import (
     CharacterBasis,
     CylinderFunction,
     Spectrum,
+    _Rows,
+    _support_depth,
     _synthesize,
     character_basis,
     coarsen,
@@ -69,55 +71,78 @@ def _check_order(n: int, grp: GroupSpec) -> None:
         )
 
 
-def _fejer_coeffs(n: int, size: int) -> np.ndarray:
-    """A zero complex array of ``size`` points with the Fejer multiplier
-    ``(n - 1 - v) / n`` in the real parts of its first ``n``, written in
-    place with no temporary: the running sum of ``n - 1, -1, -1, ...`` is
+def _order_depth(grp: GroupSpec, n: int) -> int:
+    """The least ``t`` with ``M_t >= n``: the support depth of coefficients
+    that are zero from index ``n`` on, and nonzero at ``n - 1``."""
+    return next(t for t, size in enumerate(grp.scales) if size >= n)
+
+
+def _fejer_weights(n: int, lo: int, buf: np.ndarray) -> np.ndarray:
+    """``buf`` zeroed, then the Fejer multiplier ``(n - 1 - v) / n`` of each
+    ``v < n`` from ``v = lo`` on written into its real parts in place, with
+    no temporary: the running sum of ``n - 1 - lo, -1, -1, ...`` is
     ``n - 1 - v``, an integer float and exact, so each weight is the same
     float division as from integers."""
-    coeffs = np.zeros(size, dtype=np.complex128)
-    weights = coeffs.real[:n]
-    weights.fill(-1.0)
-    weights[0] = n - 1
-    np.cumsum(weights, out=weights)
-    weights /= n
-    return coeffs
+    buf[...] = 0
+    weights = buf.real[: max(0, n - lo)]
+    if weights.size:
+        weights.fill(-1.0)
+        weights[0] = n - 1 - lo
+        np.cumsum(weights, out=weights)
+        weights /= n
+    return buf
 
 
 def dirichlet_kernel(n: int, grp: GroupSpec) -> CylinderFunction:
-    """``D_n`` on the full grid (``D_0`` is identically zero)."""
+    """``D_n`` on the full grid (``D_0`` is identically zero), from its
+    coefficients ``1`` below ``n``, made a tile at a time."""
     n = int(n)
     if n < 0:
         raise DomainError(f"kernel order must be >= 0, got {n}")
     _check_order(n, grp)
-    coeffs = np.zeros(grp.size, dtype=np.complex128)
-    coeffs[:n] = 1.0
-    return _synthesize(grp, coeffs)
+
+    def fill(lo, buf):
+        buf[...] = 0
+        buf[: max(0, n - lo)] = 1.0
+        return buf
+
+    return _synthesize(grp, _Rows(_order_depth(grp, n), fill))
 
 
 def fejer_kernel(n: int, grp: GroupSpec, *, zero_digits=()) -> CylinderFunction:
     """``K_n = (1/n) sum_{k<n} D_k``, through its multiplier ``(n-1-v)/n``,
-    written straight into the coefficient array that is then transformed
-    in place: one grid vector and the transform's scratch at the peak.
+    whose weights are made a tile at a time as the transform asks for them
+    (the weight at ``v = n - 1`` is zero, so the support depth is the least
+    ``t`` with ``M_t >= n - 1``): one grid vector, the output, and the
+    transform's scratch at the peak.
 
     With ``zero_digits``, only on the points whose digits there are zero,
     as a function on the grid of the other digits, with the same floats
-    there (see :func:`~vilenkin.transform._synthesize`)."""
+    there (see :func:`~vilenkin.transform._synthesize`); the output is then
+    a vector of that grid alone."""
     n = int(n)
     if n < 1:
         raise DomainError(f"Fejer kernel order must be >= 1, got {n}")
     _check_order(n, grp)
-    return _synthesize(grp, _fejer_coeffs(n, grp.size), zero_digits=zero_digits)
+    rows = _Rows(_order_depth(grp, n - 1), lambda lo, buf: _fejer_weights(n, lo, buf))
+    return _synthesize(grp, rows, zero_digits=zero_digits)
 
 
 def partial_sum(s: Spectrum, n: int) -> CylinderFunction:
-    """``S_n f = sum_{k < n} c_k psi_k`` (``S_0`` is zero)."""
+    """``S_n f = sum_{k < n} c_k psi_k`` (``S_0`` is zero), from the
+    coefficients below ``n`` copied a tile at a time."""
     n = int(n)
     if not 0 <= n <= s.group.size:
         raise DomainError(f"partial-sum order {n} outside [0, {s.group.size}]")
-    coeffs = np.zeros(s.group.size, dtype=np.complex128)
-    coeffs[:n] = s.coeffs[:n]
-    return _synthesize(s.group, coeffs)
+    head = s.coeffs[:n]
+
+    def fill(lo, buf):
+        part = head[lo : lo + len(buf)]
+        buf[len(part) :] = 0
+        buf[: len(part)] = part
+        return buf
+
+    return _synthesize(s.group, _Rows(_support_depth(s.group, head), fill))
 
 
 def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
@@ -347,16 +372,21 @@ def fejer_mean_direct(s: Spectrum, n: int) -> CylinderFunction:
 
 def fejer_mean_multiplier(s: Spectrum, n: int) -> CylinderFunction:
     """The same mean as one inverse transform of ``c_v * (n - 1 - v)/n``,
-    built in its own array as :func:`fejer_kernel` is: the weights, times
-    the coefficients in place, then transformed there.  ``(w + 0j) * c``
-    runs the same IEEE operations as ``c * (w + 0j)``, so the product has
-    the bits of ``s.coeffs * weights``."""
+    made a tile at a time as :func:`fejer_kernel`'s coefficients are: the
+    weights, times the coefficients in place.  ``(w + 0j) * c`` runs the
+    same IEEE operations as ``c * (w + 0j)``, so the product has the bits
+    of ``s.coeffs * weights``; it is nonzero only where ``c_v`` is and
+    ``v < n - 1``."""
     n = int(n)
     if not 1 <= n <= s.group.size:
         raise DomainError(f"Cesaro order {n} outside [1, {s.group.size}]")
-    coeffs = _fejer_coeffs(n, s.group.size)
-    coeffs *= s.coeffs
-    return _synthesize(s.group, coeffs)
+
+    def fill(lo, buf):
+        _fejer_weights(n, lo, buf)
+        buf *= s.coeffs[lo : lo + len(buf)]
+        return buf
+
+    return _synthesize(s.group, _Rows(_support_depth(s.group, s.coeffs[: n - 1]), fill))
 
 
 def lp_quasinorm(f: CylinderFunction, p) -> float:

@@ -23,8 +23,8 @@ chosen digits are zero alone: each such axis then makes only its digit-0
 output, and the rest of the transform runs on the grid of the other
 digits.
 
-Both transforms run their axes through :func:`_run_axes`, in place on
-the ``M_t``-point block, through a scratch tile of ``TILE_BYTES``: the low
+Both transforms run their axes through :func:`_run_axes`, on the
+``M_t``-point block, through a scratch tile of ``TILE_BYTES``: the low
 axes on a transposed layout a few block rows at a time, the high axes a
 few independent column sets at a time, and each root table built in row
 chunks.  None of this changes a bit.  Every output entry of an axis is
@@ -34,11 +34,14 @@ of a tile, transposing or not, does no arithmetic; and a chunk of table
 rows splits the output entries, not any sum.
 
 Every transform runs in an array it owns, and holds only the scratch
-beside it: at most two tiles, and never more than the block (see
-:func:`_run_axes`).  The public transforms copy their argument and run in
-the copy; the kernels and partial sums build a coefficient array of their
-own and hand it over to :func:`_synthesize`, the one inverse core, which
-:func:`inverse_transform` runs too.
+beside it: at most two tiles, and no more than the block where that
+array has room for the block (see :func:`_run_axes`).  The public
+transforms copy their argument and run in the copy.  The kernels and
+partial sums make no coefficient array: they hand :func:`_synthesize`,
+the one inverse core, which :func:`inverse_transform` runs too, rows
+that make the support block's coefficients a tile at a time
+(:class:`_Rows`), and the transform writes into a new array of the
+result's grid, the kept grid where digits are held at zero.
 
 Normalization: the forward transform divides by ``M_N`` (coefficients are
 integrals against conjugate characters), the inverse does not.
@@ -50,6 +53,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -179,37 +183,42 @@ def _axis(cube: np.ndarray, out: np.ndarray, conjugate: bool) -> None:
         np.einsum("ab,hbl->hal", _root_matrix(m, conjugate, start, stop), cube, out=out[:, start:stop])
 
 
-def _low_axes(plain: np.ndarray, group: GroupSpec, k: int, conjugate: bool, zero=frozenset()) -> None:
-    """Axes ``0..k-1`` in place on ``plain``, the block as its ``(M_t/M_k,
-    M_k)`` rows: ``c`` rows at a time are transposed into a tile, where
-    axis ``j`` is a ``(-1, m_j, M_j * c)`` cube, run between two tiles and
-    transposed back.  When two tiles would hold the whole block, one tile
-    takes it all and the block itself is the second.
+def _low_axes(fill, out: np.ndarray, group: GroupSpec, size: int, k: int, conjugate: bool, zero=frozenset()) -> None:
+    """Axes ``0..k-1`` of the ``size = M_t``-point block, taken as its
+    ``(M_t/M_k, M_k)`` rows: ``c`` rows at a time are asked of ``fill`` (see
+    :class:`_Rows`), with the second tile to write them in, and transposed
+    into the first, where axis ``j`` is a ``(-1, m_j, M_j * c)`` cube, run
+    between the two tiles; the rows are then transposed back into ``out``.
+    When two tiles would hold the whole block and ``out`` has room for it,
+    one tile takes it all and ``out`` itself is the second.
 
     An axis in ``zero`` makes its digit-0 output alone, so the rows shrink
-    as they go and are written back compacted, as the ``(M_t/M_k, M_k /
-    prod(m_j for j in zero))`` array at the start of the block: a row goes
-    to points of rows that were all read into a tile before."""
-    high, low = plain.shape
-    rows = max(1, _tile_points(plain.size, group.digits[:k]) // low)
-    if 2 * rows >= high:
+    as they go and are written compacted, as the ``(M_t/M_k, M_k /
+    prod(m_j for j in zero))`` array at the start of ``out``, the kept
+    grid's block.  Where ``out`` is also the array the rows are read from,
+    a row goes to points of rows that were all read into a tile before."""
+    low = group.scales[k]
+    high = size // low
+    rows = max(1, _tile_points(size, group.digits[:k]) // low)
+    whole = 2 * rows >= high and out.size >= size
+    if whole:
         rows = high
     tile = np.empty(rows * low, np.complex128)
-    other = plain.reshape(-1) if rows == high else np.empty(rows * low, np.complex128)
+    other = out[:size] if whole else np.empty(rows * low, np.complex128)
     kept = low // math.prod(group.digits[j] for j in zero)
-    compact = plain.reshape(-1)[: high * kept].reshape(high, kept)
+    compact = out[: high * kept].reshape(high, kept)
     for r in range(0, high, rows):
         n = min(rows, high - r)
         pair = tile[: n * low], other[: n * low]
         cur, run = pair[0], n
-        cur.reshape(low, n)[...] = plain[r : r + n].T
+        cur.reshape(low, n)[...] = fill(r * low, pair[1]).reshape(n, low).T
         for axis in range(k):
             m = group.digits[axis]
             a = 1 if axis in zero else m
-            out = pair[(axis + 1) % 2][: cur.size // m * a]
-            _axis(cur.reshape(-1, m, run), out.reshape(-1, a, run), conjugate)
-            cur, run = out, run * a
-        if rows == high and k % 2:  # the rows ended in the block, still transposed
+            dst = pair[(axis + 1) % 2][: cur.size // m * a]
+            _axis(cur.reshape(-1, m, run), dst.reshape(-1, a, run), conjugate)
+            cur, run = dst, run * a
+        if whole and k % 2:  # the rows ended in ``out``, still transposed
             tile[: cur.size] = cur
             cur = tile[: cur.size]
         compact[r : r + n] = cur.reshape(kept, n).T
@@ -233,22 +242,25 @@ def _high_axes(block: np.ndarray, group: GroupSpec, k: int, t: int, conjugate: b
                 part[...] = out
 
 
-def _run_axes(block: np.ndarray, group: GroupSpec, t: int, conjugate: bool, zero=frozenset()) -> None:
-    """Axes ``0..t-1`` of the transform, in place on ``block``, the
-    contiguous ``M_t`` points of a leading block of the grid.
+def _run_axes(fill, out: np.ndarray, group: GroupSpec, t: int, conjugate: bool, zero=frozenset()) -> None:
+    """Axes ``0..t-1`` of the transform of a leading block of the grid,
+    its ``M_t`` points made by ``fill`` (see :class:`_Rows`), into the
+    start of ``out``, which may be the array ``fill`` reads.
 
     The scratch is one or two tiles of :func:`_tile_points` each, so a
-    root table is built about once per axis, and never more than the
-    block: where two tiles would hold it all, one tile and the block
-    itself take turns.
+    root table is built about once per axis.  Where two tiles would hold
+    the whole block and ``out`` has room for it, one tile and ``out`` take
+    turns, so the scratch is never more than the block; an ``out`` of a
+    kept grid smaller than the block takes no turn.
 
     With ``k`` the least depth such that ``M_k**2`` is at least ``M_t`` or
     a tile of ``TILE_BYTES``, whichever is less, axes ``j < k`` run on the
     transposed layout of ``(M_t/M_k, M_k)`` rows: there axis ``j`` has
     inner runs of ``M_j`` times the rows in a tile, long even where ``M_j``
     is small, and an einsum over short runs is slow (see
-    :func:`_low_axes`).  Axes ``k..t-1`` run on the ``(-1, m_j, M_j)``
-    cubes of the plain layout, with ``M_j >= M_k`` (see :func:`_high_axes`).
+    :func:`_low_axes`).  Axes ``k..t-1`` run in place in ``out`` on the
+    ``(-1, m_j, M_j)`` cubes of the plain layout, with ``M_j >= M_k`` (see
+    :func:`_high_axes`).
 
     Bit for bit the per-axis transform on the plain layout of the whole
     block: every output entry of an axis is ``p = T[a, b] * x[b]`` added
@@ -259,22 +271,52 @@ def _run_axes(block: np.ndarray, group: GroupSpec, t: int, conjugate: bool, zero
     the output entries, not any sum.
 
     Each axis in ``zero``, a set of axes below ``t``, makes only its
-    digit-0 output, with table row 0 alone: the block ends compacted at its
-    start, as the grid of the other digits.  Those axes are low axes, ``k``
-    raised above them where need be, and the high axes run on the
-    compacted block.  Every entry kept gets the same sum as before: a row
-    of the table is the same whichever other rows are built, and an axis
-    sums along its own digit alone, so dropping the points where another
-    digit is nonzero leaves its sums over the kept points as they were.
+    digit-0 output, with table row 0 alone: the block ends compacted at the
+    start of ``out``, as the grid of the other digits.  Those axes are low
+    axes, ``k`` raised above them where need be, and the high axes run on
+    the compacted block.  Every entry kept gets the same sum as before: a
+    row of the table is the same whichever other rows are built, and an
+    axis sums along its own digit alone, so dropping the points where
+    another digit is nonzero leaves its sums over the kept points as they
+    were.
     """
     size = group.scales[t]
     k = next(j for j in range(t + 1) if group.scales[j] ** 2 >= min(size, TILE_BYTES // 16))
     k = max(k, max(zero, default=-1) + 1)
     if k:
-        _low_axes(block.reshape(size // group.scales[k], group.scales[k]), group, k, conjugate, zero)
+        _low_axes(fill, out, group, size, k, conjugate, zero)
+    else:  # t = 0: the one coefficient is its own transform
+        out[:1] = fill(0, out[:1])
     if k < t:
         kept = _without(group, zero)
-        _high_axes(block[: kept.scales[t - len(zero)]], kept, k - len(zero), t - len(zero), conjugate)
+        _high_axes(out[: kept.scales[t - len(zero)]], kept, k - len(zero), t - len(zero), conjugate)
+
+
+class _Rows(NamedTuple):
+    """A spectrum's support block, made a tile at a time.
+
+    ``fill(lo, buf)`` returns the ``len(buf)`` coefficients from index
+    ``lo`` on, as a contiguous array: ``buf`` with them written in, or a
+    view of an array that already holds them.  Every coefficient from
+    ``M_depth`` on is zero, and is never asked for.
+    """
+
+    depth: int
+    fill: Callable[[int, np.ndarray], np.ndarray]
+
+
+def _reader(arr: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The ``fill`` of the coefficients ``arr`` holds: views of it, no copy."""
+    return lambda lo, buf: arr[lo : lo + len(buf)]
+
+
+def _support_depth(group: GroupSpec, coeffs: np.ndarray) -> int:
+    """The least ``t`` such that ``coeffs[M_t:]`` is all zero, of either
+    sign; ``coeffs`` may be the head of a spectrum whose rest is zero."""
+    t = group.resolution
+    while t and not coeffs[group.scales[t - 1] : group.scales[t]].any():
+        t -= 1
+    return t
 
 
 def forward_transform(f: CylinderFunction) -> Spectrum:
@@ -284,7 +326,7 @@ def forward_transform(f: CylinderFunction) -> Spectrum:
     """
     g = f.group
     arr = f.values.copy()
-    _run_axes(arr, g, g.resolution, conjugate=True)
+    _run_axes(_reader(arr), arr, g, g.resolution, conjugate=True)
     arr /= g.size
     return Spectrum(g, arr)
 
@@ -304,16 +346,20 @@ def _without(group: GroupSpec, digits) -> GroupSpec:
     return GroupSpec(tuple(m for j, m in enumerate(group.digits) if j not in digits))
 
 
-def _synthesize(group: GroupSpec, coeffs: np.ndarray, *, zero_digits=()) -> CylinderFunction:
-    """The inverse transform of ``coeffs``, a contiguous complex128 array
-    of ``group.size`` points that the caller owns and never reads again:
-    it is overwritten, and the result's values are ``coeffs`` itself, or
-    its start.
+def _synthesize(group: GroupSpec, coeffs, *, zero_digits=()) -> CylinderFunction:
+    """The inverse transform of ``coeffs``: either :class:`_Rows`, which
+    make the support block a tile at a time, or a contiguous complex128
+    array of ``group.size`` points that the caller owns and never reads
+    again, which is then both read and overwritten, the result's values
+    being ``coeffs`` itself, or its start.  Rows are transformed into a
+    new array of the result's grid, and no coefficient array of the whole
+    grid, nor of the block, is ever made.
 
     Only the support block is transformed: with ``t`` the least depth such
-    that every coefficient from ``M_t`` on is zero, axes ``0..t-1`` run in
-    place on ``coeffs[:M_t]`` and the block is tiled into the rest of the
-    array.  For finite coefficients this is bit for bit the transform over
+    that every coefficient from ``M_t`` on is zero (the rows' ``depth``,
+    or an array's scan), axes ``0..t-1`` run on the block's ``M_t`` points
+    (see :func:`_run_axes`) and the result is tiled into the rest of the
+    output.  For finite coefficients this is bit for bit the transform over
     every axis:
 
     - an axis below ``t`` mixes entries only inside blocks of ``M_t``
@@ -330,18 +376,20 @@ def _synthesize(group: GroupSpec, coeffs: np.ndarray, *, zero_digits=()) -> Cyli
     :func:`_run_axes`), and one from ``t`` on is a copy left out of the
     tiling.  Every value kept is the same float, zeros' signs included.
 
-    The scratch is all the transform adds.
+    Beside the output, the scratch is all the transform adds.
     """
     zero = frozenset(zero_digits)
     if not zero <= set(range(group.resolution)):
         raise DomainError(f"zero digits {sorted(zero)} outside [0, {group.resolution})")
-    t = group.resolution  # down to the least t with coeffs[M_t:] all zero, of either sign
-    while t and not coeffs[group.scales[t - 1] : group.scales[t]].any():
-        t -= 1
-    low = frozenset(j for j in zero if j < t)
-    _run_axes(coeffs[: group.scales[t]], group, t, conjugate=False, zero=low)
     kept = _without(group, zero)
-    values = coeffs[: kept.size]
+    if isinstance(coeffs, np.ndarray):
+        values, coeffs = coeffs, _Rows(_support_depth(group, coeffs), _reader(coeffs))
+    else:
+        values = np.empty(kept.size, np.complex128)
+    t = coeffs.depth
+    low = frozenset(j for j in zero if j < t)
+    _run_axes(coeffs.fill, values, group, t, conjugate=False, zero=low)
+    values = values[: kept.size]
     if t < group.resolution:
         rows = values.reshape(-1, kept.scales[t - len(low)])
         rows[0] += 0.0

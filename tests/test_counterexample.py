@@ -476,20 +476,29 @@ def test_kernel_floor_on_the_support_grid_matches_the_full_grid(bases):
         assert repr(report.global_min_ratio) == repr(global_min)
 
 
-@pytest.mark.parametrize("pattern,level", [(PAT2, 8), (PAT3, 5), (PAT2, 10), (GroupPattern((7,)), 3)])
-def test_lemma2_peaks_at_one_support_grid_vector_and_scratch(pattern, level):
-    # the coefficient block, transformed in place, and the transform's
-    # scratch, at most two tiles and never more than the block, all on the
-    # depth-(2 level - 1) grid; a depth-2 level kernel would take 5 or 7.
-    # On const:7 the low axes run past digit 3, in one block-sized tile
-    vector = pattern.scale(2 * level - 1) * np.dtype(np.complex128).itemsize
+@pytest.mark.parametrize(
+    "pattern,level", [(PAT2, 8), (PAT3, 5), (PAT2, 10), (GroupPattern((7,)), 3), (GroupPattern((4,)), 5)]
+)
+def test_lemma2_peaks_at_one_kept_sub_grid_vector_and_scratch(pattern, level):
+    # the kernel on the x_1 = x_3 = 0 sub-grid of the depth-(2 level - 1)
+    # support grid, into which its weights, made a tile at a time, are
+    # transformed, and at most two tiles: no support-grid array is made.
+    # The eighth of a support vector covers the regions' |K|. On const:7
+    # the low axes run past digit 3, in two tiles of six rows each
+    itemsize = np.dtype(np.complex128).itemsize
+    support = pattern.scale(2 * level - 1)
+    vector = support * itemsize
+    kept = support // (pattern.digit(1) * pattern.digit(3)) * itemsize
+    bound = kept + 2 * transform.TILE_BYTES + vector // 8
+    # never looser than the bound of a support-grid coefficient array
+    assert bound <= vector + min(vector, 2 * transform.TILE_BYTES) + vector // 8
     tracemalloc.start()
     try:
         lemma2_verify(pattern, level)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= vector + min(vector, 2 * transform.TILE_BYTES) + vector // 8
+    assert peak <= bound
 
 
 def test_lemma2_synthesizes_the_kernel_only_where_digits_1_and_3_are_zero(monkeypatch):

@@ -700,6 +700,81 @@ BUILDERS = {
 }
 
 
+def _fejer_coeffs(n: int, size: int) -> np.ndarray:
+    """The Fejer multiplier as the kernels wrote it before they made their
+    coefficients a tile at a time: into the real parts of the first ``n``
+    points of a zero array of the whole grid, by a running sum."""
+    coeffs = np.zeros(size, dtype=np.complex128)
+    weights = coeffs.real[:n]
+    weights.fill(-1.0)
+    weights[0] = n - 1
+    np.cumsum(weights, out=weights)
+    weights /= n
+    return coeffs
+
+
+def _with_head(g, n, head) -> np.ndarray:
+    coeffs = np.zeros(g.size, dtype=np.complex128)
+    coeffs[:n] = head
+    return coeffs
+
+
+def _times(coeffs, s) -> np.ndarray:
+    coeffs *= s.coeffs
+    return coeffs
+
+
+# each builder's coefficient array of the whole grid, as it was built
+# before the coefficients were made a tile at a time
+OLD_ARRAYS = {
+    "dirichlet_kernel": lambda s, n: _with_head(s.group, n, 1.0),
+    "fejer_kernel": lambda s, n: _fejer_coeffs(n, s.group.size),
+    "partial_sum": lambda s, n: _with_head(s.group, n, s.coeffs[:n]),
+    "fejer_mean_multiplier": lambda s, n: _times(_fejer_coeffs(n, s.group.size), s),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_groups(max_base=7), st.data())
+def test_every_builder_makes_the_floats_of_its_old_coefficient_array(g, data):
+    # orders about a random scale M_j, random zero digits, and a spectrum
+    # zero (of a drawn sign) from a random cut on, through default tiles
+    # and 40-point tiles; the support depth a builder gives is the scan of
+    # its old array
+    j = data.draw(st.integers(0, g.resolution), label="j")
+    orders = sorted({n for n in (1, 2, *(g.scales[j] + d for d in (-1, 0, 1, 2))) if 1 <= n <= g.size})
+    zero = data.draw(st.sets(st.integers(0, g.resolution - 1)), label="zero digits")
+    values = random_cylinder_function(g, seed=data.draw(st.integers(0, 2**16), label="seed")).values
+    values[data.draw(st.integers(0, g.size), label="cut") :] = data.draw(
+        st.sampled_from([0j, complex(-0.0, 0.0), complex(-0.0, -0.0)]), label="tail"
+    )
+    s = Spectrum(g, values)
+    builds = {
+        "dirichlet_kernel": lambda n: dirichlet_kernel(n, g),
+        "fejer_kernel": lambda n: fejer_kernel(n, g),
+        "partial_sum": lambda n: partial_sum(s, n),
+        "fejer_mean_multiplier": lambda n: fejer_mean_multiplier(s, n),
+    }
+    synthesize, depths = kernels._synthesize, []
+
+    def on_sub_grid(group, rows, zero_digits=()):  # the drawn zero digits instead
+        depths.append(rows.depth)
+        return synthesize(group, rows, zero_digits=zero)
+
+    for tile_bytes in (transform.TILE_BYTES, 16 * 40):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transform, "TILE_BYTES", tile_bytes)
+            patch.setattr(kernels, "_synthesize", on_sub_grid)
+            for name, build in builds.items():
+                for n in orders:
+                    old = OLD_ARRAYS[name](s, n)
+                    got = build(n)
+                    assert depths.pop() == next(t for t in range(g.resolution + 1) if not old[g.scales[t] :].any())
+                    want = transform._synthesize(g, old, zero_digits=zero)
+                    assert got.group == want.group
+                    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)), (name, n)
+
+
 def _peak(call):
     tracemalloc.start()
     try:
@@ -723,6 +798,18 @@ def test_builders_peak_at_one_grid_vector_and_scratch(name):
         # at most two tiles, beside the spectrum held here
         assert peak <= vector + scratch + vector // 8, n
         assert got.tobytes() == inverse_transform(spectrum(s, n)).values.tobytes(), n
+
+
+def test_fejer_kernel_on_a_zero_digit_sub_grid_peaks_at_its_kept_vector_and_scratch():
+    # its weights are made a tile at a time, so the output is the one vector:
+    # a vector of the x_1 = x_3 = 0 sub-grid, a quarter of the grid here
+    g = build_group_spec([3, 2, 5, 2, 3] + [2] * 9)  # 92,160 points, over five tiles
+    itemsize = np.dtype(np.complex128).itemsize
+    vector, kept, scratch = g.size * itemsize, g.size // 4 * itemsize, 2 * transform.TILE_BYTES
+    for n in (g.size, g.size // 2 + 1, g.size // 5):
+        got, peak = _peak(lambda: fejer_kernel(n, g, zero_digits=(1, 3)).values)
+        assert peak <= kept + scratch + vector // 8, n
+        assert got.nbytes == kept
 
 
 def test_transforms_below_one_tile_hold_no_more_than_two_grid_vectors():
