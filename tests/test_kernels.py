@@ -713,25 +713,17 @@ def _fejer_coeffs(n: int, size: int) -> np.ndarray:
     return coeffs
 
 
-def _with_head(g, n, head) -> np.ndarray:
-    coeffs = np.zeros(g.size, dtype=np.complex128)
-    coeffs[:n] = head
-    return coeffs
-
-
-def _times(coeffs, s) -> np.ndarray:
-    coeffs *= s.coeffs
-    return coeffs
-
-
-# each builder's coefficient array of the whole grid, as it was built
-# before the coefficients were made a tile at a time
-OLD_ARRAYS = {
-    "dirichlet_kernel": lambda s, n: _with_head(s.group, n, 1.0),
-    "fejer_kernel": lambda s, n: _fejer_coeffs(n, s.group.size),
-    "partial_sum": lambda s, n: _with_head(s.group, n, s.coeffs[:n]),
-    "fejer_mean_multiplier": lambda s, n: _times(_fejer_coeffs(n, s.group.size), s),
-}
+def _old_array(name, s, n) -> np.ndarray:
+    """The coefficient array of the whole grid that builder ``name`` made
+    before its coefficients were made a tile at a time: its ``BUILDERS``
+    oracle, with the Fejer weights of :func:`_fejer_coeffs`."""
+    if name == "fejer_kernel":
+        return _fejer_coeffs(n, s.group.size)
+    if name == "fejer_mean_multiplier":
+        coeffs = _fejer_coeffs(n, s.group.size)
+        coeffs *= s.coeffs
+        return coeffs
+    return BUILDERS[name][1](s, n).coeffs
 
 
 @settings(max_examples=40, deadline=None)
@@ -749,12 +741,6 @@ def test_every_builder_makes_the_floats_of_its_old_coefficient_array(g, data):
         st.sampled_from([0j, complex(-0.0, 0.0), complex(-0.0, -0.0)]), label="tail"
     )
     s = Spectrum(g, values)
-    builds = {
-        "dirichlet_kernel": lambda n: dirichlet_kernel(n, g),
-        "fejer_kernel": lambda n: fejer_kernel(n, g),
-        "partial_sum": lambda n: partial_sum(s, n),
-        "fejer_mean_multiplier": lambda n: fejer_mean_multiplier(s, n),
-    }
     synthesize, depths = kernels._synthesize, []
 
     def on_sub_grid(group, rows, zero_digits=()):  # the drawn zero digits instead
@@ -765,10 +751,10 @@ def test_every_builder_makes_the_floats_of_its_old_coefficient_array(g, data):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(transform, "TILE_BYTES", tile_bytes)
             patch.setattr(kernels, "_synthesize", on_sub_grid)
-            for name, build in builds.items():
+            for name, (build, _) in BUILDERS.items():
                 for n in orders:
-                    old = OLD_ARRAYS[name](s, n)
-                    got = build(n)
+                    old = _old_array(name, s, n)
+                    got = build(s, n)
                     assert depths.pop() == next(t for t in range(g.resolution + 1) if not old[g.scales[t] :].any())
                     want = transform._synthesize(g, old, zero_digits=zero)
                     assert got.group == want.group
