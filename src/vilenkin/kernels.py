@@ -18,8 +18,11 @@ conditional expectations.
 
 from __future__ import annotations
 
+import contextlib
 import os
-import threading
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -178,19 +181,24 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     is built on the depth-``W`` grid alone: each of its points gets the
     same phase sum, in the same order, as on any deeper grid.
 
-    The zero run is stepped on the calling thread, cut into segments at
-    those tile-ups so the prefix is fixed inside a segment; it moves the
-    row alone, which threads do not speed up.  From the first rank-one
-    term on, each step changes a point's row, partial sum and total from
-    that point's own values alone, so a grid of at least
-    ``2 * _RANGE_POINTS`` points is stepped as up to ``_THREADS`` ranges
-    of whole blocks of the slowest digits (:func:`_sweep_segment`): the
-    first on the calling thread, each other one on its own thread with its
-    own copy of the counter; numpy releases the interpreter lock inside
-    each vector operation.  Every point gets the same multiplies and adds
-    in the same order whatever the split, so the result is bit for bit the
-    same for any thread count, and bit for bit the full-grid sweep that
-    does every multiply and add.
+    From the first rank-one term on, each step changes a point's row,
+    partial sum and total from that point's own values alone, and so does
+    each prefix step to the points of the full row it stands for.  So a
+    grid of at least ``2 * _RANGE_POINTS`` points is stepped as up to
+    ``_WORKERS`` ranges of whole blocks of the slowest digits
+    ``x_0 .. x_{j-1}`` (:func:`_sweep_segment`), each from its own part of
+    the prefix row to the end of the sweep.  The calling process steps the
+    zero run only until its prefix row holds the digits ``x_0 .. x_j``
+    (at once when the start already uses them), so that each block's part
+    is at least two points (:func:`_digit_lanes`); it then hands each range
+    its part, and every prefix step from there on is some range's.  The
+    first range runs in the calling process, each other one in a process
+    of its own, made by ``os.fork``: a forked process shares no
+    interpreter lock, so the ranges overlap even though each numpy call is
+    short.  Every point gets the same multiplies and adds in the same order
+    whatever the split, so the result is bit for bit the same for any
+    worker count, and bit for bit the full-grid sweep that does every
+    multiply and add.
     """
     g = s.group
     if not 0 <= start <= stop <= g.size:
@@ -213,27 +221,26 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
         cur, tmp = _reverse_digits(cur, g.digits[::-1], tmp), cur
     counter = list(digit_decompose(start, g))
     width = max((k for k, d in enumerate(counter) if d), default=0) + 1
-    size = g.scales[width]
     psi = np.empty(g.size, dtype=np.complex128)
-    _reverse_digits(CharacterBasis(g.truncate(width)).row(start), g.digits[width - 1 :: -1], psi[:size])
+    _reverse_digits(CharacterBasis(g.truncate(width)).row(start), g.digits[width - 1 :: -1], psi[: g.scales[width]])
     roots = [character_basis(g).roots(a) for a in range(g.resolution)]
-    n = start
+    split, bounds = _split(g)
     with np.errstate():  # which restores the ufunc buffer size
         np.setbufsize(_LANE_BUFFER)
-        while n < first:  # the zero run: only the prefix row moves
-            if n + 1 == size:  # this step carries into axis ``width``
-                tmp[: size * g.digits[width]].reshape(size, -1)[...] = psi[:size, None]
-                psi, tmp = tmp, psi
-                size *= g.digits[width]
-                width += 1
-            lanes = [_digit_lanes(psi[:size], 0, size // g.scales[a + 1], roots[a]) for a in range(width)]
-            for _ in range(n, min(first, size - 1)):
-                step_character(lanes, counter, g.digits)
-            n = min(first, size - 1)
-    tmp.reshape(size, -1)[...] = psi[:size, None]
+        psi, tmp, width, n = _zero_run(psi, tmp, 0, width, start, first, counter, g, roots, split + 1)
+    while width <= split:  # the zero run ended first: the row is still a prefix
+        psi, tmp = _tile(psi, tmp, g.scales[width], g.digits[width])
+        width += 1
+    part = g.size // g.scales[width]  # the points a prefix point stands for
+    for lo, hi in zip(bounds, bounds[1:]):  # each range's part of the prefix, at its start
+        tmp[lo : lo + (hi - lo) // part] = psi[lo // part : hi // part]
     psi, tmp = tmp, psi
-    _sweep_segment(psi, cur, total, tmp, roots, counter, g, s.coeffs[first : stop - 1])
-    total += cur
+    coeffs = s.coeffs[first : stop - 1]
+
+    def run(lo, hi):
+        _sweep_range(psi[lo:hi], cur[lo:hi], total[lo:hi], tmp[lo:hi], lo, width, n, first, list(counter), g, roots, coeffs)
+
+    _sweep_segment(total, bounds, run)
     return _reverse_digits(total, g.digits, psi)
 
 
@@ -242,11 +249,54 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
 # a 222 KB buffer in 14 us, against 7.6 us and no buffer at 16.
 _LANE_BUFFER = 16
 
-# A sweep segment is split into ranges of whole blocks of the slowest digits
-# of at least _RANGE_POINTS points, on at most _THREADS threads; shorter
-# ranges cost more in per-step interpreter work than the threads save.
+# A sweep is split into ranges of whole blocks of the slowest digits of at
+# least _RANGE_POINTS points, in at most _WORKERS processes; shorter ranges
+# cost more in per-step interpreter work than the processes save.
 _RANGE_POINTS = 8192
-_THREADS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
+def _split(g: GroupSpec) -> tuple[int, list[int]]:
+    """``(j, bounds)``: the sweep's ranges, cut at ``bounds`` into whole
+    blocks of the slowest digits ``x_0 .. x_{j-1}`` of the digit-reversed
+    grid.  ``j`` stops at ``R - 1``, so no block is a single point; one
+    range has ``j = 0``."""
+    parts = max(1, min(_WORKERS, g.size // _RANGE_POINTS))
+    j = next((a for a in range(g.resolution) if g.scales[a] >= parts), g.resolution - 1)
+    parts = min(parts, g.scales[j])
+    block = g.size // g.scales[j]
+    return j, [g.scales[j] * i // parts * block for i in range(parts + 1)]
+
+
+def _tile(psi: np.ndarray, tmp: np.ndarray, size: int, times: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``psi``'s first ``size`` points repeated ``times`` times
+    into ``tmp``, which becomes the row: ``(tmp, psi)``."""
+    tmp[: size * times].reshape(size, times)[...] = psi[:size, None]
+    return tmp, psi
+
+
+def _zero_run(psi, tmp, lo, width, n, first, counter, g, roots, wide):
+    """Step the prefix row from ``n`` to ``first``, or only until it holds
+    ``wide`` axes, as ``(psi, tmp, width, n)`` after it.
+
+    ``psi`` starts with this range's part of the depth-``width`` prefix:
+    the prefix points of the range of the digit-reversed grid from ``lo``
+    on, each standing for ``N / M_width`` of its points.  When a carry
+    first reaches axis ``width``, each point is tiled ``m_width`` times
+    into the other buffer, which becomes the row."""
+    while n < first and width < wide:
+        size = g.scales[width]
+        part = len(psi) * size // g.size
+        if n + 1 == size:  # this step carries into axis ``width``
+            psi, tmp = _tile(psi, tmp, part, g.digits[width])
+            width += 1
+            continue
+        offset = lo * size // g.size
+        lanes = [_digit_lanes(psi[:part], offset, size // g.scales[a + 1], roots[a]) for a in range(width)]
+        for _ in range(n, min(first, size - 1)):
+            step_character(lanes, counter, g.digits)
+        n = min(first, size - 1)
+    return psi, tmp, width, n
 
 
 def _reverse_digits(src: np.ndarray, shape, out: np.ndarray) -> np.ndarray:
@@ -270,7 +320,8 @@ def _digit_lanes(part: np.ndarray, lo: int, run: int, roots: np.ndarray) -> list
     ``row(n)`` is ``exp(2*pi*i * phase)`` with ``phase >= 0``, a product
     of nonzero factors is nonzero, and an exact cancellation rounds to
     +0.  A one-point lane would take another numpy loop, which can differ
-    in the last bit, so one pair then steps every nonzero digit."""
+    in the last bit, so one pair then steps every nonzero digit; a cut
+    run must be two points or more."""
     m = len(roots)
     if lo % (m * run) == 0 == len(part) % (m * run):
         lanes = part.reshape(-1, m, run)
@@ -281,60 +332,122 @@ def _digit_lanes(part: np.ndarray, lo: int, run: int, roots: np.ndarray) -> list
     return [(part[a - lo : b - lo], roots[a // run % m]) for a, b in zip(cuts, cuts[1:]) if a // run % m]
 
 
-def _sweep_segment(psi, cur, total, tmp, roots, counter, g, coeffs) -> None:
-    """Step the row ``psi``, and the partial sum ``cur`` and ``total``
-    with it, all digit-reversed, through one coefficient per step, as
-    ranges of whole blocks of the slowest digits ``x_0 .. x_{j-1}``, each
-    with its own copy of ``counter``: the first on the calling thread,
-    each other one on a thread of its own.
+def _sweep_segment(total, bounds, run) -> None:
+    """Run ``run(lo, hi)`` on each range of ``bounds``, each of which
+    writes ``total[lo:hi]`` from its own points alone: the first range in
+    the calling process, each other one in a child made by ``os.fork``.
 
-    Inside a block an axis below ``j`` is one digit, so the range steps
-    it by multiplying whole blocks by their root, and each other axis by
-    its lanes.  ``j`` stops at ``R - 1``, so no block is a single point.
-    An exception, the caller's range's too, is raised again here only
-    after every thread has been joined.
+    A child sends a zero byte and its range of ``total`` through a pipe,
+    or a one byte and its pickled exception, and leaves by ``os._exit``;
+    the caller reads each range into its own ``total`` and raises a
+    worker's exception again, with its type and message.  Every child is
+    reaped before this returns or raises, killed first if anything
+    raised.  Where ``os.fork`` does not exist, or another Python thread
+    runs (a fork copies only the calling thread), or a fork fails, the
+    ranges run one after another in the calling process.
     """
-    parts = max(1, min(_THREADS, psi.size // _RANGE_POINTS))
-    blocks = next((run for run in g.scales[:-1] if run >= parts), g.scales[-2])
-    parts = min(parts, blocks)
-    bounds = [blocks * i // parts * (psi.size // blocks) for i in range(parts + 1)]
-    ranges = [
-        (psi[lo:hi], cur[lo:hi], total[lo:hi], tmp[lo:hi], [_digit_lanes(psi[lo:hi], lo, psi.size // g.scales[a + 1], roots[a]) for a in range(g.resolution)])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    errors: list[Exception] = []
-
-    def run(part):
-        try:
-            _sweep_range(*part, list(counter), g.digits, coeffs)
-        except Exception as exc:  # raised again in the caller below
-            errors.append(exc)
-
-    started = []
+    ranges = list(zip(bounds, bounds[1:]))
+    if not hasattr(os, "fork") or len(sys._current_frames()) > 1:
+        for lo, hi in ranges:
+            run(lo, hi)
+        return
+    children, here = [], ranges[:1]
+    finished = False
     try:
-        for part in ranges[1:]:
-            thread = threading.Thread(target=run, args=(part,))
-            thread.start()
-            started.append(thread)
-        run(ranges[0])
+        for lo, hi in ranges[1:]:
+            try:
+                children.append((_fork_range(run, total, lo, hi), lo, hi))
+            except OSError:
+                here.append((lo, hi))
+        for lo, hi in here:
+            run(lo, hi)
+        for (pid, fd), lo, hi in children:
+            _receive(fd, total[lo:hi])
+        finished = True
     finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
+        for (pid, fd), _, _ in children:
+            os.close(fd)
+            # a child is gone already only where SIGCHLD is ignored
+            with contextlib.suppress(ChildProcessError, ProcessLookupError):
+                if not finished:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
-def _sweep_range(psi, cur, total, tmp, lanes, counter, digits, coeffs) -> None:
-    """The sweep's loop body on one point range, one step per coefficient;
-    it calls only numpy, so it may run on any thread."""
+def _fork_range(run, total, lo, hi) -> tuple[int, int]:
+    """Fork a child that runs ``run(lo, hi)`` and writes its result to a
+    pipe (:func:`_sweep_segment`); the child's pid and the pipe's read
+    end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:  # the child: never returns into the caller's stack
+        os.close(read)
+        with open(write, "wb") as out:
+            try:
+                run(lo, hi)
+            except BaseException as exc:
+                out.write(b"\1" + _pickled(exc))
+            else:
+                out.write(b"\0")
+                out.write(total[lo:hi].view(np.uint8))
+                status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled(exc: BaseException) -> bytes:
+    """``exc`` pickled, or a ``RuntimeError`` naming it where it does not pickle."""
+    try:
+        return pickle.dumps(exc)
+    except Exception:  # an exception that does not pickle goes by its text
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+def _receive(fd: int, out: np.ndarray) -> None:
+    """Read a child's range into ``out``, or raise its exception."""
+    with open(fd, "rb", buffering=0, closefd=False) as pipe:
+        head = pipe.read(1)
+        if head == b"\1":
+            raise pickle.loads(pipe.read())
+        view = out.view(np.uint8)
+        got = 0
+        if head == b"\0":
+            while got < view.size and (read := pipe.readinto(view[got:])):
+                got += read
+        if got < view.size:
+            raise ChildProcessError("a sweep worker ended without sending its range")
+
+
+def _sweep_range(psi, cur, total, tmp, lo, width, n, first, counter, g, roots, coeffs) -> None:
+    """One range of the sweep, the points of the digit-reversed grid from
+    ``lo`` on, from step ``n`` to the end: the rest of the zero run on its
+    part of the depth-``width`` prefix row at the start of ``psi``, the
+    tile-up to the full row, then one step per coefficient, and the last
+    partial sum added to ``total``.  Inside a block of the slowest digits
+    an axis of the split is one digit, so the range steps it by
+    multiplying whole blocks by their root, and each other axis by its
+    lanes."""
     with np.errstate():  # which restores the ufunc buffer size
         np.setbufsize(_LANE_BUFFER)
+        psi, tmp, width, n = _zero_run(psi, tmp, lo, width, n, first, counter, g, roots, g.resolution + 1)
+        psi, tmp = _tile(psi, tmp, len(psi) * g.scales[width] // g.size, g.size // g.scales[width])
+        lanes = [_digit_lanes(psi, lo, g.size // g.scales[a + 1], roots[a]) for a in range(g.resolution)]
         for c in coeffs:
             total += cur
             if c:
                 np.multiply(psi, c, out=tmp)
                 cur += tmp
-            step_character(lanes, counter, digits)
+            step_character(lanes, counter, g.digits)
+        total += cur
 
 
 def step_character(lanes: list[list[tuple]], counter: list[int], digits) -> None:

@@ -1,5 +1,6 @@
 """Unit tests: Dirichlet/Fejer kernels, Cesaro means, Hardy-space pieces."""
-import sys
+import collections
+import os
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -313,16 +314,15 @@ def test_summed_partial_sums_is_the_full_grid_sweep_bit_for_bit(from_zero, s, da
 @settings(max_examples=50, deadline=None)
 def test_a_zero_run_from_any_start_is_the_full_grid_sweep(g, start, first, stop):
     # coefficients zero from 0 up to ``first``: the sweep steps a prefix row
-    # from ``start`` on the calling thread, however few axes ``start``'s
-    # digits use; then up to 4 ranges whatever the host, so the summing
-    # phase on a grid of 16,384 points or more splits
+    # from ``start``, however few axes ``start``'s digits use, in up to 4
+    # ranges whatever the host, so a grid of 16,384 points or more splits
     start, first, stop = sorted(min(x, g.size) for x in (start, first, stop))
     rng = np.random.default_rng(start)
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[first:] = rng.standard_normal(g.size - first) + 1j * rng.standard_normal(g.size - first)
     s = Spectrum(g, coeffs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_THREADS", 4)
+        mp.setattr(kernels, "_WORKERS", 4)
         fast = summed_partial_sums(s, start, stop)
     assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
 
@@ -330,21 +330,16 @@ def test_a_zero_run_from_any_start_is_the_full_grid_sweep(g, start, first, stop)
 @given(sweep_spectra(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_sweep_split_into_tiny_thread_ranges_is_the_full_grid_sweep(s, data):
-    # ranges of 1 or 2 points on 3 threads: a summing phase is split into
-    # ranges of as few whole blocks as the grid allows, of one block too; a
-    # short switch interval makes the threads interleave between steps
+    # ranges of 1 or 2 points in 3 processes: a sweep is split into ranges
+    # of as few whole blocks as the grid allows, of one block too, each
+    # stepping its own part of the prefix row
     start = data.draw(st.integers(0, s.group.size))
     stop = data.draw(st.integers(start, s.group.size))
     range_points = data.draw(st.sampled_from([1, 2]))
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-5)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_RANGE_POINTS", range_points)
-            mp.setattr(kernels, "_THREADS", 3)
-            fast = summed_partial_sums(s, start, stop)
-    finally:
-        sys.setswitchinterval(interval)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_RANGE_POINTS", range_points)
+        mp.setattr(kernels, "_WORKERS", 3)
+        fast = summed_partial_sums(s, start, stop)
     assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
 
 
@@ -363,22 +358,22 @@ def dense_spectrum(digits, seed=0):
     return forward_transform(random_cylinder_function(build_group_spec(digits), seed=seed))
 
 
-@pytest.mark.parametrize("threads", [1, 4])
-# one range point on 4 threads: if the blocks of the slowest digits went
+@pytest.mark.parametrize("workers", [1, 4])
+# one range point in 4 processes: if the blocks of the slowest digits went
 # down to x_{R-1}, these grids would be cut into one-point blocks
 @example((dense_spectrum([2, 5]), 0, 10), 1)
 @example((dense_spectrum([5], seed=2), 0, 5), 1)
 @example((dense_spectrum([7]), 0, 7), 1)
 @given(sweep_ranges(max_base=7), st.sampled_from([1, 2, 8192]))
 @settings(max_examples=150, deadline=None)
-def test_sweep_with_few_full_step_vectors_is_the_full_grid_sweep(threads, case, range_points):
-    # no step vector at all: every axis steps by its roots; thread ranges
+def test_sweep_with_few_full_step_vectors_is_the_full_grid_sweep(workers, case, range_points):
+    # no step vector at all: every axis steps by its roots; worker ranges
     # of any block count, and summation ranges that are empty, one point
     # long, ragged or start past 0
     s, start, stop = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_RANGE_POINTS", range_points)
-        mp.setattr(kernels, "_THREADS", threads)
+        mp.setattr(kernels, "_WORKERS", workers)
         fast = summed_partial_sums(s, start, stop)
     assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
 
@@ -391,7 +386,7 @@ def test_sweep_holds_four_grid_vectors_and_the_ufunc_buffer(monkeypatch):
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[g.scales[13]] = 1
     s = Spectrum(g, coeffs)
-    monkeypatch.setattr(kernels, "_THREADS", 1)
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
     _, peak = _peak(lambda: summed_partial_sums(s, 0, g.scales[13] + 2))
     # psi, cur, total and tmp, and the ufunc buffer numpy may take for a
     # broadcast multiply
@@ -402,14 +397,14 @@ def test_sweep_holds_four_grid_vectors_and_the_ufunc_buffer(monkeypatch):
 @settings(max_examples=150, deadline=None)
 def test_sweep_stepping_long_runs_by_their_roots_is_the_full_grid_sweep(s, data):
     # every axis, of a run of one point up, steps the lanes of its nonzero
-    # digits by their roots, on prefix rows and on thread ranges of one
+    # digits by their roots, on prefix rows and on worker ranges of one
     # block or more
     g = s.group
     start = data.draw(st.one_of(st.just(0), st.integers(0, g.size)))
     stop = data.draw(st.integers(start, g.size))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_RANGE_POINTS", data.draw(st.sampled_from([1, 8, 8192])))
-        mp.setattr(kernels, "_THREADS", data.draw(st.sampled_from([1, 3])))
+        mp.setattr(kernels, "_WORKERS", data.draw(st.sampled_from([1, 3])))
         fast = summed_partial_sums(s, start, stop)
     assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
 
@@ -421,21 +416,25 @@ def test_a_const_2_sweep_holds_four_grid_vectors_and_the_ufunc_buffer(monkeypatc
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[g.scales[12] :] = 1
     s = Spectrum(g, coeffs)
-    monkeypatch.setattr(kernels, "_THREADS", 1)
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
     _, peak = _peak(lambda: summed_partial_sums(s, 0, g.size))
     assert peak <= (4 * g.size + np.getbufsize()) * np.dtype(np.complex128).itemsize
 
 
-def count_multiplies(mp, sizes):
-    """Wrap ``step_character`` under ``mp``: each call appends to ``sizes``
-    the points it multiplies."""
+def count_multiplies(mp, steps):
+    """Wrap ``step_character`` under ``mp``: each call appends to ``steps``
+    its ``n``, read from the counter it steps to ``n + 1``, and the points
+    it multiplies."""
     step = kernels.step_character
 
     def count(lanes, counter, digits):
         axis = 0
         while counter[axis] == digits[axis] - 1:
             axis += 1
-        sizes.append(sum(view.size for pairs in lanes[: axis + 1] for view, _ in pairs))
+        n = 0
+        for d, m in zip(reversed(counter), reversed(digits)):
+            n = n * m + d
+        steps.append((n, sum(view.size for pairs in lanes[: axis + 1] for view, _ in pairs)))
         step(lanes, counter, digits)
 
     mp.setattr(kernels, "step_character", count)
@@ -463,23 +462,30 @@ def predicted_multiplies(g, start, first, stop):
     return count
 
 
-@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("workers", [1, 3, 4])
+# more ranges than m_0: the caller steps the prefix row until it holds
+# x_0 and x_1, and each range steps its part from there
+@example(build_group_spec([2, 3, 2]), 0, 9, 12, 1)
+@example(build_group_spec([2] * 6), 0, 40, 64, 1)
+@example(build_group_spec([2] * 6), 3, 40, 64, 2)
 @given(sweep_groups(max_base=7), st.integers(0, 4096), st.integers(0, 4096), st.integers(0, 4096), st.sampled_from([1, 2, 8]))
 @settings(max_examples=100, deadline=None)
-def test_one_closed_form_prices_the_whole_sweep(threads, g, start, first, stop, range_points):
+def test_one_closed_form_prices_the_whole_sweep(workers, g, start, first, stop, range_points):
     # coefficients zero below ``first`` and random from there: the sweep
     # multiplies exactly the points the closed form predicts, in its zero
-    # run and after it, however its summing phase is split into ranges
+    # run and after it, however it is split into ranges; with no
+    # ``os.fork`` every range runs, and is counted, in this process
     start, stop = sorted(min(x, g.size) for x in (start, stop))
     first = min(first, g.size)
     rng = np.random.default_rng(first)
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[first:] = rng.standard_normal(g.size - first) + 1j * rng.standard_normal(g.size - first)
-    sizes = []
+    steps = []
     with pytest.MonkeyPatch.context() as mp:
-        count_multiplies(mp, sizes)
+        count_multiplies(mp, steps)
+        mp.delattr(os, "fork")
         mp.setattr(kernels, "_RANGE_POINTS", range_points)
-        mp.setattr(kernels, "_THREADS", threads)
+        mp.setattr(kernels, "_WORKERS", workers)
         summed_partial_sums(Spectrum(g, coeffs), start, stop)
     if start > first:  # the partial sum at ``start`` is nonzero: no zero run
         expected = predicted_multiplies(g, start, start, stop)
@@ -487,39 +493,48 @@ def test_one_closed_form_prices_the_whole_sweep(threads, g, start, first, stop, 
         expected = predicted_multiplies(g, start, first, stop)
     else:  # no rank-one term before ``stop - 1``: nothing is stepped
         expected = 0
-    assert sum(sizes) == expected
+    assert sum(points for _, points in steps) == expected
 
 
-@pytest.mark.parametrize("g, first, stop, zero_run, summing", [
-    pytest.param(GroupPattern((2, 2, 3)).group(13), 20736, 24941, 319_004_171, 174_258_432, id="2,2,3"),
-    pytest.param(build_group_spec([2] * 13), 4096, 5461, 11_233_963, 11_153_408, id="const:2"),
+@pytest.mark.parametrize("g, first, stop, zero_run, summing, ranges", [
+    pytest.param(GroupPattern((2, 2, 3)).group(13), 20736, 24941, 319_004_171, 174_258_432, 4, id="2,2,3"),
+    pytest.param(build_group_spec([2] * 13), 4096, 5461, 11_233_963, 11_153_408, 1, id="const:2"),
 ])
-def test_a_zero_run_multiplies_only_the_points_whose_digit_is_nonzero(g, first, stop, zero_run, summing, monkeypatch):
+def test_a_zero_run_multiplies_only_the_points_whose_digit_is_nonzero(g, first, stop, zero_run, summing, ranges, monkeypatch):
     # grid-audit's and exact-json's block-0 grids up to their q_alpha, with
     # coefficients zero below M_12: every step multiplies the lanes of the
     # nonzero digits of each axis its carry reaches, (m - 1) / m of the
-    # prefix in the zero run and of the grid after it
+    # prefix in the zero run and of the grid after it.  With no ``os.fork``
+    # the 4 ranges of 2,2,3 (more than m_0) run and are counted here
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[first:] = 1
-    sizes = []
-    count_multiplies(monkeypatch, sizes)
-    monkeypatch.setattr(kernels, "_THREADS", 1)
+    steps = []
+    count_multiplies(monkeypatch, steps)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(kernels, "_WORKERS", 4)
     summed_partial_sums(Spectrum(g, coeffs), 0, stop)
-    assert len(sizes) == stop - 1  # the zero run, then the summing steps
-    assert sum(sizes[:first]) == zero_run
-    assert sum(sizes[first:]) == summing
+    # the caller steps the prefix until it holds x_0 .. x_j, then every
+    # range takes each step on its own part
+    split, bounds = kernels._split(g)
+    assert len(bounds) - 1 == ranges
+    handed = g.scales[split] - 1
+    taken = collections.Counter(n for n, _ in steps)
+    assert [taken[n] for n in range(stop - 1)] == [1] * handed + [ranges] * (stop - 1 - handed)
+    assert sum(points for n, points in steps if n < first) == zero_run
+    assert sum(points for n, points in steps if n >= first) == summing
     assert zero_run + summing == predicted_multiplies(g, 0, first, stop)
 
 
 def test_sweep_restores_the_callers_ufunc_buffer_size(monkeypatch):
-    # the sweep sets a small ufunc buffer for its own steps, on the caller
-    # and on 2 threads, and gives the caller's back, after an error too
+    # the sweep sets a small ufunc buffer for its own steps, in the caller
+    # and in 2 worker processes, and gives the caller's back, after an
+    # error too
     def fail(*args):
         raise ValueError("step failed")
 
     s = forward_transform(random_cylinder_function(build_group_spec([2, 3, 2]), seed=4))
     monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)
-    monkeypatch.setattr(kernels, "_THREADS", 3)
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
     with np.errstate():
         np.setbufsize(4096)
         summed_partial_sums(s, 0, s.group.size)
@@ -530,19 +545,43 @@ def test_sweep_restores_the_callers_ufunc_buffer_size(monkeypatch):
         assert np.getbufsize() == 4096
 
 
+def count_forks(mp):
+    """Wrap ``os.fork`` under ``mp``; returns the list of the pids it makes
+    in this process."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sweep_raises_a_range_error_in_the_caller_after_every_thread_ends(monkeypatch):
+    # every range fails, the caller's and the 2 workers': the caller raises
+    # its own error once it has killed and reaped both
     def fail(*args):
         raise ValueError("range failed")
 
     g = build_group_spec([2, 3, 2])
     s = forward_transform(random_cylinder_function(g, seed=4))
     monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)
-    monkeypatch.setattr(kernels, "_THREADS", 3)
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
     monkeypatch.setattr(kernels, "step_character", fail)
-    before = threading.active_count()
+    pids = count_forks(monkeypatch)
     with pytest.raises(ValueError, match="range failed"):
         summed_partial_sums(s, 0, g.size)
-    assert threading.active_count() == before
+    assert len(pids) == 2
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("zero_to, failing", [
@@ -551,16 +590,17 @@ def test_sweep_raises_a_range_error_in_the_caller_after_every_thread_ends(monkey
     pytest.param(0, "worker", id="worker"),
 ])
 def test_sweep_raises_an_error_in_the_callers_own_range_after_every_thread_ends(zero_to, failing, monkeypatch):
-    # step_character fails on the calling thread alone: in the first range
-    # of the summing phase while 2 threads step the others, or, with the
-    # coefficients zero up to the midpoint, in the zero run, which starts
-    # no thread; or it fails on the 2 threads alone, while the caller
-    # steps the first range to its end
-    caller = threading.get_ident()
+    # step_character fails in the calling process alone: in the first
+    # range while 2 worker processes step the others, or, with the
+    # coefficients zero up to the midpoint, in the caller's share of the
+    # zero run, before any fork; or it fails in the 2 workers alone, while
+    # the caller steps the first range to its end, and their ValueError
+    # reaches the caller with its message.  No child outlives the call.
+    caller = os.getpid()
     step = kernels.step_character
 
     def fail_on_one_side(*args):
-        if (threading.get_ident() == caller) == (failing == "caller"):
+        if (os.getpid() == caller) == (failing == "caller"):
             raise ValueError(f"{failing}'s range failed")
         step(*args)
 
@@ -569,37 +609,22 @@ def test_sweep_raises_an_error_in_the_callers_own_range_after_every_thread_ends(
     coeffs[:zero_to] = 0
     s = Spectrum(g, coeffs)
     monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)  # 3 ranges of 2 blocks of 2 points
-    monkeypatch.setattr(kernels, "_THREADS", 3)
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
     monkeypatch.setattr(kernels, "step_character", fail_on_one_side)
-    _CountedThread.started = 0
-    monkeypatch.setattr(threading, "Thread", _CountedThread)
-    before = threading.active_count()
-    with pytest.raises(ValueError, match=f"{failing}'s range failed"):
+    pids = count_forks(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{failing}'s range failed$"):
         summed_partial_sums(s, 0, g.size)
-    assert threading.active_count() == before
-    assert _CountedThread.started == (0 if zero_to else 2)
-
-
-class _CountedThread(threading.Thread):
-    started = 0
-
-    def start(self):
-        type(self).started += 1
-        super().start()
-
-
-class _NoThread:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("the sweep started a thread")
+    assert len(pids) == (0 if zero_to else 2)
+    assert_no_child_left()
 
 
 @pytest.fixture(scope="module")
 def split_sweep_case():
     """``const:2`` at depth 15 (32,768 points), zero coefficients below
-    16,384 and random ones up to 16,448: the zero run steps a 16,384-point
-    prefix row on the calling thread, and the summing phase the full row,
-    which with 2 CPUs or more splits into ranges at the default range
-    size, the first on the caller."""
+    16,384 and random ones up to 16,448: with 2 CPUs or more the sweep
+    splits into ranges at the default range size, the first in the
+    calling process, each stepping its part of a 16,384-point prefix row
+    and then of the full row."""
     g = build_group_spec([2] * 15)
     rng = np.random.default_rng(5)
     coeffs = np.zeros(g.size, dtype=np.complex128)
@@ -609,36 +634,89 @@ def split_sweep_case():
 
 def test_sweep_above_the_split_threshold_is_the_full_grid_sweep(split_sweep_case, monkeypatch):
     s, start, stop = split_sweep_case
-    _CountedThread.started = 0
-    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    pids = count_forks(monkeypatch)
     fast = summed_partial_sums(s, start, stop)
     monkeypatch.undo()
-    if kernels._THREADS > 1:
-        assert _CountedThread.started > 0
+    if kernels._WORKERS > 1:
+        assert pids
     assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
 
 
 def test_sweep_on_one_thread_starts_none_and_gives_the_same_bytes(split_sweep_case, monkeypatch):
+    # one worker: the sweep is one range, in the calling process
+    def no_fork():
+        raise AssertionError("the sweep forked")
+
     s, start, stop = split_sweep_case
     split = summed_partial_sums(s, start, stop)
-    monkeypatch.setattr(kernels, "_THREADS", 1)
-    monkeypatch.setattr(threading, "Thread", _NoThread)
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    monkeypatch.setattr(os, "fork", no_fork)
     single = summed_partial_sums(s, start, stop)
     monkeypatch.undo()
     assert single.tobytes() == split.tobytes()
 
 
 def test_sweep_starts_a_thread_per_range_but_the_first_and_none_in_the_zero_run(split_sweep_case, monkeypatch):
-    # the zero run steps on the calling thread; the summing phase is 4
-    # ranges of 8,192 points, the first on the caller
+    # 4 ranges of 8,192 points on a base-2 top axis: the caller steps the
+    # zero run itself only until its prefix row holds x_0, x_1 and x_2 (3
+    # steps), then forks one worker per range but the first, each of
+    # which steps the rest of the zero run on its own part.  A finished
+    # sweep leaves no child behind.
     s, start, stop = split_sweep_case
-    _CountedThread.started = 0
-    monkeypatch.setattr(kernels, "_THREADS", 4)
-    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    steps, forks = [], []
+    count_multiplies(monkeypatch, steps)
+    fork = os.fork
+
+    def counted():
+        forks.append(len(steps))  # the steps this process took before it
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(kernels, "_WORKERS", 4)
     fast = summed_partial_sums(s, start, stop)
     monkeypatch.undo()
-    assert _CountedThread.started == 3
+    assert forks == [3, 3, 3]
+    assert_no_child_left()
     assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+
+
+@pytest.fixture(scope="module")
+def grid_audit_case():
+    """grid-audit's block-0 grid, 2,2,3 at depth 13 (41,472 points), with
+    coefficients 1 from M_12 up to its q_alpha, as in the zero-run count."""
+    g = GroupPattern((2, 2, 3)).group(13)
+    coeffs = np.zeros(g.size, dtype=np.complex128)
+    coeffs[20736:] = 1
+    return Spectrum(g, coeffs), 0, 24941
+
+
+@pytest.mark.parametrize("case", ["split_sweep_case", "grid_audit_case"])
+def test_sweep_with_no_fork_or_with_another_thread_runs_its_ranges_in_process(case, request, monkeypatch):
+    # where os.fork does not exist, or another Python thread is alive (a
+    # forked child would hold only the calling thread), the same ranges
+    # run one after another in the calling process, to the same bytes
+    s, start, stop = request.getfixturevalue(case)
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    with pytest.MonkeyPatch.context() as mp:
+        forks = count_forks(mp)
+        forked = summed_partial_sums(s, start, stop)
+        assert len(forks) == 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(os, "fork")
+        no_fork = summed_partial_sums(s, start, stop)
+    assert no_fork.tobytes() == forked.tobytes()
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            forks = count_forks(mp)
+            threaded = summed_partial_sums(s, start, stop)
+            assert forks == []
+    finally:
+        release.set()
+        waiter.join()
+    assert threaded.tobytes() == forked.tobytes()
 
 
 @given(sweep_spectra(), st.data())
