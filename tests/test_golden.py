@@ -184,7 +184,7 @@ def test_golden_output(name, tmp_path, capsys):
 
 
 def test_sweep_output_does_not_depend_on_the_cpu_count():
-    # a child pinned to one CPU steps the partial-sum sweep on no thread
+    # a child pinned to one CPU forks no worker for the partial-sum sweep
     name = "counterexample_232_k2"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

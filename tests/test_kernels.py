@@ -692,9 +692,12 @@ def grid_audit_case():
 
 @pytest.mark.parametrize("case", ["split_sweep_case", "grid_audit_case"])
 def test_sweep_with_no_fork_or_with_another_thread_runs_its_ranges_in_process(case, request, monkeypatch):
-    # where os.fork does not exist, or another Python thread is alive (a
-    # forked child would hold only the calling thread), the same ranges
-    # run one after another in the calling process, to the same bytes
+    # where os.fork does not exist, or fails, or another Python thread is
+    # alive (a forked child would hold only the calling thread), the same
+    # ranges run one after another in the calling process, to the same bytes
+    def fork_fails():
+        raise BlockingIOError("no process to spare")
+
     s, start, stop = request.getfixturevalue(case)
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     with pytest.MonkeyPatch.context() as mp:
@@ -705,6 +708,10 @@ def test_sweep_with_no_fork_or_with_another_thread_runs_its_ranges_in_process(ca
         mp.delattr(os, "fork")
         no_fork = summed_partial_sums(s, start, stop)
     assert no_fork.tobytes() == forked.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", fork_fails)
+        failed_fork = summed_partial_sums(s, start, stop)
+    assert failed_fork.tobytes() == forked.tobytes()
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
@@ -715,8 +722,10 @@ def test_sweep_with_no_fork_or_with_another_thread_runs_its_ranges_in_process(ca
             assert forks == []
     finally:
         release.set()
-        waiter.join()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
     assert threaded.tobytes() == forked.tobytes()
+    assert_no_child_left()
 
 
 @given(sweep_spectra(), st.data())
