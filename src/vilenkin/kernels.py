@@ -23,6 +23,7 @@ import os
 import pickle
 import signal
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,8 +238,8 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     psi, tmp = tmp, psi
     coeffs = s.coeffs[first : stop - 1]
 
-    def run(lo, hi):
-        _sweep_range(psi[lo:hi], cur[lo:hi], total[lo:hi], tmp[lo:hi], lo, width, n, first, list(counter), g, roots, coeffs)
+    def run(lo, hi, parent=None):
+        _sweep_range(psi[lo:hi], cur[lo:hi], total[lo:hi], tmp[lo:hi], lo, width, n, first, list(counter), g, roots, coeffs, parent)
 
     _sweep_segment(total, bounds, run)
     return _reverse_digits(total, g.digits, psi)
@@ -275,9 +276,10 @@ def _tile(psi: np.ndarray, tmp: np.ndarray, size: int, times: int) -> tuple[np.n
     return tmp, psi
 
 
-def _zero_run(psi, tmp, lo, width, n, first, counter, g, roots, wide):
+def _zero_run(psi, tmp, lo, width, n, first, counter, g, roots, wide, parent=None):
     """Step the prefix row from ``n`` to ``first``, or only until it holds
-    ``wide`` axes, as ``(psi, tmp, width, n)`` after it.
+    ``wide`` axes, as ``(psi, tmp, width, n)`` after it; a worker of
+    ``parent`` leaves at any step where its caller is gone (:func:`_orphaned`).
 
     ``psi`` starts with this range's part of the depth-``width`` prefix:
     the prefix points of the range of the digit-reversed grid from ``lo``
@@ -294,6 +296,8 @@ def _zero_run(psi, tmp, lo, width, n, first, counter, g, roots, wide):
         offset = lo * size // g.size
         lanes = [_digit_lanes(psi[:part], offset, size // g.scales[a + 1], roots[a]) for a in range(width)]
         for _ in range(n, min(first, size - 1)):
+            if _orphaned(parent):
+                os._exit(1)
             step_character(lanes, counter, g.digits)
         n = min(first, size - 1)
     return psi, tmp, width, n
@@ -342,9 +346,11 @@ def _sweep_segment(total, bounds, run) -> None:
     the caller reads each range into its own ``total`` and raises a
     worker's exception again, with its type and message.  Every child is
     reaped before this returns or raises, killed first if anything
-    raised.  Where ``os.fork`` does not exist, or another Python thread
-    runs (a fork copies only the calling thread), or a fork fails, the
-    ranges run one after another in the calling process.
+    raised; a child whose caller is killed with no ``finally`` run
+    leaves at its next step (:func:`_orphaned`).  Where ``os.fork`` does
+    not exist, or another Python thread runs (a fork copies only the
+    calling thread), or a fork fails, the ranges run one after another in
+    the calling process.
     """
     ranges = list(zip(bounds, bounds[1:]))
     if not hasattr(os, "fork") or len(sys._current_frames()) > 1:
@@ -356,7 +362,7 @@ def _sweep_segment(total, bounds, run) -> None:
     try:
         for lo, hi in ranges[1:]:
             try:
-                children.append((_fork_range(run, total, lo, hi), lo, hi))
+                children.append((_fork_range(run, total, lo, hi, [fd for (_, fd), _, _ in children]), lo, hi))
             except OSError:
                 here.append((lo, hi))
         for lo, hi in here:
@@ -374,14 +380,23 @@ def _sweep_segment(total, bounds, run) -> None:
                 os.waitpid(pid, 0)
 
 
-def _fork_range(run, total, lo, hi) -> tuple[int, int]:
-    """Fork a child that runs ``run(lo, hi)`` and writes its result to a
-    pipe (:func:`_sweep_segment`); the child's pid and the pipe's read
-    end."""
+def _fork_range(run, total, lo, hi, reads) -> tuple[int, int]:
+    """Fork a child that runs ``run(lo, hi, caller)`` and writes its
+    result to a pipe (:func:`_sweep_segment`); the child's pid and the
+    pipe's read end.  The child closes ``reads``, the read ends of the
+    children forked before it, so that the caller is each pipe's only
+    reader: once it is gone, a child's write fails instead of blocking."""
+    caller = os.getpid()
     read, write = os.pipe()
     try:
-        pid = os.fork()
-    except OSError:
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn here when another OS thread runs,
+            # such as one of numpy's OpenBLAS pool; the children call only
+            # elementwise ufuncs, no BLAS routine.  Raised as an error, the
+            # warning would lose the child's pid.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
         os.close(read)
         os.close(write)
         raise
@@ -390,10 +405,11 @@ def _fork_range(run, total, lo, hi) -> tuple[int, int]:
         return pid, read
     status = 1
     try:  # the child: never returns into the caller's stack
-        os.close(read)
+        for fd in (read, *reads):
+            os.close(fd)
         with open(write, "wb") as out:
             try:
-                run(lo, hi)
+                run(lo, hi, caller)
             except BaseException as exc:
                 out.write(b"\1" + _pickled(exc))
             else:
@@ -427,7 +443,7 @@ def _receive(fd: int, out: np.ndarray) -> None:
             raise ChildProcessError("a sweep worker ended without sending its range")
 
 
-def _sweep_range(psi, cur, total, tmp, lo, width, n, first, counter, g, roots, coeffs) -> None:
+def _sweep_range(psi, cur, total, tmp, lo, width, n, first, counter, g, roots, coeffs, parent=None) -> None:
     """One range of the sweep, the points of the digit-reversed grid from
     ``lo`` on, from step ``n`` to the end: the rest of the zero run on its
     part of the depth-``width`` prefix row at the start of ``psi``, the
@@ -435,19 +451,31 @@ def _sweep_range(psi, cur, total, tmp, lo, width, n, first, counter, g, roots, c
     partial sum added to ``total``.  Inside a block of the slowest digits
     an axis of the split is one digit, so the range steps it by
     multiplying whole blocks by their root, and each other axis by its
-    lanes."""
+    lanes.  A worker forked by ``parent`` leaves at any step where its
+    caller is gone (:func:`_orphaned`)."""
     with np.errstate():  # which restores the ufunc buffer size
         np.setbufsize(_LANE_BUFFER)
-        psi, tmp, width, n = _zero_run(psi, tmp, lo, width, n, first, counter, g, roots, g.resolution + 1)
+        psi, tmp, width, n = _zero_run(psi, tmp, lo, width, n, first, counter, g, roots, g.resolution + 1, parent)
         psi, tmp = _tile(psi, tmp, len(psi) * g.scales[width] // g.size, g.size // g.scales[width])
         lanes = [_digit_lanes(psi, lo, g.size // g.scales[a + 1], roots[a]) for a in range(g.resolution)]
         for c in coeffs:
+            if _orphaned(parent):
+                os._exit(1)
             total += cur
             if c:
                 np.multiply(psi, c, out=tmp)
                 cur += tmp
             step_character(lanes, counter, g.digits)
         total += cur
+
+
+def _orphaned(parent) -> bool:
+    """Whether this process is a sweep worker whose caller ``parent`` is
+    gone: killed by a signal that runs no ``finally``, such as SIGKILL, so
+    that nobody reaps, kills or reads the worker.  The worker then leaves
+    at once rather than step the rest of its range; one ``getppid`` costs
+    far less than a step's numpy calls.  ``None`` in the calling process."""
+    return parent is not None and os.getppid() != parent
 
 
 def step_character(lanes: list[list[tuple]], counter: list[int], digits) -> None:

@@ -1,8 +1,13 @@
 """Unit tests: Dirichlet/Fejer kernels, Cesaro means, Hardy-space pieces."""
 import collections
+import contextlib
 import os
+import select
+import signal
 import threading
+import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -726,6 +731,84 @@ def test_sweep_with_no_fork_or_with_another_thread_runs_its_ranges_in_process(ca
     assert not waiter.is_alive()
     assert threaded.tobytes() == forked.tobytes()
     assert_no_child_left()
+
+
+def test_sweep_forks_under_the_multi_threaded_fork_warning(split_sweep_case, monkeypatch):
+    # Python 3.12 and later warn in the parent at a fork while another OS
+    # thread runs, after the child exists; raised as an error (as this
+    # suite raises every warning), it would lose the child.  The sweep
+    # ignores that warning alone, so it still forks, to the same bytes.
+    fork = os.fork
+    pids = []
+
+    def fork_and_warn():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    s, start, stop = split_sweep_case
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    monkeypatch.setattr(os, "fork", fork_and_warn)
+    forked = summed_partial_sums(s, start, stop)
+    monkeypatch.undo()
+    assert len(pids) == 1
+    assert_no_child_left()
+    assert forked.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+
+
+def test_a_worker_leaves_soon_after_its_caller_is_killed_mid_sweep(split_sweep_case):
+    # a helper process sweeps with each step slowed to 10 ms (the zero run
+    # alone would take minutes) and sends its worker's pid through a pipe
+    # whose write end the helper and the worker hold.  SIGKILL runs no
+    # ``finally`` in the helper; the worker must see its caller gone and
+    # leave within a few steps, which closes the pipe.
+    s, start, stop = split_sweep_case
+    read, write = os.pipe()
+    helper = os.fork()
+    if not helper:
+        status = 1
+        try:  # never returns into the test's stack
+            os.close(read)
+            step, fork = kernels.step_character, os.fork
+
+            def slow_step(*args):
+                time.sleep(0.01)
+                step(*args)
+
+            def fork_and_report():
+                pid = fork()
+                if pid:
+                    os.write(write, b"%d\n" % pid)
+                return pid
+
+            kernels.step_character = slow_step
+            kernels._WORKERS = 2
+            os.fork = fork_and_report
+            summed_partial_sums(s, start, stop)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    workers = []
+    try:
+        with open(read, "rb", buffering=0) as pipe:
+            line = pipe.readline()
+            assert line, "the helper forked no worker"
+            workers.append(int(line))
+            os.kill(helper, signal.SIGKILL)
+            os.waitpid(helper, 0)
+            helper = None
+            assert select.select([pipe], [], [], 10)[0], "a worker outlived its killed caller by 10 s"
+            assert pipe.read() == b""
+    finally:  # where the test failed, nothing it made is left running
+        for pid in [*workers, helper]:
+            if pid:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        if helper:
+            os.waitpid(helper, 0)
 
 
 @given(sweep_spectra(), st.data())
