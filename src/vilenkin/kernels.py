@@ -30,9 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .group import Cylinder, GroupSpec, digit_decompose
+from .group import Cylinder, GroupSpec
 from .transform import (
-    CharacterBasis,
     CylinderFunction,
     Spectrum,
     _Rows,
@@ -150,7 +149,12 @@ def partial_sum(s: Spectrum, n: int) -> CylinderFunction:
 
 
 def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
-    """Pointwise ``sum_{j=start}^{stop-1} S_j f`` by literal accumulation.
+    """Pointwise ``sum_{j=0}^{stop-1} S_j f`` by literal accumulation.
+
+    The sweep sums from 0: ``start`` must be 0, and any other value is
+    refused before anything is allocated or forked.  The parameter stays
+    only because the benchmark's span tracer binds ``start`` by name; it
+    goes when that tracer gives way to spans the package emits itself.
 
     Runs the character counter incrementally: each step updates the
     current partial sum with one rank-one term and advances the character
@@ -163,8 +167,8 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     lanes of its nonzero digits, each by that digit's root
     (:func:`_digit_lanes`).  The sweep holds four grid vectors (the row
     ``psi``, the partial sum ``cur``, ``total`` and the scratch ``tmp``)
-    and no step table; two copies with no arithmetic move a partial sum at
-    ``start > 0`` into that order and the total back to grid order.
+    and no step table; one copy with no arithmetic moves the total back
+    to grid order.
 
     Work that cannot change a bit is skipped: a zero coefficient adds no
     rank-one term, while the running partial sum is still identically zero
@@ -178,9 +182,8 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     has multiplied the row by its unit step ``m`` times, a product only
     close to 1 in floating point, so ``W`` never falls.  When a carry
     first reaches axis ``W``, each point is repeated ``m_W`` times into
-    the other buffer, which becomes the row.  The prefix row at ``start``
-    is built on the depth-``W`` grid alone: each of its points gets the
-    same phase sum, in the same order, as on any deeper grid.
+    the other buffer, which becomes the row.  The sweep starts from
+    ``psi_0 = 1+0j`` on the depth-1 prefix, with a zero counter.
 
     From the first rank-one term on, each step changes a point's row,
     partial sum and total from that point's own values alone, and so does
@@ -189,10 +192,10 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     ``_WORKERS`` ranges of whole blocks of the slowest digits
     ``x_0 .. x_{j-1}`` (:func:`_sweep_segment`), each from its own part of
     the prefix row to the end of the sweep.  The calling process steps the
-    zero run only until its prefix row holds the digits ``x_0 .. x_j``
-    (at once when the start already uses them), so that each block's part
-    is at least two points (:func:`_digit_lanes`); it then hands each range
-    its part, and every prefix step from there on is some range's.  The
+    zero run only until its prefix row holds the digits ``x_0 .. x_j``,
+    so that each block's part is at least two points
+    (:func:`_digit_lanes`); it then hands each range its part, and every
+    prefix step from there on is some range's.  The
     first range runs in the calling process, each other one in a process
     of its own, made by ``os.fork``: a forked process shares no
     interpreter lock, so the ranges overlap even though each numpy call is
@@ -202,33 +205,27 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     multiply and add.
     """
     g = s.group
-    if not 0 <= start <= stop <= g.size:
-        raise DomainError(f"summation range [{start}, {stop}) outside [0, {g.size}]")
+    if start != 0:
+        raise DomainError(f"the sweep sums partial sums from 0: start must be 0, got {start}")
+    if not 0 <= stop <= g.size:
+        raise DomainError(f"summation range [0, {stop}) outside [0, {g.size}]")
     total = np.zeros(g.size, dtype=np.complex128)
-    if start == stop:
+    # S_0 is zero, and adding a zero partial sum to the zero total changes no bit
+    nonzero = s.coeffs[: max(0, stop - 1)] != 0
+    if not nonzero.any():
         return total
-    cur = partial_sum(s, start).values if start else np.zeros(g.size, dtype=np.complex128)
-    if cur.any():
-        first = start
-    else:
-        # adding a zero partial sum to the zero total changes no bit
-        nonzero = s.coeffs[start : stop - 1] != 0
-        if not nonzero.any():
-            return total
-        first = start + int(nonzero.argmax())
-        del nonzero  # N bytes, not held through the sweep
+    first = int(nonzero.argmax())
+    del nonzero  # N bytes, not held through the sweep
+    cur = np.zeros(g.size, dtype=np.complex128)
     tmp = np.empty(g.size, dtype=np.complex128)
-    if start:  # the grid-order copy becomes the scratch
-        cur, tmp = _reverse_digits(cur, g.digits[::-1], tmp), cur
-    counter = list(digit_decompose(start, g))
-    width = max((k for k, d in enumerate(counter) if d), default=0) + 1
+    counter = [0] * g.resolution
     psi = np.empty(g.size, dtype=np.complex128)
-    _reverse_digits(CharacterBasis(g.truncate(width)).row(start), g.digits[width - 1 :: -1], psi[: g.scales[width]])
+    psi[: g.scales[1]] = 1
     roots = [character_basis(g).roots(a) for a in range(g.resolution)]
     split, bounds = _split(g)
     with np.errstate():  # which restores the ufunc buffer size
         np.setbufsize(_LANE_BUFFER)
-        psi, tmp, width, n = _zero_run(psi, tmp, 0, width, start, first, counter, g, roots, split + 1)
+        psi, tmp, width, n = _zero_run(psi, tmp, 0, 1, 0, first, counter, g, roots, split + 1)
     while width <= split:  # the zero run ended first: the row is still a prefix
         psi, tmp = _tile(psi, tmp, g.scales[width], g.digits[width])
         width += 1
@@ -242,7 +239,9 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
         _sweep_range(psi[lo:hi], cur[lo:hi], total[lo:hi], tmp[lo:hi], lo, width, n, first, list(counter), g, roots, coeffs, parent)
 
     _sweep_segment(total, bounds, run)
-    return _reverse_digits(total, g.digits, psi)
+    # back to grid order (x_0 fastest), into the row's buffer
+    psi.reshape(g.digits[::-1])[...] = total.reshape(g.digits).T
+    return psi
 
 
 # The sweep steps with numpy's ufunc buffer cut to this many points: at the
@@ -301,14 +300,6 @@ def _zero_run(psi, tmp, lo, width, n, first, counter, g, roots, wide, parent=Non
             step_character(lanes, counter, g.digits)
         n = min(first, size - 1)
     return psi, tmp, width, n
-
-
-def _reverse_digits(src: np.ndarray, shape, out: np.ndarray) -> np.ndarray:
-    """``src``, a C-order array of ``shape``, written into ``out`` with its
-    axes in reverse order: grid order (``x_0`` fastest, ``shape`` the
-    bases from the top) into digit-reversed order, or back."""
-    out.reshape(shape[::-1])[...] = src.reshape(shape).T
-    return out
 
 
 def _digit_lanes(part: np.ndarray, lo: int, run: int, roots: np.ndarray) -> list[tuple]:

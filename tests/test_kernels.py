@@ -78,19 +78,17 @@ def sweep_spectra(draw, max_base=5):
     return Spectrum(g, coeffs)
 
 
-def full_grid_sweep(s, start, stop):
-    """The sweep without any skipping: every rank-one term and every add,
-    with the character row stepped on the full grid."""
+def full_grid_sweep(s, stop):
+    """The sweep from 0 without any skipping: every rank-one term and
+    every add, with the character row stepped on the full grid."""
     g = s.group
     total = np.zeros(g.size, dtype=np.complex128)
-    if start == stop:
-        return total
-    cur = partial_sum(s, start).values
+    cur = np.zeros(g.size, dtype=np.complex128)
     basis = character_basis(g)
-    psi = basis.row(start)
-    counter = list(digit_decompose(start, g))
+    psi = basis.row(0)
+    counter = [0] * g.resolution
     tmp = np.empty(g.size, dtype=np.complex128)
-    for j in range(start, stop):
+    for j in range(stop):
         total += cur
         if j + 1 == stop:
             break
@@ -283,53 +281,49 @@ def test_partial_sum_at_full_order_reconstructs():
 def test_summed_partial_sums_matches_literal_stack(digits, data):
     g = build_group_spec(digits)
     s = forward_transform(random_cylinder_function(g, seed=data.draw(st.integers(0, 99))))
-    start = data.draw(st.integers(0, g.size - 1))
-    stop = data.draw(st.integers(start, g.size))
-    fast = summed_partial_sums(s, start, stop)
+    stop = data.draw(st.integers(0, g.size))
+    fast = summed_partial_sums(s, 0, stop)
     slow = np.zeros(g.size, dtype=np.complex128)
-    for j in range(start, stop):
+    for j in range(stop):
         slow += partial_sum(s, j).values
     assert sup_abs(fast - slow) <= 1e-9 * max(1.0, sup_abs(slow))
 
 
-@pytest.mark.parametrize("from_zero", [True, False])
 @given(sweep_spectra(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_summed_partial_sums_is_the_full_grid_sweep_bit_for_bit(from_zero, s, data):
-    start = 0 if from_zero else data.draw(st.integers(0, s.group.size))
-    stop = data.draw(st.integers(start, s.group.size))
-    fast = summed_partial_sums(s, start, stop)
-    slow = full_grid_sweep(s, start, stop)
+def test_summed_partial_sums_is_the_full_grid_sweep_bit_for_bit(s, data):
+    stop = data.draw(st.integers(0, s.group.size))
+    fast = summed_partial_sums(s, 0, stop)
+    slow = full_grid_sweep(s, stop)
     assert np.array_equal(fast, slow)
     assert fast.tobytes() == slow.tobytes()  # signed zeros too
 
 
-@example(build_group_spec([2] * 12), 5, 150, 200)  # start's top digit on axis 2, one row
-@example(build_group_spec([2] * 12), 0, 100, 4096)  # N = 4,096, at the floor: one row
-@example(build_group_spec([2] * 14), 0, 8200, 8250)  # two rows of 8,192; the prefix tiles up to both
-@example(build_group_spec([2] * 15), 0, 9000, 9050)  # a prefix tiled up to 2 rows, then 4 rows in 4 ranges
+@example(build_group_spec([2] * 12), 100, 4096)  # N = 4,096, at the floor: one row
+@example(build_group_spec([2] * 14), 8200, 8250)  # two rows of 8,192; the prefix tiles up to both
+@example(build_group_spec([2] * 15), 9000, 9050)  # a prefix tiled up to 2 rows, then 4 rows in 4 ranges
 # width-1 prefixes, whose lanes of a digit would be one point each
-@example(build_group_spec([3, 2, 2]), 1, 2, 12)
-@example(build_group_spec([5, 2]), 1, 4, 10)
-@example(build_group_spec([5]), 2, 3, 5)
-@example(build_group_spec([3, 5]), 2, 4, 15)
-@example(build_group_spec([2, 5, 3]), 1, 4, 30)
-@example(build_group_spec([2, 3]), 0, 1, 6)
-@given(sweep_groups(), st.integers(0, 4096), st.integers(0, 4096), st.integers(0, 4096))
+@example(build_group_spec([3, 2, 2]), 2, 12)
+@example(build_group_spec([5, 2]), 4, 10)
+@example(build_group_spec([5]), 3, 5)
+@example(build_group_spec([3, 5]), 4, 15)
+@example(build_group_spec([2, 5, 3]), 4, 30)
+@example(build_group_spec([2, 3]), 1, 6)
+@given(sweep_groups(), st.integers(0, 4096), st.integers(0, 4096))
 @settings(max_examples=50, deadline=None)
-def test_a_zero_run_from_any_start_is_the_full_grid_sweep(g, start, first, stop):
+def test_a_zero_run_of_any_length_is_the_full_grid_sweep(g, first, stop):
     # coefficients zero from 0 up to ``first``: the sweep steps a prefix row
-    # from ``start``, however few axes ``start``'s digits use, in up to 4
-    # ranges whatever the host, so a grid of 16,384 points or more splits
-    start, first, stop = sorted(min(x, g.size) for x in (start, first, stop))
-    rng = np.random.default_rng(start)
+    # from the depth-1 prefix of psi_0, in up to 4 ranges whatever the
+    # host, so a grid of 16,384 points or more splits
+    first, stop = sorted(min(x, g.size) for x in (first, stop))
+    rng = np.random.default_rng(first)
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[first:] = rng.standard_normal(g.size - first) + 1j * rng.standard_normal(g.size - first)
     s = Spectrum(g, coeffs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_WORKERS", 4)
-        fast = summed_partial_sums(s, start, stop)
-    assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+        fast = summed_partial_sums(s, 0, stop)
+    assert fast.tobytes() == full_grid_sweep(s, stop).tobytes()
 
 
 @given(sweep_spectra(), st.data())
@@ -338,25 +332,23 @@ def test_sweep_split_into_tiny_thread_ranges_is_the_full_grid_sweep(s, data):
     # ranges of 1 or 2 points in 3 processes: a sweep is split into ranges
     # of as few whole blocks as the grid allows, of one block too, each
     # stepping its own part of the prefix row
-    start = data.draw(st.integers(0, s.group.size))
-    stop = data.draw(st.integers(start, s.group.size))
+    stop = data.draw(st.integers(0, s.group.size))
     range_points = data.draw(st.sampled_from([1, 2]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_RANGE_POINTS", range_points)
         mp.setattr(kernels, "_WORKERS", 3)
-        fast = summed_partial_sums(s, start, stop)
-    assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+        fast = summed_partial_sums(s, 0, stop)
+    assert fast.tobytes() == full_grid_sweep(s, stop).tobytes()
 
 
 @st.composite
 def sweep_ranges(draw, max_base=5):
-    """A spectrum of :func:`sweep_spectra` and a summation range that is
-    empty, one point long, ragged or starts past 0."""
+    """A spectrum of :func:`sweep_spectra` and the end of a summation
+    range from 0 that is empty, one point long or ragged."""
     s = draw(sweep_spectra(max_base))
-    start = draw(st.one_of(st.just(0), st.integers(0, s.group.size)))
-    ragged = st.integers(start, s.group.size)
-    stop = draw(st.one_of(st.just(start), st.just(min(start + 1, s.group.size)), ragged, ragged))
-    return s, start, stop
+    ragged = st.integers(0, s.group.size)
+    stop = draw(st.one_of(st.just(0), st.just(1), ragged, ragged))
+    return s, stop
 
 
 def dense_spectrum(digits, seed=0):
@@ -366,21 +358,21 @@ def dense_spectrum(digits, seed=0):
 @pytest.mark.parametrize("workers", [1, 4])
 # one range point in 4 processes: if the blocks of the slowest digits went
 # down to x_{R-1}, these grids would be cut into one-point blocks
-@example((dense_spectrum([2, 5]), 0, 10), 1)
-@example((dense_spectrum([5], seed=2), 0, 5), 1)
-@example((dense_spectrum([7]), 0, 7), 1)
+@example((dense_spectrum([2, 5]), 10), 1)
+@example((dense_spectrum([5], seed=2), 5), 1)
+@example((dense_spectrum([7]), 7), 1)
 @given(sweep_ranges(max_base=7), st.sampled_from([1, 2, 8192]))
 @settings(max_examples=150, deadline=None)
 def test_sweep_with_few_full_step_vectors_is_the_full_grid_sweep(workers, case, range_points):
     # no step vector at all: every axis steps by its roots; worker ranges
     # of any block count, and summation ranges that are empty, one point
-    # long, ragged or start past 0
-    s, start, stop = case
+    # long or ragged
+    s, stop = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_RANGE_POINTS", range_points)
         mp.setattr(kernels, "_WORKERS", workers)
-        fast = summed_partial_sums(s, start, stop)
-    assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+        fast = summed_partial_sums(s, 0, stop)
+    assert fast.tobytes() == full_grid_sweep(s, stop).tobytes()
 
 
 def test_sweep_holds_four_grid_vectors_and_the_ufunc_buffer(monkeypatch):
@@ -404,14 +396,12 @@ def test_sweep_stepping_long_runs_by_their_roots_is_the_full_grid_sweep(s, data)
     # every axis, of a run of one point up, steps the lanes of its nonzero
     # digits by their roots, on prefix rows and on worker ranges of one
     # block or more
-    g = s.group
-    start = data.draw(st.one_of(st.just(0), st.integers(0, g.size)))
-    stop = data.draw(st.integers(start, g.size))
+    stop = data.draw(st.integers(0, s.group.size))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_RANGE_POINTS", data.draw(st.sampled_from([1, 8, 8192])))
         mp.setattr(kernels, "_WORKERS", data.draw(st.sampled_from([1, 3])))
-        fast = summed_partial_sums(s, start, stop)
-    assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+        fast = summed_partial_sums(s, 0, stop)
+    assert fast.tobytes() == full_grid_sweep(s, stop).tobytes()
 
 
 def test_a_const_2_sweep_holds_four_grid_vectors_and_the_ufunc_buffer(monkeypatch):
@@ -445,19 +435,18 @@ def count_multiplies(mp, steps):
     mp.setattr(kernels, "step_character", count)
 
 
-def predicted_multiplies(g, start, first, stop):
-    """The points a sweep from ``start`` to ``stop`` with its first
-    rank-one term at ``first`` multiplies, by one closed form: a step
-    n -> n + 1 multiplies (m_a - 1) / m_a of the points it steps on each
-    axis a its carry reaches; before ``first`` those are the prefix of
-    M_W points, W the axes that start's or n + 1's digits use, and from
-    there all N."""
+def predicted_multiplies(g, first, stop):
+    """The points a sweep from 0 to ``stop`` with its first rank-one term
+    at ``first`` multiplies, by one closed form: a step n -> n + 1
+    multiplies (m_a - 1) / m_a of the points it steps on each axis a its
+    carry reaches; before ``first`` those are the prefix of M_W points, W
+    the axes that n + 1's digits use, at least one, and from there all N."""
     def used(x):
         return next(w for w in range(g.resolution + 1) if g.scales[w] > x)
 
     count = 0
-    for n in range(start, stop - 1):
-        points = g.scales[max(1, used(start), used(n + 1))] if n < first else g.size
+    for n in range(stop - 1):
+        points = g.scales[max(1, used(n + 1))] if n < first else g.size
         axis = 0
         while True:
             count += points // g.digits[axis] * (g.digits[axis] - 1)
@@ -470,18 +459,17 @@ def predicted_multiplies(g, start, first, stop):
 @pytest.mark.parametrize("workers", [1, 3, 4])
 # more ranges than m_0: the caller steps the prefix row until it holds
 # x_0 and x_1, and each range steps its part from there
-@example(build_group_spec([2, 3, 2]), 0, 9, 12, 1)
-@example(build_group_spec([2] * 6), 0, 40, 64, 1)
-@example(build_group_spec([2] * 6), 3, 40, 64, 2)
-@given(sweep_groups(max_base=7), st.integers(0, 4096), st.integers(0, 4096), st.integers(0, 4096), st.sampled_from([1, 2, 8]))
+@example(build_group_spec([2, 3, 2]), 9, 12, 1)
+@example(build_group_spec([2] * 6), 40, 64, 1)
+@example(build_group_spec([2] * 6), 40, 64, 2)
+@given(sweep_groups(max_base=7), st.integers(0, 4096), st.integers(0, 4096), st.sampled_from([1, 2, 8]))
 @settings(max_examples=100, deadline=None)
-def test_one_closed_form_prices_the_whole_sweep(workers, g, start, first, stop, range_points):
+def test_one_closed_form_prices_the_whole_sweep(workers, g, first, stop, range_points):
     # coefficients zero below ``first`` and random from there: the sweep
     # multiplies exactly the points the closed form predicts, in its zero
     # run and after it, however it is split into ranges; with no
     # ``os.fork`` every range runs, and is counted, in this process
-    start, stop = sorted(min(x, g.size) for x in (start, stop))
-    first = min(first, g.size)
+    first, stop = min(first, g.size), min(stop, g.size)
     rng = np.random.default_rng(first)
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[first:] = rng.standard_normal(g.size - first) + 1j * rng.standard_normal(g.size - first)
@@ -491,11 +479,9 @@ def test_one_closed_form_prices_the_whole_sweep(workers, g, start, first, stop, 
         mp.delattr(os, "fork")
         mp.setattr(kernels, "_RANGE_POINTS", range_points)
         mp.setattr(kernels, "_WORKERS", workers)
-        summed_partial_sums(Spectrum(g, coeffs), start, stop)
-    if start > first:  # the partial sum at ``start`` is nonzero: no zero run
-        expected = predicted_multiplies(g, start, start, stop)
-    elif first < stop - 1:
-        expected = predicted_multiplies(g, start, first, stop)
+        summed_partial_sums(Spectrum(g, coeffs), 0, stop)
+    if first < stop - 1:
+        expected = predicted_multiplies(g, first, stop)
     else:  # no rank-one term before ``stop - 1``: nothing is stepped
         expected = 0
     assert sum(points for _, points in steps) == expected
@@ -527,7 +513,7 @@ def test_a_zero_run_multiplies_only_the_points_whose_digit_is_nonzero(g, first, 
     assert [taken[n] for n in range(stop - 1)] == [1] * handed + [ranges] * (stop - 1 - handed)
     assert sum(points for n, points in steps if n < first) == zero_run
     assert sum(points for n, points in steps if n >= first) == summing
-    assert zero_run + summing == predicted_multiplies(g, 0, first, stop)
+    assert zero_run + summing == predicted_multiplies(g, first, stop)
 
 
 def test_sweep_restores_the_callers_ufunc_buffer_size(monkeypatch):
@@ -569,6 +555,20 @@ def count_forks(mp):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_refuses_a_start_past_0_before_it_forks(monkeypatch):
+    # the sweep sums from 0 alone: a start past 0 is refused, on a grid
+    # and range sizes where it would otherwise fork 2 workers, and so is
+    # an empty range that starts past 0
+    s = dense_spectrum([2, 3, 2])
+    monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
+    pids = count_forks(monkeypatch)
+    for start, stop in [(1, 5), (3, 3)]:
+        with pytest.raises(DomainError, match=f"start must be 0, got {start}"):
+            summed_partial_sums(s, start, stop)
+    assert pids == []
 
 
 def test_sweep_raises_a_range_error_in_the_caller_after_every_thread_ends(monkeypatch):
@@ -634,17 +634,24 @@ def split_sweep_case():
     rng = np.random.default_rng(5)
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[16384:16448] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    return Spectrum(g, coeffs), 0, 16449
+    return Spectrum(g, coeffs), 16449
 
 
-def test_sweep_above_the_split_threshold_is_the_full_grid_sweep(split_sweep_case, monkeypatch):
-    s, start, stop = split_sweep_case
+@pytest.fixture(scope="module")
+def split_sweep_bytes(split_sweep_case):
+    """The bytes of :func:`full_grid_sweep` on ``split_sweep_case``, which
+    takes seconds, made once for every test that compares with them."""
+    return full_grid_sweep(*split_sweep_case).tobytes()
+
+
+def test_sweep_above_the_split_threshold_is_the_full_grid_sweep(split_sweep_case, split_sweep_bytes, monkeypatch):
+    s, stop = split_sweep_case
     pids = count_forks(monkeypatch)
-    fast = summed_partial_sums(s, start, stop)
+    fast = summed_partial_sums(s, 0, stop)
     monkeypatch.undo()
     if kernels._WORKERS > 1:
         assert pids
-    assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+    assert fast.tobytes() == split_sweep_bytes
 
 
 def test_sweep_on_one_thread_starts_none_and_gives_the_same_bytes(split_sweep_case, monkeypatch):
@@ -652,22 +659,22 @@ def test_sweep_on_one_thread_starts_none_and_gives_the_same_bytes(split_sweep_ca
     def no_fork():
         raise AssertionError("the sweep forked")
 
-    s, start, stop = split_sweep_case
-    split = summed_partial_sums(s, start, stop)
+    s, stop = split_sweep_case
+    split = summed_partial_sums(s, 0, stop)
     monkeypatch.setattr(kernels, "_WORKERS", 1)
     monkeypatch.setattr(os, "fork", no_fork)
-    single = summed_partial_sums(s, start, stop)
+    single = summed_partial_sums(s, 0, stop)
     monkeypatch.undo()
     assert single.tobytes() == split.tobytes()
 
 
-def test_sweep_starts_a_thread_per_range_but_the_first_and_none_in_the_zero_run(split_sweep_case, monkeypatch):
+def test_sweep_starts_a_thread_per_range_but_the_first_and_none_in_the_zero_run(split_sweep_case, split_sweep_bytes, monkeypatch):
     # 4 ranges of 8,192 points on a base-2 top axis: the caller steps the
     # zero run itself only until its prefix row holds x_0, x_1 and x_2 (3
     # steps), then forks one worker per range but the first, each of
     # which steps the rest of the zero run on its own part.  A finished
     # sweep leaves no child behind.
-    s, start, stop = split_sweep_case
+    s, stop = split_sweep_case
     steps, forks = [], []
     count_multiplies(monkeypatch, steps)
     fork = os.fork
@@ -678,11 +685,11 @@ def test_sweep_starts_a_thread_per_range_but_the_first_and_none_in_the_zero_run(
 
     monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setattr(kernels, "_WORKERS", 4)
-    fast = summed_partial_sums(s, start, stop)
+    fast = summed_partial_sums(s, 0, stop)
     monkeypatch.undo()
     assert forks == [3, 3, 3]
     assert_no_child_left()
-    assert fast.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+    assert fast.tobytes() == split_sweep_bytes
 
 
 @pytest.fixture(scope="module")
@@ -692,7 +699,7 @@ def grid_audit_case():
     g = GroupPattern((2, 2, 3)).group(13)
     coeffs = np.zeros(g.size, dtype=np.complex128)
     coeffs[20736:] = 1
-    return Spectrum(g, coeffs), 0, 24941
+    return Spectrum(g, coeffs), 24941
 
 
 @pytest.mark.parametrize("case", ["split_sweep_case", "grid_audit_case"])
@@ -703,19 +710,19 @@ def test_sweep_with_no_fork_or_with_another_thread_runs_its_ranges_in_process(ca
     def fork_fails():
         raise BlockingIOError("no process to spare")
 
-    s, start, stop = request.getfixturevalue(case)
+    s, stop = request.getfixturevalue(case)
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     with pytest.MonkeyPatch.context() as mp:
         forks = count_forks(mp)
-        forked = summed_partial_sums(s, start, stop)
+        forked = summed_partial_sums(s, 0, stop)
         assert len(forks) == 1
     with pytest.MonkeyPatch.context() as mp:
         mp.delattr(os, "fork")
-        no_fork = summed_partial_sums(s, start, stop)
+        no_fork = summed_partial_sums(s, 0, stop)
     assert no_fork.tobytes() == forked.tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "fork", fork_fails)
-        failed_fork = summed_partial_sums(s, start, stop)
+        failed_fork = summed_partial_sums(s, 0, stop)
     assert failed_fork.tobytes() == forked.tobytes()
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
@@ -723,7 +730,7 @@ def test_sweep_with_no_fork_or_with_another_thread_runs_its_ranges_in_process(ca
     try:
         with pytest.MonkeyPatch.context() as mp:
             forks = count_forks(mp)
-            threaded = summed_partial_sums(s, start, stop)
+            threaded = summed_partial_sums(s, 0, stop)
             assert forks == []
     finally:
         release.set()
@@ -733,7 +740,7 @@ def test_sweep_with_no_fork_or_with_another_thread_runs_its_ranges_in_process(ca
     assert_no_child_left()
 
 
-def test_sweep_forks_under_the_multi_threaded_fork_warning(split_sweep_case, monkeypatch):
+def test_sweep_forks_under_the_multi_threaded_fork_warning(split_sweep_case, split_sweep_bytes, monkeypatch):
     # Python 3.12 and later warn in the parent at a fork while another OS
     # thread runs, after the child exists; raised as an error (as this
     # suite raises every warning), it would lose the child.  The sweep
@@ -748,14 +755,14 @@ def test_sweep_forks_under_the_multi_threaded_fork_warning(split_sweep_case, mon
             warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
         return pid
 
-    s, start, stop = split_sweep_case
+    s, stop = split_sweep_case
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     monkeypatch.setattr(os, "fork", fork_and_warn)
-    forked = summed_partial_sums(s, start, stop)
+    forked = summed_partial_sums(s, 0, stop)
     monkeypatch.undo()
     assert len(pids) == 1
     assert_no_child_left()
-    assert forked.tobytes() == full_grid_sweep(s, start, stop).tobytes()
+    assert forked.tobytes() == split_sweep_bytes
 
 
 def test_a_worker_leaves_soon_after_its_caller_is_killed_mid_sweep(split_sweep_case):
@@ -764,7 +771,7 @@ def test_a_worker_leaves_soon_after_its_caller_is_killed_mid_sweep(split_sweep_c
     # whose write end the helper and the worker hold.  SIGKILL runs no
     # ``finally`` in the helper; the worker must see its caller gone and
     # leave within a few steps, which closes the pipe.
-    s, start, stop = split_sweep_case
+    s, stop = split_sweep_case
     read, write = os.pipe()
     helper = os.fork()
     if not helper:
@@ -786,7 +793,7 @@ def test_a_worker_leaves_soon_after_its_caller_is_killed_mid_sweep(split_sweep_c
             kernels.step_character = slow_step
             kernels._WORKERS = 2
             os.fork = fork_and_report
-            summed_partial_sums(s, start, stop)
+            summed_partial_sums(s, 0, stop)
             status = 0
         finally:
             os._exit(status)
