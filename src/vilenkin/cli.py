@@ -8,9 +8,10 @@ Subcommands::
     counterexample  certified level sequence, exact bound ledgers, divergence report
     selftest        quick end-to-end invariant sweep
 
-Exit codes: 0 success, 2 usage or domain precondition, 3 resource cap
-exceeded (a grid over its point cap is refused before it is built), 4
-verification failure, 141 stdout closed by its reader (128 + SIGPIPE).
+Exit codes: 0 success, 2 usage or domain precondition, or an output
+(``--out`` or stdout) that cannot be written, 3 resource cap exceeded (a
+grid over its point cap is refused before it is built), 4 verification
+failure, 141 stdout closed by its reader (128 + SIGPIPE).
 Results go to stdout or ``--out`` (``--out -`` is stdout too); standard
 error carries diagnostics only.
 A command imports the grid modules, and numpy with them, only when it
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import stat
 import sys
@@ -47,20 +49,23 @@ def _names_file(path: str | None) -> bool:
 @contextlib.contextmanager
 def _output(out: str | None):
     """A ``writelines`` for one output written in parts, to the file ``out``
-    or to stdout; stdout output always ends in a newline.  A file that
-    cannot be written is a usage error (exit 2), and a file that an error
-    leaves unfinished is removed before the error goes on."""
+    or to stdout; stdout output always ends in a newline.  A file or a
+    stdout that cannot be written is a usage error (exit 2; for stdout see
+    :func:`_writing_stdout`), and a file that an error leaves unfinished
+    is removed before the error goes on."""
     if not _names_file(out):
         last = [""]
 
         def writelines(parts: list[str]) -> None:
             if parts:
-                sys.stdout.writelines(parts)
+                with _writing_stdout():
+                    sys.stdout.writelines(parts)
                 last[0] = parts[-1]
 
         yield writelines
         if not last[0].endswith("\n"):
-            sys.stdout.write("\n")
+            with _writing_stdout():
+                sys.stdout.write("\n")
         return
     try:
         fh = open(out, "w", encoding="utf-8")
@@ -77,6 +82,25 @@ def _output(out: str | None):
         raise
 
 
+@contextlib.contextmanager
+def _writing_stdout():
+    """A failed write to stdout, other than to a closed pipe, is a usage
+    error (exit 2), with stdout then quieted (:func:`_quiet_stdout`)."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        _quiet_stdout()
+        raise DomainError(f"cannot write stdout: {exc}") from exc
+
+
+def _quiet_stdout() -> None:
+    """Point stdout at the null device, so that the exit-time flush of
+    what it still buffers raises nothing."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _remove_unfinished(path: str) -> None:
     """Remove a regular file left half written; a device, pipe or symlink
     named as the output stays."""
@@ -87,13 +111,20 @@ def _remove_unfinished(path: str) -> None:
 
 def _check_writable(path: str) -> None:
     """Refuse an output path that cannot be opened for writing, before any
-    work is done (exit 2).  An existing file is opened without truncation
-    and left as it is; a file the check creates is removed again."""
+    work is done (exit 2).  An existing regular file is opened without
+    truncation and left as it is, and a directory refused; any other
+    existing file is only checked for write permission, since opening a
+    named pipe and closing it again would end its reader's input.  A file
+    the check creates is removed again."""
     try:
         try:
             fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
         except FileExistsError:
-            os.close(os.open(path, os.O_WRONLY))
+            mode = os.stat(path).st_mode
+            if stat.S_ISREG(mode) or stat.S_ISDIR(mode):
+                os.close(os.open(path, os.O_WRONLY))
+            elif not os.access(path, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path) from None
             return
         os.close(fd)
         os.unlink(path)
@@ -177,7 +208,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         line = f"max relative error vs naive oracle = {serialize.float_str(err)} (tolerance {ORACLE_TOLERANCE})"
         if err > ORACLE_TOLERANCE:
             raise VerificationError(line)
-        print(line + ": ok")
+        _write_text(line + ": ok", None)
 
     if args.out is not None or oracle is None:
         _write_function(result, args.out, args.format)
@@ -205,7 +236,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     value = kernel.values[0].real
     line = f"{label} = {serialize.float_str(value)} (expected {expected})"
     ok = abs(value - float(expected)) <= ZERO_CHECK_TOLERANCE * max(1.0, float(expected))
-    print(line + (": ok" if ok else ": MISMATCH"))
+    _write_text(line + (": ok" if ok else ": MISMATCH"), None)
     if args.out is not None:
         _write_function(kernel, args.out, args.format)
     return 0 if ok else 4
@@ -365,9 +396,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             check()
         except Exception as exc:  # noqa: BLE001 - report and keep sweeping
             failures += 1
-            print(f"fail - {name}: {exc}")
+            _write_text(f"fail - {name}: {exc}", None)
         else:
-            print(f"ok - {name}")
+            _write_text(f"ok - {name}", None)
     if failures:
         print(f"{failures} selftest check(s) failed", file=sys.stderr)
         return 4
@@ -445,10 +476,11 @@ def main(argv=None) -> int:
             if _names_file(path):
                 _check_writable(path)
         code = _DISPATCH[args.command](args)
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        with _writing_stdout():
+            sys.stdout.flush()  # a closed pipe or a full device raises here, not at interpreter exit
         return code
     except BrokenPipeError:  # the reader has gone: keep the exit-time flush quiet too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _quiet_stdout()
         return 141  # 128 + SIGPIPE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,8 @@ conditional expectations.
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
-import pickle
 import signal
 import sys
 import warnings
@@ -209,11 +209,10 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
         raise DomainError(f"the sweep sums partial sums from 0: start must be 0, got {start}")
     if not 0 <= stop <= g.size:
         raise DomainError(f"summation range [0, {stop}) outside [0, {g.size}]")
-    total = np.zeros(g.size, dtype=np.complex128)
     # S_0 is zero, and adding a zero partial sum to the zero total changes no bit
     nonzero = s.coeffs[: max(0, stop - 1)] != 0
     if not nonzero.any():
-        return total
+        return np.zeros(g.size, dtype=np.complex128)
     first = int(nonzero.argmax())
     del nonzero  # N bytes, not held through the sweep
     cur = np.zeros(g.size, dtype=np.complex128)
@@ -223,6 +222,8 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     psi[: g.scales[1]] = 1
     roots = [character_basis(g).roots(a) for a in range(g.resolution)]
     split, bounds = _split(g)
+    # shared with the forked workers, which write their ranges into it; one range forks none
+    total = np.frombuffer(mmap.mmap(-1, 16 * g.size), np.complex128) if len(bounds) > 2 else np.zeros(g.size, dtype=np.complex128)
     with np.errstate():  # which restores the ufunc buffer size
         np.setbufsize(_LANE_BUFFER)
         psi, tmp, width, n = _zero_run(psi, tmp, 0, 1, 0, first, counter, g, roots, split + 1)
@@ -332,16 +333,19 @@ def _sweep_segment(total, bounds, run) -> None:
     writes ``total[lo:hi]`` from its own points alone: the first range in
     the calling process, each other one in a child made by ``os.fork``.
 
-    A child sends a zero byte and its range of ``total`` through a pipe,
-    or a one byte and its pickled exception, and leaves by ``os._exit``;
-    the caller reads each range into its own ``total`` and raises a
-    worker's exception again, with its type and message.  Every child is
-    reaped before this returns or raises, killed first if anything
-    raised; a child whose caller is killed with no ``finally`` run
-    leaves at its next step (:func:`_orphaned`).  Where ``os.fork`` does
-    not exist, or another Python thread runs (a fork copies only the
-    calling thread), or a fork fails, the ranges run one after another in
-    the calling process.
+    ``total`` is then a shared mapping: a child writes its range there
+    and leaves by ``os._exit(0)``, or by ``os._exit(1)`` on any exception.
+    A range whose child could not be forked, or did not exit 0 (killed by
+    a signal, say, or with its status lost where SIGCHLD is ignored), has
+    its part of ``total`` zeroed and runs again in the calling process,
+    from its points as they were at the fork, to the same bits; an error
+    that does not depend on the process is raised there with its own
+    type, message and traceback.  Every child is reaped before this
+    returns or raises, killed first if anything raised; a child whose
+    caller is killed with no ``finally`` run leaves at its next step
+    (:func:`_orphaned`).  Where ``os.fork`` does not exist, or another
+    Python thread runs (a fork copies only the calling thread), the
+    ranges run one after another in the calling process.
     """
     ranges = list(zip(bounds, bounds[1:]))
     if not hasattr(os, "fork") or len(sys._current_frames()) > 1:
@@ -349,89 +353,51 @@ def _sweep_segment(total, bounds, run) -> None:
             run(lo, hi)
         return
     children, here = [], ranges[:1]
-    finished = False
     try:
         for lo, hi in ranges[1:]:
             try:
-                children.append((_fork_range(run, total, lo, hi, [fd for (_, fd), _, _ in children]), lo, hi))
+                children.append((_fork_range(run, lo, hi), lo, hi))
             except OSError:
                 here.append((lo, hi))
         for lo, hi in here:
             run(lo, hi)
-        for (pid, fd), lo, hi in children:
-            _receive(fd, total[lo:hi])
-        finished = True
+        while children:
+            pid, lo, hi = children[0]
+            status = 1  # unknown where SIGCHLD is ignored: the child is reaped already
+            with contextlib.suppress(ChildProcessError):
+                status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status:
+                total[lo:hi] = 0
+                run(lo, hi)
     finally:
-        for (pid, fd), _, _ in children:
-            os.close(fd)
+        for pid, _, _ in children:
             # a child is gone already only where SIGCHLD is ignored
             with contextlib.suppress(ChildProcessError, ProcessLookupError):
-                if not finished:
-                    os.kill(pid, signal.SIGKILL)
+                os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _fork_range(run, total, lo, hi, reads) -> tuple[int, int]:
-    """Fork a child that runs ``run(lo, hi, caller)`` and writes its
-    result to a pipe (:func:`_sweep_segment`); the child's pid and the
-    pipe's read end.  The child closes ``reads``, the read ends of the
-    children forked before it, so that the caller is each pipe's only
-    reader: once it is gone, a child's write fails instead of blocking."""
+def _fork_range(run, lo, hi) -> int:
+    """Fork a child that runs ``run(lo, hi, caller)`` and leaves by
+    ``os._exit``, with status 0 once it has finished and 1 on any
+    exception (:func:`_sweep_segment`); the child's pid."""
     caller = os.getpid()
-    read, write = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 and later warn here when another OS thread runs,
-            # such as one of numpy's OpenBLAS pool; the children call only
-            # elementwise ufuncs, no BLAS routine.  Raised as an error, the
-            # warning would lose the child's pid.
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
+    with warnings.catch_warnings():
+        # Python 3.12 and later warn here when another OS thread runs,
+        # such as one of numpy's OpenBLAS pool; the children call only
+        # elementwise ufuncs, no BLAS routine.  Raised as an error, the
+        # warning would lose the child's pid.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning)
+        pid = os.fork()
     if pid:
-        os.close(write)
-        return pid, read
+        return pid
     status = 1
     try:  # the child: never returns into the caller's stack
-        for fd in (read, *reads):
-            os.close(fd)
-        with open(write, "wb") as out:
-            try:
-                run(lo, hi, caller)
-            except BaseException as exc:
-                out.write(b"\1" + _pickled(exc))
-            else:
-                out.write(b"\0")
-                out.write(total[lo:hi].view(np.uint8))
-                status = 0
+        run(lo, hi, caller)
+        status = 0
     finally:
         os._exit(status)
-
-
-def _pickled(exc: BaseException) -> bytes:
-    """``exc`` pickled, or a ``RuntimeError`` naming it where it does not pickle."""
-    try:
-        return pickle.dumps(exc)
-    except Exception:  # an exception that does not pickle goes by its text
-        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-
-
-def _receive(fd: int, out: np.ndarray) -> None:
-    """Read a child's range into ``out``, or raise its exception."""
-    with open(fd, "rb", buffering=0, closefd=False) as pipe:
-        head = pipe.read(1)
-        if head == b"\1":
-            raise pickle.loads(pipe.read())
-        view = out.view(np.uint8)
-        got = 0
-        if head == b"\0":
-            while got < view.size and (read := pipe.readinto(view[got:])):
-                got += read
-        if got < view.size:
-            raise ChildProcessError("a sweep worker ended without sending its range")
 
 
 def _sweep_range(psi, cur, total, tmp, lo, width, n, first, counter, g, roots, coeffs, parent=None) -> None:
@@ -463,7 +429,7 @@ def _sweep_range(psi, cur, total, tmp, lo, width, n, first, counter, g, roots, c
 def _orphaned(parent) -> bool:
     """Whether this process is a sweep worker whose caller ``parent`` is
     gone: killed by a signal that runs no ``finally``, such as SIGKILL, so
-    that nobody reaps, kills or reads the worker.  The worker then leaves
+    that nobody reaps or kills the worker.  The worker then leaves
     at once rather than step the rest of its range; one ``getppid`` costs
     far less than a step's numpy calls.  ``None`` in the calling process."""
     return parent is not None and os.getppid() != parent

@@ -1,9 +1,12 @@
 """CLI behavior: flags, exit codes, output formats, determinism."""
+import contextlib
 import dataclasses
 import json
+import os
 import shlex
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -524,6 +527,36 @@ def test_output_path_check_leaves_existing_files_alone_and_new_ones_unmade(tmp_p
     assert "cap is" in capsys.readouterr().err
     assert existing.read_text(encoding="utf-8") == "keep"
     assert not new.exists()
+
+
+def test_out_naming_a_fifo_writes_the_report_to_its_reader(tmp_path):
+    # the path check must not open a named pipe: closing it again would
+    # end the reader's input, and the report's own open would then wait
+    # for a reader forever
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    argv = [sys.executable, "-m", "vilenkin.cli", "counterexample", "--group", "const:2", "--kmax", "3"]
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        piped = subprocess.run([*argv, "--out", str(fifo)], capture_output=True, timeout=60)
+    finally:  # a reader still waiting for a writer gets the end of its input
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=60)
+    assert piped.returncode == 0, piped.stderr
+    assert got == [subprocess.run(argv, capture_output=True, timeout=120, check=True).stdout]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_failed_write_to_stdout_exits_2_with_one_line():
+    argv = [sys.executable, "-m", "vilenkin.cli", "counterexample", "--group", "const:2", "--kmax", "3"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

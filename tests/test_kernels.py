@@ -598,10 +598,13 @@ def test_sweep_raises_an_error_in_the_callers_own_range_after_every_thread_ends(
     # step_character fails in the calling process alone: in the first
     # range while 2 worker processes step the others, or, with the
     # coefficients zero up to the midpoint, in the caller's share of the
-    # zero run, before any fork; or it fails in the 2 workers alone, while
-    # the caller steps the first range to its end, and their ValueError
-    # reaches the caller with its message.  No child outlives the call.
+    # zero run, before any fork.  Where it fails in the 2 workers alone,
+    # nothing is raised: the caller runs their ranges again itself, taking
+    # every step a sweep with no fork takes, to the same bytes.  No child
+    # outlives the call.
     caller = os.getpid()
+    steps = []
+    count_multiplies(monkeypatch, steps)
     step = kernels.step_character
 
     def fail_on_one_side(*args):
@@ -616,10 +619,87 @@ def test_sweep_raises_an_error_in_the_callers_own_range_after_every_thread_ends(
     monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)  # 3 ranges of 2 blocks of 2 points
     monkeypatch.setattr(kernels, "_WORKERS", 3)
     monkeypatch.setattr(kernels, "step_character", fail_on_one_side)
+    if failing == "caller":
+        pids = count_forks(monkeypatch)
+        with pytest.raises(ValueError, match="^caller's range failed$"):
+            summed_partial_sums(s, 0, g.size)
+        assert len(pids) == (0 if zero_to else 2)
+    else:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delattr(os, "fork")
+            clean = summed_partial_sums(s, 0, g.size)
+        clean_steps = steps[:]
+        steps.clear()
+        pids = count_forks(monkeypatch)
+        assert summed_partial_sums(s, 0, g.size).tobytes() == clean.tobytes()
+        assert len(pids) == 2
+        assert steps == clean_steps
+    assert_no_child_left()
+
+
+def small_split_sweep(monkeypatch):
+    """A spectrum on 2,3,2 and the bytes of its sweep, with the sweep
+    split under ``monkeypatch`` into 3 ranges of 2 blocks of 2 points, the
+    last 2 in forked workers."""
+    s = forward_transform(random_cylinder_function(build_group_spec([2, 3, 2]), seed=4))
+    monkeypatch.setattr(kernels, "_RANGE_POINTS", 2)
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
+    return s, summed_partial_sums(s, 0, s.group.size).tobytes()
+
+
+def test_a_worker_killed_mid_range_has_its_range_run_again_in_the_caller(monkeypatch):
+    # each worker SIGKILLs itself at its third step, as the OOM killer
+    # might: the caller zeroes its part of the total and runs its range
+    # again, to the bytes of a clean sweep, and no child is left
+    s, clean = small_split_sweep(monkeypatch)
+    caller = os.getpid()
+    taken = collections.Counter()
+    step = kernels.step_character
+
+    def killed_mid_range(*args):
+        taken[os.getpid()] += 1
+        if os.getpid() != caller and taken[os.getpid()] == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        step(*args)
+
+    monkeypatch.setattr(kernels, "step_character", killed_mid_range)
     pids = count_forks(monkeypatch)
-    with pytest.raises(ValueError, match=f"^{failing}'s range failed$"):
-        summed_partial_sums(s, 0, g.size)
-    assert len(pids) == (0 if zero_to else 2)
+    assert summed_partial_sums(s, 0, s.group.size).tobytes() == clean
+    assert len(pids) == 2
+    assert_no_child_left()
+
+
+def test_sweep_with_sigchld_ignored_runs_each_workers_range_again_to_the_same_bytes(monkeypatch):
+    # with SIGCHLD ignored the kernel reaps each worker itself and its exit
+    # status is lost: the caller runs the workers' ranges again
+    s, clean = small_split_sweep(monkeypatch)
+    pids = count_forks(monkeypatch)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        ignored = summed_partial_sums(s, 0, s.group.size)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert ignored.tobytes() == clean
+    assert len(pids) == 2
+
+
+def test_an_error_in_a_workers_range_is_raised_by_the_callers_run_of_it(monkeypatch):
+    # every range but the first fails, in whichever process runs it: both
+    # workers exit 1, and the caller's own run of the first of their
+    # ranges raises its ValueError, with its message
+    s, _ = small_split_sweep(monkeypatch)
+    sweep_range = kernels._sweep_range
+
+    def fail_past_0(psi, cur, total, tmp, lo, *args):
+        if lo > 0:
+            raise ValueError(f"the range from {lo} failed")
+        sweep_range(psi, cur, total, tmp, lo, *args)
+
+    monkeypatch.setattr(kernels, "_sweep_range", fail_past_0)
+    pids = count_forks(monkeypatch)
+    with pytest.raises(ValueError, match=f"^the range from {kernels._split(s.group)[1][1]} failed$"):
+        summed_partial_sums(s, 0, s.group.size)
+    assert len(pids) == 2
     assert_no_child_left()
 
 
