@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, DomainError, VerificationError, brief
-from .group import GRID_CAP, GroupPattern, GroupSpec
+from .group import GRID_CAP, GroupPattern, GroupSpec, shifted_pow
 
 __all__ = [
     "Verdict",
@@ -205,8 +205,8 @@ def _certificate(
     ``sum_{eta<k} M_{2 alpha_eta}^2 / alpha_eta``, which the caller keeps
     running: it is the sum of the earlier levels' ``history_growth_rhs``.
     """
-    growth_rhs = Fraction(pattern.scale(2 * t) ** 2, t)
-    gap_lhs = Fraction(32 * pattern.bound * pattern.scale(2 * prev) ** 2, prev) if k else Fraction(0)
+    growth_rhs = Fraction(shifted_pow(pattern.scale(2 * t), 2), t)
+    gap_lhs = Fraction(32 * pattern.bound * shifted_pow(pattern.scale(2 * prev), 2), prev) if k else Fraction(0)
     gap_rhs = Fraction(pattern.scale(t), t)
     return LevelCertificate(
         k=k,
@@ -459,7 +459,7 @@ def bound_chain_evaluate(seq: AlphaSequence, k: int) -> BoundLedger:
 
     if k:
         prev = seq.alphas[k - 1]
-        piece_bound = 2 * Fraction(pattern.scale(2 * prev) ** 2, prev)
+        piece_bound = 2 * Fraction(shifted_pow(pattern.scale(2 * prev), 2), prev)
     else:
         piece_bound = Fraction(0)
     threshold = Fraction(m_alpha, 16 * bound * alpha)

@@ -32,6 +32,7 @@ __all__ = [
     "build_group_spec",
     "digit_decompose",
     "digit_compose",
+    "shifted_pow",
     "parse_group_text",
 ]
 
@@ -151,6 +152,16 @@ class Cylinder:
         return n
 
 
+def shifted_pow(x: int, n: int) -> int:
+    """``x ** n`` for ``n >= 0``: the odd part of ``x`` to the ``n``, shifted
+    left by ``n`` times the trailing zero bits of ``x``.  A power of two
+    takes a shift alone, in time linear in the result's length, where a
+    multiplication would take Karatsuba time."""
+    zeros = (x ^ (x - 1)).bit_length() - 1
+    odd = x >> zeros
+    return (odd**n if odd != 1 else 1) << zeros * n
+
+
 @dataclass(frozen=True)
 class GroupPattern:
     """A periodic digit-base pattern, extendable to any resolution.
@@ -180,7 +191,10 @@ class GroupPattern:
         return self.base[j % len(self.base)]
 
     def scale(self, j: int) -> int:
-        """``M_j`` for the cyclically extended base sequence, exactly."""
+        """``M_j`` for the cyclically extended base sequence, exactly.
+
+        The period ``P`` of the pattern is raised by :func:`shifted_pow`,
+        so its power of two goes in as a shift."""
         if j < 0:
             raise DomainError(f"scale index must be >= 0, got {j}")
         period = 1
@@ -190,7 +204,7 @@ class GroupPattern:
         tail = 1
         for m in self.base[:rest]:
             tail *= m
-        return period**full * tail
+        return shifted_pow(period, full) * tail
 
     def group(self, resolution: int, cap: int = GRID_CAP) -> GroupSpec:
         """The depth-``resolution`` grid; :class:`CapExceededError` before
@@ -250,7 +264,8 @@ class GroupPattern:
         ``ratio**count`` gives both sums, and ``q_{a-1}`` is ``q_a``
         less its top term ``M_{2a}``.  Only that power, one exact division
         by ``ratio - 1`` and steps linear in its length touch a big
-        number."""
+        number.  Over ``int`` the power comes from :func:`shifted_pow`, so
+        the period's power of two goes in as a shift."""
         length = len(self.base)
         period = self.scale(length)
         # j and j + L2 give digit positions 2j and 2j + 2*L2 that agree mod
@@ -260,7 +275,7 @@ class GroupPattern:
         step = 2 // g
         ratio = period**step
         count, last = divmod(a, l2)
-        power = (one * ratio) ** count
+        power = shifted_pow(ratio, count) if isinstance(one, int) else (one * ratio) ** count
         shorter = (power - 1) // (ratio - 1)  # a class of count terms
         longer = shorter * ratio + 1  # one of count + 1
         total = 0

@@ -195,6 +195,47 @@ def test_planning_probes_each_level_at_most_three_times(base, count, monkeypatch
     assert all(probes.count(k) <= 3 for k in range(2, count))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(2, 7), min_size=1, max_size=4),
+        st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=4),
+        st.lists(st.sampled_from((2, 4)), min_size=1, max_size=4),
+    ).map(tuple)
+)
+def test_level_certificates_and_piece_bounds_match_the_plain_power_formulas(base):
+    # every planned certificate, field by field, and every ledger's piece
+    # bound from M_j as the literal product of digits and ``**`` squares
+    pattern = GroupPattern(base)
+    seq = build_alpha_sequence(pattern, 4)
+
+    def literal(j):
+        return math.prod(pattern.digit(i) for i in range(j))
+
+    history = Fraction(0)
+    for k, (t, cert) in enumerate(zip(seq.alphas, seq.certificates)):
+        prev = seq.alphas[k - 1] if k else 0
+        growth_rhs = Fraction(literal(2 * t) ** 2, t)
+        gap_lhs = Fraction(32 * pattern.bound * literal(2 * prev) ** 2, prev) if k else Fraction(0)
+        gap_rhs = Fraction(literal(t), t)
+        assert cert == exact.LevelCertificate(
+            k=k,
+            alpha=t,
+            doubling_ok=t >= 2 * prev if k else t >= exact.MIN_ALPHA0,
+            history_growth_lhs=history,
+            history_growth_rhs=growth_rhs,
+            history_growth_ok=k == 0 or history < growth_rhs,
+            history_gap_lhs=gap_lhs,
+            history_gap_rhs=gap_rhs,
+            history_gap_ok=k == 0 or gap_lhs < gap_rhs,
+        )
+        history += growth_rhs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "REGION_DETAIL_CAP", 0)  # the corner alone
+            ledger = bound_chain_evaluate(seq, k)
+        assert ledger.low_part_bound == (2 * Fraction(literal(2 * prev) ** 2, prev) if k else 0)
+
+
 def test_planned_levels_follow_the_affine_rule():
     const2 = build_alpha_sequence(PAT2, 11).alphas
     assert const2[:8] == KNOWN_ALPHAS_BASE2

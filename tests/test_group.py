@@ -2,6 +2,7 @@
 package's exported names."""
 import importlib
 import itertools
+import operator
 import pkgutil
 import tracemalloc
 from fractions import Fraction
@@ -20,10 +21,18 @@ from vilenkin.group import (
     digit_compose,
     digit_decompose,
     parse_group_text,
+    shifted_pow,
 )
 
 digit_lists = st.lists(st.integers(2, 6), min_size=1, max_size=6)
 patterns = st.lists(st.integers(2, 5), min_size=1, max_size=3).map(tuple)
+# bases 2-7 and period 1-4, drawing as often the periods with no factor 2
+# (where no shift applies) and those that are powers of two (a shift alone)
+shift_patterns = st.one_of(
+    st.lists(st.integers(2, 7), min_size=1, max_size=4),
+    st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=4),
+    st.lists(st.sampled_from((2, 4)), min_size=1, max_size=4),
+).map(tuple)
 
 
 def test_scales_recursion():
@@ -120,6 +129,43 @@ def test_q_number_known_values():
 def test_pattern_q_number_matches_direct_sum(base, a):
     pat = GroupPattern(base)
     assert pat.q_number(a) == sum(pat.scale(2 * j) for j in range(a + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shift_patterns, st.integers(0, 4000))
+@example((2,), 4000)
+@example((3, 5, 7), 4000)
+@example((2, 3, 4, 6), 4000)
+def test_pattern_scales_and_q_match_the_literal_products(base, top):
+    # an oracle that shares no code with scale or shifted_pow: M_j as the
+    # literal product of the first j digits, q_a as the literal sum of the
+    # even-indexed products, for every j <= top
+    pat = GroupPattern(base)
+    products = list(itertools.accumulate((pat.digit(i) for i in range(top)), operator.mul, initial=1))
+    for j, product in enumerate(products):
+        assert pat.scale(j) == product
+    q = 0
+    for a in range(top // 2 + 1):
+        q_before, q = q, q + products[2 * a]
+        assert pat.q_number(a) == q
+        assert pat._q_pair(a) == (q, q_before)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 1 << 3000), st.integers(0, 5000), st.integers(0, 5))
+@example(0, 0, 2)
+@example(1, 0, 2)
+@example(1, 1, 2)
+@example(1, 64, 2)
+@example(1, 1_179_643, 2)
+@example(3**500, 7, 2)
+@example(0, 100, 0)
+def test_shifted_pow_matches_the_plain_power(cofactor, zeros, n):
+    # the square helper on 0, 1, powers of two up to the largest scale of
+    # the const:2 kmax-9 plan, and ints with random trailing zero bits
+    x = cofactor << zeros
+    assert shifted_pow(x, 2) == x * x
+    assert shifted_pow(x, n) == x**n
 
 
 @given(patterns, st.integers(1, 30))

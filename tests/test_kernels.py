@@ -536,9 +536,10 @@ def test_sweep_restores_the_callers_ufunc_buffer_size(monkeypatch):
         assert np.getbufsize() == 4096
 
 
-def count_forks(mp):
+def count_forks(mp, warn=False):
     """Wrap ``os.fork`` under ``mp``; returns the list of the pids it makes
-    in this process."""
+    in this process.  With ``warn``, the parent side then warns as Python
+    3.12 and later do at a fork while another OS thread runs."""
     pids = []
     fork = os.fork
 
@@ -546,6 +547,8 @@ def count_forks(mp):
         pid = fork()
         if pid:
             pids.append(pid)
+            if warn:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
         return pid
 
     mp.setattr(os, "fork", counted)
@@ -825,19 +828,9 @@ def test_sweep_forks_under_the_multi_threaded_fork_warning(split_sweep_case, spl
     # thread runs, after the child exists; raised as an error (as this
     # suite raises every warning), it would lose the child.  The sweep
     # ignores that warning alone, so it still forks, to the same bytes.
-    fork = os.fork
-    pids = []
-
-    def fork_and_warn():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
-        return pid
-
     s, stop = split_sweep_case
     monkeypatch.setattr(kernels, "_WORKERS", 2)
-    monkeypatch.setattr(os, "fork", fork_and_warn)
+    pids = count_forks(monkeypatch, warn=True)
     forked = summed_partial_sums(s, 0, stop)
     monkeypatch.undo()
     assert len(pids) == 1
@@ -845,15 +838,21 @@ def test_sweep_forks_under_the_multi_threaded_fork_warning(split_sweep_case, spl
     assert forked.tobytes() == split_sweep_bytes
 
 
-def test_a_worker_leaves_soon_after_its_caller_is_killed_mid_sweep(split_sweep_case):
+def test_a_worker_leaves_soon_after_its_caller_is_killed_mid_sweep(split_sweep_case, monkeypatch):
     # a helper process sweeps with each step slowed to 10 ms (the zero run
     # alone would take minutes) and sends its worker's pid through a pipe
     # whose write end the helper and the worker hold.  SIGKILL runs no
     # ``finally`` in the helper; the worker must see its caller gone and
-    # leave within a few steps, which closes the pipe.
+    # leave within a few steps, which closes the pipe.  Every fork warns
+    # in its parent as on Python 3.12 and later, where numpy's OpenBLAS
+    # threads run; the helper's fork ignores that warning as the sweep's
+    # does, or the test would lose the helper's pid and leave it running.
     s, stop = split_sweep_case
     read, write = os.pipe()
-    helper = os.fork()
+    count_forks(monkeypatch, warn=True)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning)
+        helper = os.fork()
     if not helper:
         status = 1
         try:  # never returns into the test's stack
