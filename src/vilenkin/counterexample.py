@@ -50,7 +50,6 @@ from .transform import (
     CylinderFunction,
     Spectrum,
     character_basis,
-    coarsen,
 )
 
 __all__ = [
@@ -425,10 +424,8 @@ def _grid_series_checks(seq: AlphaSequence, grids: list[GroupSpec], hardy_upper:
         star = maximal_function(atom)
         root_integral = float(np.mean(np.sqrt(np.abs(star.values))))
         atom_maximal_ok &= root_integral <= 1 + 1e-9
-    depth = grids[-1].resolution
-    f = materialize_f(seq, depth, grids[-1])
-    levels = [coarsen(f, r) for r in range(depth)] + [f]
-    grid_estimate = hardy_quasinorm_estimate(levels, Fraction(1, 2))
+    f = materialize_f(seq, grids[-1].resolution, grids[-1])
+    grid_estimate = hardy_quasinorm_estimate(f, Fraction(1, 2))
     return dict(
         atoms_ok=atoms_ok,
         atom_maximal_ok=atom_maximal_ok,

@@ -11,9 +11,10 @@ into one would silence exactly the class of indexing bugs this package
 exists to catch.
 
 For ``0 < p < 1`` the ``L_p`` "norm" is only a quasinorm; nothing here
-assumes the triangle inequality.  The Hardy-space size of a martingale is
-estimated through its maximal function across a full chain of dyadic-style
-conditional expectations.
+assumes the triangle inequality.  The Hardy-space size of ``f`` is
+estimated through one maximal function: the pointwise maximum of
+``|coarsen(f, r)|`` over every depth ``r`` and of ``|f|`` itself, the sup
+of ``|E_n f|`` over the martingale of its conditional expectations.
 """
 
 from __future__ import annotations
@@ -227,9 +228,9 @@ def summed_partial_sums(s: Spectrum, start: int, stop: int) -> np.ndarray:
     with np.errstate():  # which restores the ufunc buffer size
         np.setbufsize(_LANE_BUFFER)
         psi, tmp, width, n = _zero_run(psi, tmp, 0, 1, 0, first, counter, g, roots, split + 1)
-    while width <= split:  # the zero run ended first: the row is still a prefix
-        psi, tmp = _tile(psi, tmp, g.scales[width], g.digits[width])
-        width += 1
+    # the row to the split's depth, still a prefix where the zero run ended first
+    psi, tmp = _tile(psi, tmp, g.scales[width], g.scales[split + 1] // g.scales[width])
+    width = split + 1
     part = g.size // g.scales[width]  # the points a prefix point stands for
     for lo, hi in zip(bounds, bounds[1:]):  # each range's part of the prefix, at its start
         tmp[lo : lo + (hi - lo) // part] = psi[lo // part : hi // part]
@@ -335,23 +336,17 @@ def _sweep_segment(total, bounds, run) -> None:
 
     ``total`` is then a shared mapping: a child writes its range there
     and leaves by ``os._exit(0)``, or by ``os._exit(1)`` on any exception.
-    A range whose child could not be forked, or did not exit 0 (killed by
-    a signal, say, or with its status lost where SIGCHLD is ignored), has
-    its part of ``total`` zeroed and runs again in the calling process,
-    from its points as they were at the fork, to the same bits; an error
-    that does not depend on the process is raised there with its own
-    type, message and traceback.  Every child is reaped before this
-    returns or raises, killed first if anything raised; a child whose
-    caller is killed with no ``finally`` run leaves at its next step
-    (:func:`_orphaned`).  Where ``os.fork`` does not exist, or another
-    Python thread runs (a fork copies only the calling thread), the
-    ranges run one after another in the calling process.
+    A range whose child could not be forked (:func:`_fork_range`), or did
+    not exit 0 (killed by a signal, say, or with its status lost where
+    SIGCHLD is ignored), has its part of ``total`` zeroed and runs again
+    in the calling process, from its points as they were at the fork, to
+    the same bits; an error that does not depend on the process is raised
+    there with its own type, message and traceback.  Every child is reaped
+    before this returns or raises, killed first if anything raised; a
+    child whose caller is killed with no ``finally`` run leaves at its
+    next step (:func:`_orphaned`).
     """
     ranges = list(zip(bounds, bounds[1:]))
-    if not hasattr(os, "fork") or len(sys._current_frames()) > 1:
-        for lo, hi in ranges:
-            run(lo, hi)
-        return
     children, here = [], ranges[:1]
     try:
         for lo, hi in ranges[1:]:
@@ -381,7 +376,11 @@ def _sweep_segment(total, bounds, run) -> None:
 def _fork_range(run, lo, hi) -> int:
     """Fork a child that runs ``run(lo, hi, caller)`` and leaves by
     ``os._exit``, with status 0 once it has finished and 1 on any
-    exception (:func:`_sweep_segment`); the child's pid."""
+    exception (:func:`_sweep_segment`); the child's pid.  :class:`OSError`
+    where ``os.fork`` is missing or another Python thread runs (a fork
+    copies only the calling thread)."""
+    if not hasattr(os, "fork") or len(sys._current_frames()) > 1:
+        raise OSError("no fork: os.fork is missing or another Python thread runs")
     caller = os.getpid()
     with warnings.catch_warnings():
         # Python 3.12 and later warn here when another OS thread runs,
@@ -502,55 +501,29 @@ def _mean_power_root(mags: np.ndarray, p) -> float:
 
 
 def maximal_function(f: CylinderFunction) -> CylinderFunction:
-    """Pointwise sup of |conditional expectation| over all depths 0..N.
+    """Pointwise sup of ``|E_r f|`` over all depths ``r = 0..R``: the
+    maximum of ``|coarsen(f, r)|`` at every depth below ``R``, each value
+    standing for its cylinder, and of ``|f|`` itself.
 
     Returned on the same grid as ``f`` (values are real, stored complex).
     """
-    g = f.group
+    return CylinderFunction(f.group, _maximal(f).astype(np.complex128))
+
+
+def hardy_quasinorm_estimate(f: CylinderFunction, p) -> float:
+    """``L_p`` size of the maximal function of ``f``'s martingale: the
+    ``lp_quasinorm`` of :func:`maximal_function`, from its real values."""
+    return _mean_power_root(_maximal(f), p)
+
+
+def _maximal(f: CylinderFunction) -> np.ndarray:
+    """The real values of :func:`maximal_function`.  A maximum is exact, so
+    the order of the depths changes no bit."""
     best = np.abs(f.values)
-    level_vals = f.values
-    for level in range(g.resolution - 1, -1, -1):
-        level_vals = level_vals.reshape(g.digits[level], -1).mean(axis=0)
-        rows = best.reshape(-1, g.scales[level])
-        np.maximum(rows, np.abs(level_vals), out=rows)
-    return CylinderFunction(g, best.astype(np.complex128))
-
-
-def hardy_quasinorm_estimate(levels, p) -> float:
-    """``L_p`` size of the maximal function of a martingale given by its levels.
-
-    ``levels`` lists conditional expectations at strictly increasing
-    resolutions (the last one is the finest).  The chain is validated:
-    every level must be exactly the cylinder average of the next, up to a
-    relative 1e-9 tolerance, and all groups must be prefixes of the finest
-    one.  A violated chain raises :class:`DomainError` rather than
-    returning a number that estimates nothing.
-    """
-    levels = list(levels)
-    if not levels:
-        raise DomainError("need at least one martingale level")
-    fine = levels[-1]
-    g = fine.group
-    prev_res = -1
-    for lev in levels:
-        r = lev.group.resolution
-        if r <= prev_res:
-            raise DomainError("martingale levels must have strictly increasing resolution")
-        if lev.group.digits != g.digits[:r]:
-            raise DomainError("martingale levels must live on prefixes of the finest group")
-        prev_res = r
-    for i in range(len(levels) - 1):
-        down = coarsen(levels[i + 1], levels[i].group.resolution)
-        tol = 1e-9 * max(1.0, sup_abs(levels[i + 1].values))
-        if sup_abs(down.values - levels[i].values) > tol:
-            raise DomainError(
-                f"martingale violation: level {i} is not the cylinder average of level {i + 1}"
-            )
-    best = np.zeros(g.size)
-    for lev in levels:
-        rows = best.reshape(-1, lev.group.size)
-        np.maximum(rows, np.abs(lev.values), out=rows)
-    return _mean_power_root(best, p)
+    for r in range(f.group.resolution):
+        rows = best.reshape(-1, f.group.scales[r])
+        np.maximum(rows, np.abs(coarsen(f, r).values), out=rows)
+    return best
 
 
 @dataclass

@@ -775,6 +775,19 @@ def test_selftest_names_the_failing_verdict_of_each_report_check(monkeypatch, ca
     ]
 
 
+def test_selftest_fails_when_block_0s_atom_checks_are_skipped(monkeypatch, capsys):
+    # at a cap of 2 no block's grid fits: the report passes with its atom
+    # verdicts skipped, and the selftest must fail on them
+    report = cli.divergence_report
+    monkeypatch.setattr(cli, "divergence_report", lambda seq: report(seq, cap=2))
+    assert run_cli("selftest") == 4
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("fail - ")]
+    assert failed == [
+        "fail - counterexample ledgers and atom checks: series.atoms_ok is None, not True: "
+        "block 0's atom was not checked"
+    ]
+
+
 def _none_failed(verdicts) -> bool:
     return all(v.ok is None or v.ok for v in verdicts)
 
